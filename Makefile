@@ -20,10 +20,8 @@ lint:
 	then ruff check .; \
 	else echo "lint: ruff not installed, skipping (CI runs it)"; fi
 
-# Incremental by default (.simlint_cache); `repro lint --no-cache` for a
-# cold run.
 simlint:
-	$(PYTHON) -m repro lint --stats src tests benchmarks examples
+	$(PYTHON) -m repro lint src tests benchmarks examples
 
 typecheck:
 	@if $(PYTHON) -c "import mypy" 2>/dev/null; \

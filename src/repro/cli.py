@@ -356,95 +356,41 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cache_target(args: argparse.Namespace):
-    """The store the maintenance verbs operate on.
+def cmd_cache(args: argparse.Namespace) -> int:
+    """Inspect or maintain the on-disk result cache.
 
-    ``--cache-url`` wins over ``--cache-dir``; with neither, environment
-    resolution applies (``REPRO_CACHE_URL`` then ``REPRO_CACHE_DIR``).
     ``REPRO_NO_CACHE`` is ignored on purpose - inspecting or clearing an
     on-disk cache must work even where caching is disabled for runs.
     """
-    from repro.store import StoreURLError, resolve_store
-    try:
-        return resolve_store(cache_dir=args.cache_dir, url=args.cache_url,
-                             respect_no_cache=False)
-    except StoreURLError as error:
-        raise CLIError(str(error)) from None
+    from repro.store import cache_clear, cache_stats, cache_verify, open_store
 
-
-def cmd_cache(args: argparse.Namespace) -> int:
-    import json as json_module
-
-    from repro.store import (
-        StoreURLError,
-        cache_clear,
-        cache_stats,
-        cache_verify,
-        store_from_url,
-        sync_stores,
-    )
-
-    if args.action == "sync":
-        if not args.src or not args.dst:
-            raise CLIError(
-                "cache sync needs source and destination store URLs: "
-                "repro cache sync <src-url> <dst-url>")
-        try:
-            src = store_from_url(args.src)
-            dst = store_from_url(args.dst)
-        except StoreURLError as error:
-            raise CLIError(str(error)) from None
-        try:
-            report = sync_stores(src, dst)
-        finally:
-            src.close()
-            dst.close()
+    store = open_store(args.cache_dir)
+    if args.action == "stats":
+        stats = cache_stats(store)
         if args.json:
-            print(json_module.dumps(report.as_dict(), indent=2))
-        else:
-            print(f"synced {src.description} -> {dst.description}: "
-                  f"{report.entries_copied} entries and "
-                  f"{report.bundles_copied} bundles copied "
-                  f"({report.bytes_copied} bytes), "
-                  f"{report.entries_skipped + report.bundles_skipped} "
-                  "already present")
+            print(json.dumps(stats, indent=2, sort_keys=True))
+            return 0
+        table = Table(title=f"Result cache: {stats['cache_dir']}",
+                      columns=["stat", "value"])
+        table.add_row("backend", stats["backend"])
+        table.add_row("entries", stats["entries"])
+        table.add_row("total_bytes", stats["total_bytes"])
+        table.add_row("valid", stats["valid"])
+        table.add_row("invalid", stats["invalid"])
+        table.add_row("telemetry_bundles", stats["telemetry_bundles"])
+        for schema, count in sorted(stats["schema_versions"].items()):
+            table.add_row(f"schema {schema}", count)
+        print(render(table))
         return 0
-
-    if args.src is not None or args.dst is not None:
-        raise CLIError(f"cache {args.action} takes no positional arguments")
-    store = _cache_target(args)
-    try:
-        if args.action == "stats":
-            stats = cache_stats(store)
-            if args.json:
-                print(json_module.dumps(stats, indent=2, sort_keys=True))
-                return 0
-            table = Table(title=f"Result cache: {stats['cache_dir']}",
-                          columns=["stat", "value"])
-            table.add_row("backend", stats["backend"])
-            table.add_row("entries", stats["entries"])
-            table.add_row("total_bytes", stats["total_bytes"])
-            table.add_row("valid", stats["valid"])
-            table.add_row("invalid", stats["invalid"])
-            table.add_row("telemetry_bundles", stats["telemetry_bundles"])
-            for schema, count in sorted(stats["schema_versions"].items()):
-                table.add_row(f"schema {schema}", count)
-            print(render(table))
-            return 0
-        if args.action == "verify":
-            report = cache_verify(store)
-            print(f"{report['ok']} entries ok in {report['cache_dir']}")
-            for bad in report["bad"]:
-                print(f"BAD {bad['path']}: {bad['error']}", file=sys.stderr)
-            return 1 if report["bad"] else 0
-        if args.action == "clear":
-            removed = cache_clear(store)
-            print(f"removed {removed} objects from {store.description}")
-            return 0
-    finally:
-        store.close()
-    print(f"unknown cache action {args.action!r}", file=sys.stderr)
-    return 2
+    if args.action == "verify":
+        report = cache_verify(store)
+        print(f"{report['ok']} entries ok in {report['cache_dir']}")
+        for bad in report["bad"]:
+            print(f"BAD {bad['path']}: {bad['error']}", file=sys.stderr)
+        return 1 if report["bad"] else 0
+    removed = cache_clear(store)
+    print(f"removed {removed} objects from {store.description}")
+    return 0
 
 
 def _emit_table(table, output: Optional[str]) -> None:
@@ -565,51 +511,6 @@ def cmd_faults(args: argparse.Namespace) -> int:
         from repro.analysis.export import write_table
         path = write_table(table, args.output)
         print(f"\nwrote {path}")
-    return 0
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    """Run the simulation-as-a-service HTTP job API (see docs/serving.md).
-
-    Blocks until SIGINT/SIGTERM, then drains the worker pool for
-    ``--drain-timeout`` seconds before cancelling what remains.  Bad
-    arguments and an unbindable port exit 1 via :class:`CLIError`, like
-    every other verb.
-    """
-    import asyncio
-    import errno
-    import logging
-
-    from repro.serve import ReproServer, ServeError
-
-    logging.basicConfig(
-        level=logging.INFO, stream=sys.stderr,
-        format="%(asctime)s %(name)s %(levelname)s %(message)s",
-    )
-    if args.workers < 1:
-        raise CLIError(f"--workers must be >= 1, got {args.workers}")
-    if args.drain_timeout < 0:
-        raise CLIError(
-            f"--drain-timeout cannot be negative, got {args.drain_timeout}")
-    try:
-        server = ReproServer(
-            host=args.host, port=args.port, workers=args.workers,
-            drain_timeout=args.drain_timeout,
-        )
-    except ServeError as error:
-        raise CLIError(str(error)) from None
-    try:
-        asyncio.run(server.run())
-    except OSError as error:
-        if error.errno == errno.EADDRINUSE:
-            raise CLIError(
-                f"port {args.port} on {args.host} is already in use "
-                "(is another repro serve running? try --port)") from None
-        raise CLIError(
-            f"cannot bind {args.host}:{args.port}: "
-            f"{error.strerror or error}") from None
-    except KeyboardInterrupt:
-        pass   # drained by server.run()'s signal handler where possible
     return 0
 
 
@@ -742,26 +643,14 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.set_defaults(handler=cmd_sweep)
 
     cache_parser = subparsers.add_parser(
-        "cache", help="inspect, maintain, or replicate the result cache",
+        "cache", help="inspect or maintain the result cache",
     )
-    cache_parser.add_argument(
-        "action", choices=["stats", "verify", "clear", "sync"])
-    cache_parser.add_argument(
-        "src", nargs="?", default=None,
-        help="sync only: source store URL (e.g. file:.repro_cache)")
-    cache_parser.add_argument(
-        "dst", nargs="?", default=None,
-        help="sync only: destination store URL (e.g. sqlite:cache.db)")
+    cache_parser.add_argument("action", choices=["stats", "verify", "clear"])
     cache_parser.add_argument("--cache-dir", default=None,
                               help="cache location (default REPRO_CACHE_DIR "
                                    "or .repro_cache)")
-    cache_parser.add_argument("--cache-url", default=None,
-                              help="store URL (file:<dir>, sqlite:<db>, "
-                                   "memory:, tiered:<local>|<remote>); "
-                                   "wins over --cache-dir")
     cache_parser.add_argument("--json", action="store_true",
-                              help="emit machine-readable JSON "
-                                   "(stats and sync)")
+                              help="emit machine-readable JSON (stats)")
     cache_parser.set_defaults(handler=cmd_cache)
 
     figure_parser = subparsers.add_parser(
@@ -821,21 +710,6 @@ def build_parser() -> argparse.ArgumentParser:
     faults_parser.add_argument("--output", default=None,
                                help="also export the table to .csv or .json")
     faults_parser.set_defaults(handler=cmd_faults)
-
-    serve_parser = subparsers.add_parser(
-        "serve", help="run the async HTTP job API "
-                      "(POST /jobs, GET /jobs/<id>, /healthz, /metrics)",
-    )
-    serve_parser.add_argument("--host", default="127.0.0.1",
-                              help="bind address (default 127.0.0.1)")
-    serve_parser.add_argument("--port", type=int, default=8765,
-                              help="bind port (default 8765; 0 = ephemeral)")
-    serve_parser.add_argument("--workers", type=int, default=2,
-                              help="concurrent job executors (default 2)")
-    serve_parser.add_argument("--drain-timeout", type=float, default=10.0,
-                              help="seconds to let jobs drain on shutdown "
-                                   "before cancelling (default 10)")
-    serve_parser.set_defaults(handler=cmd_serve)
 
     list_parser = subparsers.add_parser(
         "list", help="list workloads, policies, figures",

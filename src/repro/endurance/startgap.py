@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Optional, Set
 
 from repro import params
-from repro.lint.sanitize import check, resolve
+from repro.sim.sanitize import check, resolve
 
 #: Bijectivity verification cap: regions larger than this are spot-checked
 #: on an evenly-strided sample instead of exhaustively, keeping the

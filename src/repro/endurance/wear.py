@@ -40,7 +40,7 @@ from typing import Dict, List, Optional
 from repro import params
 from repro.endurance.model import EnduranceModel
 from repro.endurance.startgap import StartGap
-from repro.lint.sanitize import check, resolve
+from repro.sim.sanitize import check, resolve
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Parallel sweep driver over a pluggable, concurrency-safe result store.
+"""Parallel sweep driver over a concurrency-safe result store.
 
 Figures 10-16 all read the same 11x9 (workload x policy) sweep; the cache
 lets each bench regenerate its figure without re-simulating runs another
@@ -7,21 +7,20 @@ bench already produced.  Results are stored as versioned JSON entries
 :class:`SimConfig`, so any parameter change invalidates cleanly.
 
 Where those bytes live is the :mod:`repro.store` layer's business: the
-runner talks to one :class:`~repro.store.Store` (directory of files,
-single SQLite database, in-memory dict, or a tiered composition) selected
-by ``REPRO_CACHE_URL``.  Backend choice never enters a cache key, so the
-same config yields bit-identical entries in every backend and ``repro
-cache sync`` can replicate a warm cache anywhere.
+runner talks to one :class:`~repro.store.Store` - a directory of files,
+or an in-memory dict when caching is disabled.  Backend choice never
+enters a cache key, so the same config yields bit-identical entries in
+either backend.
 
 :meth:`Runner.sweep` fans cache misses out over a
 ``concurrent.futures.ProcessPoolExecutor``.  Each run is seeded entirely by
 its config, so parallel results are bit-identical to serial ones; workers
 return plain dicts and the parent process owns all store traffic.  Entry
-commits are atomic per backend (write-to-temp + ``os.replace``, or one
-SQLite transaction) so concurrent sweeps sharing one store can never
-expose a half-written entry, and any unreadable entry - truncated JSON,
-schema drift, a stale pre-versioning file - logs a warning and falls back
-to re-simulation instead of crashing.
+commits are atomic (write-to-temp + ``os.replace``) so concurrent sweeps
+sharing one cache directory can never expose a half-written entry, and
+any unreadable entry - truncated JSON, schema drift, a stale
+pre-versioning file - logs a warning and falls back to re-simulation
+instead of crashing.
 
 Environment knobs:
 
@@ -29,10 +28,8 @@ Environment knobs:
   benches use ~0.25 for quick runs).
 * ``REPRO_JOBS``        - worker processes for sweeps (default: all cores).
 * ``REPRO_WORKLOADS``   - comma-separated subset of workloads to sweep.
-* ``REPRO_CACHE_URL``   - store backend (``file:<dir>``, ``sqlite:<db>``,
-  ``memory:``, ``tiered:<local>|<remote>``; see ``docs/storage.md``).
-* ``REPRO_CACHE_DIR``   - cache directory (default ``.repro_cache``);
-  a file-backend shorthand that ``REPRO_CACHE_URL`` overrides.
+* ``REPRO_CACHE_DIR``   - cache directory (default ``.repro_cache``;
+  see ``docs/storage.md``).
 * ``REPRO_NO_CACHE=1``  - nothing persists (an in-memory store is
   injected in place of the configured backend).
 """
@@ -87,7 +84,6 @@ __all__ = [
     "default_runner",
     "entry_from_json",
     "entry_to_json",
-    "resolve_cache_dir",
     "result_from_dict",
     "result_to_dict",
     "scale_factor",
@@ -147,8 +143,8 @@ def _simulate_to_dict(config: SimConfig) -> dict:
     to the store; the parent process owns all store traffic.  Telemetry is
     the one exception: when the config carries a ``telemetry_dir`` the
     worker writes the bundle itself at end of run (atomically, manifest
-    last) - for filesystem-native backends that directory *is* the stored
-    bundle, for every other backend the parent ingests it afterwards.
+    last) - for the file backend that directory *is* the stored bundle,
+    for the memory backend the parent ingests it afterwards.
     """
     return result_to_dict(run_simulation(config))
 
@@ -299,26 +295,6 @@ class Runner:
                        entry_to_json(config, result).encode("utf-8"))
         self._ingest_bundle(config)
 
-    def peek(self, config: SimConfig) -> Optional[RunResult]:
-        """A cached result if one exists - never simulates.
-
-        The ``repro serve`` submission path uses this to answer a job
-        whose digest is already in the cache without occupying a
-        worker; a hit counts toward ``cache_hits`` exactly like a hit
-        inside :meth:`run`.
-        """
-        key = config.cache_key()
-        if not self._telemetry_satisfied(config):
-            return None
-        if key in self._memo:
-            self.cache_hits += 1
-            return self._memo[key]
-        result = self._load_store(config)
-        if result is not None:
-            self._memo[key] = result
-            self.cache_hits += 1
-        return result
-
     def run(self, config: SimConfig) -> RunResult:
         config = self._with_telemetry_dir(config)
         key = config.cache_key()
@@ -342,7 +318,7 @@ class Runner:
         The result is bit-identical to an untraced run of the same config
         and shares its cache entry; the second element is the directory
         holding the telemetry bundle (metrics/heatmap/traces/manifest).
-        Backends that keep bundles internally (sqlite, memory) export the
+        A backend that keeps bundles internally (memory) exports the
         stored bundle into the returned directory on cache hits, so the
         caller always finds real files there.
         """
@@ -381,9 +357,9 @@ class Runner:
         :class:`SweepProgress` per completed run.
 
         ``apply_env_scale=False`` skips the ``REPRO_SCALE`` rescaling:
-        callers that computed digests from the configs *as given* (the
-        ``repro serve`` job API) need execution and identity to agree
-        even when the environment carries a scale override.
+        callers that computed digests from the configs *as given* need
+        execution and identity to agree even when the environment
+        carries a scale override.
         """
         if apply_env_scale:
             configs = [self._scaled_config(c) for c in configs]
@@ -602,20 +578,6 @@ class Runner:
                     slice_number: int) -> str:
         return (f"{config.cache_digest()}-{run_number:04d}"
                 f"-slice-{slice_number:04d}.ckpt")
-
-
-# ---------------------------------------------------------------------------
-# Cache maintenance (backs the ``repro cache`` CLI subcommand)
-#
-# The implementations live in repro.store.maintenance and speak to any
-# backend; cache_stats / cache_verify / cache_clear are re-exported above.
-# ---------------------------------------------------------------------------
-
-def resolve_cache_dir(cache_dir: Optional[Path] = None) -> Path:
-    """Historic file-backend cache location (pre-URL callers)."""
-    if cache_dir is not None:
-        return Path(cache_dir)
-    return Path(os.environ.get("REPRO_CACHE_DIR", ".repro_cache"))
 
 
 _default_runner: Optional[Runner] = None

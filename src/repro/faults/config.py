@@ -27,11 +27,11 @@ from repro import params
 #: JSON-safe scalar union used in cache keys.
 KeyItem = Union[str, int, float]
 
-#: SIM012 registry: FaultConfig fields deliberately outside key().
-#: Empty on purpose - every fault knob changes simulated outcomes, so
-#: every field is part of the digest.  Adding a field here (with a
-#: reason) is the explicit act simlint requires before a new knob can
-#: stay out of the cache key.
+#: FaultConfig fields deliberately outside key().  Empty on purpose -
+#: every fault knob changes simulated outcomes, so every field is part of
+#: the digest.  Adding a field here (with a reason) is the explicit act
+#: tests/test_cache_key.py requires before a new knob can stay out of
+#: the cache key.
 CACHE_KEY_EXCLUDED: dict[str, str] = {}
 
 

@@ -1,35 +1,23 @@
-"""simlint: simulator-aware static analysis + runtime invariant sanitizer.
+"""simlint: simulator-aware static analysis.
 
-Two layers share this package:
-
-* the **static analyzer** (:mod:`repro.lint.rules`, :mod:`repro.lint.engine`)
-  runs AST checks tuned to this codebase's reproducibility hazards and
-  backs the ``repro lint`` CLI;
-* the **runtime sanitizer** (:mod:`repro.lint.sanitize`) arms invariant
-  checks inside the simulator when ``REPRO_SANITIZE=1`` or
-  ``SimConfig(sanitize=True)``.
+The per-file AST rules (:mod:`repro.lint.rules`) check this codebase's
+reproducibility hazards; :mod:`repro.lint.engine` applies them with
+line-scoped suppressions and backs the ``repro lint`` CLI.  The runtime
+counterpart, the invariant sanitizer, lives in :mod:`repro.sim.sanitize`.
 
 See ``docs/static-analysis.md`` for the rule catalogue and invariant list.
 """
 
-from repro.lint.engine import (LintOptions, LintReport, analyze_paths,
-                               lint_paths, lint_source)
+from repro.lint.engine import LintOptions, lint_paths, lint_source
 from repro.lint.findings import Finding, RuleInfo, summarize
-from repro.lint.rules import RULES, RULESET_VERSION
-from repro.lint.sanitize import InvariantViolation, env_enabled, resolve
+from repro.lint.rules import RULES
 
 __all__ = [
     "Finding",
-    "InvariantViolation",
     "LintOptions",
-    "LintReport",
     "RULES",
-    "RULESET_VERSION",
     "RuleInfo",
-    "analyze_paths",
-    "env_enabled",
     "lint_paths",
     "lint_source",
-    "resolve",
     "summarize",
 ]

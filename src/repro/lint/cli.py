@@ -1,10 +1,9 @@
 """``repro lint`` and ``repro check`` subcommands.
 
-``repro lint`` runs simlint with the incremental cache and can emit
-text, JSON, or SARIF 2.1.0.  Exit codes: 0 = clean, 1 = findings,
-2 = usage error.  ``--bench`` instead measures the runtime sanitizer's
-overhead on the smoke-sweep configs and verifies sanitized results are
-bit-identical to unsanitized ones.
+``repro lint`` runs simlint and emits text or JSON.  Exit codes:
+0 = clean, 1 = findings, 2 = usage error.  ``--bench`` instead measures
+the runtime sanitizer's overhead on the smoke-sweep configs and verifies
+sanitized results are bit-identical to unsanitized ones.
 
 ``repro check`` is the umbrella verb: simlint over the whole tree plus
 ``ruff`` and ``mypy`` when those tools are installed.  Missing tools
@@ -23,19 +22,15 @@ import time
 from pathlib import Path
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from repro.lint.engine import LintOptions, LintReport, analyze_paths
-from repro.lint.findings import findings_to_json, summarize
+from repro.lint.engine import LintOptions, lint_paths
+from repro.lint.findings import Finding, findings_to_json, summarize
 from repro.lint.rules import RULES
-from repro.lint.sarif import sarif_json
 
 if TYPE_CHECKING:   # pragma: no cover - typing only
     from repro.sim.config import SimConfig
 
 #: Default lint target when no paths are given.
 DEFAULT_PATHS = ("src",)
-
-#: Default incremental-cache location (relative to the CWD).
-DEFAULT_CACHE_DIR = ".simlint_cache"
 
 #: What ``repro check`` lints: the whole tree, not just src.
 CHECK_PATHS = ("src", "tests", "benchmarks", "examples")
@@ -49,7 +44,7 @@ BENCH_SCALE = 0.05
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("paths", nargs="*", default=list(DEFAULT_PATHS),
                         help="files or directories to lint (default: src)")
-    parser.add_argument("--format", choices=["text", "json", "sarif"],
+    parser.add_argument("--format", choices=["text", "json"],
                         default="text",
                         help="report format (default: text)")
     parser.add_argument("--output", default=None,
@@ -58,15 +53,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
                         help="comma-separated rule ids to run exclusively")
     parser.add_argument("--ignore", default=None,
                         help="comma-separated rule ids to skip")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel analysis processes (default 1)")
-    parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
-                        help="incremental cache directory "
-                             f"(default {DEFAULT_CACHE_DIR})")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the incremental cache for this run")
-    parser.add_argument("--stats", action="store_true",
-                        help="print cache/timing statistics to stderr")
     parser.add_argument("--report-unused-suppressions",
                         dest="report_unused",
                         action=argparse.BooleanOptionalAction, default=True,
@@ -83,19 +69,9 @@ def add_check_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("paths", nargs="*", default=list(CHECK_PATHS),
                         help="directories to check "
                              f"(default: {' '.join(CHECK_PATHS)})")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel simlint processes (default 1)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable simlint's incremental cache")
-    parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
-                        help="simlint cache directory "
-                             f"(default {DEFAULT_CACHE_DIR})")
     parser.add_argument("--require-tools", action="store_true",
                         help="fail when ruff or mypy is not installed "
                              "instead of skipping it (CI mode)")
-    parser.add_argument("--sarif", default=None,
-                        help="also write the simlint findings as SARIF "
-                             "to this file")
 
 
 def _split_rules(text: Optional[str]) -> Optional[List[str]]:
@@ -118,21 +94,15 @@ def _emit(text: str, output: Optional[str]) -> None:
         Path(output).write_text(text + "\n")
 
 
-def _run_lint(args: argparse.Namespace) -> Tuple[Optional[LintReport], int]:
-    """Shared lint driver; returns (report, exit_code)."""
+def _run_lint(paths: Sequence[str], options: LintOptions
+              ) -> Tuple[Optional[List[Finding]], int]:
+    """Shared lint driver; returns (findings, exit_code)."""
     try:
-        options = LintOptions(
-            select=_split_rules(args.select),
-            ignore=_split_rules(args.ignore) or (),
-            report_unused=args.report_unused,
-        )
-        cache_dir = None if args.no_cache else Path(args.cache_dir)
-        report = analyze_paths(args.paths, options,
-                               jobs=args.jobs, cache_dir=cache_dir)
-    except (ValueError, FileNotFoundError) as error:
+        findings = lint_paths(paths, options)
+    except FileNotFoundError as error:
         print(error, file=sys.stderr)
         return None, 2
-    return report, 1 if report.findings else 0
+    return findings, 1 if findings else 0
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -141,14 +111,20 @@ def cmd_lint(args: argparse.Namespace) -> int:
         return 0
     if args.bench:
         return run_bench()
-    report, code = _run_lint(args)
-    if report is None:
+    try:
+        options = LintOptions(
+            select=_split_rules(args.select),
+            ignore=_split_rules(args.ignore) or (),
+            report_unused=args.report_unused,
+        )
+    except ValueError as error:
+        print(error, file=sys.stderr)
+        return 2
+    findings, code = _run_lint(args.paths, options)
+    if findings is None:
         return code
-    findings = report.findings
     if args.format == "json":
         _emit(findings_to_json(findings), args.output)
-    elif args.format == "sarif":
-        _emit(sarif_json(findings), args.output)
     else:
         lines = [finding.format_text() for finding in findings]
         counts = summarize(findings)
@@ -161,12 +137,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
         else:
             lines.append("simlint: no findings")
         _emit("\n".join(lines), args.output)
-    if args.stats:
-        print(
-            f"simlint: {report.files} file(s), {report.analyzed} analyzed, "
-            f"{report.cached} from cache, {report.elapsed_s:.2f}s",
-            file=sys.stderr,
-        )
     return code
 
 
@@ -194,28 +164,16 @@ def cmd_check(args: argparse.Namespace) -> int:
     failures = 0
     statuses: List[Tuple[str, str]] = []
 
-    report, lint_code = _run_lint(argparse.Namespace(
-        paths=args.paths, select=None, ignore=None,
-        report_unused=True, jobs=args.jobs,
-        no_cache=args.no_cache, cache_dir=args.cache_dir,
-    ))
-    if report is None:
+    findings, lint_code = _run_lint(args.paths, LintOptions())
+    if findings is None:
         return 2
-    for finding in report.findings:
+    for finding in findings:
         print(finding.format_text())
-    if args.sarif is not None:
-        Path(args.sarif).write_text(sarif_json(report.findings) + "\n")
     statuses.append((
         "simlint",
-        "ok" if lint_code == 0 else f"{len(report.findings)} finding(s)",
+        "ok" if lint_code == 0 else f"{len(findings)} finding(s)",
     ))
     failures += lint_code
-    print(
-        f"check: simlint {report.files} file(s), "
-        f"{report.analyzed} analyzed, {report.cached} from cache, "
-        f"{report.elapsed_s:.2f}s",
-        file=sys.stderr,
-    )
 
     for name, command in (
         ("ruff", ["ruff", "check", *args.paths]),

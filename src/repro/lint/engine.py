@@ -1,17 +1,12 @@
-"""simlint engine: discovery, caching, suppressions, rule selection.
+"""simlint engine: discovery, per-file checks, suppressions, rule selection.
 
-The engine turns paths into findings in four phases:
+The engine turns paths into findings one file at a time:
 
-1. **discover + hash** - expand ``*.py`` files and sha256 their content;
-2. **per-file analysis** (cacheable, parallelisable with ``jobs``) -
-   parse, run the syntactic rules (SIM001-SIM010), the per-file
-   completeness rule (SIM012), extract the module summary
-   (:mod:`repro.lint.graph`) and the suppression comments;
-3. **project phase** - link every summary (cached or fresh) and run the
-   cross-file rules SIM011/SIM013 (:mod:`repro.lint.taint`);
-4. **finalize** - drop SIM001/SIM003 findings subsumed by a SIM011
-   witness, apply suppressions and ``--select``/``--ignore``, and
-   report unused suppressions as SIM100.
+1. **discover** - expand directories into a sorted ``*.py`` list;
+2. **check** - parse and run the AST rules (:func:`repro.lint.rules.check_source`);
+3. **suppress** - drop findings matched by a suppression comment;
+4. **finalize** - apply ``--select``/``--ignore`` and report unused
+   suppressions as SIM100.
 
 Suppression syntax (mirrors ``noqa``)::
 
@@ -28,21 +23,15 @@ paragraphs up - is inert.
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
 import re
-import time
 import tokenize
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.cache import AnalysisCache
 from repro.lint.findings import Finding, sort_findings
-from repro.lint.graph import build_module_summary
-from repro.lint.rules import RULES, RULESET_VERSION, check_source
-from repro.lint.taint import check_cache_completeness, check_project
+from repro.lint.rules import RULES, check_source
 
 _SUPPRESS_RE = re.compile(
     r"#\s*simlint:\s*ignore(?:\[(?P<rules>[A-Za-z0-9,\s]*)\])?"
@@ -50,12 +39,6 @@ _SUPPRESS_RE = re.compile(
 
 #: Suppression entry meaning "every rule".
 ALL_RULES = "*"
-
-#: Rule ids a suppression can never target (synthetic/meta findings).
-_UNSUPPRESSABLE = frozenset({"SIM000", "SIM100"})
-
-#: Syntactic rules subsumed by an interprocedural SIM011 witness.
-_SUBSUMED_BY_SIM011 = frozenset({"SIM001", "SIM003"})
 
 
 @dataclass(frozen=True)
@@ -81,17 +64,6 @@ class LintOptions:
         if self.select is not None and rule_id not in self.select:
             return False
         return rule_id not in self.ignore
-
-
-@dataclass
-class LintReport:
-    """Findings plus run statistics (cache effectiveness, timing)."""
-
-    findings: List[Finding]
-    files: int = 0
-    analyzed: int = 0      # files parsed + visited this run
-    cached: int = 0        # files served from the incremental cache
-    elapsed_s: float = 0.0
 
 
 # --------------------------------------------------------------------------
@@ -145,134 +117,59 @@ def _matches(rule_id: str, rules: Sequence[str]) -> bool:
 
 
 # --------------------------------------------------------------------------
-# Per-file analysis (phase 2; cacheable and process-parallel)
+# Per-file check
 # --------------------------------------------------------------------------
 
-def _analyze_source(path: str, source: str) -> Dict[str, Any]:
-    """Raw per-file payload; raises SyntaxError on unparsable input."""
-    tree = ast.parse(source, filename=path)
-    lines = source.splitlines()
-    findings = list(check_source(path, tree, lines))
-    summary = build_module_summary(path, tree, lines)
-    findings.extend(check_cache_completeness(summary, lines))
-    return {
-        "findings": [asdict(finding) for finding in findings],
-        "suppressions": {
-            str(line): info
-            for line, info in extract_suppressions(source).items()
-        },
-        "summary": summary,
-    }
+def _finalize(path: str, source: str, raw: List[Finding],
+              options: LintOptions) -> List[Finding]:
+    """Apply suppressions and rule filters; add SIM100 for unused ones.
 
-
-def _syntax_error_analysis(path: str, error: SyntaxError) -> Dict[str, Any]:
-    finding = Finding(
-        rule_id="SIM000", severity="error", path=path,
-        line=error.lineno or 1, column=(error.offset or 0) + 1,
-        message=f"syntax error: {error.msg}",
-        hint="simlint only checks files that parse",
-    )
-    return {"findings": [asdict(finding)], "suppressions": {},
-            "summary": None}
-
-
-def _unreadable_analysis(path: str, error: Exception) -> Dict[str, Any]:
-    finding = Finding(
-        rule_id="SIM000", severity="error", path=path,
-        line=1, column=1, message=f"unreadable file: {error}",
-        hint="fix the file encoding or permissions",
-    )
-    return {"findings": [asdict(finding)], "suppressions": {},
-            "summary": None}
-
-
-def _pool_worker(item: Tuple[str, str]) -> Tuple[str, Dict[str, Any]]:
-    """Top-level (picklable) per-file analysis for ``--jobs``."""
-    path, source = item
-    try:
-        return path, _analyze_source(path, source)
-    except SyntaxError as error:
-        return path, _syntax_error_analysis(path, error)
-
-
-# --------------------------------------------------------------------------
-# Finalize (phase 4)
-# --------------------------------------------------------------------------
-
-def _finalize(per_file: Dict[str, Dict[str, Any]],
-              project_findings: List[Finding],
-              subsumed: Set[Tuple[str, int]],
-              options: LintOptions,
-              sources: Dict[str, Sequence[str]]) -> List[Finding]:
-    raw: List[Finding] = list(project_findings)
-    for analysis in per_file.values():
-        raw.extend(Finding(**data) for data in analysis["findings"])
-
-    # A suppression is "used" when ANY raw finding matches it - before
-    # select/ignore filtering and before SIM011 subsumption, so the
-    # unused-suppression verdict never depends on this run's options.
-    used: Set[Tuple[str, int]] = set()
-    for finding in raw:
-        if finding.rule_id in _UNSUPPRESSABLE:
-            continue
-        info = per_file.get(finding.path, {}).get(
-            "suppressions", {}).get(str(finding.line))
-        if info is not None and _matches(finding.rule_id, info["rules"]):
-            used.add((finding.path, finding.line))
-
-    subsume = options.enabled("SIM011")
+    A suppression is "used" when ANY raw finding matches it - before
+    select/ignore filtering, so the unused-suppression verdict never
+    depends on this run's options.
+    """
+    suppressions = extract_suppressions(source)
+    used: Set[int] = set()
     kept: List[Finding] = []
     for finding in raw:
-        if finding.rule_id != "SIM000":
-            if not options.enabled(finding.rule_id):
-                continue
-            if (subsume and finding.rule_id in _SUBSUMED_BY_SIM011
-                    and (finding.path, finding.line) in subsumed):
-                continue
-            info = per_file.get(finding.path, {}).get(
-                "suppressions", {}).get(str(finding.line))
-            if info is not None and _matches(finding.rule_id, info["rules"]):
-                continue
-        kept.append(finding)
+        info = suppressions.get(finding.line)
+        if info is not None and _matches(finding.rule_id, info["rules"]):
+            used.add(finding.line)
+        elif options.enabled(finding.rule_id):
+            kept.append(finding)
 
     if options.report_unused and options.enabled("SIM100"):
         meta = RULES["SIM100"]
-        for path in sorted(per_file):
-            suppressions = per_file[path].get("suppressions", {})
-            for line_text in sorted(suppressions, key=int):
-                line = int(line_text)
-                if (path, line) in used:
-                    continue
-                info = suppressions[line_text]
-                listed = ", ".join(info["rules"])
-                lines = sources.get(path)
-                snippet = ""
-                if lines is not None and 1 <= line <= len(lines):
-                    snippet = str(lines[line - 1]).strip()
-                kept.append(Finding(
-                    rule_id="SIM100", severity=meta.severity, path=path,
-                    line=line, column=int(info["col"]),
-                    message=f"suppression ignore[{listed}] matches no "
-                            "finding on this line",
-                    hint=meta.hint, snippet=snippet,
-                ))
+        lines = source.splitlines()
+        for line, info in sorted(suppressions.items()):
+            if line in used:
+                continue
+            listed = ", ".join(info["rules"])
+            snippet = lines[line - 1].strip() if line <= len(lines) else ""
+            kept.append(Finding(
+                rule_id="SIM100", severity=meta.severity, path=path,
+                line=line, column=int(info["col"]),
+                message=f"suppression ignore[{listed}] matches no "
+                        "finding on this line",
+                hint=meta.hint, snippet=snippet,
+            ))
     return sort_findings(kept)
 
-
-# --------------------------------------------------------------------------
-# Entry points
-# --------------------------------------------------------------------------
 
 def lint_source(source: str, path: str = "<string>",
                 options: Optional[LintOptions] = None) -> List[Finding]:
     """Lint one source string; raises SyntaxError on unparsable input."""
     options = options if options is not None else LintOptions()
-    analysis = _analyze_source(path, source)
-    per_file = {path: analysis}
-    sources: Dict[str, Sequence[str]] = {path: source.splitlines()}
-    summaries = [analysis["summary"]] if analysis["summary"] else []
-    project_findings, subsumed = check_project(summaries, sources)
-    return _finalize(per_file, project_findings, subsumed, options, sources)
+    tree = ast.parse(source, filename=path)
+    raw = list(check_source(path, tree, source.splitlines()))
+    return _finalize(path, source, raw, options)
+
+
+def _error_finding(path: str, line: int, column: int, message: str,
+                   hint: str) -> Finding:
+    """Synthetic SIM000: never suppressed, never filtered out."""
+    return Finding(rule_id="SIM000", severity="error", path=path,
+                   line=line, column=column, message=message, hint=hint)
 
 
 def discover_files(paths: Iterable[Path]) -> List[Path]:
@@ -288,78 +185,30 @@ def discover_files(paths: Iterable[Path]) -> List[Path]:
     return sorted(seen)
 
 
-def analyze_paths(paths: Iterable[Any],
-                  options: Optional[LintOptions] = None, *,
-                  jobs: int = 1,
-                  cache_dir: Optional[Path] = None) -> LintReport:
-    """Lint every Python file under ``paths`` with full statistics.
+def lint_paths(paths: Iterable[Any],
+               options: Optional[LintOptions] = None) -> List[Finding]:
+    """Lint every Python file under ``paths``.
 
-    ``cache_dir`` enables the incremental cache (per-file results keyed
-    by content hash + :data:`RULESET_VERSION`); ``jobs > 1`` analyses
-    cache misses on a process pool.  Unparsable/unreadable files surface
-    as synthetic ``SIM000`` error findings rather than aborting the run,
-    so one syntax error cannot hide every other finding in a tree.
+    Unparsable/unreadable files surface as synthetic ``SIM000`` error
+    findings rather than aborting the run, so one syntax error cannot
+    hide every other finding in a tree.
     """
     options = options if options is not None else LintOptions()
-    started = time.perf_counter()   # simlint: ignore[SIM003] -- lint-run wall time is host-side tooling statistics
-    files = discover_files(Path(p) for p in paths)
-
-    cache: Optional[AnalysisCache] = None
-    if cache_dir is not None:
-        cache = AnalysisCache(Path(cache_dir), RULESET_VERSION)
-
-    per_file: Dict[str, Dict[str, Any]] = {}
-    sources: Dict[str, Sequence[str]] = {}
-    pending: List[Tuple[str, str, str]] = []   # (path, source, digest)
-    cached_count = 0
-
-    for file_path in files:
+    findings: List[Finding] = []
+    for file_path in discover_files(Path(p) for p in paths):
         path = str(file_path)
         try:
             source = file_path.read_text()
         except (OSError, UnicodeDecodeError) as error:
-            per_file[path] = _unreadable_analysis(path, error)
+            findings.append(_error_finding(
+                path, 1, 1, f"unreadable file: {error}",
+                "fix the file encoding or permissions"))
             continue
-        sources[path] = source.splitlines()
-        digest = hashlib.sha256(source.encode()).hexdigest()
-        entry = cache.get(path, digest) if cache is not None else None
-        if entry is not None:
-            per_file[path] = entry
-            cached_count += 1
-        else:
-            pending.append((path, source, digest))
-
-    if jobs > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            analysed = dict(pool.map(
-                _pool_worker, [(p, s) for p, s, _ in pending]))
-        for path, _source, digest in pending:
-            per_file[path] = analysed[path]
-            if cache is not None:
-                cache.put(path, digest, analysed[path])
-    else:
-        for path, source, digest in pending:
-            analysis = _pool_worker((path, source))[1]
-            per_file[path] = analysis
-            if cache is not None:
-                cache.put(path, digest, analysis)
-
-    if cache is not None:
-        cache.save()
-
-    summaries = [analysis["summary"] for _, analysis in sorted(per_file.items())
-                 if analysis["summary"] is not None]
-    project_findings, subsumed = check_project(summaries, sources)
-    findings = _finalize(per_file, project_findings, subsumed, options,
-                         sources)
-    elapsed = time.perf_counter() - started   # simlint: ignore[SIM003] -- lint-run wall time is host-side tooling statistics
-    return LintReport(
-        findings=findings, files=len(files), analyzed=len(pending),
-        cached=cached_count, elapsed_s=elapsed,
-    )
-
-
-def lint_paths(paths: Iterable[Any],
-               options: Optional[LintOptions] = None) -> List[Finding]:
-    """Back-compat wrapper over :func:`analyze_paths` (findings only)."""
-    return analyze_paths(paths, options).findings
+        try:
+            findings.extend(lint_source(source, path, options))
+        except SyntaxError as error:
+            findings.append(_error_finding(
+                path, error.lineno or 1, (error.offset or 0) + 1,
+                f"syntax error: {error.msg}",
+                "simlint only checks files that parse"))
+    return sort_findings(findings)

@@ -35,19 +35,6 @@ Rule index:
   ``random.Random(n)``) or ``from random import ...`` inside
   ``repro.faults``; fault randomness must flow through the injected
   generator so every draw is attributable to the run's seed.
-
-Flow-aware rules (computed from the project model in
-:mod:`repro.lint.graph` / :mod:`repro.lint.taint`):
-
-* ``SIM011`` taint-reaches-digest - a nondeterminism source reaches a
-  digest sink through any chain of assignments/returns/calls; the
-  finding message carries the interprocedural witness path.  Subsumes
-  SIM001/SIM003 at witnessed source locations.
-* ``SIM012`` cache-key-completeness - a ``@dataclass`` field of a keyed
-  config (``cache_key()``/``key()``) that the key neither reads nor the
-  module's ``CACHE_KEY_EXCLUDED`` registry excludes.
-* ``SIM013`` unlocked-shared-mutation - attribute mutation on a class
-  marked ``# simlint: thread-shared`` outside a ``with <lock>:`` scope.
 * ``SIM100`` unused-suppression - a ``# simlint: ignore[...]`` comment
   that matches no finding on its line (reported by default; disable
   with ``--no-report-unused-suppressions``).
@@ -158,39 +145,6 @@ RULES: Dict[str, RuleInfo] = {
                  "for type annotations stays legal",
         ),
         RuleInfo(
-            rule_id="SIM011",
-            name="taint-reaches-digest",
-            severity="error",
-            summary="a nondeterminism source (hash/random/wall-clock/"
-                    "environ/id/set-order) flows into a digest sink; "
-                    "identical configs would stop mapping to identical "
-                    "cache entries",
-            hint="cut the flow at the witness path's first step: derive "
-                 "the value from config fields or a seeded generator "
-                 "instead of the nondeterministic source",
-        ),
-        RuleInfo(
-            rule_id="SIM012",
-            name="cache-key-completeness",
-            severity="error",
-            summary="keyed dataclass field without a digest decision: "
-                    "neither read by cache_key()/key() nor listed in "
-                    "CACHE_KEY_EXCLUDED",
-            hint="add the field to the key tuple, or register it in the "
-                 "module's CACHE_KEY_EXCLUDED dict with a one-line "
-                 "reason why it cannot affect results",
-        ),
-        RuleInfo(
-            rule_id="SIM013",
-            name="unlocked-shared-mutation",
-            severity="error",
-            summary="attribute mutation on a '# simlint: thread-shared' "
-                    "class outside a 'with <lock>:' scope",
-            hint="wrap the mutation in the owning object's lock (or move "
-                 "it into a locked method of the owner); construction in "
-                 "__init__/__post_init__ is exempt",
-        ),
-        RuleInfo(
             rule_id="SIM100",
             name="unused-suppression",
             severity="warning",
@@ -201,11 +155,6 @@ RULES: Dict[str, RuleInfo] = {
         ),
     )
 }
-
-#: Version of the analysis semantics.  Part of the incremental cache
-#: key: bump it whenever any rule's logic (not just its metadata)
-#: changes, so stale per-file results can never leak into a report.
-RULESET_VERSION = "2.0.0"
 
 # --------------------------------------------------------------------------
 # SIM002 / SIM003 call tables

@@ -29,7 +29,7 @@ from repro.core.wear_quota import WearQuota
 from repro.endurance.wear import WearTracker
 from repro.faults.injector import (WRITE_FATAL, WRITE_OK, WRITE_RETIRED,
                                    WRITE_RETRY, FaultInjector)
-from repro.lint.sanitize import check, close_enough, resolve
+from repro.sim.sanitize import check, close_enough, resolve
 from repro.memory.address import AddressMap
 from repro.memory.bank import Bank, InFlight
 from repro.memory.queues import EAGER, READ, WRITE, Request, RequestQueue

@@ -30,7 +30,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, List, Optional
 
-from repro.lint.sanitize import check, resolve
+from repro.sim.sanitize import check, resolve
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 READ = "read"

@@ -12,12 +12,13 @@ from repro.core.policies import WritePolicy, parse_policy
 from repro.faults.config import FaultConfig
 
 
-#: SIM012 registry: SimConfig fields deliberately OUTSIDE cache_key().
-#: Every entry must state why the field cannot affect results; simlint
-#: errors if a field is neither keyed nor listed here, and also if an
-#: entry goes stale (no such field) or contradicts the key (listed AND
-#: read by cache_key()).  Observe-only knobs live here so traced,
-#: sanitized and plain runs share cache entries bit-for-bit.
+#: SimConfig fields deliberately OUTSIDE cache_key().  Every entry must
+#: state why the field cannot affect results.  tests/test_cache_key.py
+#: perturbs every field and fails if a field neither moves the digest nor
+#: is listed here, and also if an entry goes stale (no such field) or
+#: contradicts the key (listed AND moves the digest).  Observe-only knobs
+#: live here so traced, sanitized and plain runs share cache entries
+#: bit-for-bit.
 CACHE_KEY_EXCLUDED = {
     "sanitize": "runtime sanitizer is read-only; sanitized runs are "
                 "bit-identical to plain runs and share cache entries",
@@ -86,7 +87,7 @@ class SimConfig:
     dram_buffer_entries: int = 0           # DRAM write-coalescing buffer
     page_policy: str = "open"              # or "closed" (sensitivity knob)
     read_scheduler: str = "fcfs"           # or "frfcfs" (row hits first)
-    # Arm the runtime invariant sanitizer (repro.lint.sanitize) for this
+    # Arm the runtime invariant sanitizer (repro.sim.sanitize) for this
     # run.  Deliberately NOT part of cache_key(): the sanitizer is
     # read-only, so sanitized and unsanitized runs produce bit-identical
     # results and share cache entries.

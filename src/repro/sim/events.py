@@ -32,7 +32,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Callable, List, Optional, Tuple
 
-from repro.lint.sanitize import check, resolve
+from repro.sim.sanitize import check, resolve
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 Callback = Callable[[], None]
@@ -44,7 +44,7 @@ class EventQueue:
     With the sanitizer armed (``sanitize=True``, or ``REPRO_SANITIZE=1``
     when the argument is left at ``None``) every pop verifies the simulated
     clock is monotone nondecreasing and raises
-    :class:`~repro.lint.sanitize.InvariantViolation` otherwise.
+    :class:`~repro.sim.sanitize.InvariantViolation` otherwise.
 
     With telemetry enabled the queue keeps an executed-event counter; the
     counter object is resolved once here so the per-pop cost is a single

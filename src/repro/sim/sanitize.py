@@ -1,11 +1,13 @@
-"""Runtime invariant sanitizer: the dynamic half of simlint.
+"""Runtime invariant sanitizer.
 
 The static rules (:mod:`repro.lint.rules`) catch hazards visible in source
 text; this module arms cheap runtime checks at the seams they cannot see.
-When sanitizing is enabled - ``REPRO_SANITIZE=1`` in the environment or
-``SimConfig(sanitize=True)`` - core components verify their invariants on
-every mutation and raise a structured :class:`InvariantViolation` naming
-the broken invariant and the simulator state around it.
+It lives beside the simulator rather than in the linter because core
+modules import it on every run.  When sanitizing is enabled -
+``REPRO_SANITIZE=1`` in the environment or ``SimConfig(sanitize=True)`` -
+core components verify their invariants on every mutation and raise a
+structured :class:`InvariantViolation` naming the broken invariant and the
+simulator state around it.
 
 Armed invariants:
 

@@ -23,7 +23,7 @@ from repro.endurance.flipnwrite import FlipNWrite
 from repro.endurance.wear import WearTracker
 from repro.energy.nvsim import LineEnergyModel
 from repro.faults.injector import FaultInjector
-from repro.lint.sanitize import env_enabled
+from repro.sim.sanitize import env_enabled
 from repro.memory.address import AddressMap
 from repro.memory.controller import MemoryController
 from repro.memory.drambuffer import DramWriteBuffer

@@ -1,23 +1,19 @@
-"""Pluggable content-addressed storage for results and telemetry.
+"""Content-addressed storage for results and telemetry.
 
 Every cached simulation result and telemetry bundle lives in a
-:class:`Store` keyed by the config digest, with four interchangeable
-backends (``file``, ``sqlite``, ``memory``, ``tiered``) selected by the
-``REPRO_CACHE_URL`` grammar.  Backend choice never touches a cache key:
-the same config digests identically everywhere, which is what makes
-``repro cache sync`` a pure, idempotent byte-copy between any two
-backends.  See ``docs/storage.md`` for the full contract.
+:class:`Store` keyed by the config digest.  :class:`FileStore` keeps the
+``.repro_cache`` directory layout; :class:`MemoryStore` backs
+``REPRO_NO_CACHE`` and tests.  Backend choice never touches a cache key:
+the same config digests identically in both.  See ``docs/storage.md``
+for the contract.
 """
 
 from repro.store.base import (
     KIND_BUNDLE,
     KIND_ENTRY,
-    EvictionPolicy,
     Store,
-    StoreCounters,
     StoreEntry,
     StoreStats,
-    SyncReport,
     export_bundle_dir,
     read_bundle_dir,
 )
@@ -37,29 +33,20 @@ from repro.store.maintenance import (
     cache_stats,
     cache_verify,
     open_store,
-    sync_stores,
+    resolve_store,
 )
 from repro.store.memory import MemoryStore
-from repro.store.sqlite import SQLiteStore
-from repro.store.tiered import TieredStore
-from repro.store.url import StoreURLError, resolve_store, store_from_url
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
     "CacheEntryError",
-    "EvictionPolicy",
     "FileStore",
     "KIND_BUNDLE",
     "KIND_ENTRY",
     "MemoryStore",
-    "SQLiteStore",
     "Store",
-    "StoreCounters",
     "StoreEntry",
     "StoreStats",
-    "StoreURLError",
-    "SyncReport",
-    "TieredStore",
     "atomic_write_bytes",
     "atomic_write_text",
     "cache_clear",
@@ -73,6 +60,4 @@ __all__ = [
     "resolve_store",
     "result_from_dict",
     "result_to_dict",
-    "store_from_url",
-    "sync_stores",
 ]

@@ -1,4 +1,4 @@
-"""The abstract content-addressed store every backend implements.
+"""The abstract content-addressed store both backends implement.
 
 A :class:`Store` holds two kinds of objects, both keyed by the config
 digest (:meth:`SimConfig.cache_digest`):
@@ -6,49 +6,30 @@ digest (:meth:`SimConfig.cache_digest`):
 * **entries** - single blobs of bytes (the schema-versioned JSON cache
   entries from :mod:`repro.store.codec`);
 * **bundles** - multi-file telemetry bundles.  A bundle is only ever
-  visible as a whole: backends must commit the manifest last (file
-  backend) or in one transaction (sqlite backend), so a reader that can
-  see ``manifest.json`` can trust every other file is present.
+  visible as a whole: the file backend commits the manifest last and
+  the memory backend swaps the whole mapping in at once, so a reader
+  that can see ``manifest.json`` can trust every other file is present.
 
-The public methods here are template methods: they do uniform counter
-bookkeeping (gets/puts/hits/misses/deletes/evictions, surfaced on
-``repro serve``'s ``/metrics``) and hold the store lock, then delegate
-to the ``_``-prefixed primitive the backend provides.  That keeps
-counting and thread-safety semantics identical across backends - the
+The public methods here are template methods: they hold the store lock,
+then delegate to the ``_``-prefixed primitive the backend provides.
+That keeps thread-safety semantics identical across backends - the
 conformance suite in ``tests/test_store.py`` relies on it.
 
 Backend choice is *never* part of a cache key: the same config digests
-to the same entry in every backend, which is what makes ``repro cache
-sync`` a pure byte-copy.
+to the same entry in every backend.
 """
 
 from __future__ import annotations
 
 import tempfile
 import threading
-import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
 
 from repro.store.codec import atomic_write_bytes
 from repro.telemetry import MANIFEST_NAME, bundle_is_complete
-
-
-def host_now() -> float:
-    """Host wall clock for entry timestamps (TTL/LRU eviction only).
-
-    The storage layer is infrastructure, not simulation logic: these
-    timestamps order evictions and never reach a cache key or a result,
-    so reading the host clock is correct - this single suppressed call
-    site documents that.  Stores take an injectable ``clock`` so tests
-    can drive TTL expiry deterministically.
-    """
-    return time.time()   # simlint: ignore[SIM003] -- eviction timestamps, never feed a digest
-
-
-Clock = Callable[[], float]
 
 
 #: Entry kinds a :meth:`Store.scan` can report.
@@ -58,23 +39,11 @@ KIND_BUNDLE = "bundle"
 
 @dataclass(frozen=True)
 class StoreEntry:
-    """One object a :meth:`Store.scan` found.
-
-    ``mtime`` is the last-modified host timestamp (0.0 when the backend
-    cannot know it); ``atime`` is the last *read* timestamp where the
-    backend tracks accesses (sqlite, memory) and falls back to ``mtime``
-    elsewhere.  Both exist purely for TTL/LRU eviction ordering.
-    """
+    """One object a :meth:`Store.scan` found (``size`` in bytes)."""
 
     digest: str
     kind: str
     size: int
-    mtime: float = 0.0
-    atime: float = 0.0
-
-    @property
-    def last_used(self) -> float:
-        return self.atime if self.atime else self.mtime
 
 
 @dataclass(frozen=True)
@@ -88,98 +57,18 @@ class StoreStats:
     entry_bytes: int
 
 
-@dataclass
-class StoreCounters:
-    """Uniform per-store operation counters.
-
-    Maintained by the :class:`Store` template methods so every backend
-    counts identically; exported as ``store.<kind>.<counter>`` probes on
-    the serve layer's ``/metrics``.
-    """
-
-    gets: int = 0
-    hits: int = 0
-    misses: int = 0
-    puts: int = 0
-    deletes: int = 0
-    evictions: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "gets": self.gets, "hits": self.hits, "misses": self.misses,
-            "puts": self.puts, "deletes": self.deletes,
-            "evictions": self.evictions,
-        }
-
-
-@dataclass(frozen=True)
-class EvictionPolicy:
-    """TTL/LRU bounds applied after every put (and on explicit evict).
-
-    ``ttl`` drops entries not modified within the last ``ttl`` seconds;
-    ``max_entries``/``max_bytes`` then trim least-recently-used entries
-    until the store fits.  An evicted entry takes its same-digest
-    telemetry bundle with it (a bundle without its entry is dead weight -
-    nothing will ever read it back through the runner).
-    """
-
-    ttl: Optional[float] = None
-    max_entries: Optional[int] = None
-    max_bytes: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.ttl is not None and self.ttl <= 0:
-            raise ValueError(f"ttl must be positive, got {self.ttl}")
-        if self.max_entries is not None and self.max_entries < 0:
-            raise ValueError(
-                f"max_entries cannot be negative, got {self.max_entries}")
-        if self.max_bytes is not None and self.max_bytes < 0:
-            raise ValueError(
-                f"max_bytes cannot be negative, got {self.max_bytes}")
-
-    @property
-    def bounded(self) -> bool:
-        return (self.ttl is not None or self.max_entries is not None
-                or self.max_bytes is not None)
-
-
-@dataclass
-class SyncReport:
-    """What one :func:`repro.store.sync_stores` pass copied."""
-
-    entries_copied: int = 0
-    entries_skipped: int = 0
-    bundles_copied: int = 0
-    bundles_skipped: int = 0
-    bytes_copied: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "entries_copied": self.entries_copied,
-            "entries_skipped": self.entries_skipped,
-            "bundles_copied": self.bundles_copied,
-            "bundles_skipped": self.bundles_skipped,
-            "bytes_copied": self.bytes_copied,
-        }
-
-
 class Store(ABC):
     """Digest-keyed, bytes-valued storage with atomic bundle commits.
 
     Subclasses implement the ``_``-prefixed primitives; the public
-    surface adds locking (one store object may be shared between the
-    serve event loop and its executor threads) and counter bookkeeping.
+    surface adds locking, so one store object may be shared between
+    threads.
     """
 
-    #: Short backend tag ("file", "sqlite", "memory", "tiered"); also
-    #: the URL scheme that constructs the backend.
+    #: Short backend tag ("file" or "memory").
     kind: str = "abstract"
 
-    def __init__(self, policy: Optional[EvictionPolicy] = None,
-                 clock: Optional[Clock] = None) -> None:
-        self.policy = policy
-        self.counters = StoreCounters()
-        self._clock = clock if clock is not None else host_now
+    def __init__(self) -> None:
         self._lock = threading.RLock()
         self._staging: Optional[Path] = None
 
@@ -188,7 +77,7 @@ class Store(ABC):
     @property
     @abstractmethod
     def description(self) -> str:
-        """Canonical URL for this store (round-trips through the parser)."""
+        """Human-readable name of this store (reports, ``cache stats``)."""
 
     def location(self, digest: str) -> str:
         """Human-readable address of one entry (error messages, reports)."""
@@ -198,20 +87,11 @@ class Store(ABC):
 
     def get(self, digest: str) -> Optional[bytes]:
         with self._lock:
-            data = self._get(digest)
-            self.counters.gets += 1
-            if data is None:
-                self.counters.misses += 1
-            else:
-                self.counters.hits += 1
-            return data
+            return self._get(digest)
 
     def put(self, digest: str, data: bytes) -> None:
         with self._lock:
             self._put(digest, data)
-            self.counters.puts += 1
-            if self.policy is not None and self.policy.bounded:
-                self._evict_locked(self._clock())
 
     def exists(self, digest: str) -> bool:
         with self._lock:
@@ -219,17 +99,13 @@ class Store(ABC):
 
     def delete(self, digest: str) -> bool:
         with self._lock:
-            removed = self._delete(digest)
-            if removed:
-                self.counters.deletes += 1
-            return removed
+            return self._delete(digest)
 
     def scan(self) -> List[StoreEntry]:
         """Every entry and bundle, sorted by (kind, digest).
 
-        The deterministic order is what lets ``cache stats``/``verify``/
-        ``sync`` share one loop across backends and still produce stable
-        reports.
+        The deterministic order is what lets ``cache stats``/``verify``
+        share one loop across backends and still produce stable reports.
         """
         with self._lock:
             return sorted(self._scan(),
@@ -266,24 +142,14 @@ class Store(ABC):
                 "commit an incomplete bundle")
         with self._lock:
             self._put_bundle(digest, dict(files))
-            self.counters.puts += 1
 
     def get_bundle(self, digest: str) -> Optional[Dict[str, bytes]]:
         with self._lock:
-            files = self._get_bundle(digest)
-            self.counters.gets += 1
-            if files is None:
-                self.counters.misses += 1
-            else:
-                self.counters.hits += 1
-            return files
+            return self._get_bundle(digest)
 
     def delete_bundle(self, digest: str) -> bool:
         with self._lock:
-            removed = self._delete_bundle(digest)
-            if removed:
-                self.counters.deletes += 1
-            return removed
+            return self._delete_bundle(digest)
 
     # -- filesystem seams (telemetry zero-copy + staging) ---------------
 
@@ -306,7 +172,7 @@ class Store(ABC):
         return None
 
     def staging_root(self) -> Path:
-        """Scratch directory for bundle staging (non-filesystem backends)."""
+        """Scratch directory for bundle staging (the memory backend)."""
         with self._lock:
             if self._staging is None:
                 self._staging = Path(tempfile.mkdtemp(
@@ -325,46 +191,6 @@ class Store(ABC):
                 else:
                     removed += int(self._delete(item.digest))
             return removed
-
-    def evict(self, now: Optional[float] = None) -> int:
-        """Apply the eviction policy; returns entries evicted."""
-        with self._lock:
-            return self._evict_locked(
-                self._clock() if now is None else now)
-
-    def _evict_locked(self, now: float) -> int:
-        policy = self.policy
-        if policy is None or not policy.bounded:
-            return 0
-        entries = sorted(
-            (e for e in self._scan() if e.kind == KIND_ENTRY),
-            key=lambda e: (e.last_used, e.digest))
-        doomed: List[str] = []
-        if policy.ttl is not None:
-            live = []
-            for item in entries:
-                if now - item.mtime > policy.ttl:
-                    doomed.append(item.digest)
-                else:
-                    live.append(item)
-            entries = live
-        if policy.max_entries is not None:
-            while len(entries) > policy.max_entries:
-                doomed.append(entries.pop(0).digest)
-        if policy.max_bytes is not None:
-            total = sum(e.size for e in entries)
-            while entries and total > policy.max_bytes:
-                victim = entries.pop(0)
-                total -= victim.size
-                doomed.append(victim.digest)
-        for digest in doomed:
-            if self._delete(digest):
-                self.counters.evictions += 1
-            self._delete_bundle(digest)
-        return len(doomed)
-
-    def close(self) -> None:
-        """Release backend resources; the store is unusable afterwards."""
 
     # -- backend primitives --------------------------------------------
 

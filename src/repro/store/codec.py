@@ -4,9 +4,8 @@ A cache entry is one JSON document: the schema version, the full
 :meth:`SimConfig.cache_key` it was computed from, and the serialised
 :class:`RunResult`.  The codec lives here - not in the runner - because
 it is the *contract* of the storage layer: any :class:`repro.store.Store`
-backend holds exactly these bytes under the entry's digest, so entries
-replicated between backends (``repro cache sync``) stay byte-identical
-and verifiable anywhere.
+backend holds exactly these bytes under the entry's digest, so the same
+run yields byte-identical entries in every backend.
 
 The strict key-set check in :func:`result_from_dict` means a payload
 written by a different ``RunResult`` layout reads as a cache miss rather

@@ -19,9 +19,8 @@ import shutil
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.store.base import (KIND_BUNDLE, KIND_ENTRY, Clock, EvictionPolicy,
-                              Store, StoreEntry, export_bundle_dir,
-                              read_bundle_dir)
+from repro.store.base import (KIND_BUNDLE, KIND_ENTRY, Store, StoreEntry,
+                              export_bundle_dir, read_bundle_dir)
 from repro.store.codec import atomic_write_bytes
 from repro.telemetry import bundle_is_complete
 
@@ -34,15 +33,13 @@ class FileStore(Store):
 
     kind = "file"
 
-    def __init__(self, root: Path | str,
-                 policy: Optional[EvictionPolicy] = None,
-                 clock: Optional[Clock] = None) -> None:
-        super().__init__(policy=policy, clock=clock)
+    def __init__(self, root: Path | str) -> None:
+        super().__init__()
         self.root = Path(root)
 
     @property
     def description(self) -> str:
-        return f"file:{self.root}"
+        return str(self.root)
 
     def location(self, digest: str) -> str:
         return str(self._entry_file(digest))
@@ -90,27 +87,24 @@ class FileStore(Store):
             return found
         for path in self.root.glob(f"*{ENTRY_SUFFIX}"):
             try:
-                info = path.stat()
+                size = path.stat().st_size
             except OSError:
                 continue
             found.append(StoreEntry(
                 digest=path.name[:-len(ENTRY_SUFFIX)], kind=KIND_ENTRY,
-                size=info.st_size, mtime=info.st_mtime))
+                size=size))
         for path in self.root.glob(f"*{BUNDLE_SUFFIX}"):
             if not path.is_dir():
                 continue
             size = 0
-            mtime = 0.0
             for item in path.iterdir():
                 try:
-                    info = item.stat()
+                    size += item.stat().st_size
                 except OSError:
                     continue
-                size += info.st_size
-                mtime = max(mtime, info.st_mtime)
             found.append(StoreEntry(
                 digest=path.name[:-len(BUNDLE_SUFFIX)], kind=KIND_BUNDLE,
-                size=size, mtime=mtime))
+                size=size))
         return found
 
     # -- bundles --------------------------------------------------------

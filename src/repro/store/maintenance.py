@@ -1,47 +1,57 @@
-"""Backend-agnostic cache maintenance: stats, verify, clear, sync.
+"""Backend selection and cache maintenance: resolve, stats, verify, clear.
 
-These back the ``repro cache`` CLI verbs.  Before the store interface
-existed they were three near-duplicate directory-walking loops inside
-the runner; now each is one :meth:`Store.scan`-driven pass that works
-identically against any backend (and therefore against a remote cache a
-URL points at).
-
-``sync_stores`` is the fleet-wide-dedupe primitive: entries and bundles
-are copied digest-by-digest, skipping whatever the destination already
-has - content addressing makes the copy idempotent and restartable.
+:func:`resolve_store` is the one place a backend is picked.  The
+maintenance functions back the ``repro cache`` CLI verbs; each is one
+:meth:`Store.scan`-driven pass that works identically against either
+backend.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Union
+from typing import Any, Dict, Optional, Union
 
 from repro.sim.config import digest_for_key
-from repro.store.base import KIND_BUNDLE, Store, SyncReport
+from repro.store.base import KIND_BUNDLE, Store
 from repro.store.codec import CACHE_SCHEMA_VERSION, CacheEntryError, entry_from_json
-from repro.store.url import resolve_store
+from repro.store.file import FileStore
+from repro.store.memory import MemoryStore
 
 #: What the maintenance verbs accept as a cache designator: an open
-#: store, a directory path (the historic signature), a store URL, or
-#: None (environment resolution).
+#: store, a directory path, or None (environment resolution).
 CacheTarget = Union[Store, Path, str, None]
 
-_ProgressFn = Callable[[str, str], None]
+
+def resolve_store(cache_dir: Optional[Path | str] = None,
+                  respect_no_cache: bool = True) -> Store:
+    """The one place backend selection happens.
+
+    Precedence: ``REPRO_NO_CACHE=1`` (memory store; disabled caching) >
+    explicit ``cache_dir`` > ``REPRO_CACHE_DIR`` > ``.repro_cache``.
+    None of this can move a cache key - it picks *where* bytes live,
+    never what digest they live under.
+
+    Maintenance verbs pass ``respect_no_cache=False``: inspecting or
+    clearing an on-disk cache should work even in a shell where caching
+    is disabled for runs.
+    """
+    if respect_no_cache and os.environ.get("REPRO_NO_CACHE", "0") == "1":
+        return MemoryStore()
+    if cache_dir is None:
+        cache_dir = os.environ.get("REPRO_CACHE_DIR", ".repro_cache")
+    return FileStore(Path(cache_dir))
 
 
 def open_store(target: CacheTarget) -> Store:
     """Resolve a maintenance target to a live store.
 
-    Strings containing a scheme separator parse as store URLs; anything
-    else path-like keeps the historic "cache directory" meaning.
     ``REPRO_NO_CACHE`` is deliberately ignored - inspecting a cache must
     work even where caching is disabled for runs.
     """
     if isinstance(target, Store):
         return target
-    if isinstance(target, str) and ":" in target:
-        return resolve_store(url=target, respect_no_cache=False)
     return resolve_store(cache_dir=target, respect_no_cache=False)
 
 
@@ -114,42 +124,3 @@ def cache_clear(target: CacheTarget = None) -> int:
     """Delete all entries, bundles and backend debris; returns the count
     of objects removed (a bundle counts as one)."""
     return open_store(target).clear()
-
-
-def sync_stores(src: Store, dst: Store,
-                progress: Optional["_ProgressFn"] = None) -> SyncReport:
-    """Replicate every entry and bundle from ``src`` into ``dst``.
-
-    Digests already present in ``dst`` are skipped (content addressing:
-    same digest, same bytes), so re-running a sync is cheap and an
-    interrupted one resumes where it stopped.  Entries whose source
-    vanishes mid-copy are skipped rather than failed - another process
-    evicting concurrently is normal operation, not an error.
-    """
-    report = SyncReport()
-    for item in src.scan():
-        if item.kind == KIND_BUNDLE:
-            if dst.has_bundle(item.digest):
-                report.bundles_skipped += 1
-                continue
-            files = src.get_bundle(item.digest)
-            if files is None:     # incomplete or concurrently deleted
-                report.bundles_skipped += 1
-                continue
-            dst.put_bundle(item.digest, files)
-            report.bundles_copied += 1
-            report.bytes_copied += sum(len(blob) for blob in files.values())
-        else:
-            if dst.exists(item.digest):
-                report.entries_skipped += 1
-                continue
-            data = src.get(item.digest)
-            if data is None:
-                report.entries_skipped += 1
-                continue
-            dst.put(item.digest, data)
-            report.entries_copied += 1
-            report.bytes_copied += len(data)
-        if progress is not None:
-            progress(item.kind, item.digest)
-    return report

@@ -1,18 +1,17 @@
 """The in-process dict backend: tests, and the ``REPRO_NO_CACHE`` store.
 
-Nothing touches the filesystem (telemetry staging aside, which every
-non-filesystem backend shares via :meth:`Store.staging_root`).  Injected
-into the :class:`~repro.experiments.runner.Runner` when the persistent
-cache is disabled, so the "no cache" code path is *the same code path*
-as the cached one - the entries simply die with the store object.
+Nothing touches the filesystem (telemetry staging aside, which goes
+through :meth:`Store.staging_root`).  Injected into the
+:class:`~repro.experiments.runner.Runner` when the persistent cache is
+disabled, so the "no cache" code path is *the same code path* as the
+cached one - the entries simply die with the store object.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.store.base import (KIND_BUNDLE, KIND_ENTRY, Clock, EvictionPolicy,
-                              Store, StoreEntry)
+from repro.store.base import KIND_BUNDLE, KIND_ENTRY, Store, StoreEntry
 
 
 class MemoryStore(Store):
@@ -20,30 +19,22 @@ class MemoryStore(Store):
 
     kind = "memory"
 
-    def __init__(self, policy: Optional[EvictionPolicy] = None,
-                 clock: Optional[Clock] = None) -> None:
-        super().__init__(policy=policy, clock=clock)
-        #: digest -> (data, mtime, atime)
-        self._entries: Dict[str, Tuple[bytes, float, float]] = {}
-        self._bundles: Dict[str, Tuple[Dict[str, bytes], float]] = {}
+    def __init__(self) -> None:
+        super().__init__()
+        self._entries: Dict[str, bytes] = {}
+        self._bundles: Dict[str, Dict[str, bytes]] = {}
 
     @property
     def description(self) -> str:
-        return "memory:"
+        return "memory"
 
     # -- entries --------------------------------------------------------
 
     def _get(self, digest: str) -> Optional[bytes]:
-        item = self._entries.get(digest)
-        if item is None:
-            return None
-        data, mtime, _ = item
-        self._entries[digest] = (data, mtime, self._clock())
-        return data
+        return self._entries.get(digest)
 
     def _put(self, digest: str, data: bytes) -> None:
-        now = self._clock()
-        self._entries[digest] = (data, now, now)
+        self._entries[digest] = data
 
     def _exists(self, digest: str) -> bool:
         return digest in self._entries
@@ -53,15 +44,13 @@ class MemoryStore(Store):
 
     def _scan(self) -> List[StoreEntry]:
         found = [
-            StoreEntry(digest=digest, kind=KIND_ENTRY, size=len(data),
-                       mtime=mtime, atime=atime)
-            for digest, (data, mtime, atime) in self._entries.items()
+            StoreEntry(digest=digest, kind=KIND_ENTRY, size=len(data))
+            for digest, data in self._entries.items()
         ]
         found.extend(
             StoreEntry(digest=digest, kind=KIND_BUNDLE,
-                       size=sum(len(blob) for blob in files.values()),
-                       mtime=mtime)
-            for digest, (files, mtime) in self._bundles.items()
+                       size=sum(len(blob) for blob in files.values()))
+            for digest, files in self._bundles.items()
         )
         return found
 
@@ -71,13 +60,11 @@ class MemoryStore(Store):
         return digest in self._bundles
 
     def _put_bundle(self, digest: str, files: Dict[str, bytes]) -> None:
-        self._bundles[digest] = (dict(files), self._clock())
+        self._bundles[digest] = dict(files)
 
     def _get_bundle(self, digest: str) -> Optional[Dict[str, bytes]]:
-        item = self._bundles.get(digest)
-        if item is None:
-            return None
-        return dict(item[0])
+        files = self._bundles.get(digest)
+        return None if files is None else dict(files)
 
     def _delete_bundle(self, digest: str) -> bool:
         return self._bundles.pop(digest, None) is not None

@@ -209,25 +209,6 @@ class MetricRegistry:
 
     # -- export ---------------------------------------------------------
 
-    def current(self) -> Dict[str, Dict[str, float]]:
-        """Instantaneous instrument values, probes polled now.
-
-        Unlike :meth:`sample`, nothing is appended to the time series:
-        this is the read path for pull-style exporters - the ``repro
-        serve`` ``/metrics`` endpoint - that want live values outside
-        the simulator's epoch cadence.
-        """
-        for hook in self._pre_sample_hooks:
-            hook()
-        return {
-            "counters": {name: counter.value for name, counter in
-                         sorted(self._counters.items())},
-            "gauges": {name: gauge.value for name, gauge in
-                       sorted(self._gauges.items())},
-            "probes": {name: float(fn()) for name, fn in
-                       sorted(self._probes.items())},
-        }
-
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready dump: aligned series plus final histogram states."""
         return {

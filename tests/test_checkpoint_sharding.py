@@ -26,7 +26,7 @@ from repro.experiments.faults import (default_fault_config,
 from repro.experiments.runner import Runner, _advance_slice
 from repro.sim.config import SimConfig
 from repro.sim.system import System
-from repro.store import result_from_dict, store_from_url
+from repro.store import MemoryStore, result_from_dict
 
 POLICIES = ("Norm", "Slow+SC")
 SEEDS = 3
@@ -34,7 +34,7 @@ SCALE = 0.01
 
 
 def _memory_runner() -> Runner:
-    return Runner(store=store_from_url("memory:"))
+    return Runner(store=MemoryStore())
 
 
 def _records_json(records) -> str:

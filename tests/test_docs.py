@@ -1,5 +1,6 @@
 """Documentation anti-rot checks: referenced artifacts must exist."""
 
+import argparse
 import re
 from pathlib import Path
 
@@ -10,9 +11,16 @@ ROOT = Path(__file__).parent.parent
 REQUIRED_DOCS = [
     "README.md", "DESIGN.md", "EXPERIMENTS.md",
     "docs/architecture.md", "docs/mechanisms.md", "docs/workloads.md",
-    "docs/extending.md", "docs/observability.md", "docs/serving.md",
+    "docs/extending.md", "docs/observability.md",
     "docs/storage.md", "docs/checkpointing.md",
 ]
+
+#: Prose documents the CLI and environment checks scan.
+USER_DOCS = ["README.md"] + sorted(
+    str(path.relative_to(ROOT)) for path in (ROOT / "docs").glob("*.md"))
+
+#: Code trees an environment variable must be read from to be real.
+CODE_DIRS = ("src", "bench", "benchmarks")
 
 
 @pytest.mark.parametrize("name", REQUIRED_DOCS)
@@ -70,3 +78,39 @@ def test_design_documents_the_substitutions():
     text = (ROOT / "DESIGN.md").read_text()
     for substituted in ("gem5", "NVMain", "nvsim", "SPEC"):
         assert substituted in text
+
+
+def _code_text(text):
+    """Fenced code blocks plus inline code spans of a Markdown document."""
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, re.M | re.S)
+    prose = re.sub(r"^```.*?^```", "", text, flags=re.M | re.S)
+    return blocks + re.findall(r"`([^`\n]+)`", prose)
+
+
+def _cli_verbs():
+    from repro.cli import build_parser
+    parser = build_parser()
+    (subparsers,) = [action for action in parser._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    return set(subparsers.choices)
+
+
+@pytest.mark.parametrize("name", USER_DOCS)
+def test_documented_cli_verbs_exist(name):
+    verbs = _cli_verbs()
+    shown = {verb
+             for code in _code_text((ROOT / name).read_text())
+             for verb in re.findall(
+                 r"(?<!from )(?<![\w./-])repro[ \t]+([a-z][a-z-]*)", code)}
+    assert sorted(shown - verbs) == [], f"{name}: dead `repro <verb>`"
+
+
+@pytest.mark.parametrize("name", USER_DOCS)
+def test_documented_env_vars_are_read(name):
+    code = "".join(
+        path.read_text()
+        for directory in CODE_DIRS
+        for path in sorted((ROOT / directory).rglob("*.py")))
+    named = set(re.findall(r"REPRO_[A-Z_]+", (ROOT / name).read_text()))
+    dead = sorted(var for var in named if var not in code)
+    assert dead == [], f"{name}: read nowhere in {', '.join(CODE_DIRS)}"

@@ -25,7 +25,7 @@ import pytest
 from repro.analysis.export import run_result_to_dict
 from repro.faults import FaultConfig
 from repro.hotpath import FASTPATH_ENV, fastpath_enabled
-from repro.lint.sanitize import InvariantViolation
+from repro.sim.sanitize import InvariantViolation
 from repro.sim.config import SimConfig
 from repro.sim.events import EventQueue
 from repro.sim.system import run_simulation

@@ -1,11 +1,17 @@
 """Package-surface tests: imports, exports, docstrings."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import repro
+
+SRC = Path(repro.__file__).resolve().parent.parent
 
 ALL_MODULES = [
     name for _, name, _ in pkgutil.walk_packages(
@@ -47,3 +53,17 @@ def test_top_level_quickstart_symbols():
 
 def test_version():
     assert repro.__version__ == "1.0.0"
+
+
+def test_simulator_does_not_import_the_linter():
+    # The runtime sanitizer lives in repro.sim so that simulating never
+    # pays for importing the static analyzer.
+    code = ("import sys, repro.sim.system, repro.experiments.runner; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'repro.lint' or m.startswith('repro.lint.')))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -16,7 +16,7 @@ import pytest
 from repro.endurance.startgap import StartGap
 from repro.endurance.wear import WearTracker
 from repro.experiments.runner import result_to_dict
-from repro.lint.sanitize import (
+from repro.sim.sanitize import (
     ENV_VAR,
     InvariantViolation,
     check,

@@ -1,14 +1,12 @@
-"""Storage backends: conformance, compat, eviction, URLs, sync, equivalence.
+"""Storage backends: conformance, compat, resolution, equivalence.
 
-One shared conformance class runs the identical contract against every
-backend; the rest pins what actually matters operationally - pre-store
-cache directories keep reading, digests never move, ``cache sync``
-round-trips bit-identically, and a sqlite-backed parallel sweep matches
-a serial file-backed one.
+One shared conformance class runs the identical contract against both
+backends; the rest pins what actually matters operationally - pre-store
+cache directories keep reading, digests never move, and a memory-backed
+parallel sweep matches a serial file-backed one.
 """
 
 import json
-import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,24 +17,17 @@ from repro.sim.config import SimConfig
 from repro.sim.stats import RunResult
 from repro.sim.system import run_simulation
 from repro.store import (
-    EvictionPolicy,
     FileStore,
     MemoryStore,
-    SQLiteStore,
-    StoreURLError,
-    TieredStore,
     atomic_write_text,
-    cache_stats,
     entry_from_json,
     entry_to_json,
     resolve_store,
     result_to_dict,
-    store_from_url,
-    sync_stores,
 )
 from repro.telemetry import MANIFEST_NAME
 
-BACKENDS = ["file", "sqlite", "memory", "tiered"]
+BACKENDS = ["file", "memory"]
 
 TINY = dict(warmup_accesses=2000, measure_accesses=3000,
             llc_size_bytes=128 * 1024)
@@ -51,16 +42,11 @@ def tiny_config(workload="GemsFDTD", **kwargs):
     return SimConfig(workload=workload, **merged)
 
 
-def make_store(kind, tmp_path, policy=None, clock=None):
+def make_store(kind, tmp_path):
     if kind == "file":
-        return FileStore(tmp_path / "cache", policy=policy, clock=clock)
-    if kind == "sqlite":
-        return SQLiteStore(tmp_path / "cache.db", policy=policy, clock=clock)
+        return FileStore(tmp_path / "cache")
     if kind == "memory":
-        return MemoryStore(policy=policy, clock=clock)
-    if kind == "tiered":
-        return TieredStore(MemoryStore(clock=clock),
-                           SQLiteStore(tmp_path / "remote.db", clock=clock))
+        return MemoryStore()
     raise AssertionError(kind)
 
 
@@ -74,27 +60,21 @@ def make_bundle(marker=b"x"):
 
 @pytest.fixture(params=BACKENDS)
 def store(request, tmp_path):
-    s = make_store(request.param, tmp_path)
-    yield s
-    s.close()
+    return make_store(request.param, tmp_path)
 
 
 class TestConformance:
-    """The identical contract, enforced against every backend."""
+    """The identical contract, enforced against both backends."""
 
-    def test_get_missing_is_none_and_counts_a_miss(self, store):
+    def test_get_missing_is_none(self, store):
         assert store.get(DIGEST) is None
-        assert store.counters.gets == 1
-        assert store.counters.misses == 1
-        assert store.counters.hits == 0
+        assert not store.exists(DIGEST)
 
     def test_put_get_roundtrip(self, store):
         store.put(DIGEST, b"payload")
         assert store.get(DIGEST) == b"payload"
         assert store.exists(DIGEST)
         assert not store.exists(OTHER)
-        assert store.counters.puts == 1
-        assert store.counters.hits == 1
 
     def test_overwrite_last_write_wins(self, store):
         store.put(DIGEST, b"first")
@@ -106,7 +86,6 @@ class TestConformance:
         assert store.delete(DIGEST) is True
         assert store.delete(DIGEST) is False
         assert store.get(DIGEST) is None
-        assert store.counters.deletes == 1
 
     def test_scan_reports_entries_and_bundles(self, store):
         store.put(DIGEST, b"data")
@@ -154,13 +133,6 @@ class TestConformance:
         assert store.clear() == 2
         assert store.scan() == []
 
-    def test_description_roundtrips_through_parser(self, store):
-        rebuilt = store_from_url(store.description)
-        try:
-            assert rebuilt.kind == store.kind
-        finally:
-            rebuilt.close()
-
     def test_location_mentions_the_digest(self, store):
         assert DIGEST in store.location(DIGEST)
 
@@ -192,11 +164,10 @@ class TestFileStoreCompat:
         assert s.entry_path(DIGEST) == tmp_path / f"{DIGEST}.json"
         assert s.bundle_path(DIGEST) == tmp_path / f"{DIGEST}.telemetry"
 
-    def test_non_filesystem_backends_expose_no_paths(self, tmp_path):
-        for s in (SQLiteStore(tmp_path / "c.db"), MemoryStore()):
-            assert s.entry_path(DIGEST) is None
-            assert s.bundle_path(DIGEST) is None
-            s.close()
+    def test_non_filesystem_backends_expose_no_paths(self):
+        s = MemoryStore()
+        assert s.entry_path(DIGEST) is None
+        assert s.bundle_path(DIGEST) is None
 
 
 PINNED_DIGESTS = {
@@ -226,160 +197,33 @@ class TestDigestStability:
         runner = Runner(store=make_store(kind, tmp_path))
         runner.run(config)
         assert runner.store.exists(config.cache_digest())
-        runner.store.close()
-
-
-class TestEviction:
-    def test_ttl_expires_old_entries(self, tmp_path):
-        now = [1000.0]
-        s = MemoryStore(policy=EvictionPolicy(ttl=60.0),
-                        clock=lambda: now[0])
-        s.put(DIGEST, b"old")
-        now[0] += 120.0
-        s.put(OTHER, b"new")     # put triggers eviction
-        assert s.get(DIGEST) is None
-        assert s.get(OTHER) == b"new"
-        assert s.counters.evictions == 1
-
-    def test_max_entries_evicts_least_recently_used(self, tmp_path):
-        now = [0.0]
-        s = SQLiteStore(tmp_path / "lru.db",
-                        policy=EvictionPolicy(max_entries=2),
-                        clock=lambda: now[0])
-        digests = ["aa" * 12, "bb" * 12, "cc" * 12]
-        for d in digests[:2]:
-            now[0] += 1.0
-            s.put(d, b"x")
-        now[0] += 1.0
-        s.get(digests[0])          # refresh: aa is now most recently used
-        now[0] += 1.0
-        s.put(digests[2], b"x")    # bb is the LRU victim
-        assert s.exists(digests[0])
-        assert not s.exists(digests[1])
-        assert s.exists(digests[2])
-        assert s.counters.evictions == 1
-        s.close()
-
-    def test_max_bytes_trims_until_it_fits(self, tmp_path):
-        now = [0.0]
-        s = MemoryStore(policy=EvictionPolicy(max_bytes=10),
-                        clock=lambda: now[0])
-        now[0] += 1.0
-        s.put(DIGEST, b"12345678")
-        now[0] += 1.0
-        s.put(OTHER, b"12345678")
-        assert not s.exists(DIGEST)
-        assert s.exists(OTHER)
-
-    def test_eviction_takes_the_bundle_with_the_entry(self, tmp_path):
-        now = [1000.0]
-        s = FileStore(tmp_path / "c", policy=EvictionPolicy(max_entries=1),
-                      clock=lambda: now[0])
-        s.put(DIGEST, b"x")
-        s.put_bundle(DIGEST, make_bundle())
-        # Age the entry below the newcomer (file mtimes are real time).
-        old = 1.0
-        os.utime(s.entry_path(DIGEST), (old, old))
-        s.put(OTHER, b"y")
-        assert not s.exists(DIGEST)
-        assert not s.has_bundle(DIGEST)
-        assert s.exists(OTHER)
-
-    def test_unbounded_policy_is_rejected_values(self):
-        with pytest.raises(ValueError):
-            EvictionPolicy(ttl=-1.0)
-        with pytest.raises(ValueError):
-            EvictionPolicy(max_entries=-1)
-        assert not EvictionPolicy().bounded
-        assert EvictionPolicy(ttl=5.0).bounded
-
-
-class TestURLGrammar:
-    def test_file_url(self, tmp_path):
-        s = store_from_url(f"file:{tmp_path}/c")
-        assert isinstance(s, FileStore)
-        assert s.root == tmp_path / "c"
-
-    def test_sqlite_url_and_default_path(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        s = store_from_url("sqlite:")
-        assert isinstance(s, SQLiteStore)
-        assert s.path.name == SQLiteStore.DEFAULT_PATH
-        s.close()
-
-    def test_memory_url(self):
-        assert isinstance(store_from_url("memory:"), MemoryStore)
-
-    def test_memory_url_rejects_a_path(self):
-        with pytest.raises(StoreURLError):
-            store_from_url("memory:somewhere")
-
-    def test_tiered_url(self, tmp_path):
-        s = store_from_url(f"tiered:memory:|sqlite:{tmp_path}/r.db")
-        assert isinstance(s, TieredStore)
-        assert isinstance(s.local, MemoryStore)
-        assert isinstance(s.remote, SQLiteStore)
-        s.close()
-
-    def test_tiered_does_not_nest(self, tmp_path):
-        with pytest.raises(StoreURLError, match="nest"):
-            store_from_url("tiered:memory:|tiered:memory:|memory:")
-
-    def test_unknown_scheme(self):
-        with pytest.raises(StoreURLError, match="unknown store scheme"):
-            store_from_url("redis:localhost")
-
-    def test_missing_scheme(self):
-        with pytest.raises(StoreURLError, match="scheme"):
-            store_from_url(".repro_cache")
-
-    def test_policy_params(self, tmp_path):
-        s = store_from_url(
-            f"file:{tmp_path}/c?ttl=60&max_entries=10&max_bytes=4096")
-        assert s.policy == EvictionPolicy(ttl=60.0, max_entries=10,
-                                          max_bytes=4096)
-
-    def test_unknown_param_rejected(self, tmp_path):
-        with pytest.raises(StoreURLError, match="unknown store parameter"):
-            store_from_url(f"file:{tmp_path}/c?shards=4")
-
-    def test_bad_param_value_rejected(self, tmp_path):
-        with pytest.raises(StoreURLError, match="bad value"):
-            store_from_url(f"file:{tmp_path}/c?ttl=soon")
 
 
 class TestResolvePrecedence:
     def test_no_cache_env_wins_over_everything(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        monkeypatch.setenv("REPRO_CACHE_URL", f"sqlite:{tmp_path}/c.db")
-        s = resolve_store(cache_dir=tmp_path, url=f"file:{tmp_path}/c")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
+        s = resolve_store(cache_dir=tmp_path)
         assert isinstance(s, MemoryStore)
 
-    def test_explicit_url_beats_cache_dir(self, tmp_path):
-        s = resolve_store(cache_dir=tmp_path / "dir",
-                          url=f"sqlite:{tmp_path}/c.db")
-        assert isinstance(s, SQLiteStore)
-        s.close()
-
-    def test_cache_dir_beats_env_url(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_URL", f"sqlite:{tmp_path}/c.db")
+    def test_cache_dir_beats_env_dir(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
         s = resolve_store(cache_dir=tmp_path / "dir")
         assert isinstance(s, FileStore)
         assert s.root == tmp_path / "dir"
 
-    def test_env_url_beats_env_dir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_URL", f"sqlite:{tmp_path}/c.db")
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "dir"))
-        s = resolve_store()
-        assert isinstance(s, SQLiteStore)
-        s.close()
-
     def test_env_dir_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_URL", raising=False)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "dir"))
         s = resolve_store()
         assert isinstance(s, FileStore)
         assert s.root == tmp_path / "dir"
+
+    def test_default_is_repro_cache(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        s = resolve_store()
+        assert isinstance(s, FileStore)
+        assert str(s.root) == ".repro_cache"
 
     def test_maintenance_ignores_no_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
@@ -399,58 +243,6 @@ class TestResolvePrecedence:
         assert runner.cache_hits == 1
 
 
-class TestSync:
-    def test_file_to_sqlite_to_file_is_byte_identical(self, tmp_path):
-        src = FileStore(tmp_path / "src")
-        runner = Runner(store=src)
-        configs = [tiny_config(policy="Norm"), tiny_config(policy="Slow")]
-        runner.sweep(configs, jobs=1)
-        src.put_bundle(DIGEST, make_bundle())
-
-        hop = SQLiteStore(tmp_path / "hop.db")
-        report = sync_stores(src, hop)
-        assert report.entries_copied == 2
-        assert report.bundles_copied == 1
-
-        back = FileStore(tmp_path / "roundtrip")
-        sync_stores(hop, back)
-        for config in configs:
-            digest = config.cache_digest()
-            assert back.get(digest) == src.get(digest)
-        assert back.get_bundle(DIGEST) == src.get_bundle(DIGEST)
-
-        a, b = cache_stats(src), cache_stats(back)
-        for key in ("entries", "total_bytes", "valid", "invalid",
-                    "schema_versions", "telemetry_bundles"):
-            assert a[key] == b[key], key
-        hop.close()
-
-    def test_sync_is_idempotent(self, tmp_path):
-        src = MemoryStore()
-        src.put(DIGEST, b"data")
-        src.put_bundle(OTHER, make_bundle())
-        dst = SQLiteStore(tmp_path / "dst.db")
-        sync_stores(src, dst)
-        again = sync_stores(src, dst)
-        assert again.entries_copied == 0
-        assert again.bundles_copied == 0
-        assert again.entries_skipped == 1
-        assert again.bundles_skipped == 1
-        dst.close()
-
-    def test_synced_cache_serves_hits(self, tmp_path):
-        config = tiny_config()
-        warm = Runner(cache_dir=tmp_path / "warm")
-        result = warm.run(config)
-        db = SQLiteStore(tmp_path / "moved.db")
-        sync_stores(FileStore(tmp_path / "warm"), db)
-        cold = Runner(store=db)
-        again = cold.run(config)
-        assert cold.simulated == 0
-        assert result_to_dict(again) == result_to_dict(result)
-        db.close()
-
-
 class TestCrossBackendEquivalence:
     def test_all_backends_yield_identical_results_and_bytes(self, tmp_path):
         config = tiny_config(policy="BE-Mellow+SC")
@@ -461,7 +253,6 @@ class TestCrossBackendEquivalence:
             runner = Runner(store=s)
             dicts.append(result_to_dict(runner.run(config)))
             blobs.append(s.get(digest))
-            s.close()
         assert all(d == dicts[0] for d in dicts)
         assert all(b == blobs[0] for b in blobs)
 
@@ -475,51 +266,48 @@ class TestCrossBackendEquivalence:
             second = Runner(store=s)
             second.sweep(grid, jobs=1)
             assert (second.simulated, second.cache_hits) == (0, 2), kind
-            s.close()
 
-    def test_parallel_sqlite_sweep_matches_serial_file_sweep(self, tmp_path):
+    def test_parallel_memory_sweep_matches_serial_file_sweep(self, tmp_path):
         grid = [
             tiny_config(workload=workload, policy=policy)
             for workload in ("GemsFDTD", "lbm")
             for policy in ("Norm", "Slow")
         ]
         serial = Runner(cache_dir=tmp_path / "file").sweep(grid, jobs=1)
-        db = SQLiteStore(tmp_path / "par.db")
-        parallel = Runner(store=db).sweep(grid, jobs=8)
+        parallel = Runner(store=MemoryStore()).sweep(grid, jobs=2)
         assert ([result_to_dict(r) for r in parallel]
                 == [result_to_dict(r) for r in serial])
-        db.close()
 
 
 class TestRunnerTelemetryAcrossBackends:
-    def test_sqlite_bundle_ingest_and_export(self, tmp_path):
-        db_path = tmp_path / "t.db"
+    def test_memory_bundle_ingest_and_export(self):
         config = tiny_config()
-        runner = Runner(store=SQLiteStore(db_path))
+        store = MemoryStore()
+        runner = Runner(store=store)
         result, bundle_dir = runner.run_traced(config)
-        assert runner.store.has_bundle(config.cache_digest())
+        assert store.has_bundle(config.cache_digest())
         assert (bundle_dir / MANIFEST_NAME).is_file()
-        runner.store.close()
+        staged = (bundle_dir / "metrics.json").read_bytes()
 
-        # A fresh process: result *and* bundle come back from the store.
-        fresh = Runner(store=SQLiteStore(db_path))
+        # A fresh runner on a wiped staging dir: result *and* bundle
+        # come back from the store.
+        for path in bundle_dir.iterdir():
+            path.unlink()
+        fresh = Runner(store=store)
         again, exported = fresh.run_traced(config)
         assert fresh.simulated == 0
         assert result_to_dict(again) == result_to_dict(result)
         assert (exported / MANIFEST_NAME).is_file()
-        assert ((exported / "metrics.json").read_bytes()
-                == (bundle_dir / "metrics.json").read_bytes())
-        fresh.store.close()
+        assert (exported / "metrics.json").read_bytes() == staged
 
-    def test_corrupt_store_entry_resimulates(self, tmp_path):
+    def test_corrupt_store_entry_resimulates(self):
         config = tiny_config()
-        db = SQLiteStore(tmp_path / "c.db")
-        Runner(store=db).run(config)
-        db.put(config.cache_digest(), b"{not json")
-        fresh = Runner(store=db)
+        store = MemoryStore()
+        Runner(store=store).run(config)
+        store.put(config.cache_digest(), b"{not json")
+        fresh = Runner(store=store)
         fresh.run(config)
         assert fresh.simulated == 1
-        db.close()
 
 
 # -- codec round-trip property ------------------------------------------
@@ -581,17 +369,3 @@ class TestCodecProperty:
         restored = entry_from_json(data.decode("utf-8"))
         assert json.loads(json.dumps(result_to_dict(restored))) \
             == result_to_dict(result)
-
-
-class TestServeMetricsExposure:
-    def test_store_counters_surface_on_metrics(self):
-        from repro.serve.server import ReproServer
-        runner = Runner(store=MemoryStore())
-        server = ReproServer(runner=runner)
-        runner.store.get(DIGEST)        # one miss
-        snapshot = server._metrics_snapshot()
-        assert snapshot["gauges"]["store.memory.gets"] == 1
-        assert snapshot["gauges"]["store.memory.misses"] == 1
-        assert snapshot["gauges"]["store.memory.hits"] == 0
-        for name in ("puts", "deletes", "evictions"):
-            assert snapshot["gauges"][f"store.memory.{name}"] == 0

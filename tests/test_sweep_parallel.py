@@ -44,6 +44,11 @@ def _run_one(cache_dir, config):
     return result_to_dict(result)
 
 
+def _entry_json(config):
+    """Child-process worker for the start-method determinism test."""
+    return entry_to_json(config, run_simulation(config))
+
+
 class TestSerialParallelEquivalence:
     def test_identical_results_and_cache_bytes(self, tmp_path):
         grid = tiny_grid()
@@ -119,6 +124,27 @@ class TestConcurrentCache:
             atomic_write_text(path, payload)
             assert path.read_text() in payloads
         assert not list(tmp_path.glob("*.tmp"))
+
+
+class TestStartMethodDeterminism:
+    def test_spawn_and_fork_give_identical_entries(self, monkeypatch):
+        # A spawned interpreter draws its own str-hash seed (pinned here
+        # to a value the parent is unlikely to share) while a forked one
+        # inherits the parent's, so any hash()-derived seeding - the
+        # trace-seeding bug this guards against - makes the two entries
+        # differ.
+        from repro.faults.config import FaultConfig
+        config = tiny_config(workload="zeusmp", policy="BE-Mellow+SC",
+                             faults=FaultConfig(wear_acceleration=1e6))
+        monkeypatch.setenv("PYTHONHASHSEED", "271828")
+        entries = []
+        for method in ("spawn", "fork"):
+            context = multiprocessing.get_context(method)
+            with context.Pool(1) as pool:
+                pending = pool.apply_async(_entry_json, (config,))
+                entries.append(pending.get(timeout=120))
+        assert entries[0] == entries[1]
+        assert entries[0] == _entry_json(config)
 
 
 class TestCacheHardening:
