@@ -55,30 +55,57 @@ def _field_names(cls):
     return [f.name for f in dataclasses.fields(cls)]
 
 
+def _field_problem(base, name, key, excluded):
+    """Why perturbing ``base.name`` disagrees with ``excluded``, or None."""
+    changed = dataclasses.replace(
+        base, **{name: _perturbed(name, getattr(base, name))})
+    moved = key(changed) != key(base)
+    if moved != (name in excluded):
+        return None
+    return (f"{type(base).__name__}.{name}: key "
+            f"{'moved' if moved else 'unchanged'} but the field is "
+            f"{'' if name in excluded else 'not '}listed in "
+            "CACHE_KEY_EXCLUDED")
+
+
+def key_problems(base, excluded, key=None):
+    """Every way ``base``'s fields, its cache key and ``excluded`` disagree.
+
+    ``key`` maps an instance to its cache key; it defaults to the class's
+    own ``cache_key``, and a class without one has no key to keep
+    complete.  Each field must move the key unless ``excluded`` names it,
+    and every name in ``excluded`` must be a field.
+    """
+    if key is None:
+        key = getattr(type(base), "cache_key", None)
+        if key is None:
+            return []
+    names = _field_names(type(base))
+    problems = [f"stale CACHE_KEY_EXCLUDED entry {name!r}"
+                for name in excluded if name not in names]
+    for name in names:
+        problem = _field_problem(base, name, key, excluded)
+        if problem is not None:
+            problems.append(problem)
+    return problems
+
+
+def _faulty_digest(faults):
+    return dataclasses.replace(FAULTY, faults=faults).cache_digest()
+
+
 @pytest.mark.parametrize("name", _field_names(SimConfig))
 def test_sim_config_field_moves_digest_unless_excluded(name):
-    value = getattr(BASE, name)
-    changed = dataclasses.replace(BASE, **{name: _perturbed(name, value)})
-    moved = changed.cache_digest() != BASE.cache_digest()
-    assert moved != (name in sim_config.CACHE_KEY_EXCLUDED), (
-        f"SimConfig.{name}: digest {'moved' if moved else 'unchanged'} "
-        "but the field is "
-        f"{'' if name in sim_config.CACHE_KEY_EXCLUDED else 'not '}"
-        "listed in CACHE_KEY_EXCLUDED")
+    problem = _field_problem(BASE, name, SimConfig.cache_digest,
+                             sim_config.CACHE_KEY_EXCLUDED)
+    assert problem is None, problem
 
 
 @pytest.mark.parametrize("name", _field_names(FaultConfig))
 def test_fault_config_field_moves_digest_unless_excluded(name):
-    value = getattr(FAULTY.faults, name)
-    faults = dataclasses.replace(FAULTY.faults,
-                                 **{name: _perturbed(name, value)})
-    changed = dataclasses.replace(FAULTY, faults=faults)
-    moved = changed.cache_digest() != FAULTY.cache_digest()
-    assert moved != (name in faults_config.CACHE_KEY_EXCLUDED), (
-        f"FaultConfig.{name}: digest {'moved' if moved else 'unchanged'} "
-        "but the field is "
-        f"{'' if name in faults_config.CACHE_KEY_EXCLUDED else 'not '}"
-        "listed in CACHE_KEY_EXCLUDED")
+    problem = _field_problem(FAULTY.faults, name, _faulty_digest,
+                             faults_config.CACHE_KEY_EXCLUDED)
+    assert problem is None, problem
 
 
 @pytest.mark.parametrize("module, cls", [(sim_config, SimConfig),

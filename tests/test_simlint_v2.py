@@ -1,14 +1,29 @@
 """simlint engine behaviour: SIM100, comment parsing, CLI, repro check.
 
-Also pins the fault-config cache digest next to its ``CACHE_KEY_EXCLUDED``
-registry, and asserts the whole tree lints clean.
+Also pins cache digests next to their ``CACHE_KEY_EXCLUDED`` registries,
+and asserts the whole tree lints clean.  Three sections keep the fixtures
+of the retired interprocedural rules, now aimed at the runtime guards
+that replaced them: cache-key completeness (``tests/test_cache_key.py``),
+start-method determinism (``tests/test_sweep_parallel.py``) and the
+store's lock discipline.
 """
 
+import importlib
+import sys
+import textwrap
+import zlib
+from dataclasses import dataclass
 from pathlib import Path
+
+import pytest
 
 from repro.cli import main
 from repro.lint import LintOptions, lint_paths, lint_source
 from repro.lint.engine import discover_files, extract_suppressions
+from repro.store import MemoryStore
+from repro.telemetry import MANIFEST_NAME
+from tests.test_cache_key import key_problems
+from tests.test_sweep_parallel import outputs_by_start_method
 
 
 def ids(findings):
@@ -17,6 +32,14 @@ def ids(findings):
 
 def rule_ids(source, **kwargs):
     return ids(lint_source(source, **kwargs))
+
+
+def write_tree(root, files):
+    for rel, source in files.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(source))
+    return root
 
 
 # --------------------------------------------------------------------------
@@ -87,14 +110,315 @@ def test_check_fails_on_findings(tmp_path, capsys, monkeypatch):
 
 
 # --------------------------------------------------------------------------
+# Cache-key completeness: each field moves the key or is excluded
+# --------------------------------------------------------------------------
+
+@dataclass
+class _PartlyKeyed:
+    a: int = 1
+    b: int = 2
+
+    def cache_key(self):
+        return (self.a,)
+
+
+def test_sim012_flags_unkeyed_field():
+    problems = key_problems(_PartlyKeyed(), {})
+    assert len(problems) == 1
+    assert "_PartlyKeyed.b" in problems[0]
+    assert "not listed in CACHE_KEY_EXCLUDED" in problems[0]
+
+def test_sim012_registry_entry_excuses_field():
+    assert key_problems(_PartlyKeyed(), {"b": "observe-only knob"}) == []
+
+def test_sim012_stale_registry_entry():
+    problems = key_problems(_PartlyKeyed(),
+                            {"b": "observe-only", "zz": "left behind"})
+    assert problems == ["stale CACHE_KEY_EXCLUDED entry 'zz'"]
+
+def test_sim012_contradictory_registry_entry():
+    problems = key_problems(_PartlyKeyed(),
+                            {"a": "wrong", "b": "observe-only"})
+    assert len(problems) == 1
+    assert "_PartlyKeyed.a: key moved" in problems[0]
+
+def test_sim012_reads_through_properties():
+    # cache_key() touches ``policy`` only via the ``policy_name``
+    # property - perturbing the field must still move the key.
+    @dataclass
+    class Config:
+        policy: str = "Norm"
+
+        @property
+        def policy_name(self):
+            return self.policy
+
+        def cache_key(self):
+            return (self.policy_name,)
+
+    assert key_problems(Config(), {}) == []
+
+def test_sim012_plain_class_without_key_is_exempt():
+    @dataclass
+    class Stats:
+        hits: int = 0
+        misses: int = 0
+
+    assert key_problems(Stats(), {}) == []
+
+
+# --------------------------------------------------------------------------
+# Start-method determinism: a hash-seeded key differs between spawn and fork
+# --------------------------------------------------------------------------
+
+KEY_ITEMS = [f"bank{i}" for i in range(32)]
+
+
+def _hash_key(name):
+    return hash(name)   # simlint: ignore[SIM001] -- nondeterminism fixture
+
+
+def _set_order_key(items):
+    return tuple(set(items))
+
+
+def _sorted_set_key(items):
+    return tuple(sorted(set(items)))
+
+
+def _crc_mix(name):
+    return zlib.crc32(name.encode())
+
+
+def _crc_key(name):
+    return _crc_mix(name)
+
+
+def _key_of(payload):
+    return payload
+
+
+def _hashed_save(name):
+    return _key_of(hash(name))   # simlint: ignore[SIM001] -- nondeterminism fixture
+
+
+def test_sim011_direct_taint_in_sink(monkeypatch):
+    spawned, forked = outputs_by_start_method(monkeypatch, _hash_key, "lbm")
+    assert spawned != forked
+
+def test_sim011_interprocedural_witness_across_modules(tmp_path, monkeypatch):
+    write_tree(tmp_path, {
+        "keyfixture/__init__.py": "",
+        "keyfixture/util.py": """\
+            def _mix(name):
+                return hash(name) & 0x7FFFFFFF
+        """,
+        "keyfixture/config.py": """\
+            from keyfixture.util import _mix
+
+            def cache_key(cfg):
+                return _mix(cfg)
+        """,
+    })
+    monkeypatch.syspath_prepend(str(tmp_path))
+    try:
+        cache_key = importlib.import_module("keyfixture.config").cache_key
+        spawned, forked = outputs_by_start_method(monkeypatch, cache_key,
+                                                  "lbm")
+    finally:
+        for name in ("keyfixture.config", "keyfixture.util", "keyfixture"):
+            sys.modules.pop(name, None)
+    assert spawned != forked
+
+def test_sim011_tainted_argument_into_sink(monkeypatch):
+    spawned, forked = outputs_by_start_method(monkeypatch, _hashed_save,
+                                              "lbm")
+    assert spawned != forked
+
+def test_sim011_set_order_reaches_sink(monkeypatch):
+    spawned, forked = outputs_by_start_method(monkeypatch, _set_order_key,
+                                              KEY_ITEMS)
+    assert spawned != forked
+    assert sorted(spawned) == sorted(forked)
+
+def test_sim011_sorted_sanitizes_set_order(monkeypatch):
+    spawned, forked = outputs_by_start_method(monkeypatch, _sorted_set_key,
+                                              KEY_ITEMS)
+    assert spawned == forked
+
+def test_sim011_clean_helpers_are_clean(monkeypatch):
+    spawned, forked = outputs_by_start_method(monkeypatch, _crc_key, "lbm")
+    assert spawned == forked == _crc_key("lbm")
+
+
+# --------------------------------------------------------------------------
+# Store lock discipline: a store's own state changes only under its lock
+# --------------------------------------------------------------------------
+
+class UnlockedMutation(AssertionError):
+    """A store's state was changed without holding the store lock."""
+
+
+class _LockedDict(dict):
+    """A store's dict that refuses to change unless the store lock is held."""
+
+    def __init__(self, owner, name, items):
+        super().__init__(items)
+        self._owner = owner
+        self._name = name
+
+    def _check(self):
+        if not self._owner._lock._is_owned():
+            raise UnlockedMutation(
+                f"{type(self._owner).__name__}.{self._name} changed "
+                "outside the store lock")
+
+    def __setitem__(self, key, value):
+        self._check()
+        super().__setitem__(key, value)
+
+    def __delitem__(self, key):
+        self._check()
+        super().__delitem__(key)
+
+    def pop(self, *args):
+        self._check()
+        return super().pop(*args)
+
+    def popitem(self):
+        self._check()
+        return super().popitem()
+
+    def clear(self):
+        self._check()
+        super().clear()
+
+    def update(self, *args, **kwargs):
+        self._check()
+        super().update(*args, **kwargs)
+
+    def setdefault(self, *args):
+        self._check()
+        return super().setdefault(*args)
+
+
+def guard_store(store):
+    """Swap every dict a constructed store holds for a lock-checking one."""
+    for name, value in list(vars(store).items()):
+        if isinstance(value, dict):
+            setattr(store, name, _LockedDict(store, name, value))
+    return store
+
+
+class _LeakyStore(MemoryStore):
+    def poke(self, digest):
+        self._entries[digest] = b"x"
+
+    def wipe(self):
+        self._bundles.clear()
+
+    def poke_locked(self, digest):
+        with self._lock:
+            self._entries[digest] = b"x"
+            self._bundles.clear()
+
+    def on_done_callback(self, digest):
+        def on_done():
+            self._entries[digest] = b"done"
+        return on_done
+
+
+STORE_DIGEST = "ab" * 12
+
+
+def _bundle():
+    return {"metrics.json": b'{"m": 1}',
+            MANIFEST_NAME: b'{"files": ["metrics.json"]}'}
+
+
+def test_sim013_flags_unlocked_self_mutation():
+    store = guard_store(_LeakyStore())
+    with pytest.raises(UnlockedMutation, match="_LeakyStore._entries"):
+        store.poke(STORE_DIGEST)
+
+def test_sim013_flags_mutator_method_calls():
+    store = guard_store(_LeakyStore())
+    with pytest.raises(UnlockedMutation, match="_LeakyStore._bundles"):
+        store.wipe()
+
+def test_sim013_lock_scope_is_clean():
+    store = guard_store(_LeakyStore())
+    store.poke_locked(STORE_DIGEST)
+    # The whole public API takes the lock before touching state.
+    store.put(STORE_DIGEST, b"data")
+    assert store.get(STORE_DIGEST) == b"data"
+    assert store.exists(STORE_DIGEST)
+    store.put_bundle(STORE_DIGEST, _bundle())
+    assert store.get_bundle(STORE_DIGEST) == _bundle()
+    assert store.stat().entries == 1
+    assert store.delete_bundle(STORE_DIGEST)
+    assert store.delete(STORE_DIGEST)
+    store.put(STORE_DIGEST, b"again")
+    assert store.clear() == 1
+
+def test_sim013_init_is_exempt():
+    # A store is filled by its constructor before any other thread can
+    # see it, so construction is not checked.
+    class Seeded(MemoryStore):
+        def __init__(self):
+            super().__init__()
+            self._entries[STORE_DIGEST] = b"seed"
+
+    store = guard_store(Seeded())
+    assert store.get(STORE_DIGEST) == b"seed"
+
+def test_sim013_closure_inherits_annotation():
+    # A callback handed out by the store runs later, maybe on another
+    # thread; it is held to the same lock as the store's own methods.
+    store = guard_store(_LeakyStore())
+    on_done = store.on_done_callback(STORE_DIGEST)
+    with pytest.raises(UnlockedMutation):
+        on_done()
+    with store._lock:
+        on_done()
+    assert store.get(STORE_DIGEST) == b"done"
+
+def test_sim013_unmarked_class_is_exempt():
+    # What a store hands out is the caller's own copy: changing it needs
+    # no lock and never reaches the store.
+    store = guard_store(MemoryStore())
+    store.put_bundle(STORE_DIGEST, _bundle())
+    files = store.get_bundle(STORE_DIGEST)
+    files.clear()
+    assert store.get_bundle(STORE_DIGEST) == _bundle()
+
+
+# --------------------------------------------------------------------------
 # Digest stability
 # --------------------------------------------------------------------------
+
+def test_cache_digests_unchanged_by_locking():
+    # Pinned before any shared object grew a lock: the store's lock must
+    # never move a cache key.
+    from repro.sim.config import SimConfig
+    small = SimConfig("hmmer", policy="Norm").scaled(0.05)
+    assert small.cache_digest() == "a1c5ae8b70ec20ac7a1fbd05"
+    assert SimConfig("lbm").cache_digest() == "244de89cfa2ec43abc490663"
 
 def test_faults_digest_unchanged_by_registry():
     from repro.faults.config import FaultConfig
     from repro.sim.config import SimConfig
     config = SimConfig("zeusmp", policy="BE-Mellow+SC", faults=FaultConfig())
     assert config.cache_digest() == "7500e76450aa31102f58d533"
+
+def test_job_spec_digest_unchanged():
+    # The scaled run job spec, given on the command line, resolves to the
+    # digest it always had, so entries cached under it stay readable.
+    from repro.cli import _config_from_args, build_parser
+    args = build_parser().parse_args(
+        ["run", "--workload", "lbm", "--policy", "Norm", "--scale", "0.05"])
+    config = _config_from_args(args, args.workload, args.policy)
+    assert config.cache_digest() == "8d238a81b934d6ab2c4bc890"
 
 
 # --------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from repro.store import (
     atomic_write_text,
     entry_from_json,
     entry_to_json,
+    open_store,
     resolve_store,
     result_to_dict,
 )
@@ -66,9 +67,13 @@ def store(request, tmp_path):
 class TestConformance:
     """The identical contract, enforced against both backends."""
 
-    def test_get_missing_is_none(self, store):
+    def test_get_missing_is_none_and_counts_a_miss(self, store):
         assert store.get(DIGEST) is None
         assert not store.exists(DIGEST)
+        # Hits and misses are counted by the runner reading the store.
+        runner = Runner(store=store)
+        runner.run(tiny_config())
+        assert (runner.simulated, runner.cache_hits) == (1, 0)
 
     def test_put_get_roundtrip(self, store):
         store.put(DIGEST, b"payload")
@@ -132,6 +137,16 @@ class TestConformance:
         store.put_bundle(OTHER, make_bundle())
         assert store.clear() == 2
         assert store.scan() == []
+
+    @pytest.mark.parametrize("store", ["file"], indirect=True)
+    def test_description_roundtrips_through_parser(self, store):
+        # ``cache stats``/``verify`` report the description; handing it
+        # back as the cache target must reopen the same store.
+        store.put(DIGEST, b"data")
+        rebuilt = open_store(store.description)
+        assert rebuilt.kind == store.kind
+        assert rebuilt.description == store.description
+        assert rebuilt.get(DIGEST) == b"data"
 
     def test_location_mentions_the_digest(self, store):
         assert DIGEST in store.location(DIGEST)

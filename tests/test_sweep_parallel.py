@@ -49,6 +49,22 @@ def _entry_json(config):
     return entry_to_json(config, run_simulation(config))
 
 
+def outputs_by_start_method(monkeypatch, fn, *args):
+    """``fn(*args)`` as computed in a spawned and in a forked child.
+
+    A spawned interpreter draws its own str-hash seed (pinned here to a
+    value the parent is unlikely to share) while a forked one inherits
+    the parent's, so any hash()-derived value differs between the two.
+    """
+    monkeypatch.setenv("PYTHONHASHSEED", "271828")
+    outputs = []
+    for method in ("spawn", "fork"):
+        context = multiprocessing.get_context(method)
+        with context.Pool(1) as pool:
+            outputs.append(pool.apply_async(fn, args).get(timeout=120))
+    return tuple(outputs)
+
+
 class TestSerialParallelEquivalence:
     def test_identical_results_and_cache_bytes(self, tmp_path):
         grid = tiny_grid()
@@ -128,21 +144,12 @@ class TestConcurrentCache:
 
 class TestStartMethodDeterminism:
     def test_spawn_and_fork_give_identical_entries(self, monkeypatch):
-        # A spawned interpreter draws its own str-hash seed (pinned here
-        # to a value the parent is unlikely to share) while a forked one
-        # inherits the parent's, so any hash()-derived seeding - the
-        # trace-seeding bug this guards against - makes the two entries
-        # differ.
+        # Any hash()-derived seeding - the trace-seeding bug this guards
+        # against - makes the spawned and forked entries differ.
         from repro.faults.config import FaultConfig
         config = tiny_config(workload="zeusmp", policy="BE-Mellow+SC",
                              faults=FaultConfig(wear_acceleration=1e6))
-        monkeypatch.setenv("PYTHONHASHSEED", "271828")
-        entries = []
-        for method in ("spawn", "fork"):
-            context = multiprocessing.get_context(method)
-            with context.Pool(1) as pool:
-                pending = pool.apply_async(_entry_json, (config,))
-                entries.append(pending.get(timeout=120))
+        entries = outputs_by_start_method(monkeypatch, _entry_json, config)
         assert entries[0] == entries[1]
         assert entries[0] == _entry_json(config)
 
