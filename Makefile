@@ -7,8 +7,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: check lint simlint typecheck test sanitize coverage \
-	bench-sanitizer trace-demo bench-telemetry bench-hotpath \
-	bench-hotpath-miss
+	bench-sanitizer trace-demo bench-telemetry
 
 check:
 	$(PYTHON) -m repro check
@@ -56,15 +55,3 @@ trace-demo:
 # Telemetry overhead + bit-identity gate (same check CI runs).
 bench-telemetry:
 	$(PYTHON) benchmarks/check_telemetry_overhead.py
-
-# Hot-path speedup + bit-identity gate (same check CI's perf job runs);
-# leaves BENCH_hotpath.json behind.
-bench-hotpath:
-	$(PYTHON) benchmarks/check_hotpath_speedup.py
-
-# Miss-heavy rows only (gups/lbm/stream); faster iteration loop when
-# working on the controller/event-queue path.  Writes a separate report
-# so it never clobbers the committed full-matrix BENCH_hotpath.json.
-bench-hotpath-miss:
-	$(PYTHON) benchmarks/check_hotpath_speedup.py --configs miss \
-		--output BENCH_hotpath_miss.json

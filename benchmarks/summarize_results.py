@@ -6,11 +6,7 @@ records.  Run after `pytest benchmarks/ --benchmark-only`:
 
 The ``--json`` form is what CI archives as an artifact; it groups the same
 suite-level lines by source file so regressions can be diffed without
-parsing rendered tables.  When the hot-path speedup report
-(``BENCH_hotpath.json`` at the repo root, written by
-``benchmarks/check_hotpath_speedup.py`` and committed in-tree) is
-present, both forms include it, so one summary carries the paper-figure
-rows *and* the perf-gate state.
+parsing rendered tables.
 """
 from __future__ import annotations
 
@@ -20,7 +16,6 @@ import sys
 from pathlib import Path
 
 RESULTS_DIR = Path(__file__).parent / "results"
-HOTPATH_REPORT = Path(__file__).parent.parent / "BENCH_hotpath.json"
 
 IPC_POLICIES = ["Norm", "E-Norm+NC", "Slow+SC", "E-Slow+SC", "B-Mellow+SC",
                 "BE-Mellow+SC", "Norm+WQ", "B-Mellow+SC+WQ",
@@ -78,17 +73,7 @@ def collect(results_dir: Path = RESULTS_DIR) -> dict:
     return summary
 
 
-def load_hotpath_report(path: Path = HOTPATH_REPORT):
-    """The committed hot-path speedup report, or None when absent."""
-    if not path.is_file():
-        return None
-    try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError:
-        return None
-
-
-def print_text(summary: dict, hotpath=None) -> None:
+def print_text(summary: dict) -> None:
     for name in ("fig10_policy_ipc.txt", "fig11_policy_lifetime.txt",
                  "fig17_expo_sensitivity.txt"):
         for row in summary.get(name, []):
@@ -96,15 +81,6 @@ def print_text(summary: dict, hotpath=None) -> None:
         print()
     for row in summary.get("headline_summary.txt", []):
         print("headline:", row["line"])
-    if hotpath is not None:
-        verdict = "pass" if hotpath.get("pass") else "FAIL"
-        print(f"hotpath: {verdict} "
-              f"(hit gate >= {hotpath.get('min_ratio')}x, "
-              f"miss gate any >= {hotpath.get('min_ratio_miss')}x)")
-        for row in hotpath.get("configs", []):
-            print(f"hotpath: {row['workload']:8s} {row['policy']:14s} "
-                  f"[{row.get('gate', '?'):4s}] ratio={row['ratio']:.2f} "
-                  f"identical={row['identical']}")
 
 
 def main(argv=None) -> int:
@@ -114,14 +90,12 @@ def main(argv=None) -> int:
     parser.add_argument("--results-dir", type=Path, default=RESULTS_DIR)
     args = parser.parse_args(argv)
     summary = collect(args.results_dir)
-    hotpath = load_hotpath_report()
     if args.json:
-        json.dump({"results_dir": str(args.results_dir), "sections": summary,
-                   "hotpath": hotpath},
+        json.dump({"results_dir": str(args.results_dir), "sections": summary},
                   sys.stdout, indent=2)
         print()
     else:
-        print_text(summary, hotpath)
+        print_text(summary)
     return 0
 
 

@@ -59,17 +59,13 @@ class LastLevelCache:
         rng: Optional[random.Random] = None,
         eager_selector: str = STACK_SELECTOR,
         telemetry: Telemetry = NULL_TELEMETRY,
-        fastpath: bool = False,
     ) -> None:
         if eager_selector not in (STACK_SELECTOR, DEADBLOCK_SELECTOR):
             raise ValueError(f"unknown eager selector {eager_selector!r}")
-        self.cache = LRUCache.from_geometry(size_bytes, assoc, line_bytes,
-                                            fastpath=fastpath)
+        self.cache = LRUCache.from_geometry(size_bytes, assoc, line_bytes)
         self.profiler = StackProfiler(
             assoc, threshold_ratio, sample_period_ns,
         )
-        if fastpath:
-            self.access = self._access_fast  # type: ignore[method-assign]
         self.eager_selector = eager_selector
         self.deadblock = DeadBlockPredictor(
             tail_ratio=threshold_ratio, horizon=float(assoc),
@@ -97,32 +93,15 @@ class LastLevelCache:
                 "llc.eager_position",
                 lambda: float(self.profiler.eager_position))
 
-    def access(self, block: int, is_write: bool) -> AccessResult:
-        """Demand access; updates the profiler and writeback stats."""
-        result = self.cache.access(block, is_write)
-        self.stats.accesses += 1
-        if result.hit:
-            self.stats.hits += 1
-            self.profiler.record_hit(result.stack_position)
-            if result.reuse_age is not None:
-                self.deadblock.record_reuse(result.reuse_age)
-            if result.rewrote_eager_clean:
-                self.stats.wasted_eager += 1
-        else:
-            self.stats.misses += 1
-            self.profiler.record_miss()
-            if result.victim is not None and result.victim.dirty:
-                self.stats.writebacks += 1
-        return result
+    def access(self, block: int,
+               is_write: bool) -> AccessResult:   # simlint: hotpath
+        """Demand access; updates the profiler and writeback stats.
 
-    def _access_fast(self, block: int,
-                     is_write: bool) -> AccessResult:   # simlint: hotpath
-        """Hot-path access: same bookkeeping as :meth:`access`, with the
-        profiler and dead-block counter updates inlined (their methods are
-        single list/attribute increments) and the underlying cache's fast
-        tag scan.  Bit-identical to the reference path by construction.
+        The profiler's hit/miss counters and the dead-block reuse
+        histogram are bumped inline (their methods are single list or
+        attribute increments).
         """
-        result = self.cache._access_fast(block, is_write)
+        result = self.cache.access(block, is_write)
         stats = self.stats
         stats.accesses += 1
         if result.hit:
@@ -170,12 +149,10 @@ class LastLevelCache:
           locally and added once at chunk end (nothing samples the
           profiler mid-warmup).
 
-        When the trace exposes ``raw_parts`` (the profile fast trace
+        When the trace exposes ``raw_parts`` (a workload profile's trace
         does), the draw sequence is inlined right here - same RNG draws,
-        no gap arithmetic, no generator resume, no record or pair objects.
-        A trace with only a ``raw`` side stream is consumed from it as
-        bare ``(block, is_write)`` pairs; any other iterator is consumed
-        record by record.
+        no gap arithmetic, no generator resume, no record objects.  Any
+        other iterator (a workload mix) is consumed record by record.
 
         ``on_dirty_victim`` receives the block number of each dirty
         evicted line (the DRAM write buffer warming hook).
@@ -193,11 +170,8 @@ class LastLevelCache:
         raw_parts = getattr(trace, "raw_parts", None)
         if raw_parts is not None:
             rnd, compiled, fallback = raw_parts
-            raw_next = None
         else:
             rnd = compiled = fallback = None
-            raw = getattr(trace, "raw", None)
-            raw_next = raw.__next__ if raw is not None else None
         misses = 0
         reuses = 0
         consumed = 0
@@ -213,12 +187,6 @@ class LastLevelCache:
                     chosen = fallback
                 block, is_write, _dep = chosen()
                 rnd()   # the gap draw; value unused during warmup
-            elif raw_next is not None:
-                try:
-                    block, is_write = raw_next()
-                except StopIteration:
-                    exhausted = True
-                    break
             else:
                 record = next(trace, None)
                 if record is None:

@@ -5,21 +5,14 @@ position of the line that was hit (0 = MRU, assoc-1 = LRU), exploiting the
 stack property of LRU (Mattson et al., 1970).  ``access`` therefore returns
 the pre-access stack position alongside the hit/miss outcome.
 
-Two access implementations share these exact semantics:
-
-* the readable reference (:meth:`LRUCache._access_ref`), which scans the
-  set's ``CacheLine`` list Python-side; and
-* the hot path (:meth:`LRUCache._access_fast`, ``fastpath=True``), which
-  mirrors each set's tag order in a plain ``List[int]`` so the hit scan is
-  a single C-level ``list.index`` call instead of an O(assoc) loop of
-  attribute loads, and additionally keeps a per-set membership ``set`` so
-  a miss is detected by one O(1) hash probe instead of a failed scan plus
-  a raised ``ValueError`` (the common case in miss-heavy workloads).  The
-  mirrors are maintained only by the fast path itself, which is the sole
-  mutator of set membership and order in that mode.
-
-Results are bit-identical either way; ``tests/test_fastpath.py`` holds the
-two paths to that across whole simulations.
+Each set keeps its ``CacheLine`` objects MRU-first, plus two mirrors that
+make the per-access tag search cheap: the same tags in the same order as a
+plain ``List[int]`` (so a hit's stack position is one C-level
+``list.index`` call instead of a loop of attribute loads) and an unordered
+membership ``set`` (so a miss is one O(1) hash probe, the common case in
+miss-heavy workloads).  Every path that changes set membership or order -
+:meth:`LRUCache.access`, the LLC's functional warm-up and checkpoint
+restore - updates all three together.
 """
 
 from __future__ import annotations
@@ -36,8 +29,7 @@ class CacheLine:
     last_touch: int = 0           # set-access count at the last touch
 
 
-@dataclass(slots=True)
-class AccessResult:
+class AccessResult(NamedTuple):
     """Outcome of one cache access.
 
     Attributes:
@@ -47,22 +39,11 @@ class AccessResult:
         victim: evicted line, if the fill displaced one (None otherwise).
         rewrote_eager_clean: the access dirtied a line that an eager
             writeback had cleaned - i.e. that eager write was wasted.
-    """
+        reuse_age: set accesses since the hit line's last touch (hits).
 
-    hit: bool
-    stack_position: Optional[int]
-    victim: Optional[CacheLine]
-    rewrote_eager_clean: bool = False
-    reuse_age: Optional[int] = None   # set accesses since last touch (hits)
-
-
-class _FastAccessResult(NamedTuple):
-    """Structural twin of :class:`AccessResult` returned by the hot path.
-
-    Same field names and meanings; every consumer reads attributes only, so
-    the two are interchangeable.  A named tuple because the hot path builds
-    one per access and ``tuple.__new__`` is several times cheaper than a
-    dataclass ``__init__``.
+    A named tuple because :meth:`LRUCache.access` builds one per access
+    and ``tuple.__new__`` is several times cheaper than a dataclass
+    ``__init__``.
     """
 
     hit: bool
@@ -82,8 +63,7 @@ class LRUCache:
     ``tag = block // num_sets``.  Each set is a list ordered MRU-first.
     """
 
-    def __init__(self, num_sets: int, assoc: int,
-                 fastpath: bool = False) -> None:
+    def __init__(self, num_sets: int, assoc: int) -> None:
         if num_sets < 1 or assoc < 1:
             raise ValueError("num_sets and assoc must be >= 1")
         self.num_sets = num_sets
@@ -91,21 +71,17 @@ class LRUCache:
         self.sets: List[List[CacheLine]] = [[] for _ in range(num_sets)]
         self.set_access_counts: List[int] = [0] * num_sets
         # MRU-first tag mirror of self.sets plus an unordered membership
-        # set per set, maintained (and read) only by the fast access path;
-        # empty and ignored in reference mode.
+        # set per set (see the module docstring).
         self._tag_sets: List[List[int]] = [[] for _ in range(num_sets)]
         self._tag_members: List[Set[int]] = [set() for _ in range(num_sets)]
-        self._fastpath = fastpath
-        if fastpath:
-            self.access = self._access_fast  # type: ignore[method-assign]
 
     @classmethod
-    def from_geometry(cls, size_bytes: int, assoc: int, line_bytes: int,
-                      fastpath: bool = False) -> "LRUCache":
+    def from_geometry(cls, size_bytes: int, assoc: int,
+                      line_bytes: int) -> "LRUCache":
         num_lines = size_bytes // line_bytes
         if num_lines % assoc:
             raise ValueError("cache size must be a whole number of sets")
-        return cls(num_lines // assoc, assoc, fastpath=fastpath)
+        return cls(num_lines // assoc, assoc)
 
     def set_index(self, block: int) -> int:
         return block % self.num_sets
@@ -117,44 +93,12 @@ class LRUCache:
         """Inverse of (set_index, tag_of)."""
         return tag * self.num_sets + set_index
 
-    def access(self, block: int, is_write: bool) -> AccessResult:
-        """Perform a demand access; fills on miss (write-allocate)."""
-        return self._access_ref(block, is_write)
+    def access(self, block: int,
+               is_write: bool) -> AccessResult:   # simlint: hotpath
+        """Perform a demand access; fills on miss (write-allocate).
 
-    def _access_ref(self, block: int, is_write: bool) -> AccessResult:
-        """Reference access: the readable O(assoc) Python-side scan."""
-        set_index = self.set_index(block)
-        lines = self.sets[set_index]
-        tag = self.tag_of(block)
-        self.set_access_counts[set_index] += 1
-        count = self.set_access_counts[set_index]
-        for position, line in enumerate(lines):
-            if line.tag == tag:
-                lines.pop(position)
-                lines.insert(0, line)
-                reuse_age = count - line.last_touch
-                line.last_touch = count
-                rewrote = False
-                if is_write:
-                    rewrote = line.eager_cleaned and not line.dirty
-                    line.dirty = True
-                    line.eager_cleaned = False
-                return AccessResult(True, position, None, rewrote, reuse_age)
-        # miss: allocate, evicting LRU if the set is full
-        victim = None
-        if len(lines) >= self.assoc:
-            victim = lines.pop()
-        lines.insert(0, CacheLine(tag=tag, dirty=is_write, last_touch=count))
-        return AccessResult(False, None, victim)
-
-    def _access_fast(self, block: int,
-                     is_write: bool) -> AccessResult:   # simlint: hotpath
-        """Hot-path access: C-level tag scan over the parallel tag mirror.
-
-        Same algorithm and same results as :meth:`_access_ref`; the only
-        differences are that a miss is detected by one hash probe of the
-        membership set, and the hit search is ``list.index`` on a list of
-        ints (one C call) instead of a Python loop over line objects.
+        A miss is detected by one hash probe of the set's membership set;
+        a hit's stack position is ``list.index`` on the tag mirror.
         """
         num_sets = self.num_sets
         set_index = block % num_sets
@@ -174,7 +118,7 @@ class LRUCache:
             tags.insert(0, tag)
             members.add(tag)
             return _new_result(
-                _FastAccessResult, (False, None, victim, False, None))
+                AccessResult, (False, None, victim, False, None))
         position = tags.index(tag)
         if position:
             del tags[position]
@@ -191,7 +135,7 @@ class LRUCache:
             line.dirty = True
             line.eager_cleaned = False
         return _new_result(
-            _FastAccessResult, (True, position, None, rewrote, reuse_age))
+            AccessResult, (True, position, None, rewrote, reuse_age))
 
     def lookup(self, block: int) -> Optional[CacheLine]:
         """Find a line without touching recency."""

@@ -13,7 +13,7 @@ Two representation rules keep restores bit-identical:
 
 * **Identity tables.**  :class:`~repro.memory.queues.Request` and
   :class:`~repro.memory.bank.InFlight` objects appear in several places
-  at once (queue FIFOs, bank in-flight slots, mirror arrays, *and*
+  at once (queue FIFOs, the controller's bank in-flight slots, *and*
   inside stale completion-event closures, where ``bank.in_flight is not
   op`` identity checks are load-bearing).  Each object is serialized
   once under a table index and every appearance stores the index, so
@@ -50,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.sim.system import System
 
 #: Version of the *state* layout below (the file envelope has its own).
-STATE_SCHEMA_VERSION = 1
+STATE_SCHEMA_VERSION = 2
 
 _CTRL_STATS_FIELDS: Tuple[str, ...] = (
     "reads_from_llc", "writes_from_llc", "eager_from_llc", "reads_issued",
@@ -151,24 +151,14 @@ def _closure_cells(fn: Callable[..., Any]) -> Dict[str, Any]:
 # re-captures to an identical snapshot (the encoder below reads the
 # closure cells back out by name).
 
-def _make_complete_read(ctrl: Any, bank: Any, op: InFlight
+def _make_complete_read(ctrl: Any, bank_index: int, op: InFlight
                         ) -> Callable[[], None]:
-    return lambda: ctrl._complete_read(bank, op)
+    return lambda: ctrl._complete_read(bank_index, op)
 
 
-def _make_complete_write(ctrl: Any, bank: Any, op: InFlight
+def _make_complete_write(ctrl: Any, bank_index: int, op: InFlight
                          ) -> Callable[[], None]:
-    return lambda: ctrl._complete_write(bank, op)
-
-
-def _make_complete_read_fast(ctrl: Any, bank_index: int, op: InFlight
-                             ) -> Callable[[], None]:
-    return lambda: ctrl._complete_read_fast(bank_index, op)
-
-
-def _make_complete_write_fast(ctrl: Any, bank_index: int, op: InFlight
-                              ) -> Callable[[], None]:
-    return lambda: ctrl._complete_write_fast(bank_index, op)
+    return lambda: ctrl._complete_write(bank_index, op)
 
 
 def _make_poke(ctrl: Any, bank_index: int) -> Callable[..., None]:
@@ -266,17 +256,11 @@ class _Capture:
         if "_try_issue_bank" in names:
             defaults = callback.__defaults__ or ()  # type: ignore[attr-defined]
             return ["ctrl.poke", defaults[0]]
-        if "_complete_read_fast" in names:
-            return ["ctrl.read_fast", cells["bank_index"],
-                    self.inflight_ref(cells["op"])]
-        if "_complete_write_fast" in names:
-            return ["ctrl.write_fast", cells["bank_index"],
-                    self.inflight_ref(cells["op"])]
         if "_complete_read" in names:
-            return ["ctrl.read", cells["bank"].index,
+            return ["ctrl.read", cells["bank_index"],
                     self.inflight_ref(cells["op"])]
         if "_complete_write" in names:
-            return ["ctrl.write", cells["bank"].index,
+            return ["ctrl.write", cells["bank_index"],
                     self.inflight_ref(cells["op"])]
         raise CheckpointUnsupportedError(
             f"unsupported event callback {callback!r} "
@@ -326,17 +310,9 @@ class _Restore:
         if kind == "ctrl.poke":
             return _make_poke(ctrl, desc[1])
         if kind == "ctrl.read":
-            return _make_complete_read(ctrl, ctrl.banks[desc[1]],
-                                       self.inflights[desc[2]])
+            return _make_complete_read(ctrl, desc[1], self.inflights[desc[2]])
         if kind == "ctrl.write":
-            return _make_complete_write(ctrl, ctrl.banks[desc[1]],
-                                        self.inflights[desc[2]])
-        if kind == "ctrl.read_fast":
-            return _make_complete_read_fast(ctrl, desc[1],
-                                            self.inflights[desc[2]])
-        if kind == "ctrl.write_fast":
-            return _make_complete_write_fast(ctrl, desc[1],
-                                             self.inflights[desc[2]])
+            return _make_complete_write(ctrl, desc[1], self.inflights[desc[2]])
         raise CheckpointError(f"unknown event descriptor {desc!r}")
 
 
@@ -438,13 +414,12 @@ def _restore_llc(system: "System", state: Dict[str, Any]) -> None:
             for row in rows
         ]
     lru.set_access_counts[:] = state["set_access_counts"]
-    if lru._fastpath:
-        for index, lines in enumerate(lru.sets):
-            tags = [line.tag for line in lines]
-            lru._tag_sets[index][:] = tags
-            members = lru._tag_members[index]
-            members.clear()
-            members.update(tags)
+    for index, lines in enumerate(lru.sets):
+        tags = [line.tag for line in lines]
+        lru._tag_sets[index][:] = tags
+        members = lru._tag_members[index]
+        members.clear()
+        members.update(tags)
     # hit_counters / buckets are aliased by the LLC hot path
     # (llc._hit_counters, llc._db_buckets); restore strictly in place.
     profiler = llc.profiler
@@ -612,10 +587,11 @@ def capture_state(system: "System") -> Dict[str, Any]:
     """Serialize a paused system's complete state to a plain dict.
 
     Must be called at an event boundary (no core frame on the stack).
-    Buffered accounting (wear pending buffers, controller telemetry
-    pending counters) is flushed first; flushing commutes with the
-    accounting the rest of the run would do, so a captured-and-continued
-    run stays bit-identical to a straight-through one.
+    Buffered accounting is folded in first (the controller's pending
+    telemetry counters here, the wear epoch buffers when the records are
+    read) and the controller's flat bank state is written back to the
+    Bank objects; a captured-and-continued run stays bit-identical to a
+    straight-through one.
     """
     core = system.core
     if core._in_run or core._owns_clock:
@@ -623,7 +599,6 @@ def capture_state(system: "System") -> Dict[str, Any]:
             "capture_state must run at an event boundary, not from "
             "inside a core execution frame")
     ctrl = system.controller
-    system.wear.flush_pending()
     if ctrl._ts is not None:
         ctrl._ts.flush_pending()
     ctrl.sync_bank_state()
@@ -631,16 +606,11 @@ def capture_state(system: "System") -> Dict[str, Any]:
     capture = _Capture(system)
     events = system.events
 
-    banks_rows = []
-    for bank in ctrl.banks:
-        banks_rows.append([
-            bank.open_row, bank.busy_until,
-            None if bank.in_flight is None
-            else capture.inflight_ref(bank.in_flight),
-            bank.busy_time_ns, bank.ops_begun, bank.ops_cancelled,
-            bank.lines_retired,
-        ])
-    mirror_in_flight = [
+    # The flat bank state is captured once; the Bank objects only add
+    # their cold counters.
+    banks_rows = [[bank.busy_time_ns, bank.ops_begun, bank.ops_cancelled,
+                   bank.lines_retired] for bank in ctrl.banks]
+    bank_in_flight = [
         None if op is None else capture.inflight_ref(op)
         for op in ctrl._bank_in_flight
     ]
@@ -662,7 +632,6 @@ def capture_state(system: "System") -> Dict[str, Any]:
 
     state: Dict[str, Any] = {
         "state_schema": STATE_SCHEMA_VERSION,
-        "fastpath": bool(ctrl._fastpath),
         "sanitize": bool(system.sanitize),
         "events": {
             "now": events.now,
@@ -703,7 +672,7 @@ def capture_state(system: "System") -> Dict[str, Any]:
             "banks": banks_rows,
             "bank_busy_until": list(ctrl._bank_busy_until),
             "bank_open_row": list(ctrl._bank_open_row),
-            "bank_in_flight": mirror_in_flight,
+            "bank_in_flight": bank_in_flight,
         },
         "llc": _capture_llc(system),
         "wear": _capture_wear(system),
@@ -736,21 +705,15 @@ def restore_state(system: "System", state: Dict[str, Any]) -> None:
     """Overwrite a freshly constructed system with captured state.
 
     ``system`` must come straight from ``System(config)`` with the same
-    config (and the same fastpath/sanitize environment) the snapshot was
-    captured under: construction wires probes, rebinds hot-path methods,
-    and rebuilds the workload trace; this function then overwrites every
-    piece of mutable state.
+    config (and the same sanitize environment) the snapshot was captured
+    under: construction wires probes and rebuilds the workload trace; this
+    function then overwrites every piece of mutable state.
     """
     if state.get("state_schema") != STATE_SCHEMA_VERSION:
         raise CheckpointError(
             f"unsupported state schema {state.get('state_schema')!r} "
             f"(this build reads schema {STATE_SCHEMA_VERSION})")
     ctrl = system.controller
-    if bool(ctrl._fastpath) != bool(state["fastpath"]):
-        raise CheckpointError(
-            f"snapshot was captured with fastpath="
-            f"{bool(state['fastpath'])} but this environment resolves "
-            f"fastpath={bool(ctrl._fastpath)} (check REPRO_NO_FASTPATH)")
     if bool(system.sanitize) != bool(state["sanitize"]):
         raise CheckpointError(
             f"snapshot was captured with sanitize="
@@ -810,19 +773,14 @@ def restore_state(system: "System", state: Dict[str, Any]) -> None:
     _restore_queue(restore, ctrl.write_q, ctrl_state["queues"]["write"])
     _restore_queue(restore, ctrl.eager_q, ctrl_state["queues"]["eager"])
     for bank, row in zip(ctrl.banks, ctrl_state["banks"]):
-        bank.open_row = row[0]
-        bank.busy_until = row[1]
-        bank.in_flight = (None if row[2] is None
-                          else restore.inflights[row[2]])
-        bank.busy_time_ns = row[3]
-        bank.ops_begun = row[4]
-        bank.ops_cancelled = row[5]
-        bank.lines_retired = row[6]
+        (bank.busy_time_ns, bank.ops_begun, bank.ops_cancelled,
+         bank.lines_retired) = row
     ctrl._bank_busy_until[:] = ctrl_state["bank_busy_until"]
     ctrl._bank_open_row[:] = ctrl_state["bank_open_row"]
     ctrl._bank_in_flight[:] = [
         None if ref is None else restore.inflights[ref]
         for ref in ctrl_state["bank_in_flight"]]
+    ctrl.sync_bank_state()
 
     _restore_llc(system, state["llc"])
     _restore_wear(system, state["wear"])

@@ -261,7 +261,7 @@ def _profile_caller_groups(
 
     Buckets every profiled function by the ``repro`` submodule its file
     lives in (``sim``, ``memory``, ``telemetry``, ...; top-level modules
-    like ``hotpath.py`` fall into ``repro``; everything outside the
+    like ``params.py`` fall into ``repro``; everything outside the
     package - stdlib, builtins - into ``<other>``).  Must run on the raw
     stats, *before* ``strip_dirs()`` discards the paths the grouping
     keys on.  Returns ``(group, tottime, cumtime, ncalls)`` tuples sorted
@@ -292,44 +292,37 @@ def _profile_caller_groups(
 def cmd_profile(args: argparse.Namespace) -> int:
     """Run one config under cProfile and print the hottest call sites.
 
-    Bypasses the result cache (profiling a cache hit tells you nothing)
-    and, with ``--no-fastpath``, profiles the readable reference path
-    instead - the two profiles side by side show where the hot-path
-    layer spends its wins.  ``--top-callers`` collapses the per-function
-    rows into per-module own-time totals, the 30-second answer to "is
-    this run core-bound or controller-bound?".  Note cProfile's tracing
-    overhead inflates wall clock severalfold; compare *shapes*, not
-    absolute times (use ``benchmarks/check_hotpath_speedup.py`` for
-    honest timings).
+    Bypasses the result cache (profiling a cache hit tells you nothing).
+    ``--top-callers`` collapses the per-function rows into per-module
+    own-time totals, the 30-second answer to "is this run core-bound or
+    controller-bound?".  Note cProfile's tracing overhead inflates wall
+    clock severalfold; compare *shapes*, not absolute times (``bench/``
+    measures honest timings).
     """
     import cProfile
     import pstats
 
-    from repro.hotpath import FASTPATH_ENV
     from repro.sim.system import run_simulation
 
     config = _config_from_args(args, args.workload, args.policy)
-    if args.no_fastpath:
-        os.environ[FASTPATH_ENV] = "1"
     profiler = cProfile.Profile()
     profiler.enable()
     result = run_simulation(config)
     profiler.disable()
     print(render(_result_table([result])))
-    mode = "reference path" if args.no_fastpath else "hot path"
     stats = pstats.Stats(profiler, stream=sys.stdout)
     if args.top_callers:
         # Group while the stats still carry full paths; strip_dirs()
         # below would collapse every file to its basename first.
         rows = _profile_caller_groups(stats)
         total_own = sum(own for _g, own, _c, _n in rows) or 1.0
-        print(f"\ncProfile ({mode}), own time by module:")
+        print("\ncProfile, own time by module:")
         print(f"{'module':<18s} {'tottime':>9s} {'share':>6s} "
               f"{'cumtime':>9s} {'calls':>10s}")
         for group, own, cum, calls in rows:
             print(f"{group:<18s} {own:9.3f} {own / total_own:6.1%} "
                   f"{cum:9.3f} {calls:10d}")
-    print(f"\ncProfile ({mode}), top {args.limit} by {args.sort}:")
+    print(f"\ncProfile, top {args.limit} by {args.sort}:")
     stats.strip_dirs().sort_stats(args.sort).print_stats(args.limit)
     if args.output:
         stats.dump_stats(args.output)
@@ -607,9 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="pstats sort key (default cumtime)")
     profile_parser.add_argument("--limit", type=int, default=25,
                                 help="rows of profile output (default 25)")
-    profile_parser.add_argument("--no-fastpath", action="store_true",
-                                help="profile the readable reference path "
-                                     "(sets REPRO_NO_FASTPATH=1)")
     profile_parser.add_argument("--output", default=None,
                                 help="also dump raw pstats data here")
     profile_parser.add_argument("--top-callers", action="store_true",

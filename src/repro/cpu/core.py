@@ -25,17 +25,17 @@ backpressure).  Completion callbacks clear their condition and re-enter
 ``_run``.  Stall time is accounted from the moment ``_run`` first blocks to
 the moment it makes progress again.
 
-Fast path (``fastpath=True``): instead of paying a heap round trip for the
-instruction gap before every access, ``_run_inner`` asks the event queue
-for an analytic clock advance (:meth:`EventQueue.advance_if_clear`) and
-performs the access synchronously.  The advance succeeds only when no
-other event is due at or before the access time, so stretches of
-uninterrupted progress - consecutive LLC hits especially, but also misses
-whose completions land later - cost zero heap operations and zero closure
+Clock advance: instead of paying a heap round trip for the instruction
+gap before every access, ``_run_inner`` asks the event queue for an
+analytic clock advance (:meth:`EventQueue.advance_if_clear`) and performs
+the access synchronously.  The advance succeeds only when no other event
+is due at or before the access time, so stretches of uninterrupted
+progress - consecutive LLC hits especially, but also misses whose
+completions land later - cost zero heap operations and zero closure
 allocations, while any intervening completion, epoch tick, or eager tick
-boundary falls back to the exact scheduled path.  Results are bit-identical
-either way; ``REPRO_NO_FASTPATH=1`` forces the scheduled path everywhere
-(the A/B baseline for the bit-identity tests and the perf gate).
+boundary falls back to a scheduled (or deferred) gap event.  Both
+resolutions are observably identical to scheduling the gap event; see
+docs/performance.md for the clock-ownership rule that keeps them so.
 """
 
 from __future__ import annotations
@@ -46,11 +46,10 @@ from repro import params
 from repro.cache.llc import LastLevelCache
 from repro.cache.lru import AccessResult
 from repro.cpu.trace import TraceRecord
-from repro.hotpath import fastpath_enabled
 from repro.memory.controller import MemoryController
 from repro.sim.events import EventQueue
 
-__all__ = ["SimpleCore", "fastpath_enabled"]
+__all__ = ["SimpleCore"]
 
 
 class SimpleCore:
@@ -64,7 +63,6 @@ class SimpleCore:
         mlp: int = params.LLC_MSHRS,
         on_access: Optional[Callable[[int], None]] = None,
         writeback_sink: Optional[Callable[[int], bool]] = None,
-        fastpath: bool = False,
     ) -> None:
         if base_cpi <= 0:
             raise ValueError("base_cpi must be positive")
@@ -83,12 +81,10 @@ class SimpleCore:
             writeback_sink if writeback_sink is not None
             else controller.submit_write
         )
-        self._fastpath = fastpath
         # Cooperative stop: the driver (System) sets this when the
-        # measurement window closes so the fast path stops advancing
+        # measurement window closes so the core stops advancing the clock
         # analytically and yields control back to the event loop at the
-        # next gap boundary - exactly where the scheduled path would have
-        # returned to the loop and been stopped.
+        # next gap boundary, with its next gap event scheduled.
         self.stop_requested = False
 
         self.instructions_retired = 0
@@ -113,10 +109,9 @@ class SimpleCore:
         # queue-space callback), the caller still has work to do at the
         # current time (e.g. _complete_read issues the bank's next request
         # after the callback), so moving the clock under it would reorder
-        # the simulation.  There the fast loop falls back to scheduling a
-        # gap event - exactly what the slow path does at that point anyway.
+        # the simulation.  There the loop defers a gap event instead.
         self._owns_clock = False
-        # Scheduled-path gap event: one bound method reused for every gap
+        # Gap event: one bound method reused for every gap
         # (at most one gap event is ever outstanding), with the record
         # carried in an attribute instead of a fresh closure per record.
         self._gap_record: Optional[TraceRecord] = None
@@ -146,16 +141,6 @@ class SimpleCore:
     @property
     def finished(self) -> bool:
         return self._finished
-
-    @property
-    def fastpath_active(self) -> bool:
-        """Whether this core was built with the hot-path layer engaged.
-
-        The driver loop keys off this (not a fresh environment lookup) so
-        the core's gap deferrals and the loop's deferral-aware drain are
-        always either both on or both off.
-        """
-        return self._fastpath
 
     def ipc(self, window_ns: float) -> float:
         """Instructions per core cycle over ``window_ns``."""
@@ -207,22 +192,21 @@ class SimpleCore:
         events = self.events
         advance_if_clear = events.advance_if_clear
         trace = self.trace
-        # The profile fast trace exposes its generator's bound __next__;
-        # calling it directly skips two iterator-protocol frames per
-        # record.  Any other trace goes through plain next().
-        trace_next = getattr(trace, "fast_next", None)
+        # A profile trace exposes its generator's bound __next__; calling
+        # it directly skips two iterator-protocol frames per record.  Any
+        # other trace goes through plain next().
+        trace_next = getattr(trace, "next_record", None)
         llc_access = self.llc.access
         on_access = self.on_access
         base_cpi = self.base_cpi
         clk_ns = params.CPU_CLK_NS
-        fastpath = self._fastpath and self._owns_clock
-        # Resumed inside a controller frame (fast mode): the analytic
-        # advance is off the table - the enclosing frame still has work at
-        # the current time - but the gap event can be *deferred*: its heap
-        # slot is reserved now (sequence order preserved) and the driver
-        # loop resolves it once every enclosing frame has unwound, running
-        # it inline when the window up to the gap target is quiescent.
-        defer_gap = self._fastpath and not self._owns_clock
+        owns_clock = self._owns_clock
+        # Resumed inside a controller frame, the analytic advance is off
+        # the table - the enclosing frame still has work at the current
+        # time - but the gap event can be *deferred*: its heap slot is
+        # reserved now (sequence order preserved) and the driver loop
+        # resolves it once every enclosing frame has unwound, running it
+        # inline when the window up to the gap target is quiescent.
         while not self._finished:
             if (self._wait_read_id is not None
                     or self._waiting_mlp
@@ -253,12 +237,12 @@ class SimpleCore:
             if gap_insts > 0:
                 self.instructions_retired += gap_insts
                 gap_ns = gap_insts * base_cpi * clk_ns
-                if (fastpath and not self.stop_requested
+                if (owns_clock and not self.stop_requested
                         and advance_if_clear(events.now + gap_ns)):
                     # The clock already sits at the access time; run the
                     # access body the gap event would have run.
                     pass
-                elif defer_gap and not self.stop_requested:
+                elif not owns_clock and not self.stop_requested:
                     self._gap_record = record
                     events.defer(events.now + gap_ns, self._gap_callback)
                     return
@@ -334,7 +318,7 @@ class SimpleCore:
         read_id = self._next_read_id
         self._next_read_id += 1
         dependent_load = record.dependent and not record.is_write
-        if self._fastpath and not dependent_load:
+        if not dependent_load:
             # A non-dependent read's id can never match _wait_read_id
             # (only dependent loads set it, each to its own id), so its
             # completion logic is read-id-free and one shared bound
@@ -364,7 +348,7 @@ class SimpleCore:
     # ------------------------------------------------------------------
 
     def _read_done_plain(self, _completion_ns: float) -> None:
-        """Completion for non-dependent reads (fast mode).
+        """Completion for non-dependent reads.
 
         Semantically :meth:`_make_read_callback`'s closure with the
         read-id compare constant-folded away; see the comment at the

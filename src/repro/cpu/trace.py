@@ -32,8 +32,8 @@ class TraceRecord(_TraceRecordBase):
     A named tuple rather than a dataclass: traces run to hundreds of
     thousands of records per simulation, and tuple construction is several
     times cheaper than frozen-dataclass construction.  ``__new__`` keeps
-    the field validation; the hot-path trace generator
-    (:func:`repro.workloads.profiles._generate_fast`), whose records are
+    the field validation; the profile trace generator
+    (:class:`repro.workloads.profiles.ProfileTrace`), whose records are
     valid by construction, bypasses it with ``tuple.__new__``.
     """
 

@@ -110,7 +110,7 @@ class WearTracker:
         self.blocks_per_bank = blocks_per_bank
         self.model = model if model is not None else EnduranceModel()
         self.leveling_efficiency = leveling_efficiency
-        self.records: List[BankWearRecord] = [
+        self._records: List[BankWearRecord] = [
             BankWearRecord() for _ in range(num_banks)
         ]
         self.detailed = detailed
@@ -130,15 +130,14 @@ class WearTracker:
         else:
             self.remappers = []
             self.block_damage = []
-        # Epoch-buffered fast path (see record_write_fast): whole writes
-        # (fraction == 1.0) accumulate in flat per-bank buffers - a float
-        # count of normal writes and an insertion-ordered {factor: count}
-        # dict per bank - and are folded into the records by flush_pending.
-        # Counts of whole writes are integers, which add exactly in any
-        # order, so the flushed records are bit-identical to per-write
-        # updates.  Fractional writes (cancellations, Flip-N-Write scaling)
-        # take the reference path, which flushes first to preserve the
-        # factor-dict insertion order the JSON exports depend on.
+        # Epoch buffers (see record_write): whole writes (fraction == 1.0)
+        # accumulate in flat per-bank buffers - a float count of normal
+        # writes and an insertion-ordered {factor: count} dict per bank -
+        # and are folded into the records by flush_pending.  Fractional
+        # writes (cancellations, Flip-N-Write scaling) flush first, which
+        # preserves the factor-dict insertion order the JSON exports
+        # depend on.  The sanitizer and detailed per-block tracking check
+        # or place every write as it happens, so they disable buffering.
         self._buffering = not detailed and not self._sanitize
         self._pend_normal: List[float] = [0.0] * num_banks
         self._pend_slow: List[Dict[float, float]] = [
@@ -149,12 +148,21 @@ class WearTracker:
     def record_write(
         self, bank: int, slow_factor: float, block: Optional[int] = None,
         fraction: float = 1.0,
-    ) -> None:
+    ) -> None:   # simlint: hotpath
         """Account ``fraction`` of one write at ``slow_factor`` to ``bank``.
 
         ``fraction`` < 1 models a cancelled write attempt that only partially
-        stressed the cell.
+        stressed the cell.  A whole write is one bump in the epoch buffers
+        when buffering is on; everything else lands in the records at once.
         """
+        if fraction == 1.0 and self._buffering:
+            if slow_factor == 1.0:
+                self._pend_normal[bank] += 1.0
+            else:
+                pend = self._pend_slow[bank]
+                pend[slow_factor] = pend.get(slow_factor, 0.0) + 1.0
+            self._pend_dirty = True
+            return
         if self._pend_dirty:
             self.flush_pending()
         if self._sanitize:
@@ -173,9 +181,9 @@ class WearTracker:
                 "slow factor below 1.0 has no defined damage",
                 bank=bank, slow_factor=slow_factor,
             )
-        self.records[bank].add(slow_factor, fraction)
+        self._records[bank].add(slow_factor, fraction)
         if self._sanitize:
-            damage = self.records[bank].damage(self.model)
+            damage = self._records[bank].damage(self.model)
             check(
                 damage >= self._damage_watermarks[bank], "wear-monotonicity",
                 "per-bank damage decreased",
@@ -190,40 +198,25 @@ class WearTracker:
             self.block_damage[bank][physical] += damage_inc
             remapper.record_write()
 
-    def record_write_fast(self, bank: int, slow_factor: float, block: int,
-                          fraction: float) -> None:   # simlint: hotpath
-        """Hot-path :meth:`record_write` twin: epoch-buffered whole writes.
-
-        A whole write (``fraction == 1.0``) is one integer bump in a flat
-        per-bank buffer; anything fractional - and every write when the
-        sanitizer or detailed per-block tracking is active - falls through
-        to the reference path, which flushes the buffers first so the
-        per-bank factor dicts keep their reference insertion order.
-        """
-        if fraction == 1.0 and self._buffering:
-            if slow_factor == 1.0:
-                self._pend_normal[bank] += 1.0
-            else:
-                pend = self._pend_slow[bank]
-                pend[slow_factor] = pend.get(slow_factor, 0.0) + 1.0
-            self._pend_dirty = True
-            return
-        self.record_write(bank, slow_factor, block=block, fraction=fraction)
+    @property
+    def records(self) -> List[BankWearRecord]:
+        """Per-bank tallies, with the epoch buffers folded in first."""
+        if self._pend_dirty:
+            self.flush_pending()
+        return self._records
 
     def flush_pending(self) -> None:
         """Fold the epoch buffers into the per-bank records.
 
-        Runs once per telemetry epoch (the heatmap probe calls
-        :meth:`bank_damages`) and at every read of the records; integer
-        counts added in one shot equal the reference path's one-at-a-time
-        adds exactly, and per-bank first-seen factor order is preserved
-        because each pending dict is insertion-ordered.
+        Runs at every read of :attr:`records` (the telemetry heatmap probe
+        reads them once per epoch); per-bank first-seen factor order is
+        preserved because each pending dict is insertion-ordered.
         """
         if not self._pend_dirty:
             return
         pend_normal = self._pend_normal
         pend_slow = self._pend_slow
-        for bank, record in enumerate(self.records):
+        for bank, record in enumerate(self._records):
             count = pend_normal[bank]
             if count:
                 record.normal_writes += count
@@ -238,16 +231,12 @@ class WearTracker:
 
     def reset_records(self) -> None:
         """Zero every bank tally (used when the warmup window ends)."""
-        if self._pend_dirty:
-            self.flush_pending()
         for record in self.records:
             record.reset()
         self._damage_watermarks = [0.0] * self.num_banks
 
     def bank_damage(self, bank: int,
                     model: Optional[EnduranceModel] = None) -> float:
-        if self._pend_dirty:
-            self.flush_pending()
         return self.records[bank].damage(model or self.model)
 
     def bank_damages(self, model: Optional[EnduranceModel] = None) -> List[float]:
@@ -257,8 +246,6 @@ class WearTracker:
         read-only (after folding in the epoch buffers), and sampled once
         per epoch.
         """
-        if self._pend_dirty:
-            self.flush_pending()
         chosen = model or self.model
         return [record.damage(chosen) for record in self.records]
 
@@ -298,6 +285,4 @@ class WearTracker:
         return max(self.block_damage[bank])
 
     def total_writes(self) -> float:
-        if self._pend_dirty:
-            self.flush_pending()
         return sum(r.total_writes for r in self.records)

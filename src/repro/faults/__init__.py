@@ -20,8 +20,7 @@ during simulation, and the pipeline has to survive them:
 Determinism contract: the package never touches module-global
 randomness (enforced by simlint rule SIM010); every draw comes from the
 seeded ``random.Random`` injected by :class:`repro.sim.system.System`,
-so fault runs are bit-identical per seed, across processes, and across
-the fastpath/reference implementations.
+so fault runs are bit-identical per seed and across processes.
 """
 
 from repro.faults.config import FaultConfig

@@ -38,14 +38,14 @@ class Bank:
     the currently open row leaves the buffer open (the device updates it in
     place).  Reads open rows.
 
-    The three scheduling-hot fields (``busy_until``, ``open_row``,
-    ``in_flight``) have flat-array mirrors in the controller's fast path
-    (one list per field, indexed by bank id), so its issue scan reads
-    primitives instead of walking Bank objects.  The cold counters
-    (``busy_time_ns``, ``ops_begun``, ``ops_cancelled``, ``lines_retired``)
-    stay authoritative *here* in both modes - telemetry probes read them
-    live - and :meth:`apply_hot_state` writes the mirrors back at the fast
-    path's sync points (end of warmup, end of run).
+    Inside :class:`~repro.memory.controller.MemoryController` the three
+    scheduling-hot fields (``busy_until``, ``open_row``, ``in_flight``)
+    live in flat lists indexed by bank id, so the issue path reads
+    primitives instead of walking Bank objects; :meth:`apply_hot_state`
+    copies them here at the controller's sync points (end of warmup, end
+    of run, snapshot capture).  The cold counters (``busy_time_ns``,
+    ``ops_begun``, ``ops_cancelled``, ``lines_retired``) are kept *here*
+    live - telemetry probes read them every epoch.
     """
 
     __slots__ = ("index", "open_row", "busy_until", "in_flight",
@@ -104,11 +104,10 @@ class Bank:
 
     def apply_hot_state(self, busy_until: float, open_row: Optional[int],
                         in_flight: Optional[InFlight]) -> None:
-        """Adopt the controller fast path's flat-array state for this bank.
+        """Adopt the controller's flat-list state for this bank.
 
-        Called at sync points only (never per event), so any code that
-        inspects Bank objects after a fast run - RunResult collection,
-        warmup reset, tests - sees exactly what a reference run would.
+        Called at sync points only (never per event): RunResult
+        collection, warmup reset and snapshot capture.
         """
         self.busy_until = busy_until
         self.open_row = open_row

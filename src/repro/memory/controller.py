@@ -78,11 +78,11 @@ class _ControllerTelemetry:
             metrics.counter(bank_metric_name(i, "writes_normal"))
             for i in range(num_banks)
         ]
-        # Per-epoch pending increments (fast path only): whole-unit counter
-        # bumps accumulate in plain ints / flat per-bank int lists and are
-        # folded in by flush_pending, which the registry runs before every
-        # sample.  Integer adds commute exactly, so the sampled series are
-        # bit-identical to the reference path's per-event increments.
+        # Per-epoch pending increments: whole-unit counter bumps on the
+        # issue path accumulate in plain ints / flat per-bank int lists
+        # and are folded in by flush_pending, which the registry runs
+        # before every sample.  Integer adds commute exactly, so the
+        # sampled series equal per-event increments.
         self.pend_reads = 0
         self.pend_writes_normal = 0
         self.pend_writes_slow = 0
@@ -93,7 +93,7 @@ class _ControllerTelemetry:
         self.pend_bank_normal: List[int] = [0] * num_banks
 
     def flush_pending(self) -> None:
-        """Fold the buffered fast-path increments into the live counters."""
+        """Fold the buffered increments into the live counters."""
         if self.pend_reads:
             self.reads_issued.value += self.pend_reads
             self.pend_reads = 0
@@ -164,7 +164,14 @@ class ControllerStats:
 
 
 class MemoryController:
-    """ReRAM memory controller with Mellow Writes support."""
+    """ReRAM memory controller with Mellow Writes support.
+
+    The scheduling-hot bank state (busy-until time, open row, in-flight
+    operation) lives in three flat lists indexed by bank id; the
+    :class:`~repro.memory.bank.Bank` objects keep the cold per-bank
+    counters and receive the hot state at sync points
+    (:meth:`sync_bank_state`).  docs/performance.md describes the layout.
+    """
 
     def __init__(
         self,
@@ -187,7 +194,6 @@ class MemoryController:
         telemetry: Telemetry = NULL_TELEMETRY,
         faults: Optional[FaultInjector] = None,
         on_fatal: Optional[Callable[[float], None]] = None,
-        fastpath: bool = False,
     ) -> None:
         self.events = events
         self.policy = policy
@@ -217,6 +223,8 @@ class MemoryController:
             _ControllerTelemetry(telemetry, self.amap.num_banks)
             if telemetry.enabled else None
         )
+        if self._ts is not None:
+            telemetry.metrics.add_pre_sample_hook(self._ts.flush_pending)
         self.read_q = RequestQueue(read_queue_entries, "read", clock=clock,
                                    sanitize=self._sanitize,
                                    telemetry=telemetry,
@@ -247,8 +255,6 @@ class MemoryController:
             raise ValueError("read_scheduler must be 'fcfs' or 'frfcfs'")
         # Per-bank read selection: plain FCFS, or FR-FCFS (row hits first).
         self.read_scheduler = read_scheduler
-        # Hoisted once: _select_request runs on every issue opportunity and
-        # a string compare there is measurable.
         self._frfcfs = read_scheduler == "frfcfs"
 
         self.banks: List[Bank] = [Bank(i) for i in range(self.amap.num_banks)]
@@ -282,15 +288,8 @@ class MemoryController:
         # traces for the same config).
         self._request_ids = itertools.count()
 
-        # --------------------------------------------------------------
-        # Hot-path twin switch and its hoisted state (see docs/performance.md).
-        # Engaged only when the System asks for it AND nothing that needs
-        # the reference spine is active: the sanitizer's invariant checks
-        # and fault injection (write-verify at completion) run reference-
-        # only by design.  The switch never changes observable results -
-        # the fast twins below are bit-identical by construction - and
-        # never enters the result-cache key.
-        self._fastpath = bool(fastpath) and not self._sanitize and faults is None
+        # Geometry and timing constants hoisted onto the controller: the
+        # issue path reads them on every request.
         self._num_banks = self.amap.num_banks
         self._banks_per_rank = self.amap.banks_per_rank
         self._blocks_per_row = self.amap.blocks_per_row
@@ -303,6 +302,9 @@ class MemoryController:
         self._pausing = policy.pausing
         self._cancel_normal = policy.cancel_normal
         self._cancel_slow = policy.cancel_slow
+        # Write-verify retries re-issue on the Mellow Writes slow path
+        # regardless of policy (see _issue_write).
+        self._retry_factor = self.timing.slow_factor
         # The Figure-9 decision tree degenerates to a constant for the
         # static policies; only Bank-Aware / Wear-Quota / multi-latency
         # policies need the per-write queue probes.
@@ -318,93 +320,105 @@ class MemoryController:
         # damage_per_write(factor) is a pure function of the factor; cache
         # the handful of distinct factors a run can use.
         self._damage_by_factor: Dict[float, float] = {}
-        # Flat mirrors of the scheduling-hot Bank fields, indexed by bank
-        # id: the fast spine's issue scan reads and writes these primitives
-        # and sync_bank_state writes them back to the Bank objects at sync
-        # points.  The cold per-bank counters (busy_time_ns, ops_begun,
-        # ops_cancelled) stay live on the Bank objects in both modes.
+        # Flat bank state, indexed by bank id: the issue path reads and
+        # writes these primitives, and sync_bank_state writes them back to
+        # the Bank objects at sync points.  The cold per-bank counters
+        # (busy_time_ns, ops_begun, ops_cancelled, lines_retired) stay
+        # live on the Bank objects.
         self._bank_busy_until: List[float] = [0.0] * self._num_banks
         self._bank_open_row: List[Optional[int]] = [None] * self._num_banks
         self._bank_in_flight: List[Optional[InFlight]] = (
             [None] * self._num_banks)
-        if self._fastpath and self._ts is not None:
-            telemetry.metrics.add_pre_sample_hook(self._ts.flush_pending)
-        if self._fastpath:
-            # Instance-level rebinds: callers holding a bound reference
-            # (the core's writeback sink, the DRAM buffer, the eager
-            # queue) resolve the fast twins directly, skipping a dispatch
-            # frame per submission.  The class-level methods keep their
-            # dispatch for reference mode.
-            self.submit_read = self.submit_read_fast      # type: ignore[method-assign]
-            self.submit_write = self.submit_write_fast    # type: ignore[method-assign]
-            self.submit_eager = self.submit_eager_fast    # type: ignore[method-assign]
 
     # ------------------------------------------------------------------
     # Submission API (called by the LLC / CPU side)
     # ------------------------------------------------------------------
 
-    def _make_request(self, kind: str, block: int,
-                      callback: Optional[Callable[[float], None]]) -> Request:
-        rank, bank, row, _ = self.amap.decode(block)
+    def _new_request(self, kind: str, block: int, now: float,
+                     callback: Optional[Callable[[float], None]]) -> Request:
+        """Build a request with its location decoded inline."""
+        num_banks = self._num_banks
+        bank = block % num_banks
+        # Positional Request construction (field order: kind, block, bank,
+        # rank, row, arrival_ns, callback, attempts, retries, speed_factor,
+        # progress_ns, req_id) - kwargs cost measurably on this path.
         return Request(
-            kind=kind, block=block, bank=bank, rank=rank, row=row,
-            arrival_ns=self.events.now, callback=callback,
-            req_id=next(self._request_ids),
+            kind, block, bank, bank // self._banks_per_rank,
+            block // num_banks // self._blocks_per_row, now, callback,
+            0, 0, 1.0, 0.0, next(self._request_ids),
         )
 
     def submit_read(self, block: int,
-                    callback: Optional[Callable[[float], None]] = None) -> bool:
-        """Enqueue a demand read; returns False if the read queue is full."""
-        if self._fastpath:
-            return self.submit_read_fast(block, callback)
-        if self.read_q.full:
+                    callback: Optional[Callable[[float], None]] = None,
+                    ) -> bool:   # simlint: hotpath
+        """Enqueue a demand read; returns False if the read queue is full.
+
+        A read for a bank busy with a cancellable write may cancel (or
+        pause) that write; see :meth:`_cancel_for_read`.
+        """
+        read_q = self.read_q
+        if read_q._size >= read_q.capacity:
             return False
-        request = self._make_request(READ, block, callback)
-        self.read_q.push(request)
+        now = self.events.now
+        request = self._new_request(READ, block, now, callback)
+        read_q.push(request, now)
         self.stats.reads_from_llc += 1
-        if self._ts is not None:
-            self._ts.record(
-                self.events.now, EV_ENQUEUE, request.bank, block,
-                request.req_id, 0.0, READ)
-        self._maybe_cancel_for_read(request.bank)
-        self._try_issue_bank(request.bank)
+        bank = request.bank
+        ts = self._ts
+        if ts is not None:
+            ts.record(now, EV_ENQUEUE, bank, block, request.req_id,
+                      0.0, READ)
+        op = self._bank_in_flight[bank]
+        if op is None:
+            if now >= self._bank_busy_until[bank]:
+                self._try_issue_bank(bank)
+        elif (op.cancellable and not self.drain_mode
+              and now < self._bank_busy_until[bank]):
+            self._cancel_for_read(bank, op, now)
         return True
 
     def submit_write(self, block: int,
-                     callback: Optional[Callable[[float], None]] = None) -> bool:
+                     callback: Optional[Callable[[float], None]] = None,
+                     ) -> bool:   # simlint: hotpath
         """Enqueue a writeback; returns False if the write queue is full."""
-        if self._fastpath:
-            return self.submit_write_fast(block, callback)
-        if self.write_q.full:
+        write_q = self.write_q
+        if write_q._size >= write_q.capacity:
             return False
-        request = self._make_request(WRITE, block, callback)
-        self.write_q.push(request)
+        now = self.events.now
+        request = self._new_request(WRITE, block, now, callback)
+        write_q.push(request, now)
         self.stats.writes_from_llc += 1
-        if self._ts is not None:
-            self._ts.record(
-                self.events.now, EV_ENQUEUE, request.bank, block,
-                request.req_id, 0.0, WRITE)
-        if not self.drain_mode and len(self.write_q) >= self.drain_high:
+        bank = request.bank
+        ts = self._ts
+        if ts is not None:
+            ts.record(now, EV_ENQUEUE, bank, block, request.req_id,
+                      0.0, WRITE)
+        if not self.drain_mode and write_q._size >= self.drain_high:
             self._enter_drain()
-        else:
-            self._try_issue_bank(request.bank)
+        elif (self._bank_in_flight[bank] is None
+              and now >= self._bank_busy_until[bank]):
+            self._try_issue_bank(bank)
         return True
 
     def submit_eager(self, block: int,
-                     callback: Optional[Callable[[float], None]] = None) -> bool:
+                     callback: Optional[Callable[[float], None]] = None,
+                     ) -> bool:   # simlint: hotpath
         """Enqueue an eager mellow writeback; False if its queue is full."""
-        if self._fastpath:
-            return self.submit_eager_fast(block, callback)
-        if self.eager_q.full:
+        eager_q = self.eager_q
+        if eager_q._size >= eager_q.capacity:
             return False
-        request = self._make_request(EAGER, block, callback)
-        self.eager_q.push(request)
+        now = self.events.now
+        request = self._new_request(EAGER, block, now, callback)
+        eager_q.push(request, now)
         self.stats.eager_from_llc += 1
-        if self._ts is not None:
-            self._ts.record(
-                self.events.now, EV_ENQUEUE, request.bank, block,
-                request.req_id, 0.0, EAGER)
-        self._try_issue_bank(request.bank)
+        bank = request.bank
+        ts = self._ts
+        if ts is not None:
+            ts.record(now, EV_ENQUEUE, bank, block, request.req_id,
+                      0.0, EAGER)
+        if (self._bank_in_flight[bank] is None
+                and now >= self._bank_busy_until[bank]):
+            self._try_issue_bank(bank)
         return True
 
     def wait_for_write_space(self, callback: Callable[[], None]) -> None:
@@ -440,8 +454,8 @@ class MemoryController:
             ts.record(
                 self.events.now, EV_DRAIN_ENTER, -1, -1, -1, 0.0,
                 f"write_q={len(self.write_q)}")
-        for bank in self.banks:
-            self._try_issue_bank(bank.index)
+        for bank_index in range(self._num_banks):
+            self._try_issue_bank(bank_index)
 
     def _maybe_exit_drain(self) -> None:
         if self.drain_mode and len(self.write_q) <= self.drain_low:
@@ -453,32 +467,39 @@ class MemoryController:
                 ts.record(
                     self.events.now, EV_DRAIN_EXIT, -1, -1, -1, 0.0,
                     f"write_q={len(self.write_q)}")
-            for bank in self.banks:
-                self._try_issue_bank(bank.index)
+            for bank_index in range(self._num_banks):
+                self._try_issue_bank(bank_index)
 
     # ------------------------------------------------------------------
     # Write cancellation
     # ------------------------------------------------------------------
 
-    def _maybe_cancel_for_read(self, bank_index: int) -> None:
-        """Cancel a cancellable in-flight write when a read arrives."""
-        if self.drain_mode:
-            return
-        bank = self.banks[bank_index]
-        op = bank.in_flight
-        now = self.events.now
-        if op is None or bank.is_idle(now) or not op.cancellable:
-            return
-        pulse_ns = self.timing.write_pulse_ns_for(op.request.speed_factor)
-        elapsed = min(pulse_ns, max(0.0, now - op.pulse_start_ns))
+    def _cancel_for_read(self, bank_index: int, op: InFlight,
+                         now: float) -> None:
+        """Cancel (or pause) the in-flight write when a read arrives.
+
+        The caller (:meth:`submit_read`) has already established the
+        guards: not in drain mode, an in-flight cancellable operation,
+        bank busy.  The victim write returns to the head of its queue and
+        its partial cell stress is recorded as fractional wear.
+        """
+        pulse_ns = self._t_wp * op.request.speed_factor
+        elapsed = now - op.pulse_start_ns
+        if elapsed < 0.0:
+            elapsed = 0.0
+        elif elapsed > pulse_ns:
+            elapsed = pulse_ns
         fraction = elapsed / pulse_ns
-        pausing = self.policy.pausing
+        pausing = self._pausing
         if not pausing and fraction >= self.cancel_threshold:
             return  # too far along; cancelling would waste a near-full pulse
         victim_queue = self.eager_q if op.request.kind == EAGER else self.write_q
-        if victim_queue.full:
+        if victim_queue._size >= victim_queue.capacity:
             return  # nowhere to put the victim; let the write finish
-        bank.cancel(now)
+        bank = self.banks[bank_index]
+        bank.busy_time_ns -= max(0.0, op.finish_ns - now)
+        self._bank_in_flight[bank_index] = None
+        bank.ops_cancelled += 1
         # Partial cell stress: fraction of the programming pulse completed.
         if fraction > 0.0:
             self._record_wear(op.request, fraction)
@@ -493,403 +514,39 @@ class MemoryController:
         ts = self._ts
         if ts is not None:
             if pausing:
-                ts.pauses.value += 1.0
+                ts.pend_pauses += 1
             else:
-                ts.cancellations.value += 1.0
+                ts.pend_cancellations += 1
             ts.record(
                 now, EV_PAUSE if pausing else EV_CANCEL,
-                bank.index, op.request.block, op.request.req_id,
+                bank_index, op.request.block, op.request.req_id,
                 op.request.speed_factor,
                 f"{op.request.kind} progress={fraction:.3f}")
         victim_queue.push_front(op.request)
         # tiny turnaround penalty before the bank can accept the read
-        bank.busy_until = now + self.timing.cancel_penalty_ns
+        busy = now + self._cancel_penalty
+        self._bank_busy_until[bank_index] = busy
         self.events.schedule(
-            bank.busy_until, lambda b=bank.index: self._try_issue_bank(b),
+            busy, lambda b=bank_index: self._try_issue_bank(b),
         )
 
     # ------------------------------------------------------------------
     # Issue logic
     # ------------------------------------------------------------------
 
-    def _try_issue_bank(self, bank_index: int) -> None:
-        if self._fastpath:
-            # Shared callers (drain sweeps, cancel-penalty pokes) land
-            # here; route them onto the fast spine so the flat bank-state
-            # mirrors stay the single source of truth in fast mode.
-            self._try_issue_bank_fast(bank_index)
-            return
-        bank = self.banks[bank_index]
-        now = self.events.now
-        # A bank is free only when no operation object is outstanding AND
-        # any cancel-penalty window has elapsed.  Checking busy_until alone
-        # is not enough: at the exact finish time another event can run
-        # before the completion event, and issuing then would overwrite the
-        # in-flight operation and lose its completion callback.
-        if bank.in_flight is not None or not bank.is_idle(now):
-            return
-        request = self._select_request(bank_index)
-        if request is None:
-            return
-        if request.kind == READ:
-            self._issue_read(bank, request)
-        else:
-            self._issue_write(bank, request)
+    def _try_issue_bank(self, bank_index: int) -> None:   # simlint: hotpath
+        """Issue the next request for an idle bank, if it has one.
 
-    def _select_request(self, bank_index: int) -> Optional[Request]:
-        # Runs on every issue opportunity; try_pop_bank folds the
-        # emptiness test into the pop so each queue is probed once.
-        if self.drain_mode:
-            # Write drain stalls reads system-wide until the queue empties
-            # to drain_low - this global turnaround is what makes drains
-            # "an expensive memory operation" (Section VI-C).
-            return self.write_q.try_pop_bank(bank_index)
-        if self._frfcfs:
-            if self.read_q.count_bank(bank_index):
-                return self.read_q.pop_bank_row_first(
-                    bank_index, self.banks[bank_index].open_row,
-                )
-        else:
-            request = self.read_q.try_pop_bank(bank_index)
-            if request is not None:
-                return request
-        request = self.write_q.try_pop_bank(bank_index)
-        if request is not None:
-            return request
-        return self.eager_q.try_pop_bank(bank_index)
+        A bank is free only when no operation is outstanding AND any
+        cancel-penalty window has elapsed.  Checking the busy-until time
+        alone is not enough: at the exact finish time another event can
+        run before the completion event, and issuing then would overwrite
+        the in-flight operation and lose its completion callback.
 
-    def _reserve_bus(self, earliest_ns: float) -> float:
-        """Reserve the shared data bus; returns the burst start time."""
-        start = max(earliest_ns, self.bus_free_ns)
-        self.bus_free_ns = start + self.timing.burst_ns
-        return start
-
-    def _issue_read(self, bank: Bank, request: Request) -> None:
-        now = self.events.now
-        row_hit = bank.row_hit(request.row)
-        ready = now
-        if not row_hit:
-            limiter = self.faw[self.amap.rank_of_bank(bank.index)]
-            act_start = limiter.earliest_activate(now)
-            limiter.record_activate(act_start)
-            ready = act_start + self.timing.t_rcd_ns
-            bank.open_row_for(request.row)
-            self.stats.read_row_misses += 1
-        else:
-            self.stats.read_row_hits += 1
-        data_start = self._reserve_bus(ready + self.timing.t_cas_ns)
-        finish = data_start + self.timing.burst_ns
-        request.attempts += 1
-        self.stats.reads_issued += 1
-        ts = self._ts
-        if ts is not None:
-            ts.reads_issued.value += 1.0
-            ts.record(
-                now, EV_ISSUE, bank.index, request.block, request.req_id,
-                0.0, "read" if row_hit else "read miss")
-        op = InFlight(
-            request=request, start_ns=now, finish_ns=finish,
-            pulse_start_ns=finish, cancellable=False,
-        )
-        bank.begin(op)
-        self._notify_read_space()
-        self.events.schedule(finish, lambda: self._complete_read(bank, op))
-
-    def _issue_write(self, bank: Bank, request: Request) -> None:
-        now = self.events.now
-        if request.progress_ns > 0.0:
-            # Resuming a paused write: the pulse speed is committed; only
-            # the remaining pulse time is paid.
-            factor = request.speed_factor
-        elif request.retries > 0:
-            # Write-verify retry: re-issue on the Mellow Writes slow path
-            # regardless of policy - a longer pulse is the device's best
-            # shot at programming marginal cells (and wears them least).
-            factor = self.timing.slow_factor
-            request.speed_factor = factor
-        else:
-            factor = choose_write_factor(
-                self.policy,
-                kind=request.kind,
-                other_writes_for_bank=self.write_q.count_bank(bank.index),
-                reads_for_bank=self.read_q.count_bank(bank.index),
-                quota_exceeded=(
-                    self.quota.is_slow_only(bank.index) if self.quota else False
-                ),
-                telemetry=self.telemetry,
-            )
-            request.speed_factor = factor
-        slow = request.slow
-        request.attempts += 1
-        data_start = self._reserve_bus(now)
-        pulse_start = data_start + self.timing.burst_ns
-        full_pulse = self.timing.write_pulse_ns_for(factor)
-        remaining = max(0.0, full_pulse - request.progress_ns)
-        finish = pulse_start + remaining
-        if slow:
-            self.stats.writes_issued_slow += 1
-        else:
-            self.stats.writes_issued_normal += 1
-        if request.kind == EAGER:
-            self.stats.eager_issued += 1
-        ts = self._ts
-        if ts is not None:
-            if slow:
-                ts.writes_slow.value += 1.0
-                ts.bank_slow[bank.index].value += 1.0
-            else:
-                ts.writes_normal.value += 1.0
-                ts.bank_normal[bank.index].value += 1.0
-            if request.kind == EAGER:
-                ts.eager_issued.value += 1.0
-            ts.record(
-                now, EV_ISSUE, bank.index, request.block, request.req_id,
-                factor, request.kind)
-        op = InFlight(
-            request=request, start_ns=now, finish_ns=finish,
-            pulse_start_ns=pulse_start,
-            cancellable=self.policy.cancellable(slow),
-            resumed_progress_ns=request.progress_ns,
-        )
-        bank.begin(op)
-        if request.kind == WRITE:
-            self._notify_write_space()
-            self._maybe_exit_drain()
-        self.events.schedule(finish, lambda: self._complete_write(bank, op))
-
-    # ------------------------------------------------------------------
-    # Completion
-    # ------------------------------------------------------------------
-
-    def _complete_read(self, bank: Bank, op: InFlight) -> None:
-        if bank.in_flight is not op:
-            # Stale completion for a cancelled/replaced operation; the bank
-            # may still be idle with queued work, so poke it.
-            self._try_issue_bank(bank.index)
-            return
-        request = op.request
-        bank.complete()
-        if self.page_policy == "closed":
-            bank.open_row = None
-        now = self.events.now
-        self.stats.reads_completed += 1
-        self.stats.read_latency_sum_ns += now - request.arrival_ns
-        ts = self._ts
-        if ts is not None:
-            ts.read_latency.observe(now - request.arrival_ns)
-            ts.record(
-                now, EV_COMPLETE, bank.index, request.block,
-                request.req_id, 0.0, READ)
-        if request.callback is not None:
-            request.callback(now)
-        self._try_issue_bank(bank.index)
-
-    def _complete_write(self, bank: Bank, op: InFlight) -> None:
-        if bank.in_flight is not op:
-            # The write was cancelled; a fresh issue will complete it.  The
-            # bank may be idle with queued work, so poke it.
-            self._try_issue_bank(bank.index)
-            return
-        request = op.request
-        bank.complete()
-        self.stats.writes_completed += 1
-        full_pulse = self.timing.write_pulse_ns_for(request.speed_factor)
-        executed_fraction = 1.0
-        if op.resumed_progress_ns > 0.0 and full_pulse > 0.0:
-            # A resumed write already deposited wear for its paused
-            # portions; charge only the remainder executed this attempt.
-            executed_fraction = max(
-                0.0, 1.0 - op.resumed_progress_ns / full_pulse,
-            )
-        self._record_wear(request, executed_fraction)
-        ts = self._ts
-        if ts is not None:
-            ts.record(
-                self.events.now, EV_COMPLETE, bank.index, request.block,
-                request.req_id, request.speed_factor, request.kind)
-        if self.faults is not None:
-            outcome = self.faults.verify_write(
-                request.bank, self.amap.bank_local_block(request.block),
-                request.retries,
-            )
-            if outcome != WRITE_OK and self._handle_fault_outcome(
-                    bank, request, outcome):
-                # Re-issued as a verify retry: completion (and the
-                # callback) is deferred until the retry finishes.
-                return
-        if request.callback is not None:
-            request.callback(self.events.now)
-        self._try_issue_bank(bank.index)
-
-    def _handle_fault_outcome(self, bank: Bank, request: Request,
-                              outcome: str) -> bool:
-        """Apply a non-OK write-verify outcome; True = write re-issued."""
-        now = self.events.now
-        ts = self._ts
-        if outcome == WRITE_RETRY:
-            request.retries += 1
-            request.progress_ns = 0.0
-            if ts is not None:
-                ts.record(
-                    now, EV_VERIFY_RETRY, bank.index, request.block,
-                    request.req_id, request.speed_factor,
-                    f"retry={request.retries}")
-            # The bank just freed up, so the retry starts immediately -
-            # no queue round trip, which also means a full write queue
-            # can never strand a retry.
-            self._issue_write(bank, request)
-            return True
-        if outcome == WRITE_RETIRED:
-            bank.lines_retired += 1
-            if ts is not None:
-                ts.record(
-                    now, EV_LINE_RETIRE, bank.index, request.block,
-                    request.req_id, 0.0, request.kind)
-        elif outcome == WRITE_FATAL:
-            if ts is not None:
-                ts.record(
-                    now, EV_UNCORRECTABLE, bank.index, request.block,
-                    request.req_id, 0.0, request.kind)
-            if self.on_fatal is not None:
-                self.on_fatal(now)
-        # WRITE_CORRECTED needs no controller action: the injector has
-        # already counted it, and ECC repaired the line in place.
-        return False
-
-    def _record_wear(self, request: Request, fraction: float) -> None:
-        factor = request.speed_factor
-        if self.wear_scaler is not None:
-            fraction *= self.wear_scaler()
-        local = self.amap.bank_local_block(request.block)
-        self.wear.record_write(
-            request.bank, factor, block=local, fraction=fraction,
-        )
-        if self._sanitize:
-            self._wear_write_tally += fraction
-            expected = self._wear_write_baseline + self._wear_write_tally
-            recorded = self.wear.total_writes()
-            check(
-                close_enough(expected, recorded), "wear-conservation",
-                "controller-issued write fractions and per-bank wear "
-                "records disagree",
-                controller_total=expected, wear_total=recorded,
-                bank=request.bank, block=request.block,
-            )
-        if self.quota is not None:
-            damage = self.wear.model.damage_per_write(factor) * fraction
-            self.quota.record_wear(request.bank, damage)
-        if self.faults is not None:
-            newly_dead = self.faults.record_damage(
-                request.bank, local, factor, fraction,
-            )
-            if newly_dead and self._ts is not None:
-                self._ts.record(
-                    self.events.now, EV_CELL_FAIL, request.bank,
-                    request.block, request.req_id, factor,
-                    f"cells={newly_dead}")
-
-    # ------------------------------------------------------------------
-    # Hot-path twins (REPRO_NO_FASTPATH=1 forces the reference spine; the
-    # twins must stay bit-identical to it - see docs/performance.md)
-    # ------------------------------------------------------------------
-
-    def submit_read_fast(self, block: int,
-                         callback: Optional[Callable[[float], None]] = None,
-                         ) -> bool:   # simlint: hotpath
-        """Hot-path :meth:`submit_read` twin: decode and dispatch inlined."""
-        read_q = self.read_q
-        if read_q._size >= read_q.capacity:
-            return False
-        now = self.events.now
-        num_banks = self._num_banks
-        bank = block % num_banks
-        local = block // num_banks
-        # Positional Request construction (field order: kind, block, bank,
-        # rank, row, arrival_ns, callback, attempts, retries, speed_factor,
-        # progress_ns, req_id) - kwargs cost measurably on this path.
-        request = Request(
-            READ, block, bank, bank // self._banks_per_rank,
-            local // self._blocks_per_row, now, callback, 0, 0, 1.0, 0.0,
-            next(self._request_ids),
-        )
-        read_q.push_fast(request, now)
-        self.stats.reads_from_llc += 1
-        ts = self._ts
-        if ts is not None:
-            ts.record(now, EV_ENQUEUE, bank, block, request.req_id,
-                      0.0, READ)
-        op = self._bank_in_flight[bank]
-        if op is None:
-            if now >= self._bank_busy_until[bank]:
-                self._try_issue_bank_fast(bank)
-        elif (op.cancellable and not self.drain_mode
-              and now < self._bank_busy_until[bank]):
-            self._cancel_for_read_fast(bank, op, now)
-        return True
-
-    def submit_write_fast(self, block: int,
-                          callback: Optional[Callable[[float], None]] = None,
-                          ) -> bool:   # simlint: hotpath
-        """Hot-path :meth:`submit_write` twin."""
-        write_q = self.write_q
-        if write_q._size >= write_q.capacity:
-            return False
-        now = self.events.now
-        num_banks = self._num_banks
-        bank = block % num_banks
-        local = block // num_banks
-        request = Request(
-            WRITE, block, bank, bank // self._banks_per_rank,
-            local // self._blocks_per_row, now, callback, 0, 0, 1.0, 0.0,
-            next(self._request_ids),
-        )
-        write_q.push_fast(request, now)
-        self.stats.writes_from_llc += 1
-        ts = self._ts
-        if ts is not None:
-            ts.record(now, EV_ENQUEUE, bank, block, request.req_id,
-                      0.0, WRITE)
-        if not self.drain_mode and write_q._size >= self.drain_high:
-            self._enter_drain()
-        elif (self._bank_in_flight[bank] is None
-              and now >= self._bank_busy_until[bank]):
-            self._try_issue_bank_fast(bank)
-        return True
-
-    def submit_eager_fast(self, block: int,
-                          callback: Optional[Callable[[float], None]] = None,
-                          ) -> bool:   # simlint: hotpath
-        """Hot-path :meth:`submit_eager` twin."""
-        eager_q = self.eager_q
-        if eager_q._size >= eager_q.capacity:
-            return False
-        now = self.events.now
-        num_banks = self._num_banks
-        bank = block % num_banks
-        local = block // num_banks
-        request = Request(
-            EAGER, block, bank, bank // self._banks_per_rank,
-            local // self._blocks_per_row, now, callback, 0, 0, 1.0, 0.0,
-            next(self._request_ids),
-        )
-        eager_q.push_fast(request, now)
-        self.stats.eager_from_llc += 1
-        ts = self._ts
-        if ts is not None:
-            ts.record(now, EV_ENQUEUE, bank, block, request.req_id,
-                      0.0, EAGER)
-        if (self._bank_in_flight[bank] is None
-                and now >= self._bank_busy_until[bank]):
-            self._try_issue_bank_fast(bank)
-        return True
-
-    def _try_issue_bank_fast(self, bank_index: int) -> None:   # simlint: hotpath
-        """Hot-path :meth:`_try_issue_bank` twin: guard, select and issue.
-
-        One monolithic body covers the reference path's
-        ``_select_request`` / ``_issue_read`` / ``_issue_write`` chain with
-        the bank state read from the flat mirrors and every timing
-        constant pre-hoisted onto the controller.
+        Per bank, reads go before writes and writes before eager
+        requests; write drain stalls reads system-wide until the queue
+        empties to ``drain_low`` - this global turnaround is what makes
+        drains "an expensive memory operation" (Section VI-C).
         """
         if self._bank_in_flight[bank_index] is not None:
             return
@@ -897,69 +554,84 @@ class MemoryController:
         if now < self._bank_busy_until[bank_index]:
             return
         if self.drain_mode:
-            request = self.write_q.pop_bank_fast(bank_index, now)
+            request = self.write_q.try_pop_bank(bank_index, now)
             if request is None:
                 return
         elif self._frfcfs and self.read_q.count_bank(bank_index):
             request = self.read_q.pop_bank_row_first(
                 bank_index, self._bank_open_row[bank_index])
         else:
-            request = self.read_q.pop_bank_fast(bank_index, now)
+            request = self.read_q.try_pop_bank(bank_index, now)
             if request is None:
-                request = self.write_q.pop_bank_fast(bank_index, now)
+                request = self.write_q.try_pop_bank(bank_index, now)
                 if request is None:
-                    request = self.eager_q.pop_bank_fast(bank_index, now)
+                    request = self.eager_q.try_pop_bank(bank_index, now)
                     if request is None:
                         return
-        stats = self.stats
-        ts = self._ts
-        burst = self._burst
-        if request.kind == READ:
-            row = request.row
-            if self._bank_open_row[bank_index] == row:
-                stats.read_row_hits += 1
-                ready = now
-                detail = "read"
-            else:
-                limiter = self.faw[bank_index // self._banks_per_rank]
-                act_start = limiter.earliest_activate(now)
-                limiter.record_activate(act_start)
-                ready = act_start + self._t_rcd
-                self._bank_open_row[bank_index] = row
-                stats.read_row_misses += 1
-                detail = "read miss"
-            start = ready + self._t_cas
-            if start < self.bus_free_ns:
-                start = self.bus_free_ns
-            self.bus_free_ns = start + burst
-            finish = start + burst
-            request.attempts += 1
-            stats.reads_issued += 1
-            if ts is not None:
-                ts.pend_reads += 1
-                ts.record(now, EV_ISSUE, bank_index, request.block,
-                          request.req_id, 0.0, detail)
-            op = InFlight(
-                request=request, start_ns=now, finish_ns=finish,
-                pulse_start_ns=finish, cancellable=False,
-            )
-            self._bank_in_flight[bank_index] = op
-            self._bank_busy_until[bank_index] = finish
-            bank = self.banks[bank_index]
-            bank.busy_time_ns += finish - now
-            bank.ops_begun += 1
-            if self._read_space_waiters:
-                self._notify_read_space()
-            self.events.schedule(
-                finish, lambda: self._complete_read_fast(bank_index, op))
+        if request.kind != READ:
+            self._issue_write(bank_index, request, now)
             return
-        # WRITE or EAGER from here on.
+        stats = self.stats
+        row = request.row
+        if self._bank_open_row[bank_index] == row:
+            stats.read_row_hits += 1
+            ready = now
+            detail = "read"
+        else:
+            limiter = self.faw[bank_index // self._banks_per_rank]
+            act_start = limiter.earliest_activate(now)
+            limiter.record_activate(act_start)
+            ready = act_start + self._t_rcd
+            self._bank_open_row[bank_index] = row
+            stats.read_row_misses += 1
+            detail = "read miss"
+        # Reserve the shared data bus for the burst.
+        burst = self._burst
+        start = ready + self._t_cas
+        if start < self.bus_free_ns:
+            start = self.bus_free_ns
+        self.bus_free_ns = start + burst
+        finish = start + burst
+        request.attempts += 1
+        stats.reads_issued += 1
+        ts = self._ts
+        if ts is not None:
+            ts.pend_reads += 1
+            ts.record(now, EV_ISSUE, bank_index, request.block,
+                      request.req_id, 0.0, detail)
+        op = InFlight(
+            request=request, start_ns=now, finish_ns=finish,
+            pulse_start_ns=finish, cancellable=False,
+        )
+        self._bank_in_flight[bank_index] = op
+        self._bank_busy_until[bank_index] = finish
+        bank = self.banks[bank_index]
+        bank.busy_time_ns += finish - now
+        bank.ops_begun += 1
+        if self._read_space_waiters:
+            self._notify_read_space()
+        self.events.schedule(
+            finish, lambda: self._complete_read(bank_index, op))
+
+    def _issue_write(self, bank_index: int, request: Request,
+                     now: float) -> None:   # simlint: hotpath
+        """Start a write or eager request on an idle bank.
+
+        The write speed is chosen here by the Figure-9 decision tree,
+        except for a resumed (paused) write, whose speed is committed,
+        and a write-verify retry, which always runs slow.
+        """
         progress = request.progress_ns
         if progress > 0.0:
-            # Resuming a paused write: the pulse speed is committed.
+            # Resuming a paused write: the pulse speed is committed; only
+            # the remaining pulse time is paid.
             factor = request.speed_factor
         else:
-            if request.kind == EAGER:
+            if request.retries:
+                # Write-verify retry: a longer pulse is the device's best
+                # shot at programming marginal cells (and wears them least).
+                factor = self._retry_factor
+            elif request.kind == EAGER:
                 factor = self._eager_factor
             else:
                 static = self._static_write_factor
@@ -981,6 +653,7 @@ class MemoryController:
             request.speed_factor = factor
         slow = factor > 1.0
         request.attempts += 1
+        burst = self._burst
         start = now
         if start < self.bus_free_ns:
             start = self.bus_free_ns
@@ -990,6 +663,7 @@ class MemoryController:
         if remaining < 0.0:
             remaining = 0.0
         finish = pulse_start + remaining
+        stats = self.stats
         if slow:
             stats.writes_issued_slow += 1
         else:
@@ -997,6 +671,7 @@ class MemoryController:
         eager = request.kind == EAGER
         if eager:
             stats.eager_issued += 1
+        ts = self._ts
         if ts is not None:
             if slow:
                 ts.pend_writes_slow += 1
@@ -1025,15 +700,18 @@ class MemoryController:
             if self.drain_mode and self.write_q._size <= self.drain_low:
                 self._maybe_exit_drain()
         self.events.schedule(
-            finish, lambda: self._complete_write_fast(bank_index, op))
+            finish, lambda: self._complete_write(bank_index, op))
 
-    def _complete_read_fast(self, bank_index: int,
-                            op: InFlight) -> None:   # simlint: hotpath
-        """Hot-path :meth:`_complete_read` twin."""
+    # ------------------------------------------------------------------
+    # Completion
+    # ------------------------------------------------------------------
+
+    def _complete_read(self, bank_index: int,
+                       op: InFlight) -> None:   # simlint: hotpath
         if self._bank_in_flight[bank_index] is not op:
             # Stale completion for a cancelled/replaced operation; the bank
             # may still be idle with queued work, so poke it.
-            self._try_issue_bank_fast(bank_index)
+            self._try_issue_bank(bank_index)
             return
         request = op.request
         self._bank_in_flight[bank_index] = None
@@ -1052,13 +730,14 @@ class MemoryController:
         callback = request.callback
         if callback is not None:
             callback(now)
-        self._try_issue_bank_fast(bank_index)
+        self._try_issue_bank(bank_index)
 
-    def _complete_write_fast(self, bank_index: int,
-                             op: InFlight) -> None:   # simlint: hotpath
-        """Hot-path :meth:`_complete_write` twin (fault-free by contract)."""
+    def _complete_write(self, bank_index: int,
+                        op: InFlight) -> None:   # simlint: hotpath
         if self._bank_in_flight[bank_index] is not op:
-            self._try_issue_bank_fast(bank_index)
+            # The write was cancelled; a fresh issue will complete it.  The
+            # bank may be idle with queued work, so poke it.
+            self._try_issue_bank(bank_index)
             return
         request = op.request
         self._bank_in_flight[bank_index] = None
@@ -1070,98 +749,106 @@ class MemoryController:
             fraction = 1.0 - resumed / (self._t_wp * request.speed_factor)
             if fraction < 0.0:
                 fraction = 0.0
-            self._record_wear_fast(request, fraction)
+            self._record_wear(request, fraction)
         else:
-            self._record_wear_fast(request, 1.0)
+            self._record_wear(request, 1.0)
+        now = self.events.now
         ts = self._ts
         if ts is not None:
-            ts.record(self.events.now, EV_COMPLETE, bank_index,
-                      request.block, request.req_id,
-                      request.speed_factor, request.kind)
+            ts.record(now, EV_COMPLETE, bank_index, request.block,
+                      request.req_id, request.speed_factor, request.kind)
+        faults = self.faults
+        if faults is not None:
+            outcome = faults.verify_write(
+                request.bank, request.block // self._num_banks,
+                request.retries)
+            if outcome != WRITE_OK and self._handle_fault_outcome(
+                    bank_index, request, outcome, now):
+                # Re-issued as a verify retry: completion (and the
+                # callback) is deferred until the retry finishes.
+                return
         callback = request.callback
         if callback is not None:
-            callback(self.events.now)
-        self._try_issue_bank_fast(bank_index)
+            callback(now)
+        self._try_issue_bank(bank_index)
 
-    def _record_wear_fast(self, request: Request,
-                          fraction: float) -> None:   # simlint: hotpath
-        """Hot-path :meth:`_record_wear` twin: no sanitizer, no faults."""
+    def _handle_fault_outcome(self, bank_index: int, request: Request,
+                              outcome: str, now: float) -> bool:
+        """Apply a non-OK write-verify outcome; True = write re-issued."""
+        ts = self._ts
+        if outcome == WRITE_RETRY:
+            request.retries += 1
+            request.progress_ns = 0.0
+            if ts is not None:
+                ts.record(
+                    now, EV_VERIFY_RETRY, bank_index, request.block,
+                    request.req_id, request.speed_factor,
+                    f"retry={request.retries}")
+            # The bank just freed up, so the retry starts immediately -
+            # no queue round trip, which also means a full write queue
+            # can never strand a retry.
+            self._issue_write(bank_index, request, now)
+            return True
+        if outcome == WRITE_RETIRED:
+            self.banks[bank_index].lines_retired += 1
+            if ts is not None:
+                ts.record(
+                    now, EV_LINE_RETIRE, bank_index, request.block,
+                    request.req_id, 0.0, request.kind)
+        elif outcome == WRITE_FATAL:
+            if ts is not None:
+                ts.record(
+                    now, EV_UNCORRECTABLE, bank_index, request.block,
+                    request.req_id, 0.0, request.kind)
+            if self.on_fatal is not None:
+                self.on_fatal(now)
+        # WRITE_CORRECTED needs no controller action: the injector has
+        # already counted it, and ECC repaired the line in place.
+        return False
+
+    def _record_wear(self, request: Request,
+                     fraction: float) -> None:   # simlint: hotpath
+        """Deposit ``fraction`` of one write's cell stress everywhere it
+        is tracked: the wear tracker, Wear Quota and the fault injector."""
         factor = request.speed_factor
         if self.wear_scaler is not None:
             fraction *= self.wear_scaler()
-        self.wear.record_write_fast(
-            request.bank, factor, request.block // self._num_banks, fraction)
+        bank = request.bank
+        local = request.block // self._num_banks
+        self.wear.record_write(bank, factor, local, fraction)
+        if self._sanitize:
+            self._wear_write_tally += fraction
+            expected = self._wear_write_baseline + self._wear_write_tally
+            recorded = self.wear.total_writes()
+            check(
+                close_enough(expected, recorded), "wear-conservation",
+                "controller-issued write fractions and per-bank wear "
+                "records disagree",
+                controller_total=expected, wear_total=recorded,
+                bank=bank, block=request.block,
+            )
         quota = self.quota
         if quota is not None:
             damage = self._damage_by_factor.get(factor)
             if damage is None:
                 damage = self.wear.model.damage_per_write(factor)
                 self._damage_by_factor[factor] = damage
-            # Inlined WearQuota.record_wear: one accumulator add.
-            quota.cumulative_wear[request.bank] += damage * fraction
-
-    def _cancel_for_read_fast(self, bank_index: int, op: InFlight,
-                              now: float) -> None:
-        """Hot-path :meth:`_maybe_cancel_for_read` tail.
-
-        The caller (submit_read_fast) has already established the guards:
-        not in drain mode, an in-flight cancellable operation, bank busy.
-        """
-        pulse_ns = self._t_wp * op.request.speed_factor
-        elapsed = now - op.pulse_start_ns
-        if elapsed < 0.0:
-            elapsed = 0.0
-        elif elapsed > pulse_ns:
-            elapsed = pulse_ns
-        fraction = elapsed / pulse_ns
-        pausing = self._pausing
-        if not pausing and fraction >= self.cancel_threshold:
-            return  # too far along; cancelling would waste a near-full pulse
-        victim_queue = self.eager_q if op.request.kind == EAGER else self.write_q
-        if victim_queue._size >= victim_queue.capacity:
-            return  # nowhere to put the victim; let the write finish
-        bank = self.banks[bank_index]
-        bank.busy_time_ns -= max(0.0, op.finish_ns - now)
-        self._bank_in_flight[bank_index] = None
-        bank.ops_cancelled += 1
-        # Partial cell stress: fraction of the programming pulse completed.
-        if fraction > 0.0:
-            self._record_wear_fast(op.request, fraction)
-        if pausing:
-            self.stats.pauses += 1
-            op.request.progress_ns = op.resumed_progress_ns + elapsed
-        else:
-            self.stats.cancellations += 1
-            op.request.progress_ns = 0.0
-        ts = self._ts
-        if ts is not None:
-            if pausing:
-                ts.pend_pauses += 1
-            else:
-                ts.pend_cancellations += 1
-            ts.record(
-                now, EV_PAUSE if pausing else EV_CANCEL,
-                bank_index, op.request.block, op.request.req_id,
-                op.request.speed_factor,
-                f"{op.request.kind} progress={fraction:.3f}")
-        victim_queue.push_front(op.request)
-        # tiny turnaround penalty before the bank can accept the read
-        busy = now + self._cancel_penalty
-        self._bank_busy_until[bank_index] = busy
-        self.events.schedule(
-            busy, lambda b=bank_index: self._try_issue_bank(b),
-        )
+            quota.record_wear(bank, damage * fraction)
+        faults = self.faults
+        if faults is not None:
+            newly_dead = faults.record_damage(bank, local, factor, fraction)
+            if newly_dead and self._ts is not None:
+                self._ts.record(
+                    self.events.now, EV_CELL_FAIL, bank, request.block,
+                    request.req_id, factor, f"cells={newly_dead}")
 
     def sync_bank_state(self) -> None:
-        """Write the fast path's flat bank-state mirrors back to the banks.
+        """Write the flat bank state back to the Bank objects.
 
-        No-op on the reference path.  Runs at sync points only (end of
-        warmup via reset_statistics, RunResult collection), so everything
-        that inspects Bank objects after a fast run sees exactly what a
-        reference run would have left there.
+        Runs at sync points only (end of warmup via reset_statistics,
+        RunResult collection, snapshot capture), so anything that
+        inspects Bank objects there sees the controller's current state.
         """
-        if not self._fastpath:
-            return
         busy = self._bank_busy_until
         rows = self._bank_open_row
         ops = self._bank_in_flight

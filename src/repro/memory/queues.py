@@ -16,11 +16,10 @@ The per-bank index is a flat list of deques indexed by bank id (banks are
 small dense integers from :meth:`repro.memory.address.AddressMap.decode`),
 so the controller's per-bank probes are list indexing rather than dict
 hashing.  Pass ``num_banks`` to preallocate the list; without it the list
-grows on demand, which keeps direct construction in tests trivial.  The
-``*_fast`` methods are the controller hot-path twins of ``push`` /
-``try_pop_bank``: the caller has already checked capacity, passes the
-clock value instead of paying the clock-closure call, and runs only with
-the sanitizer disarmed.
+grows on demand, which keeps direct construction in tests trivial.
+:meth:`RequestQueue.push` and :meth:`RequestQueue.try_pop_bank` take the
+current simulated time from a caller that already has it, which spares the
+clock-closure call on the controller's hot path.
 """
 
 from __future__ import annotations
@@ -55,8 +54,7 @@ class Request:
         retries: write-verify retries consumed (fault injection); each
             retry re-issues the write on the slow path from scratch.
         speed_factor: write slowdown chosen at issue time (1.0 = normal
-            speed; meaningless for reads).  The derived :attr:`slow`
-            property reports whether that puts the write below normal speed.
+            speed; meaningless for reads).
         progress_ns: completed programming-pulse time carried across
             attempts (write pausing).
         req_id: monotonically increasing id, for debugging and stable repr.
@@ -78,11 +76,6 @@ class Request:
     @property
     def is_write(self) -> bool:
         return self.kind != READ
-
-    @property
-    def slow(self) -> bool:
-        """Whether the write was issued below normal speed."""
-        return self.speed_factor > 1.0
 
 
 class RequestQueue:
@@ -170,12 +163,25 @@ class RequestQueue:
             fifos.append(deque())
         return fifos[bank]
 
-    def push(self, request: Request) -> None:
-        """Append a request; raises if the queue is full."""
-        if self.full:
+    def push(self, request: Request,
+             now: Optional[float] = None) -> None:   # simlint: hotpath
+        """Append a request; raises if the queue is full.
+
+        ``now`` is the current simulated time, when the caller has it at
+        hand; otherwise the queue asks its clock.
+        """
+        if self._size >= self.capacity:
             raise OverflowError(f"{self.name} queue overflow")
-        self._integrate()
-        self._grow_to(request.bank).append(request)
+        if self._clock is not None:
+            if now is None:
+                now = self._clock()
+            self._occupancy_integral += self._size * (now - self._last_change_ns)
+            self._last_change_ns = now
+        fifos = self._fifos
+        bank = request.bank
+        if bank >= len(fifos):
+            self._grow_to(bank)
+        fifos[bank].append(request)
         self._size += 1
         if self._track_peak and self._size > self._epoch_peak:
             self._epoch_peak = self._size
@@ -193,22 +199,6 @@ class RequestQueue:
             self._epoch_peak = self._size
         if self._sanitize:
             self._check_occupancy()
-
-    def push_fast(self, request: Request, now: float) -> None:   # simlint: hotpath
-        """Hot-path :meth:`push` twin: preallocated banks, caller's clock.
-
-        The caller has already rejected the full-queue case, constructed
-        the queue with ``num_banks`` (so no growth check is needed) and
-        runs with the sanitizer disarmed; ``now`` is passed in so the
-        occupancy integration skips the clock-closure call.
-        """
-        if self._clock is not None:
-            self._occupancy_integral += self._size * (now - self._last_change_ns)
-            self._last_change_ns = now
-        self._fifos[request.bank].append(request)
-        self._size += 1
-        if self._track_peak and self._size > self._epoch_peak:
-            self._epoch_peak = self._size
 
     def peek_bank(self, bank: int) -> Optional[Request]:
         """Oldest request for ``bank`` without removing it."""
@@ -245,45 +235,36 @@ class RequestQueue:
 
     def pop_bank(self, bank: int) -> Request:
         """Remove and return the oldest request for ``bank``."""
-        fifos = self._fifos
-        per_bank = fifos[bank] if bank < len(fifos) else None
-        if not per_bank:
+        request = self.try_pop_bank(bank)
+        if request is None:
             raise LookupError(f"no {self.name} request for bank {bank}")
-        self._integrate()
-        self._size -= 1
-        popped = per_bank.popleft()
-        if self._sanitize:
-            self._check_occupancy()
-        return popped
+        return request
 
-    def try_pop_bank(self, bank: int) -> Optional[Request]:
+    def try_pop_bank(self, bank: int, now: Optional[float] = None
+                     ) -> Optional[Request]:   # simlint: hotpath
         """:meth:`pop_bank`, but None for an empty bank FIFO.
 
         The controller's per-bank issue loop runs this on every issue
-        opportunity; folding the emptiness test into the pop halves the
-        index lookups of the ``count_bank``-then-``pop_bank`` idiom.
+        opportunity, passing ``now`` as :meth:`push` does; folding the
+        emptiness test into the pop halves the index lookups of the
+        ``count_bank``-then-``pop_bank`` idiom.
         """
         fifos = self._fifos
-        per_bank = fifos[bank] if bank < len(fifos) else None
-        if not per_bank:
+        if bank >= len(fifos):
             return None
-        self._integrate()
-        self._size -= 1
-        popped = per_bank.popleft()
-        if self._sanitize:
-            self._check_occupancy()
-        return popped
-
-    def pop_bank_fast(self, bank: int, now: float) -> Optional[Request]:   # simlint: hotpath
-        """Hot-path :meth:`try_pop_bank` twin (see :meth:`push_fast`)."""
-        fifo = self._fifos[bank]
+        fifo = fifos[bank]
         if not fifo:
             return None
         if self._clock is not None:
+            if now is None:
+                now = self._clock()
             self._occupancy_integral += self._size * (now - self._last_change_ns)
             self._last_change_ns = now
         self._size -= 1
-        return fifo.popleft()
+        popped = fifo.popleft()
+        if self._sanitize:
+            self._check_occupancy()
+        return popped
 
     def epoch_peak_depth(self) -> int:
         """Peak occupancy since the last call (telemetry epoch probe).

@@ -32,13 +32,6 @@ class MemoryTiming:
             return self.t_wp_normal_ns * self.slow_factor
         return self.t_wp_normal_ns
 
-    def write_pulse_ns_for(self, factor: float) -> float:
-        """Programming-pulse width for an arbitrary slowdown factor
-        (multi-latency Mellow Writes, the paper's Section VI-I extension)."""
-        if factor < 1.0:
-            raise ValueError("slowdown factor must be >= 1.0")
-        return self.t_wp_normal_ns * factor
-
     def write_factor(self, slow: bool) -> float:
         """Slowdown factor of the chosen write speed (1.0 or slow_factor)."""
         return self.slow_factor if slow else 1.0

@@ -4,14 +4,12 @@ Events are (time_ns, sequence, callback) triples ordered first by time and
 then by insertion order, which makes simulation results independent of
 callback identity and fully reproducible.
 
-The queue also exposes the core's fast-path seam,
+The queue also exposes the core's clock-advance seam,
 :meth:`EventQueue.advance_if_clear`: when no pending event is due at or
 before a target time, the clock can jump there directly with the exact
 observable side effects of scheduling-then-popping an event at that time
 (monotonicity check, clock update, executed-event count) minus the heap
-round trip and callback allocation.  The schedule/pop pair and the
-analytic advance are interchangeable by construction, which is what keeps
-fast-path runs bit-identical to forced-off runs.
+round trip and callback allocation.
 
 The miss path has its own seam, the *deferred event*
 (:meth:`EventQueue.defer`): a single event that reserves its sequence
@@ -22,9 +20,8 @@ deferred time is quiescent (no pending event due at or before it), the
 loop jumps the clock and runs the callback inline, skipping the heap
 round trip; otherwise the event is flushed into the heap with its
 reserved sequence number and ordinary (time, seq) ordering takes over.
-Both resolutions are observably identical to having scheduled the event
-eagerly, which is what keeps batched miss-path runs bit-identical to
-reference runs.
+Both seams are observably identical to having scheduled the event
+eagerly; docs/performance.md explains why.
 """
 
 from __future__ import annotations
@@ -49,8 +46,8 @@ class EventQueue:
     With telemetry enabled the queue keeps an executed-event counter; the
     counter object is resolved once here so the per-pop cost is a single
     ``is not None`` check.  Analytic advances count too: one advance stands
-    in for exactly one popped event, so the ``events.executed`` series is
-    identical whether or not the fast path is engaged.
+    in for exactly one popped event, so the ``events.executed`` series
+    does not depend on how the clock got there.
     """
 
     __slots__ = ("_heap", "_seq", "now", "_sanitize", "_executed",
@@ -64,7 +61,7 @@ class EventQueue:
         self._sanitize = resolve(sanitize)
         self._executed = (telemetry.metrics.counter("events.executed")
                           if telemetry.enabled else None)
-        # The single deferred-event slot (fast path only; see module doc).
+        # The single deferred-event slot (see module doc).
         self._deferred: Optional[Tuple[float, int, Callback]] = None
         # Cooperative stop flag for run_fast: the driver sets it when its
         # termination condition holds, ending the batched drain.
@@ -115,7 +112,7 @@ class EventQueue:
         if self._sanitize:
             check(
                 time_ns >= self.now, "event-time-monotonicity",
-                "fast path advanced the clock backwards",
+                "analytic advance moved the clock backwards",
                 event_time_ns=time_ns, now_ns=self.now,
             )
         self.now = time_ns
@@ -125,8 +122,14 @@ class EventQueue:
         return True
 
     def pop_and_run(self) -> bool:   # simlint: hotpath
-        """Run the earliest event.  Returns False when the queue is empty."""
+        """Run the earliest event.  Returns False when the queue is empty.
+
+        An outstanding deferred event is flushed into the heap first, so
+        it runs in its (time, sequence) place.
+        """
         heap = self._heap
+        if self._deferred is not None:
+            self.flush_deferred()
         if not heap:
             return False
         time_ns, seq, callback = heappop(heap)
@@ -144,7 +147,7 @@ class EventQueue:
         return True
 
     # ------------------------------------------------------------------
-    # Deferred event: the miss-path batch-advance seam (fast path only)
+    # Deferred event: the miss-path batch-advance seam
     # ------------------------------------------------------------------
 
     def defer(self, time_ns: float, callback: Callback) -> None:
@@ -183,10 +186,9 @@ class EventQueue:
     def run_fast(self, budget: int) -> int:   # simlint: hotpath
         """Batched drain: run up to ``budget`` events, deferral-aware.
 
-        The hot-path twin of the reference driver loop (``pop_and_run``
-        per event): every per-event attribute load is hoisted out of the
-        loop and the deferred-event slot is resolved at the top of each
-        iteration - run inline when no pending event is due at or before
+        The simulation's driver loop: every per-event attribute load is
+        hoisted out of the loop and the deferred-event slot is resolved at
+        the top of each iteration - run inline when no pending event is due at or before
         its time (the analytic jump across a quiescent window), flushed
         into the heap otherwise, including the exact-tie case so FIFO
         sequence ordering decides.  Returns the number of events executed;
@@ -254,8 +256,6 @@ class EventQueue:
         """Drain the queue; returns the number of events executed."""
         count = 0
         while self._heap or self._deferred is not None:
-            if self._deferred is not None:
-                self.flush_deferred()
             if max_events is not None and count >= max_events:
                 break
             self.pop_and_run()

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, List, Optional, Union
 
 from repro.cache.llc import LastLevelCache
 from repro.core.wear_quota import WearQuota
-from repro.cpu.core import SimpleCore, fastpath_enabled
+from repro.cpu.core import SimpleCore
 from repro.endurance.model import EnduranceModel
 from repro.endurance.flipnwrite import FlipNWrite
 from repro.endurance.wear import WearTracker
@@ -111,7 +111,6 @@ class System:
             rng=random.Random(config.seed * 7919 + 13),
             eager_selector=config.eager_selector,
             telemetry=self.telemetry,
-            fastpath=fastpath_enabled(),
         )
         self.flip_n_write: Optional[FlipNWrite] = None
         if config.flip_n_write:
@@ -151,7 +150,6 @@ class System:
             telemetry=self.telemetry,
             faults=self.faults,
             on_fatal=self._on_fault_fatal if self.faults is not None else None,
-            fastpath=fastpath_enabled(),
         )
         self.dram_buffer: Optional[DramWriteBuffer] = None
         if config.dram_buffer_entries > 0:
@@ -168,7 +166,6 @@ class System:
                 self._buffered_writeback if self.dram_buffer is not None
                 else None
             ),
-            fastpath=fastpath_enabled(),
         )
         self._measure_start_ns: Optional[float] = None
         self._measure_end_ns: Optional[float] = None
@@ -295,9 +292,9 @@ class System:
               and count >= self.config.measure_accesses):
             self._measure_end_ns = self.events.now
             self._done = True
-            # Stop the core's analytic fast path too: from here on it must
-            # schedule (never inline) gap events, so the run ends with the
-            # same pending-event state as a forced-off run.
+            # Stop the core's analytic clock advance too: from here on it
+            # schedules (never inlines or defers) its gap event, so the run
+            # ends at a clean event boundary.
             self.core.stop_requested = True
             self.events.stop = True
         elif self._pause_at is not None and count >= self._pause_at:
@@ -359,48 +356,6 @@ class System:
         fraction of the cost - the same trick gem5 users play with
         functional warming.  Returns the number of accesses consumed.
         """
-        if fastpath_enabled():
-            return self._functional_warmup_fast()
-        config = self.config
-        capacity = self.llc.cache.num_sets * self.llc.cache.assoc
-        target = int(capacity * config.functional_warmup_occupancy)
-        consumed = 0
-        while consumed < config.functional_warmup_max:
-            if consumed % 8192 == 0 and self.llc.cache.occupancy() >= target:
-                # The DRAM write buffer (when present) must also reach its
-                # steady state - full - or a short measurement window would
-                # see an artificially drain-free buffer.
-                if self.dram_buffer is None or self.dram_buffer.full:
-                    break
-            record = next(self._trace, None)
-            if record is None:
-                break
-            result = self.llc.access(record.block, record.is_write)
-            # Keep the DRAM write buffer warm too: at steady state it is
-            # full, so a short measurement window must not start from an
-            # empty (drain-free) buffer.
-            if (self.dram_buffer is not None and result.victim is not None
-                    and result.victim.dirty):
-                victim_block = self.llc.cache.block_of(
-                    self.llc.cache.set_index(record.block),
-                    result.victim.tag,
-                )
-                self.dram_buffer.insert(victim_block)
-            consumed += 1
-        self.llc.reset_statistics()
-        if self.dram_buffer is not None:
-            self.dram_buffer.stats = type(self.dram_buffer.stats)()
-        return consumed
-
-    def _functional_warmup_fast(self) -> int:
-        """Hot-path twin of the reference loop in ``_functional_warmup``.
-
-        Consumes exactly the same records with the same cache effects.  The
-        every-8192-records occupancy check of the reference loop (which
-        re-tests ``consumed % 8192`` on every record) becomes the boundary
-        between chunks handed to :meth:`LastLevelCache.warm_chunk`, where
-        the per-record work runs with everything hoisted into locals.
-        """
         config = self.config
         llc = self.llc
         cache = llc.cache
@@ -408,13 +363,16 @@ class System:
         target = int(capacity * config.functional_warmup_occupancy)
         maximum = config.functional_warmup_max
         trace = self._trace
+        # Keep the DRAM write buffer warm too: at steady state it is full,
+        # so a short measurement window must not start from an empty
+        # (drain-free) buffer.
         buffer = self.dram_buffer
         on_dirty_victim = buffer.insert if buffer is not None else None
         consumed = 0
         exhausted = False
         while consumed < maximum and not exhausted:
-            # Chunk boundaries land exactly on the reference loop's
-            # consumed % 8192 == 0 checkpoints (0, 8192, ...).
+            # Every 8192 records, stop once the cache has reached its
+            # target occupancy and the DRAM buffer (when present) is full.
             if cache.occupancy() >= target and (
                     buffer is None or buffer.full):
                 break
@@ -466,20 +424,7 @@ class System:
         """
         self._paused = False
         self.core.stop_requested = False
-        if self.core.fastpath_active:
-            self._drain_events_fast(max_events)
-        else:
-            executed = 0
-            while not (self._done or self._paused):
-                if not self.events.pop_and_run():
-                    raise DeadlockError(
-                        f"event queue drained at {self.events.now} ns with "
-                        f"{self.core.accesses_processed} accesses processed"
-                    )
-                executed += 1
-                if executed > max_events:
-                    raise DeadlockError(
-                        "event budget exhausted; likely livelock")
+        self._drain_events(max_events)
         if self._paused and not self._done:
             every = self.config.checkpoint_every
             if self._pause_at is not None and every is not None:
@@ -536,16 +481,15 @@ class System:
             self._pause_at = None
         self._paused = False
 
-    def _drain_events_fast(self, max_events: int) -> None:
-        """Hot-path twin of the reference drain loop in :meth:`continue_run`.
+    def _drain_events(self, max_events: int) -> None:
+        """Run events until the run completes or pauses.
 
         Hands the whole budget to :meth:`EventQueue.run_fast`, which pops
         (and resolves deferrals) with every per-event load hoisted out of
         the loop; ``_on_access`` / ``_on_fault_fatal`` raise the queue's
-        cooperative ``stop`` flag to end the drain exactly where the
-        reference loop's ``self._done`` / ``self._paused`` check would.
-        The budget check mirrors the reference ordering: the event that
-        exhausts the budget raises even when it also completed the run.
+        cooperative ``stop`` flag to end the drain right after the event
+        that completed or paused the run.  The event that exhausts the
+        budget raises even when it also completed the run.
         """
         events = self.events
         events.stop = False
@@ -562,19 +506,16 @@ class System:
             # another event's callback stopped the run first (never at a
             # checkpoint pause, which the core only raises from a frame
             # with no deferral outstanding); flush it so the queue ends
-            # in the same pending state as a reference run.
+            # with every pending event in the heap.
             events.flush_deferred()
 
     # ------------------------------------------------------------------
 
     def _collect(self) -> RunResult:
         config = self.config
-        # Fast-path sync points: fold any epoch-buffered wear into the
-        # records and write the controller's flat bank-state mirrors back
-        # to the Bank objects, so collection below reads exactly what a
-        # reference run would have left behind.  Both are no-ops on the
-        # reference path.
-        self.wear.flush_pending()
+        # Sync point: write the controller's flat bank state back to the
+        # Bank objects read below (the wear records fold in their epoch
+        # buffers on read).
         self.controller.sync_bank_state()
         measure_start = self._measure_start_ns
         measure_end = self._measure_end_ns

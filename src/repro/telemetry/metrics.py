@@ -139,9 +139,9 @@ class MetricRegistry:
         """Run ``hook`` before each sample (and each live export).
 
         Components that buffer whole-unit counter increments between
-        epochs (the controller's fast path) register their flush here, so
-        the sampled series - and :meth:`current` snapshots - always show
-        the same values the reference path's per-event increments would.
+        epochs (the memory controller) register their flush here, so the
+        sampled series - and :meth:`current` snapshots - always show the
+        same values per-event increments would.
         """
         self._pre_sample_hooks.append(hook)
 

@@ -21,9 +21,10 @@ once, and ``randrange`` replaced by an inline of CPython's
 
 That loop is the exact algorithm ``randrange(n)`` has used on every CPython
 this project supports (3.10-3.12), so the compiled closures draw the same
-values from the same generator state - the trace is bit-identical, which
-``tests/test_fastpath.py`` checks end to end.  The base-class default simply
-wraps ``next``, so custom patterns stay correct without a compiled form.
+values from the same generator state.  ``next`` stays the readable
+specification of each pattern; ``tests/test_patterns.py`` holds every
+compiled closure to it draw for draw.  The base-class default simply wraps
+``next``, so custom patterns stay correct without a compiled form.
 """
 
 from __future__ import annotations

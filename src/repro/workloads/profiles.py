@@ -24,7 +24,6 @@ from math import log
 from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from repro.cpu.trace import TraceRecord
-from repro.hotpath import fastpath_enabled
 from repro.workloads.patterns import (
     HotSet,
     Pattern,
@@ -69,99 +68,44 @@ class WorkloadProfile:
         for w in weights:
             acc += w / total
             cumulative.append(acc)
-        mean_gap = 1000.0 / self.apki
-
-        if fastpath_enabled():
-            return _FastTrace(rng, patterns, cumulative, mean_gap)
-        return _ReferenceTrace(rng, patterns, cumulative, mean_gap)
+        return ProfileTrace(rng, patterns, cumulative, 1000.0 / self.apki)
 
 
-class _ReferenceTrace:
-    """The readable reference trace, as a class instead of a generator.
+class ProfileTrace:
+    """A profile's infinite record stream.
 
-    One draw sequence per record - pattern selection via ``rng.random()``
-    against the cumulative weights, the pattern's own draws, then the
-    ``rng.expovariate(1.0 / mean_gap)`` gap - exactly as the hot-path
-    twin below replays it, so the two are bit-identical.
+    Per record: pick a pattern by drawing ``rng.random()`` against the
+    cumulative weights, take the pattern's own draws, then draw the
+    instruction gap as ``expovariate(1.0 / mean_gap)``.  The patterns run
+    as compiled closures (:meth:`Pattern.compile_fast`, whose draws match
+    :meth:`Pattern.next` exactly), ``expovariate`` is inlined to CPython's
+    own expression ``-log(1.0 - random()) / lambd`` with ``lambd = 1.0 /
+    mean_gap`` - the same division in the same order, hence the same
+    floats - and records are built with ``tuple.__new__``, skipping
+    :class:`TraceRecord`'s field validation (every record here satisfies
+    it by construction: gaps are non-negative ints, blocks are region
+    bases plus non-negative offsets, and no pattern emits a dependent
+    store).
 
-    A class (rather than the closure generator this used to be) because
-    generator frames cannot be checkpointed: all mutable draw state
-    lives in ``rng`` and on the pattern objects, both exposed as
-    attributes for :mod:`repro.checkpoint` to capture and restore.
-    Deliberately has *no* ``fast_next``/``raw``/``raw_parts``
-    attributes, so the core and the functional-warmup loop take their
-    plain-iterator branches just as they did with the generator.
-    """
-
-    def __init__(self, rng: random.Random, patterns: WeightedPatterns,
-                 cumulative: List[float], mean_gap: float) -> None:
-        self.rng = rng
-        self.patterns = [pattern for _, pattern in patterns]
-        self._weighted = patterns
-        self._cumulative = cumulative
-        self._mean_gap = mean_gap
-
-    def __iter__(self) -> "Iterator[TraceRecord]":
-        return self
-
-    def __next__(self) -> TraceRecord:
-        rng = self.rng
-        r = rng.random()
-        for cum, (_, pattern) in zip(self._cumulative, self._weighted):
-            if r <= cum:
-                chosen = pattern
-                break
-        else:
-            chosen = self._weighted[-1][1]
-        block, is_write, dependent = chosen.next(rng)
-        gap = int(rng.expovariate(1.0 / self._mean_gap))
-        return TraceRecord(gap, block, is_write, dependent)
-
-
-class _FastTrace:
-    """Hot-path twin of the reference generator in ``trace``.
-
-    Identical RNG call sequence, so the records are bit-identical; the wins
-    are the compiled pattern closures (see :mod:`repro.workloads.patterns`),
-    ``expovariate`` inlined to CPython's own expression
-    ``-log(1.0 - random()) / lambd`` with ``lambd = 1.0 / mean_gap`` - the
-    same division in the same order, hence the same floats - and records
-    built with ``tuple.__new__``, skipping :class:`TraceRecord`'s field
-    validation (every record here satisfies it by construction: gaps are
-    non-negative ints, blocks are region bases plus non-negative offsets,
-    and no pattern emits a dependent store).
-
-    Besides the normal record iterator this exposes ``raw``, a second
-    generator over the *same* RNG and compiled closures that yields bare
-    ``(block, is_write)`` pairs.  Functional warmup only looks at those
-    two fields, so skipping the gap arithmetic and the record allocation
-    there is free - and switching between the two generators at any point
-    is sound because every draw goes through the shared ``rng`` and every
-    cursor lives on the pattern objects, never in a generator frame.  The
-    gap draw still happens in ``raw`` (its value is discarded) to keep
-    the stream aligned with the reference path.
-
-    ``raw_parts`` goes one step further for the warmup loop: it hands out
-    the bound ``rng.random`` and the compiled closures themselves so
+    ``raw_parts`` hands out the bound ``rng.random`` and the compiled
+    closures themselves so
     :meth:`repro.cache.llc.LastLevelCache.warm_chunk` can inline the draw
-    sequence into its own frame - no generator resume and no pair tuple
-    per record.  The draw order is identical to ``raw``'s, so consuming
-    via either (or switching between them) yields the same stream.
+    sequence into its own frame - no generator resume and no record per
+    access.  Switching between that and the record stream at any point
+    is sound because every draw goes through the shared ``rng`` and every
+    cursor lives on the pattern objects, never in a generator frame.
 
-    ``fast_next`` is the record generator's bound ``__next__``: the core's
-    hot loop calls it directly, skipping the ``builtins.next`` and
+    ``next_record`` is the record generator's bound ``__next__``: the
+    core's loop calls it directly, skipping the ``builtins.next`` and
     ``__next__`` wrapper frames the iterator protocol would add per
     record.
 
-    ``rng`` and ``patterns`` exist purely for :mod:`repro.checkpoint`:
-    every draw goes through the shared ``rng`` and every cursor lives on
-    the pattern objects (the compiled closures read and write them by
-    attribute), so restoring those two restores the whole trace - the
-    generator frames themselves hold no state between yields.
+    ``rng`` and ``patterns`` exist for :mod:`repro.checkpoint`: restoring
+    those two restores the whole trace, because the generator frame holds
+    no state between yields.
     """
 
-    __slots__ = ("raw", "raw_parts", "fast_next", "rng", "patterns",
-                 "_records", "_next")
+    __slots__ = ("raw_parts", "next_record", "rng", "patterns")
 
     def __init__(self, rng: random.Random, patterns: WeightedPatterns,
                  cumulative: List[float], mean_gap: float) -> None:
@@ -174,17 +118,15 @@ class _FastTrace:
         lambd = 1.0 / mean_gap
         self.rng = rng
         self.patterns = [pattern for _, pattern in patterns]
-        self.raw = self._raw_gen(rnd, compiled, fallback)
         self.raw_parts = (rnd, compiled, fallback)
-        self._records = self._record_gen(rnd, compiled, fallback, lambd)
-        self._next = self._records.__next__
-        self.fast_next = self._next
+        self.next_record = self._record_gen(
+            rnd, compiled, fallback, lambd).__next__
 
     def __iter__(self) -> "Iterator[TraceRecord]":
         return self
 
     def __next__(self) -> TraceRecord:
-        return self._next()
+        return self.next_record()
 
     @staticmethod
     def _record_gen(rnd, compiled, fallback,
@@ -202,21 +144,6 @@ class _FastTrace:
             block, is_write, dependent = chosen()
             yield new(record_cls, (int(-log(1.0 - rnd()) / lambd),
                                    block, is_write, dependent))
-
-    @staticmethod
-    def _raw_gen(rnd, compiled,
-                 fallback) -> "Iterator[Tuple[int, bool]]":   # simlint: hotpath
-        while True:
-            r = rnd()
-            for cum, fast_next in compiled:
-                if r <= cum:
-                    chosen = fast_next
-                    break
-            else:
-                chosen = fallback
-            block, is_write, _ = chosen()
-            rnd()   # the gap draw; value unused during warmup
-            yield block, is_write
 
 
 def _region(index: int) -> int:

@@ -1,8 +1,7 @@
 """Checkpoint equivalence gate: snapshot -> restore -> continue must be
 bit-identical to running straight through.
 
-The differential matrix mirrors the fastpath oracle suite: every test
-runs the same config twice - once uninterrupted, once sliced into
+Every differential test runs the same config twice - once uninterrupted, once sliced into
 checkpointed segments where each pause round-trips through an actual
 snapshot file and a freshly constructed ``System`` - and requires
 byte-for-byte equality of the serialized results (and, where enabled,
@@ -33,8 +32,8 @@ from repro.checkpoint import (CheckpointCorruptionError, CheckpointError,
                               config_from_dict, config_to_dict,
                               load_snapshot, restore_system, save_snapshot,
                               snapshot_bytes)
+from repro.checkpoint.snapshot import _encode_snapshot
 from repro.faults import FaultConfig
-from repro.hotpath import FASTPATH_ENV
 from repro.sim.config import CACHE_KEY_EXCLUDED, SimConfig
 from repro.sim.system import System
 
@@ -134,30 +133,28 @@ def test_sliced_bit_identity_sanitizer_armed(
     assert _sliced_json(config, 700, tmp_path) == _straight_json(config)
 
 
-def test_sliced_bit_identity_reference_mode(
-        monkeypatch: pytest.MonkeyPatch, tmp_path: Path) -> None:
-    """With the fastpath disabled the reference drain loop handles the
-    pause; the snapshot mode flag records the environment."""
-    monkeypatch.setenv(FASTPATH_ENV, "1")
-    config = SimConfig(workload="hmmer", policy="BE-Mellow+SC",
-                       seed=3).scaled(0.02)
-    assert _sliced_json(config, 900, tmp_path) == _straight_json(config)
+def test_sliced_bit_identity_faults_sanitized(tmp_path: Path) -> None:
+    """Fault injection with the sanitizer armed runs on the same
+    controller spine as every other config; slicing it through snapshot
+    files must not move a bit, and the restored run must pass every
+    invariant check."""
+    config = SimConfig(workload="zeusmp", policy="BE-Mellow+SC", seed=7,
+                       sanitize=True, faults=FAULTS).scaled(0.02)
+    assert _sliced_json(config, 800, tmp_path) == _straight_json(config)
 
 
-def test_mode_mismatch_rejected(monkeypatch: pytest.MonkeyPatch,
-                                tmp_path: Path) -> None:
-    """A snapshot captured under the fastpath must refuse to restore in
-    a reference-mode environment (and name the env var)."""
-    monkeypatch.delenv(FASTPATH_ENV, raising=False)
-    config = SimConfig(workload="hmmer", policy="Norm", seed=3,
-                       checkpoint_every=900).scaled(0.02)
-    system = System(config)
-    system.start_run()
-    assert system.continue_run() is None
-    path = save_snapshot(system, tmp_path / "fast.ckpt")
-    monkeypatch.setenv(FASTPATH_ENV, "1")
-    with pytest.raises(CheckpointError, match="REPRO_NO_FASTPATH"):
-        restore_system(path)
+def test_schema_1_snapshot_refused(tmp_path: Path) -> None:
+    """Schema 1 snapshots carried a controller-mode flag and event kinds
+    this build no longer has; restoring one fails loudly instead of
+    being misread."""
+    path = _one_snapshot(tmp_path)
+    config, state = load_snapshot(path)
+    state["state_schema"] = 1
+    state["fastpath"] = True
+    old = tmp_path / "schema1.ckpt"
+    old.write_bytes(_encode_snapshot(config, state))
+    with pytest.raises(CheckpointError, match="state schema 1"):
+        restore_system(old)
 
 
 def test_run_with_checkpoint_dir_writes_snapshots(tmp_path: Path) -> None:

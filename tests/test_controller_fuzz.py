@@ -72,6 +72,9 @@ def run_storm(policy_name, sequence):
                                         completions["write"].append)
                 submitted["write"] += 1
     events.run_all(max_events=100_000)
+    # The controller keeps bank scheduling state in flat lists; copy it to
+    # the Bank objects the quiescence checks read.
+    controller.sync_bank_state()
     return controller, submitted, completions
 
 

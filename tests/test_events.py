@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim.events import EventQueue
+from repro.sim.sanitize import InvariantViolation
 
 
 def test_events_run_in_time_order():
@@ -107,3 +108,101 @@ def test_peek_time():
     assert eq.peek_time() is None
     eq.schedule(7, lambda: None)
     assert eq.peek_time() == 7
+
+
+# ---------------------------------------------------------------------------
+# Adversarial unit tests for the batch-advance seams: the core's analytic
+# clock advance and the deferred event.  Each targets an edge the seams
+# could get subtly wrong while whole-simulation results still look sane.
+# ---------------------------------------------------------------------------
+
+
+def test_advance_if_clear_refuses_exact_tie_with_heap_event() -> None:
+    """An event due exactly at the jump target must win: the tie has to
+    go through the heap so sequence ordering decides, not the jumper."""
+    q = EventQueue(sanitize=False)
+    q.schedule(10.0, lambda: None)
+    assert q.advance_if_clear(10.0) is False
+    assert q.now == 0.0   # simlint: ignore[SIM004] -- exact by construction: jump targets are set, not computed
+    # Strictly before the pending event the window is quiescent.
+    assert q.advance_if_clear(9.0) is True
+    assert q.now == 9.0   # simlint: ignore[SIM004] -- exact by construction: jump targets are set, not computed
+
+
+def test_advance_if_clear_refuses_exact_tie_with_deferred_event() -> None:
+    """A deferred event counts as pending even though it is not in the
+    heap: jumping over (or onto) it would run the window out of order."""
+    q = EventQueue(sanitize=False)
+    q.defer(10.0, lambda: None)
+    assert q.advance_if_clear(10.0) is False
+    assert q.advance_if_clear(11.0) is False
+    assert q.advance_if_clear(9.5) is True
+    assert q.now == 9.5   # simlint: ignore[SIM004] -- exact by construction: jump targets are set, not computed
+
+
+def test_run_fast_zero_length_deferred_window_runs_inline() -> None:
+    """A deferral at exactly ``now`` (zero-length quiescent window) must
+    resolve inline without moving the clock - the degenerate jump."""
+    q = EventQueue(sanitize=False)
+    q.schedule(5.0, lambda: None)
+    assert q.run_fast(budget=1) == 1
+    assert q.now == 5.0   # simlint: ignore[SIM004] -- exact by construction: jump targets are set, not computed
+    fired = []
+    q.defer(5.0, lambda: fired.append(q.now))
+    assert q.run_fast(budget=10) == 1
+    assert fired == [5.0]
+    assert q.now == 5.0   # simlint: ignore[SIM004] -- exact by construction: jump targets are set, not computed
+    assert q.deferred_time is None
+
+
+def test_run_fast_flushes_deferral_on_time_tie_fifo_order() -> None:
+    """schedule(t) / defer(t) / schedule(t): all three tie on time, so
+    reserved sequence numbers must serialize them in call order."""
+    q = EventQueue(sanitize=False)
+    order = []
+    q.schedule(10.0, lambda: order.append("first-scheduled"))
+    q.defer(10.0, lambda: order.append("deferred"))
+    q.schedule(10.0, lambda: order.append("last-scheduled"))
+    assert q.run_fast(budget=10) == 3
+    assert order == ["first-scheduled", "deferred", "last-scheduled"]
+    assert q.now == 10.0   # simlint: ignore[SIM004] -- exact by construction: jump targets are set, not computed
+
+
+def test_run_fast_flushes_deferral_past_earlier_heap_event() -> None:
+    """An event scheduled *after* the deferral but due *before* it (the
+    epoch-tick-inside-a-quiescent-window shape) must run first; the
+    deferral is flushed into the heap and keeps its reserved sequence."""
+    q = EventQueue(sanitize=False)
+    order = []
+    q.defer(50.0, lambda: order.append(("miss-completion", q.now)))
+    q.schedule(30.0, lambda: order.append(("epoch-tick", q.now)))
+    assert q.run_fast(budget=10) == 2
+    assert order == [("epoch-tick", 30.0), ("miss-completion", 50.0)]
+    assert q.now == 50.0   # simlint: ignore[SIM004] -- exact by construction: jump targets are set, not computed
+
+
+def test_run_fast_deferred_seam_with_sanitizer_armed() -> None:
+    """The inline-resolution branch has its own monotonicity check; a
+    legal window must pass it and an illegal jump must trip it."""
+    q = EventQueue(sanitize=True)
+    fired = []
+    q.defer(20.0, lambda: fired.append(q.now))
+    assert q.run_fast(budget=10) == 1
+    assert fired == [20.0]
+    with pytest.raises(InvariantViolation):
+        q.advance_if_clear(5.0)   # behind now=20 with the sanitizer armed
+
+
+def test_defer_contract() -> None:
+    """One deferral at a time, never into the past."""
+    q = EventQueue(sanitize=False)
+    q.schedule(5.0, lambda: None)
+    q.run_fast(budget=1)
+    with pytest.raises(ValueError):
+        q.defer(4.0, lambda: None)
+    q.defer(6.0, lambda: None)
+    with pytest.raises(RuntimeError):
+        q.defer(7.0, lambda: None)
+    q.flush_deferred()
+    with pytest.raises(RuntimeError):
+        q.flush_deferred()

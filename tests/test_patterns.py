@@ -6,6 +6,8 @@ import pytest
 
 from repro.workloads.patterns import (
     HotSet,
+    Pattern,
+    PhasedPattern,
     PointerChase,
     RandomAccess,
     ReadModifyWrite,
@@ -120,3 +122,42 @@ class TestPhasedPattern:
         with pytest.raises(ValueError):
             PhasedPattern(SequentialStream(0, 4), SequentialStream(8, 4),
                           phase_length=0)
+
+
+# ---------------------------------------------------------------------------
+# ``next(rng)`` is the readable specification of each pattern; the trace
+# generator runs ``compile_fast(rng)`` instead.  Both must draw the same
+# accesses from the same generator state, draw for draw.
+# ---------------------------------------------------------------------------
+
+# Odd region sizes exercise randrange's rejection loop; small ones wrap.
+PATTERN_FACTORIES = {
+    SequentialStream: lambda: SequentialStream(
+        7, 1001, write_ratio=0.3, stride=3),
+    RandomAccess: lambda: RandomAccess(
+        0, 3_000_017, write_ratio=0.4, dependent=True),
+    HotSet: lambda: HotSet(
+        50, 100_003, hot_blocks=771, hot_fraction=0.8, write_ratio=0.25),
+    PointerChase: lambda: PointerChase(11, 65_537, write_ratio=0.2),
+    ReadModifyWrite: lambda: ReadModifyWrite(0, 999_983),
+    PhasedPattern: lambda: PhasedPattern(
+        ReadModifyWrite(0, 5003, dependent_reads=False),
+        HotSet(10**6, 9000, hot_blocks=300, write_ratio=0.5),
+        phase_length=777),
+}
+
+
+def test_oracle_covers_every_pattern_class():
+    assert set(PATTERN_FACTORIES) == set(Pattern.__subclasses__())
+
+
+@pytest.mark.parametrize("pattern_cls", list(PATTERN_FACTORIES),
+                         ids=lambda cls: cls.__name__)
+def test_compile_fast_matches_next(pattern_cls):
+    draws = 10_000
+    spec_rng, fast_rng = random.Random(2024), random.Random(2024)
+    spec = PATTERN_FACTORIES[pattern_cls]()
+    expected = [spec.next(spec_rng) for _ in range(draws)]
+    fast_next = PATTERN_FACTORIES[pattern_cls]().compile_fast(fast_rng)
+    assert [fast_next() for _ in range(draws)] == expected
+    assert fast_rng.getstate() == spec_rng.getstate()
