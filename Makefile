@@ -7,7 +7,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: check lint simlint typecheck test sanitize coverage \
-	bench-sanitizer trace-demo bench-telemetry
+	bench-sanitizer trace-demo bench-telemetry bench-smoke bench-survival
 
 check:
 	$(PYTHON) -m repro check
@@ -55,3 +55,13 @@ trace-demo:
 # Telemetry overhead + bit-identity gate (same check CI runs).
 bench-telemetry:
 	$(PYTHON) benchmarks/check_telemetry_overhead.py
+
+# Every benchmark workload at tiny sizes, untraced and traced (CI's
+# bench-smoke job runs the same command).
+bench-smoke:
+	$(PYTHON) bench/run.py --smoke
+
+# The sliced survival study with per-layer timing, including
+# checkpoint.save_ms / restore_ms / snapshot_kb.
+bench-survival:
+	$(PYTHON) bench/run.py --workload survival --trace

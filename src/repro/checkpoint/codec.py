@@ -27,7 +27,8 @@ Two representation rules keep restores bit-identical:
 
 Dicts with insertion-order-dependent semantics (per-factor wear tallies,
 lazily touched fault lines, the DRAM buffer's LRU order) are serialized
-as pair lists so JSON round-trips preserve their order exactly.
+as pair lists so JSON round-trips preserve their order exactly.  The LLC,
+most of a snapshot, is stored as flat per-line columns (see _capture_llc).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 import itertools
 import random
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
-                    Sequence, Tuple)
+                    Sequence, Tuple, TypeGuard, TypeVar)
 
 from repro.cache.lru import CacheLine, LRUCache
 from repro.cpu.trace import TraceRecord
@@ -50,7 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.sim.system import System
 
 #: Version of the *state* layout below (the file envelope has its own).
-STATE_SCHEMA_VERSION = 2
+STATE_SCHEMA_VERSION = 3
 
 _CTRL_STATS_FIELDS: Tuple[str, ...] = (
     "reads_from_llc", "writes_from_llc", "eager_from_llc", "reads_issued",
@@ -70,6 +71,25 @@ _FAULT_STATS_FIELDS: Tuple[str, ...] = (
 _DRAM_STATS_FIELDS: Tuple[str, ...] = (
     "writebacks_in", "coalesced", "drains_out",
 )
+_SYSTEM_FIELDS: Tuple[str, ...] = (
+    "_measure_start_ns", "_measure_end_ns", "_accesses_at_last_scan", "_done",
+)
+_CTRL_FIELDS: Tuple[str, ...] = (
+    "bus_free_ns", "drain_mode", "_drain_started_ns", "_wear_write_tally",
+    "_wear_write_baseline",
+)
+_QUEUE_FIELDS: Tuple[str, ...] = (
+    "_size", "_occupancy_integral", "_last_change_ns", "_epoch_peak",
+)
+_PROFILER_FIELDS: Tuple[str, ...] = (
+    "miss_counter", "eager_position", "samples_taken",
+)
+_DEADBLOCK_FIELDS: Tuple[str, ...] = ("total_reuses", "samples_taken")
+_REMAPPER_FIELDS: Tuple[str, ...] = (
+    "gap", "start", "_writes_since_move", "total_writes", "gap_moves",
+)
+_QUOTA_FIELDS: Tuple[str, ...] = ("previous_periods", "slow_only_periods")
+_FLIP_FIELDS: Tuple[str, ...] = ("lines_written", "bits_written")
 _CORE_FIELDS: Tuple[str, ...] = (
     "instructions_retired", "accesses_processed", "outstanding_reads",
     "stall_time_ns", "_next_read_id", "_wait_read_id", "_waiting_mlp",
@@ -88,6 +108,17 @@ def _fields_from_dict(obj: Any, fields: Sequence[str],
         setattr(obj, name, data[name])
 
 
+_T = TypeVar("_T")
+
+
+def _present(live: Optional[_T], state: Any, what: str) -> TypeGuard[_T]:
+    """Whether an optional component is on; snapshot and config agree."""
+    if (live is None) != (state is None):
+        raise CheckpointError(
+            f"snapshot and config disagree about {what} state")
+    return live is not None
+
+
 def _rng_to_json(rng: random.Random) -> List[Any]:
     version, internal, gauss_next = rng.getstate()
     return [version, list(internal), gauss_next]
@@ -98,52 +129,43 @@ def _rng_from_json(rng: random.Random, data: Sequence[Any]) -> None:
 
 
 def _trace_record_row(record: Optional[TraceRecord]) -> Optional[List[Any]]:
-    if record is None:
-        return None
-    return [record.gap_insts, record.block,
-            bool(record.is_write), bool(record.dependent)]
+    return None if record is None else [
+        record.gap_insts, record.block, bool(record.is_write),
+        bool(record.dependent)]
 
 
-def _trace_record_from_row(row: Optional[Sequence[Any]]
-                           ) -> Optional[TraceRecord]:
-    if row is None:
-        return None
-    return TraceRecord(row[0], row[1], bool(row[2]), bool(row[3]))
+def _trace_record_from_row(row: Any) -> Optional[TraceRecord]:
+    return (None if row is None else
+            TraceRecord(row[0], row[1], bool(row[2]), bool(row[3])))
+
+
+#: The mutable draw-state attributes of each stateful pattern class.
+_PATTERN_FIELDS: Dict[type, Tuple[str, ...]] = {
+    SequentialStream: ("_cursor",),
+    ReadModifyWrite: ("_pending_write",),
+    PhasedPattern: ("_served", "_in_second"),
+}
 
 
 def _pattern_state(pattern: Pattern) -> Dict[str, Any]:
     """The mutable draw-state of one access pattern (recursive)."""
-    if isinstance(pattern, SequentialStream):
-        return {"cursor": pattern._cursor}
-    if isinstance(pattern, ReadModifyWrite):
-        return {"pending_write": pattern._pending_write}
+    state = _fields_to_dict(pattern, _PATTERN_FIELDS.get(type(pattern), ()))
     if isinstance(pattern, PhasedPattern):
-        return {
-            "served": pattern._served,
-            "in_second": pattern._in_second,
-            "first": _pattern_state(pattern.first),
-            "second": _pattern_state(pattern.second),
-        }
-    return {}
+        state["first"] = _pattern_state(pattern.first)
+        state["second"] = _pattern_state(pattern.second)
+    return state
 
 
 def _restore_pattern(pattern: Pattern, state: Dict[str, Any]) -> None:
-    if isinstance(pattern, SequentialStream):
-        pattern._cursor = state["cursor"]
-    elif isinstance(pattern, ReadModifyWrite):
-        pattern._pending_write = state["pending_write"]
-    elif isinstance(pattern, PhasedPattern):
-        pattern._served = state["served"]
-        pattern._in_second = state["in_second"]
+    _fields_from_dict(pattern, _PATTERN_FIELDS.get(type(pattern), ()), state)
+    if isinstance(pattern, PhasedPattern):
         _restore_pattern(pattern.first, state["first"])
         _restore_pattern(pattern.second, state["second"])
 
 
 def _closure_cells(fn: Callable[..., Any]) -> Dict[str, Any]:
-    code = fn.__code__
-    closure = fn.__closure__ or ()
-    return dict(zip(code.co_freevars,
-                    (cell.cell_contents for cell in closure)))
+    return dict(zip(fn.__code__.co_freevars,
+                    (cell.cell_contents for cell in fn.__closure__ or ())))
 
 
 # Factory helpers rebuild event lambdas with the *same closure shape*
@@ -176,11 +198,9 @@ class _Capture:
         self.inflight_rows: List[List[Any]] = []
 
     def request_ref(self, request: Request) -> int:
-        key = id(request)
-        serial = self._request_index.get(key)
+        serial = self._request_index.get(id(request))
         if serial is None:
-            serial = len(self.request_rows)
-            self._request_index[key] = serial
+            serial = self._request_index[id(request)] = len(self.request_rows)
             self.request_rows.append([
                 request.kind, request.block, request.bank, request.rank,
                 request.row, request.arrival_ns,
@@ -191,11 +211,9 @@ class _Capture:
         return serial
 
     def inflight_ref(self, op: InFlight) -> int:
-        key = id(op)
-        serial = self._inflight_index.get(key)
+        serial = self._inflight_index.get(id(op))
         if serial is None:
-            serial = len(self.inflight_rows)
-            self._inflight_index[key] = serial
+            serial = self._inflight_index[id(op)] = len(self.inflight_rows)
             self.inflight_rows.append([
                 self.request_ref(op.request), op.start_ns, op.finish_ns,
                 op.pulse_start_ns, bool(op.cancellable),
@@ -270,34 +288,10 @@ class _Capture:
 class _Restore:
     """One restore pass: rebuilt identity tables plus callback decoding."""
 
-    def __init__(self, system: "System", state: Dict[str, Any]) -> None:
+    def __init__(self, system: "System") -> None:
         self.system = system
-        core = system.core
         self.requests: List[Request] = []
-        for row in state["requests"]:
-            callback: Optional[Callable[..., None]] = None
-            desc = row[6]
-            if desc is not None:
-                if desc[0] == "plain":
-                    callback = core._read_done_plain
-                else:
-                    callback = core._make_read_callback(desc[1])
-            self.requests.append(Request(
-                kind=row[0], block=row[1], bank=row[2], rank=row[3],
-                row=row[4], arrival_ns=row[5], callback=callback,
-                attempts=row[7], retries=row[8], speed_factor=row[9],
-                progress_ns=row[10], req_id=row[11],
-            ))
-        self.inflights: List[InFlight] = [
-            InFlight(request=self.requests[row[0]], start_ns=row[1],
-                     finish_ns=row[2], pulse_start_ns=row[3],
-                     cancellable=bool(row[4]), resumed_progress_ns=row[5])
-            for row in state["inflights"]
-        ]
-
-    def decode_waiter(self, name: str) -> Callable[[], None]:
-        waiter = getattr(self.system.core, name)
-        return waiter  # type: ignore[no-any-return]
+        self.inflights: List[InFlight] = []
 
     def decode_event(self, desc: Sequence[Any]) -> Callable[..., None]:
         kind = desc[0]
@@ -316,14 +310,30 @@ class _Restore:
         raise CheckpointError(f"unknown event descriptor {desc!r}")
 
 
+# Request / InFlight rows list the dataclass fields in declaration order.
+
+def _restore_requests(restore: _Restore, rows: List[List[Any]]) -> None:
+    core = restore.system.core
+    for row in rows:
+        desc = row[6]
+        callback = (None if desc is None
+                    else core._read_done_plain if desc[0] == "plain"
+                    else core._make_read_callback(desc[1]))
+        restore.requests.append(Request(*row[:6] + [callback] + row[7:]))
+
+
+def _restore_inflights(restore: _Restore, rows: List[List[Any]]) -> None:
+    restore.inflights[:] = [
+        InFlight(restore.requests[row[0]], row[1], row[2], row[3],
+                 bool(row[4]), row[5])
+        for row in rows]
+
+
 def _capture_queue(capture: _Capture, queue: RequestQueue) -> Dict[str, Any]:
     return {
         "fifos": [[capture.request_ref(req) for req in fifo]
                   for fifo in queue._fifos],
-        "size": queue._size,
-        "occupancy_integral": queue._occupancy_integral,
-        "last_change_ns": queue._last_change_ns,
-        "epoch_peak": queue._epoch_peak,
+        **_fields_to_dict(queue, _QUEUE_FIELDS),
     }
 
 
@@ -333,10 +343,7 @@ def _restore_queue(restore: _Restore, queue: RequestQueue,
         fifo = queue._grow_to(bank)
         fifo.clear()
         fifo.extend(restore.requests[ref] for ref in refs)
-    queue._size = state["size"]
-    queue._occupancy_integral = state["occupancy_integral"]
-    queue._last_change_ns = state["last_change_ns"]
-    queue._epoch_peak = state["epoch_peak"]
+    _fields_from_dict(queue, _QUEUE_FIELDS, state)
 
 
 def _capture_trace(system: "System") -> Dict[str, Any]:
@@ -354,13 +361,10 @@ def _capture_trace(system: "System") -> Dict[str, Any]:
     }
 
 
-def _restore_trace(system: "System", state: Dict[str, Any]) -> None:
-    trace = system._trace
+def _restore_trace(restore: _Restore, state: Dict[str, Any]) -> None:
+    trace = restore.system._trace
     rng = getattr(trace, "rng", None)
     patterns = getattr(trace, "patterns", None)
-    if rng is None or patterns is None:
-        raise CheckpointError(
-            f"workload {system.config.workload!r} trace is not restorable")
     if len(patterns) != len(state["patterns"]):
         raise CheckpointError(
             f"trace pattern count changed: snapshot has "
@@ -375,64 +379,75 @@ def _capture_llc(system: "System") -> Dict[str, Any]:
     lru = llc.cache
     deadblock = llc.deadblock
     age = deadblock.age_threshold
+    lines = [line for set_lines in lru.sets for line in set_lines]
     return {
         "stats": _fields_to_dict(llc.stats, _LLC_STATS_FIELDS),
         "rng": _rng_to_json(llc.rng),
-        "sets": [[[line.tag, bool(line.dirty), bool(line.eager_cleaned),
-                   line.last_touch] for line in lines]
-                 for lines in lru.sets],
+        # One flat column per line field, sets in order, each MRU-first;
+        # flags packs dirty | eager_cleaned << 1.
+        "lines_per_set": [len(set_lines) for set_lines in lru.sets],
+        "tags": [line.tag for line in lines],
+        "flags": [line.dirty | line.eager_cleaned << 1 for line in lines],
+        "last_touch": [line.last_touch for line in lines],
         "set_access_counts": list(lru.set_access_counts),
         "profiler": {
             "hit_counters": list(llc.profiler.hit_counters),
-            "miss_counter": llc.profiler.miss_counter,
-            "eager_position": llc.profiler.eager_position,
-            "samples_taken": llc.profiler.samples_taken,
+            **_fields_to_dict(llc.profiler, _PROFILER_FIELDS),
         },
         "deadblock": {
             "buckets": list(deadblock.buckets),
-            "total_reuses": deadblock.total_reuses,
+            **_fields_to_dict(deadblock, _DEADBLOCK_FIELDS),
             # float("inf") is not valid strict JSON; None encodes it.
             "age_threshold": None if age == float("inf") else age,
-            "samples_taken": deadblock.samples_taken,
         },
     }
 
 
-def _restore_llc(system: "System", state: Dict[str, Any]) -> None:
-    llc = system.llc
+def _restore_llc(restore: _Restore, state: Dict[str, Any]) -> None:
+    llc = restore.system.llc
     lru: LRUCache = llc.cache
     _fields_from_dict(llc.stats, _LLC_STATS_FIELDS, state["stats"])
     _rng_from_json(llc.rng, state["rng"])
-    if len(state["sets"]) != lru.num_sets:
+    sizes = state["lines_per_set"]
+    tags, flags, touches = state["tags"], state["flags"], state["last_touch"]
+    if len(sizes) != lru.num_sets:
         raise CheckpointError(
-            f"LLC geometry changed: snapshot has {len(state['sets'])} "
+            f"LLC geometry changed: snapshot has {len(sizes)} "
             f"sets, live cache has {lru.num_sets}")
-    for index, rows in enumerate(state["sets"]):
-        lru.sets[index][:] = [
-            CacheLine(tag=row[0], dirty=bool(row[1]),
-                      eager_cleaned=bool(row[2]), last_touch=row[3])
-            for row in rows
-        ]
-    lru.set_access_counts[:] = state["set_access_counts"]
-    for index, lines in enumerate(lru.sets):
-        tags = [line.tag for line in lines]
-        lru._tag_sets[index][:] = tags
+    if not len(tags) == len(flags) == len(touches) == sum(sizes):
+        raise CheckpointError(
+            f"LLC column lengths {len(tags)}/{len(flags)}/{len(touches)} "
+            f"disagree with the {sum(sizes)} lines the sets hold")
+    if not set(flags) <= {0, 1, 2, 3}:
+        raise CheckpointError(f"LLC line flags outside 0-3: "
+                              f"{sorted(set(flags) - {0, 1, 2, 3})}")
+    lines = [CacheLine(tag, flag & 1 == 1, flag > 1, touch)
+             for tag, flag, touch in zip(tags, flags, touches)]
+    start = 0
+    for index, size in enumerate(sizes):
+        end = start + size
+        set_tags = tags[start:end]
         members = lru._tag_members[index]
         members.clear()
-        members.update(tags)
+        members.update(set_tags)
+        if not len(members) == size <= lru.assoc:
+            raise CheckpointError(
+                f"LLC set {index} holds {size} lines with {len(members)} "
+                f"distinct tags in a {lru.assoc}-way cache")
+        lru._tag_sets[index][:] = set_tags
+        lru.sets[index][:] = lines[start:end]
+        start = end
+    lru.set_access_counts[:] = state["set_access_counts"]
     # hit_counters / buckets are aliased by the LLC hot path
     # (llc._hit_counters, llc._db_buckets); restore strictly in place.
     profiler = llc.profiler
     profiler.hit_counters[:] = state["profiler"]["hit_counters"]
-    profiler.miss_counter = state["profiler"]["miss_counter"]
-    profiler.eager_position = state["profiler"]["eager_position"]
-    profiler.samples_taken = state["profiler"]["samples_taken"]
+    _fields_from_dict(profiler, _PROFILER_FIELDS, state["profiler"])
     deadblock = llc.deadblock
     deadblock.buckets[:] = state["deadblock"]["buckets"]
-    deadblock.total_reuses = state["deadblock"]["total_reuses"]
+    _fields_from_dict(deadblock, _DEADBLOCK_FIELDS, state["deadblock"])
     age = state["deadblock"]["age_threshold"]
     deadblock.age_threshold = float("inf") if age is None else age
-    deadblock.samples_taken = state["deadblock"]["samples_taken"]
 
 
 def _capture_wear(system: "System") -> Dict[str, Any]:
@@ -443,29 +458,21 @@ def _capture_wear(system: "System") -> Dict[str, Any]:
                       in record.slow_writes_by_factor.items()]]
                     for record in wear.records],
         "damage_watermarks": list(wear._damage_watermarks),
-        "remappers": [{
-            "gap": remapper.gap, "start": remapper.start,
-            "writes_since_move": remapper._writes_since_move,
-            "total_writes": remapper.total_writes,
-            "gap_moves": remapper.gap_moves,
-        } for remapper in wear.remappers],
+        "remappers": [_fields_to_dict(remapper, _REMAPPER_FIELDS)
+                      for remapper in wear.remappers],
         "block_damage": [list(row) for row in wear.block_damage],
     }
 
 
-def _restore_wear(system: "System", state: Dict[str, Any]) -> None:
-    wear = system.wear
+def _restore_wear(restore: _Restore, state: Dict[str, Any]) -> None:
+    wear = restore.system.wear
     for record, row in zip(wear.records, state["records"]):
         record.normal_writes = row[0]
         record.slow_writes_by_factor = {
             factor: count for factor, count in row[1]}
     wear._damage_watermarks = list(state["damage_watermarks"])
     for remapper, remap_state in zip(wear.remappers, state["remappers"]):
-        remapper.gap = remap_state["gap"]
-        remapper.start = remap_state["start"]
-        remapper._writes_since_move = remap_state["writes_since_move"]
-        remapper.total_writes = remap_state["total_writes"]
-        remapper.gap_moves = remap_state["gap_moves"]
+        _fields_from_dict(remapper, _REMAPPER_FIELDS, remap_state)
     for target, row in zip(wear.block_damage, state["block_damage"]):
         target[:] = row
     # Pending whole-write buffers were flushed before capture.
@@ -490,17 +497,10 @@ def _capture_faults(system: "System") -> Optional[Dict[str, Any]]:
     }
 
 
-def _restore_faults(system: "System",
-                    state: Optional[Dict[str, Any]]) -> None:
-    injector = system.faults
-    if injector is None:
-        if state is not None:
-            raise CheckpointError(
-                "snapshot carries fault state but config has no faults")
+def _restore_faults(restore: _Restore, state: Any) -> None:
+    injector = restore.system.faults
+    if not _present(injector, state, "fault"):
         return
-    if state is None:
-        raise CheckpointError(
-            "config enables faults but snapshot has no fault state")
     from repro.faults.injector import _LineState
     _fields_from_dict(injector.stats, _FAULT_STATS_FIELDS, state["stats"])
     _rng_from_json(injector._rng, state["rng"])
@@ -509,9 +509,7 @@ def _restore_faults(system: "System",
     for bank_lines, rows in zip(injector._lines, state["lines"]):
         bank_lines.clear()
         for line, (limits, damage, dead, replaced) in rows:
-            bank_lines[line] = _LineState(
-                limits=list(limits), damage=damage, dead=dead,
-                replaced=replaced)
+            bank_lines[line] = _LineState(list(limits), damage, dead, replaced)
 
 
 def _capture_telemetry(system: "System") -> Optional[Dict[str, Any]]:
@@ -522,10 +520,8 @@ def _capture_telemetry(system: "System") -> Optional[Dict[str, Any]]:
     tracer = telemetry.tracer
 
     def heatmap_state(heatmap: Any) -> Dict[str, Any]:
-        return {
-            "epoch_times_ns": list(heatmap.epoch_times_ns),
-            "rows": [list(row) for row in heatmap.rows],
-        }
+        return {"epoch_times_ns": list(heatmap.epoch_times_ns),
+                "rows": [list(row) for row in heatmap.rows]}
 
     return {
         "metrics": {
@@ -549,17 +545,11 @@ def _capture_telemetry(system: "System") -> Optional[Dict[str, Any]]:
     }
 
 
-def _restore_telemetry(system: "System",
-                       state: Optional[Dict[str, Any]]) -> None:
-    telemetry = system.telemetry
-    if not telemetry.enabled:
-        if state is not None:
-            raise CheckpointError(
-                "snapshot carries telemetry but config disables it")
+def _restore_telemetry(restore: _Restore, state: Any) -> None:
+    telemetry = restore.system.telemetry
+    if not _present(telemetry if telemetry.enabled else None, state,
+                    "telemetry"):
         return
-    if state is None:
-        raise CheckpointError(
-            "config enables telemetry but snapshot has no telemetry state")
     registry = telemetry.metrics
     metrics = state["metrics"]
     for name, value in metrics["counters"].items():
@@ -576,9 +566,8 @@ def _restore_telemetry(system: "System",
     tracer._ring.clear()
     tracer._ring.extend(tuple(record) for record in state["tracer"]["ring"])
     tracer.recorded = state["tracer"]["recorded"]
-    for heatmap, heat_state in ((telemetry.heatmap, state["heatmap"]),
-                                (telemetry.retired_heatmap,
-                                 state["retired_heatmap"])):
+    for name in ("heatmap", "retired_heatmap"):
+        heatmap, heat_state = getattr(telemetry, name), state[name]
         heatmap.epoch_times_ns[:] = heat_state["epoch_times_ns"]
         heatmap.rows[:] = [list(row) for row in heat_state["rows"]]
 
@@ -639,12 +628,7 @@ def capture_state(system: "System") -> Dict[str, Any]:
             "heap": heap_rows,
             "deferred": deferred_row,
         },
-        "system": {
-            "measure_start_ns": system._measure_start_ns,
-            "measure_end_ns": system._measure_end_ns,
-            "accesses_at_last_scan": system._accesses_at_last_scan,
-            "done": system._done,
-        },
+        "system": _fields_to_dict(system, _SYSTEM_FIELDS),
         "core": {
             **_fields_to_dict(core, _CORE_FIELDS),
             "pending_fill": _trace_record_row(core._pending_fill),
@@ -652,12 +636,8 @@ def capture_state(system: "System") -> Dict[str, Any]:
         },
         "trace": _capture_trace(system),
         "controller": {
-            "bus_free_ns": ctrl.bus_free_ns,
-            "drain_mode": ctrl.drain_mode,
-            "drain_started_ns": ctrl._drain_started_ns,
+            **_fields_to_dict(ctrl, _CTRL_FIELDS),
             "stats": _fields_to_dict(ctrl.stats, _CTRL_STATS_FIELDS),
-            "wear_write_tally": ctrl._wear_write_tally,
-            "wear_write_baseline": ctrl._wear_write_baseline,
             "next_request_id": next_request_id,
             "write_space_waiters": [capture.encode_waiter(w)
                                     for w in ctrl._write_space_waiters],
@@ -679,14 +659,12 @@ def capture_state(system: "System") -> Dict[str, Any]:
         "quota": None if quota is None else {
             "cumulative_wear": list(quota.cumulative_wear),
             "slow_only": list(quota.slow_only),
-            "previous_periods": quota.previous_periods,
-            "slow_only_periods": quota.slow_only_periods,
+            **_fields_to_dict(quota, _QUOTA_FIELDS),
         },
         "faults": _capture_faults(system),
         "flip_n_write": None if flip is None else {
             "rng": _rng_to_json(flip.rng),
-            "lines_written": flip.lines_written,
-            "bits_written": flip.bits_written,
+            **_fields_to_dict(flip, _FLIP_FIELDS),
         },
         "dram_buffer": None if dram_buffer is None else {
             "lines": list(dram_buffer._lines.keys()),
@@ -701,121 +679,134 @@ def capture_state(system: "System") -> Dict[str, Any]:
     return state
 
 
+def _restore_events(restore: _Restore, state: Dict[str, Any]) -> None:
+    events = restore.system.events
+    events.now = state["now"]
+    events._seq = state["seq"]
+    events._heap = [(time_ns, seq, restore.decode_event(desc))
+                    for time_ns, seq, desc in state["heap"]]
+    deferred = state["deferred"]
+    events._deferred = (None if deferred is None else
+                        (deferred[0], deferred[1],
+                         restore.decode_event(deferred[2])))
+    events.stop = False
+
+
+def _restore_system(restore: _Restore, state: Dict[str, Any]) -> None:
+    _fields_from_dict(restore.system, _SYSTEM_FIELDS, state)
+
+
+def _restore_core(restore: _Restore, state: Dict[str, Any]) -> None:
+    core = restore.system.core
+    _fields_from_dict(core, _CORE_FIELDS, state)
+    core._pending_fill = _trace_record_from_row(state["pending_fill"])
+    core._gap_record = _trace_record_from_row(state["gap_record"])
+    core._in_run = False
+    core._owns_clock = False
+    core.stop_requested = False
+
+
+def _restore_controller(restore: _Restore, state: Dict[str, Any]) -> None:
+    ctrl = restore.system.controller
+    _fields_from_dict(ctrl, _CTRL_FIELDS, state)
+    _fields_from_dict(ctrl.stats, _CTRL_STATS_FIELDS, state["stats"])
+    ctrl._request_ids = itertools.count(state["next_request_id"])
+    core = restore.system.core
+    ctrl._write_space_waiters[:] = [
+        getattr(core, name) for name in state["write_space_waiters"]]
+    ctrl._read_space_waiters[:] = [
+        getattr(core, name) for name in state["read_space_waiters"]]
+    for limiter, recent in zip(ctrl.faw, state["faw"]):
+        limiter._recent.clear()
+        limiter._recent.extend(recent)
+    _restore_queue(restore, ctrl.read_q, state["queues"]["read"])
+    _restore_queue(restore, ctrl.write_q, state["queues"]["write"])
+    _restore_queue(restore, ctrl.eager_q, state["queues"]["eager"])
+    for bank, row in zip(ctrl.banks, state["banks"]):
+        (bank.busy_time_ns, bank.ops_begun, bank.ops_cancelled,
+         bank.lines_retired) = row
+    ctrl._bank_busy_until[:] = state["bank_busy_until"]
+    ctrl._bank_open_row[:] = state["bank_open_row"]
+    ctrl._bank_in_flight[:] = [
+        None if ref is None else restore.inflights[ref]
+        for ref in state["bank_in_flight"]]
+    ctrl.sync_bank_state()
+
+
+def _restore_quota(restore: _Restore, state: Any) -> None:
+    quota = restore.system.quota
+    if _present(quota, state, "wear-quota"):
+        quota.cumulative_wear = list(state["cumulative_wear"])
+        quota.slow_only[:] = [bool(v) for v in state["slow_only"]]
+        _fields_from_dict(quota, _QUOTA_FIELDS, state)
+
+
+def _restore_flip_n_write(restore: _Restore, state: Any) -> None:
+    flip = restore.system.flip_n_write
+    if _present(flip, state, "Flip-N-Write"):
+        _rng_from_json(flip.rng, state["rng"])
+        _fields_from_dict(flip, _FLIP_FIELDS, state)
+
+
+def _restore_dram_buffer(restore: _Restore, state: Any) -> None:
+    buffer = restore.system.dram_buffer
+    if _present(buffer, state, "DRAM-buffer"):
+        buffer._lines.clear()
+        buffer._lines.update(dict.fromkeys(state["lines"]))
+        _fields_from_dict(buffer.stats, _DRAM_STATS_FIELDS, state["stats"])
+
+
+#: State sections in restore order: the identity tables first, since
+#: events and controller queues refer into them by index.
+_SECTION_RESTORERS: Dict[str, Callable[[_Restore, Any], None]] = {
+    "requests": _restore_requests,
+    "inflights": _restore_inflights,
+    "events": _restore_events,
+    "system": _restore_system,
+    "core": _restore_core,
+    "trace": _restore_trace,
+    "controller": _restore_controller,
+    "llc": _restore_llc,
+    "wear": _restore_wear,
+    "quota": _restore_quota,
+    "faults": _restore_faults,
+    "flip_n_write": _restore_flip_n_write,
+    "dram_buffer": _restore_dram_buffer,
+    "telemetry": _restore_telemetry,
+}
+
+
 def restore_state(system: "System", state: Dict[str, Any]) -> None:
     """Overwrite a freshly constructed system with captured state.
 
     ``system`` must come straight from ``System(config)`` with the same
     config (and the same sanitize environment) the snapshot was captured
     under: construction wires probes and rebuilds the workload trace; this
-    function then overwrites every piece of mutable state.
+    function then overwrites every piece of mutable state.  A state that
+    lacks a section or holds a field of the wrong shape raises
+    :class:`CheckpointError` naming the section.
     """
-    if state.get("state_schema") != STATE_SCHEMA_VERSION:
+    schema = state.get("state_schema")
+    if schema != STATE_SCHEMA_VERSION:
         raise CheckpointError(
-            f"unsupported state schema {state.get('state_schema')!r} "
+            f"unsupported state schema {schema!r} "
             f"(this build reads schema {STATE_SCHEMA_VERSION})")
-    ctrl = system.controller
+    missing = [name for name in ("sanitize", *_SECTION_RESTORERS)
+               if name not in state]
+    if missing:
+        raise CheckpointError(
+            f"snapshot state lacks sections {missing}")
     if bool(system.sanitize) != bool(state["sanitize"]):
         raise CheckpointError(
             f"snapshot was captured with sanitize="
             f"{bool(state['sanitize'])} but this environment resolves "
             f"sanitize={bool(system.sanitize)} (check REPRO_SANITIZE)")
-
-    restore = _Restore(system, state)
-    events = system.events
-    events_state = state["events"]
-    events.now = events_state["now"]
-    events._seq = events_state["seq"]
-    events._heap = [
-        (row[0], row[1], restore.decode_event(row[2]))
-        for row in events_state["heap"]
-    ]
-    deferred_row = events_state["deferred"]
-    events._deferred = (None if deferred_row is None else
-                        (deferred_row[0], deferred_row[1],
-                         restore.decode_event(deferred_row[2])))
-    events.stop = False
-
-    system_state = state["system"]
-    system._measure_start_ns = system_state["measure_start_ns"]
-    system._measure_end_ns = system_state["measure_end_ns"]
-    system._accesses_at_last_scan = system_state["accesses_at_last_scan"]
-    system._done = system_state["done"]
-
-    core = system.core
-    core_state = state["core"]
-    _fields_from_dict(core, _CORE_FIELDS, core_state)
-    core._pending_fill = _trace_record_from_row(core_state["pending_fill"])
-    core._gap_record = _trace_record_from_row(core_state["gap_record"])
-    core._in_run = False
-    core._owns_clock = False
-    core.stop_requested = False
-
-    _restore_trace(system, state["trace"])
-
-    ctrl_state = state["controller"]
-    ctrl.bus_free_ns = ctrl_state["bus_free_ns"]
-    ctrl.drain_mode = ctrl_state["drain_mode"]
-    ctrl._drain_started_ns = ctrl_state["drain_started_ns"]
-    _fields_from_dict(ctrl.stats, _CTRL_STATS_FIELDS, ctrl_state["stats"])
-    ctrl._wear_write_tally = ctrl_state["wear_write_tally"]
-    ctrl._wear_write_baseline = ctrl_state["wear_write_baseline"]
-    ctrl._request_ids = itertools.count(ctrl_state["next_request_id"])
-    ctrl._write_space_waiters[:] = [
-        restore.decode_waiter(name)
-        for name in ctrl_state["write_space_waiters"]]
-    ctrl._read_space_waiters[:] = [
-        restore.decode_waiter(name)
-        for name in ctrl_state["read_space_waiters"]]
-    for limiter, recent in zip(ctrl.faw, ctrl_state["faw"]):
-        limiter._recent.clear()
-        limiter._recent.extend(recent)
-    _restore_queue(restore, ctrl.read_q, ctrl_state["queues"]["read"])
-    _restore_queue(restore, ctrl.write_q, ctrl_state["queues"]["write"])
-    _restore_queue(restore, ctrl.eager_q, ctrl_state["queues"]["eager"])
-    for bank, row in zip(ctrl.banks, ctrl_state["banks"]):
-        (bank.busy_time_ns, bank.ops_begun, bank.ops_cancelled,
-         bank.lines_retired) = row
-    ctrl._bank_busy_until[:] = ctrl_state["bank_busy_until"]
-    ctrl._bank_open_row[:] = ctrl_state["bank_open_row"]
-    ctrl._bank_in_flight[:] = [
-        None if ref is None else restore.inflights[ref]
-        for ref in ctrl_state["bank_in_flight"]]
-    ctrl.sync_bank_state()
-
-    _restore_llc(system, state["llc"])
-    _restore_wear(system, state["wear"])
-
-    quota_state = state["quota"]
-    if (system.quota is None) != (quota_state is None):
-        raise CheckpointError(
-            "snapshot and config disagree about wear-quota state")
-    if system.quota is not None and quota_state is not None:
-        system.quota.cumulative_wear = list(quota_state["cumulative_wear"])
-        system.quota.slow_only[:] = [
-            bool(v) for v in quota_state["slow_only"]]
-        system.quota.previous_periods = quota_state["previous_periods"]
-        system.quota.slow_only_periods = quota_state["slow_only_periods"]
-
-    _restore_faults(system, state["faults"])
-
-    flip_state = state["flip_n_write"]
-    if (system.flip_n_write is None) != (flip_state is None):
-        raise CheckpointError(
-            "snapshot and config disagree about Flip-N-Write state")
-    if system.flip_n_write is not None and flip_state is not None:
-        _rng_from_json(system.flip_n_write.rng, flip_state["rng"])
-        system.flip_n_write.lines_written = flip_state["lines_written"]
-        system.flip_n_write.bits_written = flip_state["bits_written"]
-
-    buffer_state = state["dram_buffer"]
-    if (system.dram_buffer is None) != (buffer_state is None):
-        raise CheckpointError(
-            "snapshot and config disagree about DRAM-buffer state")
-    if system.dram_buffer is not None and buffer_state is not None:
-        system.dram_buffer._lines.clear()
-        for block in buffer_state["lines"]:
-            system.dram_buffer._lines[block] = None
-        _fields_from_dict(system.dram_buffer.stats, _DRAM_STATS_FIELDS,
-                          buffer_state["stats"])
-
-    _restore_telemetry(system, state["telemetry"])
+    restore = _Restore(system)
+    for name, restore_section in _SECTION_RESTORERS.items():
+        try:
+            restore_section(restore, state[name])
+        except (AttributeError, IndexError, KeyError, TypeError,
+                ValueError) as error:
+            raise CheckpointError(
+                f"snapshot state section {name!r} is malformed: "
+                f"{type(error).__name__}: {error}") from None

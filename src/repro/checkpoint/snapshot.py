@@ -21,13 +21,14 @@ half-written snapshot where a resume would find it.
 from __future__ import annotations
 
 import base64
-import binascii
 import dataclasses
+import gc
 import hashlib
 import json
 import zlib
+from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterator, Tuple, Union
 
 from repro.faults.config import FaultConfig
 from repro.sim.config import SimConfig
@@ -50,16 +51,11 @@ SNAPSHOT_NAME_FORMAT = "checkpoint-{accesses:012d}.ckpt"
 
 def config_to_dict(config: SimConfig) -> Dict[str, Any]:
     """SimConfig -> JSON-able dict (policy by name, faults expanded)."""
-    data: Dict[str, Any] = {}
-    for field in dataclasses.fields(SimConfig):
-        value = getattr(config, field.name)
-        if field.name == "policy":
-            data[field.name] = config.policy_name
-        elif field.name == "faults":
-            data[field.name] = (None if value is None
-                                else dataclasses.asdict(value))
-        else:
-            data[field.name] = value
+    data = {field.name: getattr(config, field.name)
+            for field in dataclasses.fields(SimConfig)}
+    data["policy"] = config.policy_name
+    if config.faults is not None:
+        data["faults"] = dataclasses.asdict(config.faults)
     return data
 
 
@@ -80,7 +76,7 @@ def _encode_snapshot(config: SimConfig, state: Dict[str, Any]) -> bytes:
         "schema": SNAPSHOT_SCHEMA_VERSION,
         "sha256": hashlib.sha256(body_bytes).hexdigest(),
         "body": base64.b64encode(
-            zlib.compress(body_bytes, 6)).decode("ascii"),
+            zlib.compress(body_bytes, 1)).decode("ascii"),
     }
     return json.dumps(envelope, sort_keys=True).encode("utf-8")
 
@@ -104,15 +100,11 @@ def _decode_snapshot(path: Path, raw: bytes
             path, f"unsupported snapshot schema {envelope['schema']!r} "
                   f"(this build reads schema {SNAPSHOT_SCHEMA_VERSION})")
     try:
-        compressed = base64.b64decode(envelope["body"], validate=True)
-    except (binascii.Error, ValueError, TypeError) as error:
+        body_bytes = zlib.decompress(
+            base64.b64decode(envelope["body"], validate=True))
+    except (ValueError, TypeError, zlib.error) as error:
         raise CheckpointCorruptionError(
-            path, f"body is not valid base64: {error}") from None
-    try:
-        body_bytes = zlib.decompress(compressed)
-    except zlib.error as error:
-        raise CheckpointCorruptionError(
-            path, f"body failed to decompress: {error}") from None
+            path, f"body does not decode: {error}") from None
     digest = hashlib.sha256(body_bytes).hexdigest()
     if digest != envelope["sha256"]:
         raise CheckpointCorruptionError(
@@ -124,7 +116,7 @@ def _decode_snapshot(path: Path, raw: bytes
         raise CheckpointCorruptionError(
             path, f"body is not valid JSON: {error}") from None
     if not isinstance(body, dict) or "config" not in body \
-            or "state" not in body:
+            or not isinstance(body.get("state"), dict):
         raise CheckpointCorruptionError(
             path, "body lacks config/state sections")
     try:
@@ -135,9 +127,23 @@ def _decode_snapshot(path: Path, raw: bytes
     return config, body["state"]
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic collector around a bulk capture or restore, whose
+    fresh objects (one per LLC line) would set off whole-heap passes."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def snapshot_bytes(system: "System") -> bytes:
     """The encoded snapshot for a paused system (no file involved)."""
-    return _encode_snapshot(system.config, capture_state(system))
+    with _collector_paused():
+        return _encode_snapshot(system.config, capture_state(system))
 
 
 def save_snapshot(system: "System",
@@ -177,8 +183,9 @@ def restore_system(path: Union[str, Path]) -> "System":
     onward, to the run that produced the snapshot.
     """
     from repro.sim.system import System
-    config, state = load_snapshot(path)
-    system = System(config)
-    restore_state(system, state)
-    system.rearm_after_restore()
+    with _collector_paused():
+        config, state = load_snapshot(path)
+        system = System(config)
+        restore_state(system, state)
+        system.rearm_after_restore()
     return system

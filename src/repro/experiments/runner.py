@@ -181,8 +181,11 @@ def _advance_slice(config: SimConfig, snapshot_path: Optional[str],
     result = system.continue_run()
     if result is None:
         save_snapshot(system, next_snapshot_path)
-        return ("pending", next_snapshot_path)
-    return ("done", result_to_dict(result))
+        outcome: tuple = ("pending", next_snapshot_path)
+    else:
+        outcome = ("done", result_to_dict(result))
+    system.release()
+    return outcome
 
 
 class Runner:

@@ -481,6 +481,19 @@ class System:
             self._pause_at = None
         self._paused = False
 
+    def release(self) -> None:
+        """Free this system now rather than at a whole-heap collection.
+
+        The controller and the core hold bound-method callbacks into each
+        other and into the system, so a dropped system waits for a full
+        cyclic-collector pass.  Clearing the attributes of those three
+        objects breaks their cycles and lets reference counting reclaim
+        the system at once.  The system is unusable afterwards; sliced
+        sweeps call this once per slice, after the snapshot is written.
+        """
+        for part in (self.controller, self.core, self):
+            vars(part).clear()
+
     def _drain_events(self, max_events: int) -> None:
         """Run events until the run completes or pauses.
 

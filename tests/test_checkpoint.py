@@ -33,6 +33,7 @@ from repro.checkpoint import (CheckpointCorruptionError, CheckpointError,
                               load_snapshot, restore_system, save_snapshot,
                               snapshot_bytes)
 from repro.checkpoint.snapshot import _encode_snapshot
+from repro.cli import main
 from repro.faults import FaultConfig
 from repro.sim.config import CACHE_KEY_EXCLUDED, SimConfig
 from repro.sim.system import System
@@ -143,18 +144,130 @@ def test_sliced_bit_identity_faults_sanitized(tmp_path: Path) -> None:
     assert _sliced_json(config, 800, tmp_path) == _straight_json(config)
 
 
-def test_schema_1_snapshot_refused(tmp_path: Path) -> None:
-    """Schema 1 snapshots carried a controller-mode flag and event kinds
-    this build no longer has; restoring one fails loudly instead of
-    being misread."""
-    path = _one_snapshot(tmp_path)
-    config, state = load_snapshot(path)
-    state["state_schema"] = 1
-    state["fastpath"] = True
-    old = tmp_path / "schema1.ckpt"
-    old.write_bytes(_encode_snapshot(config, state))
-    with pytest.raises(CheckpointError, match="state schema 1"):
+def _nested_llc_rows(llc: dict) -> None:
+    """Rewrite the columnar LLC section as the nested per-line ``sets``
+    rows that state schemas 1 and 2 used."""
+    sets, start = [], 0
+    for size in llc.pop("lines_per_set"):
+        end = start + size
+        sets.append([[tag, bool(flag & 1), flag > 1, touch]
+                     for tag, flag, touch in zip(llc["tags"][start:end],
+                                                 llc["flags"][start:end],
+                                                 llc["last_touch"][start:end])])
+        start = end
+    for column in ("tags", "flags", "last_touch"):
+        del llc[column]
+    llc["sets"] = sets
+
+
+@pytest.mark.parametrize("schema", [1, 2])
+def test_old_state_schema_refused(tmp_path: Path, schema: int) -> None:
+    """Schema 1 carried a controller-mode flag and event kinds this build
+    no longer has; schemas 1 and 2 stored the LLC as nested per-line
+    rows.  There is no reader for either: restoring one fails loudly
+    instead of being misread."""
+    def downgrade(state: dict) -> None:
+        state["state_schema"] = schema
+        if schema == 1:
+            state["fastpath"] = True
+        _nested_llc_rows(state["llc"])
+
+    old = _edited_snapshot(tmp_path, downgrade)
+    with pytest.raises(CheckpointError, match=f"state schema {schema}"):
         restore_system(old)
+
+
+@pytest.mark.parametrize("section, edit", [
+    ("llc", lambda state: state.pop("llc")),
+    ("controller", lambda state: state["controller"].update(faw=5)),
+    ("core", lambda state: state["core"].pop("_finished")),
+    ("events", lambda state: state["events"].update(heap=[["x"]])),
+], ids=["missing-section", "wrong-type", "missing-field", "short-row"])
+def test_malformed_state_is_a_checkpoint_error(tmp_path: Path, section: str,
+                                               edit) -> None:
+    """A digest-valid snapshot whose state lacks a section or holds a
+    field of the wrong shape is refused with a CheckpointError naming the
+    section, never a raw KeyError / TypeError from deep in the restore."""
+    bad = _edited_snapshot(tmp_path, edit)
+    with pytest.raises(CheckpointError, match=repr(section)):
+        restore_system(bad)
+
+
+def test_resume_malformed_state_is_a_clean_cli_error(tmp_path: Path,
+                                                     capsys) -> None:
+    """``repro resume`` reports a malformed state as a one-line error
+    (exit 1), not a traceback."""
+    bad = _edited_snapshot(tmp_path, lambda state: state.pop("llc"))
+    assert main(["resume", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'llc'" in err
+    assert "Traceback" not in err
+
+
+def _overfill_set_0(llc: dict) -> int:
+    """Give set 0 the lines of sets 0 and 1 (column lengths unchanged),
+    more than the default 16-way LLC holds."""
+    sizes = llc["lines_per_set"]
+    sizes[0], sizes[1] = sizes[0] + sizes[1], 0
+    assert sizes[0] > 16
+    return sizes[0]
+
+
+def _repeat_a_tag_in_set_0(llc: dict) -> int:
+    llc["tags"][1] = llc["tags"][0]
+    return llc["lines_per_set"][0] - 1
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda llc: llc["tags"].pop(), "column lengths .* disagree"),
+    (_overfill_set_0, "LLC set 0 holds {} lines"),
+    (lambda llc: llc["flags"].__setitem__(0, 4), r"flags outside 0-3: \[4\]"),
+    (lambda llc: llc["flags"].__setitem__(0, -1), r"flags outside 0-3: \[-1\]"),
+    (_repeat_a_tag_in_set_0, "LLC set 0 holds .* with {} distinct tags"),
+], ids=["column-lengths", "over-assoc", "flags-high", "flags-negative",
+        "repeated-tag"])
+def test_llc_columns_validated(tmp_path: Path, edit, message: str) -> None:
+    """The LLC columns are outside input: lengths that disagree with the
+    per-set counts, a set fuller than the associativity, flags outside
+    0-3 and a set holding one tag twice are each refused."""
+    expected: list = []
+
+    def corrupt(state: dict) -> None:
+        llc = state["llc"]
+        assert llc["lines_per_set"][0] >= 2 and llc["lines_per_set"][1]
+        expected.append(edit(llc))
+
+    bad = _edited_snapshot(tmp_path, corrupt)
+    with pytest.raises(CheckpointError, match=message.format(*expected)):
+        restore_system(bad)
+
+
+def test_llc_round_trip_restores_lines_and_tag_mirrors(tmp_path: Path
+                                                        ) -> None:
+    """Every set's lines, the MRU-first tag mirror and the membership sets
+    come back exactly, through partly filled sets and eager-cleaned
+    lines (a half-occupancy warm-up leaves sets partly filled)."""
+    config = dataclasses.replace(
+        SimConfig(workload="zeusmp", policy="BE-Mellow+SC",
+                  seed=3).scaled(0.1),
+        functional_warmup_occupancy=0.5, checkpoint_every=5000)
+    system = System(config)
+    system.start_run()
+    assert system.continue_run() is None
+    original = system.llc.cache
+    assert any(len(lines) < original.assoc for lines in original.sets)
+    assert any(line.eager_cleaned
+               for lines in original.sets for line in lines)
+    restored = restore_system(
+        save_snapshot(system, tmp_path / "llc.ckpt")).llc.cache
+
+    def rows(cache) -> list:
+        return [[(line.tag, line.dirty, line.eager_cleaned, line.last_touch)
+                 for line in lines] for lines in cache.sets]
+
+    assert rows(restored) == rows(original)
+    assert restored._tag_sets == original._tag_sets
+    assert restored._tag_members == original._tag_members
 
 
 def test_run_with_checkpoint_dir_writes_snapshots(tmp_path: Path) -> None:
@@ -266,6 +379,15 @@ def _one_snapshot(tmp_path: Path) -> Path:
     system.start_run()
     assert system.continue_run() is None
     return save_snapshot(system, tmp_path / "good.ckpt")
+
+
+def _edited_snapshot(tmp_path: Path, edit) -> Path:
+    """A digest-valid snapshot whose state ``edit`` changed in place."""
+    config, state = load_snapshot(_one_snapshot(tmp_path))
+    edit(state)
+    path = tmp_path / "edited.ckpt"
+    path.write_bytes(_encode_snapshot(config, state))
+    return path
 
 
 def test_corrupt_truncated(tmp_path: Path) -> None:

@@ -8,17 +8,20 @@ an uninterrupted run produces.
 """
 from __future__ import annotations
 
+import gc
 import json
 import signal
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
 
 from repro.analysis.export import run_result_to_dict
-from repro.checkpoint import restore_system
+from repro.checkpoint import load_snapshot, restore_system, save_snapshot
+from repro.checkpoint.snapshot import _encode_snapshot
 from repro.experiments.faults import (default_fault_config,
                                       sharded_survival_study,
                                       sliced_survival_configs,
@@ -103,6 +106,51 @@ def test_advance_slice_resimulates_on_corrupt_snapshot(
     straight = run_result_to_dict(System(config).run())
     assert (json.dumps(resimulated, sort_keys=True)
             == json.dumps(straight, sort_keys=True))
+
+
+def test_advance_slice_resimulates_on_malformed_state(
+        tmp_path: Path, caplog: pytest.LogCaptureFixture) -> None:
+    """A digest-valid snapshot whose state lacks a section takes the same
+    warn-and-re-simulate path as a corrupt file, to identical bytes."""
+    config = sliced_survival_configs(policies=("Slow+SC",), seeds=1,
+                                     scale=SCALE, slices=3)[0]
+    system = System(config)
+    system.start_run()
+    assert system.continue_run() is None
+    snapshot_config, state = load_snapshot(
+        save_snapshot(system, tmp_path / "good.ckpt"))
+    del state["llc"]
+    bad = tmp_path / "no-llc.ckpt"
+    bad.write_bytes(_encode_snapshot(snapshot_config, state))
+    with caplog.at_level("WARNING", logger="repro.experiments.runner"):
+        status, payload = _advance_slice(config, str(bad),
+                                         str(tmp_path / "next.ckpt"))
+    assert status == "done"
+    assert any("re-simulating" in record.message and "'llc'" in record.message
+               for record in caplog.records)
+    resimulated = run_result_to_dict(result_from_dict(payload))
+    straight = run_result_to_dict(System(config).run())
+    assert (json.dumps(resimulated, sort_keys=True)
+            == json.dumps(straight, sort_keys=True))
+
+
+def test_release_frees_a_slice_system_without_the_collector() -> None:
+    """Snapshot capture and restore pause the cyclic collector, so the
+    slice worker must not leave dead systems for it: ``release`` lets
+    reference counting alone reclaim a finished slice's system."""
+    config = sliced_survival_configs(policies=("Slow+SC",), seeds=1,
+                                     scale=SCALE, slices=3)[0]
+    system = System(config)
+    system.start_run()
+    assert system.continue_run() is None
+    alive = weakref.ref(system)
+    gc.disable()
+    try:
+        system.release()
+        del system
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 _CHILD_SCRIPT = """
