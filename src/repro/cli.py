@@ -73,6 +73,11 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
                         help="measured LLC accesses (default from SimConfig)")
     parser.add_argument("--scale", type=float, default=1.0,
                         help="scale factor on the simulation windows")
+
+
+def _add_checkpoint_arguments(parser: argparse.ArgumentParser) -> None:
+    # Single-run commands only: two runs sharing one --checkpoint-dir
+    # would write snapshots under the same names.
     parser.add_argument("--checkpoint-every", type=int, default=None,
                         help="pause and snapshot every N processed LLC "
                              "accesses (resume with 'repro resume')")
@@ -96,15 +101,15 @@ def _config_from_args(args: argparse.Namespace, workload: str,
     if args.measure is not None:
         kwargs["measure_accesses"] = args.measure
     if getattr(args, "checkpoint_every", None) is not None:
-        if args.checkpoint_every < 1:
-            raise CLIError(f"--checkpoint-every must be >= 1, "
-                           f"got {args.checkpoint_every}")
         kwargs["checkpoint_every"] = args.checkpoint_every
     if getattr(args, "checkpoint_dir", None) is not None:
         kwargs["checkpoint_dir"] = args.checkpoint_dir
-    config = SimConfig(**kwargs)
-    if args.scale != 1.0:
-        config = config.scaled(args.scale)
+    try:
+        config = SimConfig(**kwargs)
+        if args.scale != 1.0:
+            config = config.scaled(args.scale)
+    except ValueError as error:
+        raise CLIError(str(error)) from None
     return config
 
 
@@ -166,13 +171,13 @@ def cmd_resume(args: argparse.Namespace) -> int:
         raise CLIError(f"snapshot not found: {path}") from None
     except CheckpointCorruptionError as error:
         raise CLIError(str(error)) from None
-    if args.checkpoint_every is not None:
-        if args.checkpoint_every < 1:
-            raise CLIError(f"--checkpoint-every must be >= 1, "
-                           f"got {args.checkpoint_every}")
-        config = replace(config, checkpoint_every=args.checkpoint_every)
-    if args.checkpoint_dir is not None:
-        config = replace(config, checkpoint_dir=args.checkpoint_dir)
+    try:
+        if args.checkpoint_every is not None:
+            config = replace(config, checkpoint_every=args.checkpoint_every)
+        if args.checkpoint_dir is not None:
+            config = replace(config, checkpoint_dir=args.checkpoint_dir)
+    except ValueError as error:
+        raise CLIError(str(error)) from None
     system = System(config)
     try:
         restore_state(system, state)
@@ -454,9 +459,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
         DEFAULT_MC_SCALE,
         SURVIVAL_POLICIES,
         sharded_survival_study,
-        survival_configs,
         survival_curve_table,
-        survival_records,
         survival_summary,
     )
     if args.seeds < 1:
@@ -471,25 +474,16 @@ def cmd_faults(args: argparse.Namespace) -> int:
     runner = Runner()
     scale = args.scale if args.scale is not None else DEFAULT_MC_SCALE
     progress = None if args.quiet else _print_progress
-    if args.slices > 1:
-        records = sharded_survival_study(
-            runner=runner, workload=args.workload, policies=policies,
-            seeds=args.seeds, scale=scale, slices=args.slices,
-            jobs=args.jobs, checkpoint_dir=args.checkpoint_dir,
-            progress=progress,
-        )
-        progress = None   # the summary below replays from the cache
-    else:
-        results = runner.sweep(
-            survival_configs(args.workload, policies, args.seeds,
-                             scale=scale),
-            jobs=args.jobs, progress=progress,
-        )
-        records = survival_records(policies, args.seeds, results)
-        progress = None
+    records = sharded_survival_study(
+        runner=runner, workload=args.workload, policies=policies,
+        seeds=args.seeds, scale=scale, slices=args.slices,
+        jobs=args.jobs, checkpoint_dir=args.checkpoint_dir,
+        progress=progress,
+    )
+    # The summary replays the same grid from the cache.
     table = survival_summary(
         runner=runner, workload=args.workload, policies=policies,
-        seeds=args.seeds, scale=scale, jobs=args.jobs, progress=progress,
+        seeds=args.seeds, scale=scale, jobs=args.jobs,
     )
     print(render(table))
     print()
@@ -543,6 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="simulate one workload under one policy",
     )
     _add_run_arguments(run_parser)
+    _add_checkpoint_arguments(run_parser)
     run_parser.add_argument("--telemetry", action="store_true",
                             help="record telemetry (metrics, trace, "
                                  "heatmap) alongside the run")
@@ -573,6 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
                       "Chrome trace",
     )
     _add_run_arguments(trace_parser)
+    _add_checkpoint_arguments(trace_parser)
     trace_parser.add_argument("--output", default=None,
                               help="copy the Chrome trace JSON here "
                                    "(default: leave it in the bundle dir)")
@@ -583,6 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "time series",
     )
     _add_run_arguments(metrics_parser)
+    _add_checkpoint_arguments(metrics_parser)
     metrics_parser.add_argument("--match", default=None,
                                 help="only show series containing this "
                                      "substring (e.g. 'queue.' or 'bank.')")
@@ -595,6 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "hottest call sites",
     )
     _add_run_arguments(profile_parser)
+    _add_checkpoint_arguments(profile_parser)
     profile_parser.add_argument("--sort", default="cumtime",
                                 choices=["cumtime", "tottime", "ncalls"],
                                 help="pstats sort key (default cumtime)")

@@ -254,7 +254,7 @@ def sharded_survival_study(
     policies = tuple(policies)
     grid = sliced_survival_configs(workload, policies, seeds, faults,
                                    scale, slices)
-    results = runner.sweep_sliced(
+    results = runner.sweep(
         grid, jobs=jobs, progress=progress,
         checkpoint_dir=None if checkpoint_dir is None
         else Path(checkpoint_dir))

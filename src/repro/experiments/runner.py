@@ -40,8 +40,7 @@ import logging
 import os
 import shutil
 import tempfile
-from concurrent.futures import (FIRST_COMPLETED, ProcessPoolExecutor,
-                                as_completed, wait)
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
@@ -50,7 +49,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence
 # because this module is the historic home every caller imports from.
 from repro.sim.config import SimConfig, digest_for_key  # noqa: F401  (re-export)
 from repro.sim.stats import RunResult
-from repro.sim.system import run_simulation
+from repro.sim.system import System, run_simulation
 from repro.store import (
     CACHE_SCHEMA_VERSION,
     CacheEntryError,
@@ -135,28 +134,21 @@ class SweepProgress:
 ProgressCallback = Callable[[SweepProgress], None]
 
 
-def _simulate_to_dict(config: SimConfig) -> dict:
-    """Worker entry point: simulate and return a plain-dict result.
-
-    Returning a dict (rather than a RunResult) keeps the IPC payload
-    decoupled from dataclass layout and is exactly what the parent writes
-    to the store; the parent process owns all store traffic.  Telemetry is
-    the one exception: when the config carries a ``telemetry_dir`` the
-    worker writes the bundle itself at end of run (atomically, manifest
-    last) - for the file backend that directory *is* the stored bundle,
-    for the memory backend the parent ingests it afterwards.
-    """
-    return result_to_dict(run_simulation(config))
-
-
 def _advance_slice(config: SimConfig, snapshot_path: Optional[str],
                    next_snapshot_path: str) -> tuple:
-    """Worker entry point for sliced sweeps: run one checkpoint segment.
+    """Sweep worker entry point: run one checkpoint segment of a run.
 
     The first slice of a run starts from the config; later slices resume
     from the snapshot the previous slice (possibly in a *different*
     process) wrote.  Returns ``("pending", path)`` after writing the next
-    snapshot, or ``("done", result_dict)`` when the run completed.
+    snapshot, or ``("done", result_dict)`` when the run completed - at
+    once for a config without ``checkpoint_every``.  Results travel as
+    plain dicts, exactly what the parent writes to the store; the parent
+    process owns all store traffic.  Telemetry is the one exception:
+    the run's last slice writes the bundle into ``telemetry_dir``
+    (atomically, manifest last) - for the file backend that directory
+    *is* the stored bundle, for the memory backend the parent ingests it
+    afterwards.
 
     A snapshot that fails validation - truncated, bit-flipped, or from a
     mismatched environment - is not fatal: the worker warns and
@@ -164,22 +156,22 @@ def _advance_slice(config: SimConfig, snapshot_path: Optional[str],
     the interrupted one (the checkpoint equivalence contract), exactly
     like the store layer's unreadable-entry fallback.
     """
-    from repro.checkpoint import CheckpointError, restore_system, save_snapshot
-    from repro.sim.system import System
-
     if snapshot_path is None:
         system = System(config)
         system.start_run()
     else:
+        from repro.checkpoint import CheckpointError, restore_system
         try:
             system = restore_system(snapshot_path)
         except (CheckpointError, FileNotFoundError, OSError) as error:
             logger.warning(
                 "snapshot %s unusable (%s); re-simulating from scratch",
                 snapshot_path, error)
-            return ("done", _simulate_to_dict(config))
+            return ("done", result_to_dict(run_simulation(
+                replace(config, checkpoint_dir=None))))
     result = system.continue_run()
     if result is None:
+        from repro.checkpoint import save_snapshot
         save_snapshot(system, next_snapshot_path)
         outcome: tuple = ("pending", next_snapshot_path)
     else:
@@ -298,21 +290,28 @@ class Runner:
                        entry_to_json(config, result).encode("utf-8"))
         self._ingest_bundle(config)
 
+    def _cached(self, config: SimConfig) -> Optional[RunResult]:
+        """The memo or store result satisfying ``config``, or None on a
+        miss; a hit counts in ``cache_hits``."""
+        if not self._telemetry_satisfied(config):
+            return None
+        key = config.cache_key()
+        result = self._memo.get(key)
+        if result is None:
+            result = self._load_store(config)
+            if result is None:
+                return None
+            self._memo[key] = result
+        self.cache_hits += 1
+        return result
+
     def run(self, config: SimConfig) -> RunResult:
         config = self._with_telemetry_dir(config)
-        key = config.cache_key()
-        if self._telemetry_satisfied(config):
-            if key in self._memo:
-                self.cache_hits += 1
-                return self._memo[key]
-            result = self._load_store(config)
-            if result is not None:
-                self._memo[key] = result
-                self.cache_hits += 1
-                return result
-        result = run_simulation(config)
-        self.simulated += 1
-        self._store_result(config, result)
+        result = self._cached(config)
+        if result is None:
+            result = run_simulation(config)
+            self.simulated += 1
+            self._store_result(config, result)
         return result
 
     def run_traced(self, config: SimConfig) -> "tuple[RunResult, Path]":
@@ -350,6 +349,7 @@ class Runner:
               jobs: Optional[int] = None,
               progress: Optional[ProgressCallback] = None,
               apply_env_scale: bool = True,
+              checkpoint_dir: Optional[Path] = None,
               ) -> List[RunResult]:
         """Run a grid of configs, fanning cache misses out over processes.
 
@@ -358,6 +358,21 @@ class Runner:
         configs in the grid simulate once.  ``jobs`` defaults to
         ``REPRO_JOBS`` (or all cores); ``progress`` receives one
         :class:`SweepProgress` per completed run.
+
+        Every miss runs as a chain of :func:`_advance_slice` segments.  A
+        config carrying ``checkpoint_every`` pauses at each boundary and
+        whichever worker is free picks up the next slice from the
+        snapshot the previous one wrote, so a long-horizon study
+        scatters *seeds x time slices* across the pool instead of
+        pinning each seed to one process for its whole lifetime; any
+        other config finishes in its first slice and writes no snapshot.
+        Slicing is bit-identical to straight-through execution
+        (``tests/test_checkpoint.py``), so neither results nor cache
+        entries depend on it.  Snapshots live in ``checkpoint_dir`` (a
+        private temporary directory by default, removed afterwards), and
+        each is deleted once its successor slice completes.  A config's
+        own ``checkpoint_dir`` is never read here: it is the single-run
+        knob behind ``repro run --checkpoint-dir``.
 
         ``apply_env_scale=False`` skips the ``REPRO_SCALE`` rescaling:
         callers that computed digests from the configs *as given* need
@@ -370,217 +385,94 @@ class Runner:
         total = len(configs)
         jobs = default_jobs() if jobs is None else max(1, jobs)
         results: Dict[int, RunResult] = {}
-        completed = 0
 
         def report(index: int, result: RunResult, from_cache: bool) -> None:
-            nonlocal completed
-            completed += 1
+            results[index] = result
             if progress is not None:
                 progress(SweepProgress(
-                    completed=completed, total=total, config=configs[index],
-                    result=result, from_cache=from_cache,
+                    completed=len(results), total=total,
+                    config=configs[index], result=result,
+                    from_cache=from_cache,
                 ))
 
         # Resolve memo/store hits up front; group the misses by cache key
         # (plus telemetry destination - a traced and an untraced grid
         # point share a result but not a bundle) so duplicate grid points
         # cost one simulation.
-        miss_indices: Dict[tuple, List[int]] = {}
+        misses: Dict[tuple, List[int]] = {}
         for i, config in enumerate(configs):
             group = (config.cache_key(), config.telemetry,
                      config.telemetry_dir)
-            if group in miss_indices:
-                miss_indices[group].append(i)
+            if group in misses:
+                misses[group].append(i)
                 continue
-            key = config.cache_key()
-            if self._telemetry_satisfied(config):
-                if key in self._memo:
-                    self.cache_hits += 1
-                    results[i] = self._memo[key]
-                    report(i, results[i], from_cache=True)
-                    continue
-                cached = self._load_store(config)
-                if cached is not None:
-                    self._memo[key] = cached
-                    self.cache_hits += 1
-                    results[i] = cached
-                    report(i, cached, from_cache=True)
-                    continue
-            miss_indices[group] = [i]
+            cached = self._cached(config)
+            if cached is None:
+                misses[group] = [i]
+            else:
+                report(i, cached, from_cache=True)
 
-        def finish(indices: List[int], result: RunResult) -> None:
-            self.simulated += 1
-            self._store_result(configs[indices[0]], result)
-            for j, index in enumerate(indices):
-                if j:
-                    self.cache_hits += 1
-                results[index] = result
-                report(index, result, from_cache=bool(j))
-
-        misses = list(miss_indices.values())
-        if len(misses) <= 1 or jobs <= 1:
-            for indices in misses:
-                finish(indices, run_simulation(configs[indices[0]]))
-        else:
-            workers = min(jobs, len(misses))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    pool.submit(_simulate_to_dict, configs[indices[0]]):
-                        indices
-                    for indices in misses
-                }
-                for future in as_completed(futures):
-                    finish(futures[future], result_from_dict(future.result()))
-
-        return [results[i] for i in range(total)]
-
-    def sweep_sliced(self, configs: Iterable[SimConfig],
-                     jobs: Optional[int] = None,
-                     progress: Optional[ProgressCallback] = None,
-                     apply_env_scale: bool = True,
-                     checkpoint_dir: Optional[Path] = None,
-                     ) -> List[RunResult]:
-        """Like :meth:`sweep`, but time-slices each run via checkpoints.
-
-        A config carrying ``checkpoint_every`` runs as a chain of
-        resumable segments: whichever worker is free picks up the next
-        slice from the snapshot the previous slice wrote, so a
-        long-horizon study scatters *seeds x time slices* across the
-        pool instead of pinning each seed to one process for its whole
-        lifetime.  Slicing is bit-identical to straight-through
-        execution (``tests/test_checkpoint.py``), so results, cache
-        entries, and return order are exactly those of :meth:`sweep` on
-        the same grid - configs without ``checkpoint_every`` simply run
-        as a single slice.
-
-        Intermediate snapshots live in ``checkpoint_dir`` (a private
-        temporary directory by default, removed afterwards); each is
-        deleted as soon as its successor slice completes, so disk usage
-        stays at one snapshot per in-flight run.
-        """
-        if apply_env_scale:
-            configs = [self._scaled_config(c) for c in configs]
-        configs = [self._with_telemetry_dir(c) for c in configs]
-        total = len(configs)
-        jobs = default_jobs() if jobs is None else max(1, jobs)
-        results: Dict[int, RunResult] = {}
-        completed = 0
-
-        def report(index: int, result: RunResult, from_cache: bool) -> None:
-            nonlocal completed
-            completed += 1
-            if progress is not None:
-                progress(SweepProgress(
-                    completed=completed, total=total, config=configs[index],
-                    result=result, from_cache=from_cache,
-                ))
-
-        miss_indices: Dict[tuple, List[int]] = {}
-        for i, config in enumerate(configs):
-            group = (config.cache_key(), config.telemetry,
-                     config.telemetry_dir)
-            if group in miss_indices:
-                miss_indices[group].append(i)
-                continue
-            key = config.cache_key()
-            if self._telemetry_satisfied(config):
-                if key in self._memo:
-                    self.cache_hits += 1
-                    results[i] = self._memo[key]
-                    report(i, results[i], from_cache=True)
-                    continue
-                cached = self._load_store(config)
-                if cached is not None:
-                    self._memo[key] = cached
-                    self.cache_hits += 1
-                    results[i] = cached
-                    report(i, cached, from_cache=True)
-                    continue
-            miss_indices[group] = [i]
-
-        def finish(indices: List[int], result: RunResult) -> None:
-            self.simulated += 1
-            self._store_result(configs[indices[0]], result)
-            for j, index in enumerate(indices):
-                if j:
-                    self.cache_hits += 1
-                results[index] = result
-                report(index, result, from_cache=bool(j))
-
-        misses = list(miss_indices.values())
+        runs = list(misses.values())
+        slice_counts = [0] * len(runs)
+        snapshots: List[Optional[str]] = [None] * len(runs)
         own_dir = checkpoint_dir is None
         directory = (Path(tempfile.mkdtemp(prefix="repro-slices-"))
                      if own_dir else Path(checkpoint_dir))
         directory.mkdir(parents=True, exist_ok=True)
+
+        def next_slice(run: int) -> tuple:
+            """Arguments of ``run``'s next :func:`_advance_slice` call."""
+            config = configs[runs[run][0]]
+            slice_counts[run] += 1
+            target = directory / (f"{config.cache_digest()}-{run:04d}"
+                                  f"-slice-{slice_counts[run]:04d}.ckpt")
+            return config, snapshots[run], str(target)
+
+        def settle(run: int, outcome: tuple) -> bool:
+            """Take one slice's outcome; True while ``run`` has more."""
+            status, payload = outcome
+            if snapshots[run] is not None:
+                Path(snapshots[run]).unlink(missing_ok=True)
+            if status == "pending":
+                snapshots[run] = payload
+                return True
+            indices = runs[run]
+            result = result_from_dict(payload)
+            self.simulated += 1
+            self._store_result(configs[indices[0]], result)
+            for j, index in enumerate(indices):
+                if j:
+                    self.cache_hits += 1
+                report(index, result, from_cache=bool(j))
+            return False
+
         try:
-            if len(misses) <= 1 or jobs <= 1:
-                # Serial path: still slice through snapshot files so the
-                # single-process study exercises the same save/restore
-                # chain the pool does.
-                for run_number, indices in enumerate(misses):
-                    config = configs[indices[0]]
-                    previous: Optional[str] = None
-                    slice_number = 0
-                    while True:
-                        slice_number += 1
-                        target = directory / self._slice_name(
-                            config, run_number, slice_number)
-                        status, payload = _advance_slice(
-                            config, previous, str(target))
-                        if previous is not None:
-                            Path(previous).unlink(missing_ok=True)
-                        if status == "done":
-                            finish(indices, result_from_dict(payload))
-                            break
-                        previous = payload
+            if len(runs) <= 1 or jobs <= 1:
+                for run in range(len(runs)):
+                    while settle(run, _advance_slice(*next_slice(run))):
+                        pass
             else:
-                workers = min(jobs, len(misses))
-                slice_counts: Dict[int, int] = {}
-                previous_paths: Dict[int, Optional[str]] = {}
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    futures = {}
-                    for run_number, indices in enumerate(misses):
-                        config = configs[indices[0]]
-                        slice_counts[run_number] = 1
-                        previous_paths[run_number] = None
-                        target = directory / self._slice_name(
-                            config, run_number, 1)
-                        future = pool.submit(_advance_slice, config, None,
-                                             str(target))
-                        futures[future] = (run_number, indices)
+                with ProcessPoolExecutor(
+                        max_workers=min(jobs, len(runs))) as pool:
+                    futures = {pool.submit(_advance_slice, *next_slice(run)):
+                               run for run in range(len(runs))}
                     while futures:
                         done, _pending = wait(futures,
                                               return_when=FIRST_COMPLETED)
                         for future in done:
-                            run_number, indices = futures.pop(future)
-                            config = configs[indices[0]]
-                            status, payload = future.result()
-                            consumed = previous_paths[run_number]
-                            if consumed is not None:
-                                Path(consumed).unlink(missing_ok=True)
-                            if status == "done":
-                                finish(indices, result_from_dict(payload))
-                                continue
-                            previous_paths[run_number] = payload
-                            slice_counts[run_number] += 1
-                            target = directory / self._slice_name(
-                                config, run_number,
-                                slice_counts[run_number])
-                            next_future = pool.submit(
-                                _advance_slice, config, payload,
-                                str(target))
-                            futures[next_future] = (run_number, indices)
+                            run = futures.pop(future)
+                            if settle(run, future.result()):
+                                futures[pool.submit(
+                                    _advance_slice, *next_slice(run))] = run
         finally:
             if own_dir:
                 shutil.rmtree(directory, ignore_errors=True)
 
         return [results[i] for i in range(total)]
 
-    @staticmethod
-    def _slice_name(config: SimConfig, run_number: int,
-                    slice_number: int) -> str:
-        return (f"{config.cache_digest()}-{run_number:04d}"
-                f"-slice-{slice_number:04d}.ckpt")
+    # bench/workloads.py still calls the old name, and the benchmark's
+    # files change only together with the benchmark; drop it with them.
+    sweep_sliced = sweep
 
 
 _default_runner: Optional[Runner] = None

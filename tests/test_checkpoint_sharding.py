@@ -13,8 +13,10 @@ import json
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -29,7 +31,7 @@ from repro.experiments.faults import (default_fault_config,
 from repro.experiments.runner import Runner, _advance_slice
 from repro.sim.config import SimConfig
 from repro.sim.system import System
-from repro.store import MemoryStore, result_from_dict
+from repro.store import MemoryStore, result_from_dict, result_to_dict
 
 POLICIES = ("Norm", "Slow+SC")
 SEEDS = 3
@@ -86,6 +88,30 @@ def test_sliced_configs_share_cache_entries() -> None:
     sharded_survival_study(runner=runner, policies=POLICIES, seeds=SEEDS,
                            scale=SCALE, slices=3, jobs=2)
     assert runner.simulated == simulated_before
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_mixes_sliced_and_unsliced_configs(
+        jobs: int, tmp_path: Path, monkeypatch: pytest.MonkeyPatch) -> None:
+    """One sweep runs sliced and unsliced configs side by side, to the
+    results of the all-unsliced grid, and removes its private slice
+    directory afterwards."""
+    sliced = sliced_survival_configs(policies=POLICIES, seeds=SEEDS,
+                                     scale=SCALE, slices=3)
+    grid = [config if i % 2 else replace(config, checkpoint_every=None)
+            for i, config in enumerate(sliced)]
+    expected = _memory_runner().sweep(
+        [replace(config, checkpoint_every=None) for config in grid], jobs=1)
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    seen = []
+    results = _memory_runner().sweep(
+        grid, jobs=jobs,
+        progress=lambda _: seen.extend(tmp_path.glob("repro-slices-*")))
+    assert seen, "the sweep never made its private slice directory"
+    assert not any(tmp_path.iterdir())
+    assert ([result_to_dict(r) for r in results]
+            == [result_to_dict(r) for r in expected])
 
 
 def test_advance_slice_resimulates_on_corrupt_snapshot(

@@ -174,6 +174,30 @@ def test_compare_rejects_bad_policy(capsys):
     ]) == 2
 
 
+def test_compare_rejects_checkpoint_flags():
+    # Both runs of a comparison would write snapshots under the same
+    # names in one directory; only single-run commands take the flags.
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([
+            "compare", "--workload", "hmmer", "--policy", "BE-Mellow+SC",
+            "--against", "Norm", "--checkpoint-every", "2000",
+            "--checkpoint-dir", "d",
+        ])
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--banks", "3"], "banks must divide evenly across ranks"),
+    (["--checkpoint-every", "0"], "checkpoint_every must be >= 1"),
+])
+def test_run_rejects_invalid_config(capsys, flags, message):
+    # SimConfig's own validation surfaces as one error line, exit 1.
+    assert main(["run", "--workload", "hmmer", *flags]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ")
+    assert message in lines[0]
+
+
 def test_sweep_accepts_mixes(capsys):
     code = main([
         "sweep", "--workloads", "mix_light_heavy", "--policies", "Norm",
