@@ -1,4 +1,7 @@
-"""Bank state machine: row buffer, busy tracking, in-flight operation."""
+"""Per-bank state: row buffer, busy tracking, in-flight operation.
+
+The state machine that drives it (issue, completion, cancellation) is
+:class:`~repro.memory.controller.MemoryController`."""
 
 from __future__ import annotations
 
@@ -65,42 +68,6 @@ class Bank:
         # Lines this bank has retired into its spare region (fault
         # injection); stays 0 when the subsystem is disabled.
         self.lines_retired = 0
-
-    def is_idle(self, now: float) -> bool:
-        return now >= self.busy_until
-
-    def row_hit(self, row: int) -> bool:
-        return self.open_row == row
-
-    def begin(self, op: InFlight) -> None:
-        """Start an operation; the bank is busy until ``op.finish_ns``."""
-        if op.finish_ns < op.start_ns:
-            raise ValueError("operation finishes before it starts")
-        self.in_flight = op
-        self.busy_until = op.finish_ns
-        self.busy_time_ns += op.finish_ns - op.start_ns
-        self.ops_begun += 1
-
-    def complete(self) -> None:
-        """Mark the in-flight operation finished."""
-        self.in_flight = None
-
-    def cancel(self, now: float) -> InFlight:
-        """Abort the in-flight operation at ``now``; returns it.
-
-        The busy-time accumulator is trimmed back to the actual time spent.
-        """
-        op = self.in_flight
-        if op is None:
-            raise RuntimeError(f"bank {self.index} has nothing to cancel")
-        self.busy_time_ns -= max(0.0, op.finish_ns - now)
-        self.busy_until = now
-        self.in_flight = None
-        self.ops_cancelled += 1
-        return op
-
-    def open_row_for(self, row: int) -> None:
-        self.open_row = row
 
     def apply_hot_state(self, busy_until: float, open_row: Optional[int],
                         in_flight: Optional[InFlight]) -> None:

@@ -26,6 +26,7 @@ eagerly; docs/performance.md explains why.
 
 from __future__ import annotations
 
+import sys
 from heapq import heappop, heappush
 from typing import Callable, List, Optional, Tuple
 
@@ -253,11 +254,10 @@ class EventQueue:
             self.now = time_ns
 
     def run_all(self, max_events: Optional[int] = None) -> int:
-        """Drain the queue; returns the number of events executed."""
-        count = 0
-        while self._heap or self._deferred is not None:
-            if max_events is not None and count >= max_events:
-                break
-            self.pop_and_run()
-            count += 1
-        return count
+        """Drain the queue through :meth:`run_fast`.
+
+        Clears :attr:`stop` first, as the simulation driver does before
+        each drain.  Returns the number of events executed.
+        """
+        self.stop = False
+        return self.run_fast(sys.maxsize if max_events is None else max_events)

@@ -24,6 +24,11 @@ Armed invariants:
 * **startgap-bijectivity** (:class:`repro.endurance.startgap.StartGap`) -
   the logical-to-physical remap stays injective and in range after every
   gap move.
+* **result-consistency** (:class:`repro.sim.system.System`) - the
+  collected :class:`~repro.sim.stats.RunResult` passes every cross-check
+  of :func:`repro.analysis.validation.validate_result` (busy time, bus
+  capacity, lifetime re-derivation, request conservation, energy
+  decomposition); the violation lists every failed check.
 
 The checks are read-only: a sanitized run either raises or produces
 bit-identical results to an unsanitized run (asserted by

@@ -15,6 +15,7 @@ import zlib
 from pathlib import Path
 from typing import TYPE_CHECKING, List, Optional, Union
 
+from repro.analysis.validation import validate_result
 from repro.cache.llc import LastLevelCache
 from repro.core.wear_quota import WearQuota
 from repro.cpu.core import SimpleCore
@@ -23,7 +24,7 @@ from repro.endurance.flipnwrite import FlipNWrite
 from repro.endurance.wear import WearTracker
 from repro.energy.nvsim import LineEnergyModel
 from repro.faults.injector import FaultInjector
-from repro.sim.sanitize import env_enabled
+from repro.sim.sanitize import check, env_enabled
 from repro.memory.address import AddressMap
 from repro.memory.controller import MemoryController
 from repro.memory.drambuffer import DramWriteBuffer
@@ -618,6 +619,14 @@ class System:
             result.lines_retired = fstats.lines_retired
             result.fault_write_retries = fstats.write_retries
             result.ecc_corrected_writes = fstats.corrected_writes
+        if self.sanitize:
+            # Re-derive the result from independent counters (read-only,
+            # so sanitized results stay bit-identical to plain ones).
+            queued = len(self.controller.read_q)
+            report = validate_result(result, reads_queued=queued)
+            check(report.ok, "result-consistency",
+                  "result validation failed: " + "; ".join(report.failures),
+                  reads_queued=queued)
         return result
 
 

@@ -1,62 +1,89 @@
-"""Tests for the bank state machine and rank tFAW limiter."""
+"""Tests for the per-bank state and the rank tFAW limiter.
+
+The bank bookkeeping (busy time, open row, in-flight operation,
+cancellation) is done by the controller on its flat arrays, so these
+tests drive :class:`MemoryController` and read the :class:`Bank` objects
+at a sync point.
+"""
+
+import math
 
 import pytest
 
-from repro.memory.bank import Bank, InFlight
-from repro.memory.queues import WRITE, Request
+from repro.core.policies import parse_policy
+from repro.memory.address import AddressMap
+from repro.memory.bank import Bank
+from repro.memory.controller import MemoryController
 from repro.memory.rank import RankFawLimiter
+from repro.sim.events import EventQueue
+
+AMAP = AddressMap(num_banks=4, num_ranks=1, capacity_bytes=64 * 1024 * 1024)
 
 
-def make_op(start=0.0, finish=100.0, pulse_start=20.0, cancellable=True):
-    request = Request(kind=WRITE, block=0, bank=0, rank=0, row=0,
-                      arrival_ns=0.0)
-    return InFlight(request=request, start_ns=start, finish_ns=finish,
-                    pulse_start_ns=pulse_start, cancellable=cancellable)
+def make_controller(policy):
+    events = EventQueue()
+    return events, MemoryController(events=events,
+                                    policy=parse_policy(policy),
+                                    address_map=AMAP)
+
+
+def bank0(ctrl):
+    """Bank 0 with the controller's flat state written back."""
+    ctrl.sync_bank_state()
+    return ctrl.banks[0]
 
 
 class TestBank:
     def test_initially_idle_no_open_row(self):
         bank = Bank(0)
-        assert bank.is_idle(0.0)
+        assert bank.busy_until == 0.0
         assert bank.open_row is None
+        assert bank.in_flight is None
 
     def test_begin_makes_busy_until_finish(self):
-        bank = Bank(0)
-        bank.begin(make_op(start=10, finish=110))
-        assert not bank.is_idle(50)
-        assert bank.is_idle(110)
-        assert bank.busy_time_ns == 100   # simlint: ignore[SIM004] -- exact by construction (integer-valued times)
+        events, ctrl = make_controller("Slow+SC")
+        ctrl.submit_write(AMAP.encode(0, 32))
+        bank = bank0(ctrl)
+        assert bank.in_flight is not None
+        # 20 ns burst + 450 ns slow pulse.
+        assert bank.busy_until == pytest.approx(470)
+        assert math.isclose(bank.busy_time_ns, 470)
+        assert bank.ops_begun == 1
 
     def test_row_hit_tracking(self):
-        bank = Bank(0)
-        assert not bank.row_hit(5)
-        bank.open_row_for(5)
-        assert bank.row_hit(5)
-        assert not bank.row_hit(6)
+        events, ctrl = make_controller("Norm")
+        ctrl.submit_read(AMAP.encode(0, 0))
+        events.run_all()
+        first_row = bank0(ctrl).open_row
+        assert first_row is not None
+        ctrl.submit_read(AMAP.encode(0, 1))     # same row
+        events.run_all()
+        assert ctrl.stats.read_row_hits == 1
+        ctrl.submit_read(AMAP.encode(0, 16))    # next row
+        events.run_all()
+        assert ctrl.stats.read_row_misses == 2
+        assert bank0(ctrl).open_row != first_row
 
     def test_cancel_frees_bank_and_trims_busy_time(self):
-        bank = Bank(0)
-        bank.begin(make_op(start=0, finish=100))
-        op = bank.cancel(30)
-        assert bank.is_idle(30)
+        events, ctrl = make_controller("Slow+SC")
+        ctrl.submit_write(AMAP.encode(0, 32))   # busy until 470 ns
+        events.run_until(100)
+        ctrl.submit_read(AMAP.encode(0, 0))     # cancels the write
+        bank = bank0(ctrl)
+        assert ctrl.stats.cancellations == 1
+        assert bank.ops_cancelled == 1
         assert bank.in_flight is None
-        assert bank.busy_time_ns == pytest.approx(30)   # simlint: ignore[SIM004] -- pytest.approx carries the tolerance
-        assert op.request.bank == 0
-
-    def test_cancel_without_operation_raises(self):
-        with pytest.raises(RuntimeError):
-            Bank(0).cancel(10)
+        assert math.isclose(bank.busy_time_ns, 100)
+        assert bank.busy_until == pytest.approx(
+            100 + ctrl.timing.cancel_penalty_ns)
 
     def test_complete_clears_in_flight(self):
-        bank = Bank(0)
-        bank.begin(make_op())
-        bank.complete()
+        events, ctrl = make_controller("Norm")
+        ctrl.submit_write(AMAP.encode(0, 32))
+        events.run_all()
+        bank = bank0(ctrl)
         assert bank.in_flight is None
-
-    def test_negative_duration_rejected(self):
-        bank = Bank(0)
-        with pytest.raises(ValueError):
-            bank.begin(make_op(start=100, finish=50))
+        assert ctrl.stats.writes_completed == 1
 
 
 class TestRankFawLimiter:

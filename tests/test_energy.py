@@ -1,11 +1,14 @@
 """Tests for the energy models (Tables V and VI, Figure 16 accounting)."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro import params
-from repro.energy.accounting import EnergyAccount
+from repro import SimConfig, params, run_simulation
 from repro.energy.cells import CELLS, get_cell
 from repro.energy.nvsim import LineEnergyModel, table_vi_rows
+from repro.sim.sanitize import InvariantViolation
+from repro.sim.system import System
 
 
 class TestCells:
@@ -72,34 +75,77 @@ class TestTableVI:
         assert all(r["buffer_read_pj"] == 1503.0 for r in rows)
 
 
+def collect_window(config, before=(), during=(), reads=(0, 0)):
+    """Collect a RunResult from hand-recorded wear, with no simulation.
+
+    ``before`` writes land before the end of warm-up (and must be reset
+    away), ``during`` writes and ``reads`` (row hits, row misses) land in
+    a 1000 ns measurement window; each write is ``(bank, factor,
+    fraction)``.
+    """
+    system = System(config)
+    for bank, factor, fraction in before:
+        system.wear.record_write(bank, factor, fraction=fraction)
+    system._end_warmup()
+    for bank, factor, fraction in during:
+        system.wear.record_write(bank, factor, fraction=fraction)
+    stats = system.controller.stats
+    stats.read_row_hits, stats.read_row_misses = reads
+    stats.reads_issued = sum(reads)
+    system._measure_end_ns = system._measure_start_ns + 1000.0
+    return system._collect()
+
+
+SMALL = SimConfig(workload="lbm", policy="Slow+SC", warmup_accesses=6000,
+                  measure_accesses=12000, llc_size_bytes=256 * 1024,
+                  functional_warmup_max=40000)
+
+
+@pytest.fixture(scope="module")
+def small_run():
+    return run_simulation(SMALL)
+
+
 class TestEnergyAccount:
-    def test_read_charging(self):
-        account = EnergyAccount()
-        account.charge_read(row_hit=True)
-        account.charge_read(row_hit=False)
-        assert account.read_energy_pj == pytest.approx(100.0 + 1503.0)
+    """Figure 16's energy sum, as :meth:`System._collect` computes it."""
+
+    def test_read_charging(self, small_run):
+        assert small_run.read_row_hits > 0 and small_run.read_row_misses > 0
+        assert small_run.read_energy_pj == pytest.approx(
+            small_run.read_row_hits * 100.0
+            + small_run.read_row_misses * 1503.0)
 
     def test_write_charging(self):
-        account = EnergyAccount()
-        account.charge_write(slow=False)
-        account.charge_write(slow=True)
-        assert account.write_energy_pj == pytest.approx(402.4 + 667.8, rel=0.01)
+        result = collect_window(SMALL, during=[(0, 1.0, 1.0), (1, 3.0, 1.0)])
+        assert result.write_energy_pj == pytest.approx(402.4 + 667.8,
+                                                       rel=0.01)
 
-    def test_fractional_cancelled_attempt(self):
-        account = EnergyAccount()
-        account.charge_write(slow=True, fraction=0.5)
-        assert account.write_energy_pj == pytest.approx(667.8 / 2, rel=0.01)
+    def test_fractional_cancelled_attempt(self, small_run):
+        result = collect_window(SMALL, during=[(2, 3.0, 0.5)])
+        assert result.write_energy_pj == pytest.approx(667.8 / 2, rel=0.01)
+        # In a real run each cancelled pulse leaves a fractional count in
+        # the wear records, and the write energy charges exactly them.
+        counts = [count for record in small_run.wear_records
+                  for count in record.slow_writes_by_factor.values()]
+        assert small_run.cancellations > 0
+        assert any(count != int(count) for count in counts)
+        model = LineEnergyModel.for_cell(SMALL.energy_cell)
+        assert small_run.write_energy_pj == pytest.approx(sum(
+            record.normal_writes * model.write_energy_pj(False)
+            + sum(count * model.write_energy_pj_for(factor)
+                  for factor, count in record.slow_writes_by_factor.items())
+            for record in small_run.wear_records))
 
     def test_invalid_fraction(self):
-        with pytest.raises(ValueError):
-            EnergyAccount().charge_write(slow=False, fraction=1.5)
+        wear = System(replace(SMALL, sanitize=True)).wear
+        with pytest.raises(InvariantViolation):
+            wear.record_write(0, 1.0, fraction=-0.5)
 
     def test_total_and_reset(self):
-        account = EnergyAccount()
-        account.charge_read(row_hit=True)
-        account.charge_write(slow=False)
-        assert account.total_pj == pytest.approx(
-            account.read_energy_pj + account.write_energy_pj
-        )
-        account.reset()
-        assert account.total_pj == 0.0
+        result = collect_window(SMALL, before=[(0, 3.0, 1.0)],
+                                during=[(0, 1.0, 1.0)], reads=(1, 1))
+        assert result.read_energy_pj == pytest.approx(100.0 + 1503.0)
+        # The warm-up write was reset away with the records.
+        assert result.write_energy_pj == pytest.approx(402.4, rel=0.01)
+        assert result.total_energy_pj == pytest.approx(
+            result.read_energy_pj + result.write_energy_pj)

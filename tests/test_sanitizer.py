@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.analysis.validation import validate_result
 from repro.endurance.startgap import StartGap
 from repro.endurance.wear import WearTracker
 from repro.experiments.runner import result_to_dict
@@ -27,6 +28,7 @@ from repro.sim.sanitize import (
 from repro.memory.queues import Request, RequestQueue, WRITE
 from repro.sim.config import SimConfig
 from repro.sim.events import EventQueue
+from repro.sim import system as system_module
 from repro.sim.system import System
 
 # Small enough to run in seconds, large enough to exercise every seam
@@ -224,12 +226,41 @@ def test_phantom_wear_write_trips_conservation_check():
 # --------------------------------------------------------------------------
 
 def test_sanitized_run_is_clean_and_bit_identical(monkeypatch):
+    reports = []
+
+    def spy(result, reads_queued=0):
+        report = validate_result(result, reads_queued)
+        reports.append(report)
+        return report
+
+    monkeypatch.setattr(system_module, "validate_result", spy)
+    monkeypatch.delenv(ENV_VAR, raising=False)
     plain = System(SMOKE_CONFIG).run()
+    # The result cross-checks run on sanitized runs only.
+    assert reports == []
     monkeypatch.setenv(ENV_VAR, "1")
     sanitized_system = System(SMOKE_CONFIG)
     assert sanitized_system.sanitize
     sanitized = sanitized_system.run()
     assert result_to_dict(sanitized) == result_to_dict(plain)
+    assert len(reports) == 1
+    assert reports[0].ok and reports[0].checks_run >= 6
+
+
+def test_corrupted_counter_raises_result_consistency():
+    # Pause the sanitized run inside the measurement window, count a row
+    # hit that was never issued, and let it finish: the collected result
+    # no longer adds up.
+    config = replace(SMOKE_CONFIG, sanitize=True,
+                     checkpoint_every=SMOKE_CONFIG.warmup_accesses + 100)
+    system = System(config)
+    system.start_run()
+    assert system.continue_run() is None
+    system.controller.stats.read_row_hits += 1
+    with pytest.raises(InvariantViolation) as excinfo:
+        system.finish_run()
+    assert excinfo.value.invariant == "result-consistency"
+    assert "row hit/miss split" in str(excinfo.value)
 
 def test_sanitize_flag_run_matches_config_cache_identity():
     armed = replace(SMOKE_CONFIG, sanitize=True)

@@ -8,7 +8,9 @@ from repro.analysis.validation import (
     expected_busy_time_ns,
     validate_result,
 )
+from repro.faults import FaultConfig
 from repro.sim.stats import RunResult
+from repro.sim.system import System
 
 FAST = dict(warmup_accesses=6000, measure_accesses=12000,
             llc_size_bytes=256 * 1024, functional_warmup_max=40000)
@@ -74,3 +76,20 @@ def test_validator_catches_bad_row_split():
                                       **FAST))
     result.read_row_hits += 1
     assert not validate_result(result).ok
+
+
+def test_sanitized_uncorrectable_run_validates():
+    """A fault run that ends uncorrectable a few hundred accesses in still
+    has misses waiting in the read queue; they count as requested reads."""
+    faults = FaultConfig(wear_acceleration=5e6, spare_lines_per_bank=2,
+                         max_write_retries=1, stuck_mismatch_probability=0.5)
+    config = SimConfig(workload="gups", policy="Norm", seed=3, faults=faults,
+                       sanitize=True).scaled(0.02)
+    system = System(config)
+    result = system.run()              # validates itself when sanitized
+    assert result.uncorrectable
+    queued = len(system.controller.read_q)
+    assert result.reads_issued < 0.9 * result.llc_misses
+    assert not validate_result(result).ok
+    report = validate_result(result, reads_queued=queued)
+    assert report.ok, report.failures
