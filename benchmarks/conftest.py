@@ -1,9 +1,11 @@
 """Benchmark-harness defaults.
 
-The full-fidelity windows (REPRO_SCALE=1.0) take ~25 min across all
-figures; the default bench scale of 0.4 keeps the whole harness under
-~10 min while preserving every qualitative shape.  Set REPRO_SCALE=1.0 to
-regenerate the numbers recorded in EXPERIMENTS.md.
+The default bench scale of 0.4 shortens every window while preserving
+every qualitative shape; a cold run of the whole harness at that scale
+takes about three minutes on two workers (EXPERIMENTS.md records the
+measurement).  The full-fidelity windows (REPRO_SCALE=1.0) take
+proportionally longer.  Set REPRO_SCALE=1.0 to regenerate the numbers
+recorded in EXPERIMENTS.md.
 
 Simulation results are cached on disk (``.repro_cache``), so figures that
 share runs (10-16) simulate each configuration once.

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Optional, Tuple
 
 from repro import params
 from repro.cache.deadblock import DeadBlockPredictor
-from repro.cache.lru import AccessResult, CacheLine, LRUCache
+from repro.cache.lru import DIRTY, EAGER_CLEANED, AccessResult, LRUCache
 from repro.cache.profiler import StackProfiler
 from repro.telemetry import EV_EAGER_DEMOTE, NULL_TELEMETRY, Telemetry
 
@@ -160,8 +160,9 @@ class LastLevelCache:
         cache = self.cache
         num_sets = cache.num_sets
         tag_sets = cache._tag_sets
+        flag_sets = cache._flags
+        touch_sets = cache._touches
         tag_members = cache._tag_members
-        sets = cache.sets
         counts = cache.set_access_counts
         assoc = cache.assoc
         hit_counters = self.profiler.hit_counters
@@ -200,47 +201,39 @@ class LastLevelCache:
             tag = block // num_sets
             counts[set_index] = count = counts[set_index] + 1
             members = tag_members[set_index]
+            touches = touch_sets[set_index]
             if tag not in members:
                 misses += 1
-                lines = sets[set_index]
-                if len(lines) >= assoc:
-                    # Recycle the victim object as the new line: nothing
-                    # keeps a reference to it past the dirty check below,
-                    # and every field is overwritten, so the set state is
-                    # identical to allocating a fresh CacheLine.
-                    victim = lines.pop()
-                    members.remove(tags.pop())
-                    if on_dirty_victim is not None and victim.dirty:
-                        on_dirty_victim(victim.tag * num_sets + set_index)
-                    victim.tag = tag
-                    victim.dirty = is_write
-                    victim.eager_cleaned = False
-                    victim.last_touch = count
-                    lines.insert(0, victim)
-                else:
-                    lines.insert(0, CacheLine(tag=tag, dirty=is_write,
-                                              last_touch=count))
+                flags = flag_sets[set_index]
+                if len(tags) >= assoc:
+                    victim_tag = tags.pop()
+                    members.remove(victim_tag)
+                    touches.pop()
+                    if flags.pop() & DIRTY and on_dirty_victim is not None:
+                        on_dirty_victim(victim_tag * num_sets + set_index)
                 tags.insert(0, tag)
                 members.add(tag)
+                flags.insert(0, DIRTY if is_write else 0)
+                touches.insert(0, count)
                 continue
             position = tags.index(tag)
-            lines = sets[set_index]
             if position:
                 del tags[position]
                 tags.insert(0, tag)
-                line = lines.pop(position)
-                lines.insert(0, line)
+                flags = flag_sets[set_index]
+                flag = flags.pop(position)
+                flags.insert(0, DIRTY if is_write else flag)
+                reuse_age = count - touches.pop(position)
+                touches.insert(0, count)
             else:
-                line = lines[0]
+                if is_write:
+                    flag_sets[set_index][0] = DIRTY
+                reuse_age = count - touches[0]
+                touches[0] = count
             hit_counters[position] += 1
-            reuse_age = count - line.last_touch
-            line.last_touch = count
             bucket = reuse_age.bit_length()
             db_buckets[bucket if bucket < max_bucket else max_bucket] += 1
             reuses += 1
-            if is_write:
-                line.dirty = True
-                line.eager_cleaned = False
         self.profiler.miss_counter += misses
         self.deadblock.total_reuses += reuses
         return consumed, exhausted
@@ -255,17 +248,17 @@ class LastLevelCache:
         (future-work extension), useless means "untouched for longer than
         almost any observed reuse".
         """
-        set_index = self.rng.randrange(self.cache.num_sets)
+        cache = self.cache
+        set_index = self.rng.randrange(cache.num_sets)
         if self.eager_selector == STACK_SELECTOR:
-            line = self._pick_by_stack_position(set_index)
+            position = self._pick_by_stack_position(set_index)
         else:
-            line = self._pick_by_deadblock(set_index)
-        if line is None:
+            position = self._pick_by_deadblock(set_index)
+        if position is None:
             return None
-        line.dirty = False
-        line.eager_cleaned = True
+        cache._flags[set_index][position] = EAGER_CLEANED
         self.stats.eager_writebacks += 1
-        block = self.cache.block_of(set_index, line.tag)
+        block = cache.block_of(set_index, cache._tag_sets[set_index][position])
         tel = self._tel
         if tel.enabled:
             tel.metrics.counter("llc.eager_demotions").value += 1.0
@@ -273,28 +266,31 @@ class LastLevelCache:
                               detail=self.eager_selector)
         return block
 
-    def _pick_by_stack_position(self, set_index: int) -> Optional[CacheLine]:
+    def _pick_by_stack_position(self, set_index: int) -> Optional[int]:
+        """Stack position of the LRU-most dirty line at or beyond the
+        profiled eager position (the least likely to be reused)."""
         eager_position = self.profiler.eager_position
-        if eager_position >= self.cache.assoc:
-            return None   # nothing is currently classified useless
-        candidates = [
-            line
-            for position, line in self.cache.dirty_lines_in_set(set_index)
-            if position >= eager_position
-        ]
-        # Highest stack position = LRU-most = least likely to be reused.
-        return candidates[-1] if candidates else None
+        flags = self.cache._flags[set_index]
+        for position in range(len(flags) - 1, eager_position - 1, -1):
+            if flags[position] & DIRTY:
+                return position
+        return None
 
-    def _pick_by_deadblock(self, set_index: int) -> Optional[CacheLine]:
-        dead = [
-            line
-            for _position, line in self.cache.dirty_lines_in_set(set_index)
-            if self.deadblock.is_dead(self.cache.line_age(set_index, line))
-        ]
-        if not dead:
-            return None
-        # Oldest first: it has been dead the longest.
-        return max(dead, key=lambda l: self.cache.line_age(set_index, l))
+    def _pick_by_deadblock(self, set_index: int) -> Optional[int]:
+        """Stack position of the oldest dirty line predicted dead (the
+        one dead the longest; the MRU-most on a tie)."""
+        cache = self.cache
+        count = cache.set_access_counts[set_index]
+        touches = cache._touches[set_index]
+        is_dead = self.deadblock.is_dead
+        best: Optional[int] = None
+        best_age = -1
+        for position, flag in enumerate(cache._flags[set_index]):
+            if flag & DIRTY:
+                age = count - touches[position]
+                if age > best_age and is_dead(age):
+                    best, best_age = position, age
+        return best
 
     def end_sample_period(self) -> int:
         """Close the profiling period (called every T_sample)."""

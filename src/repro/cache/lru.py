@@ -5,27 +5,37 @@ position of the line that was hit (0 = MRU, assoc-1 = LRU), exploiting the
 stack property of LRU (Mattson et al., 1970).  ``access`` therefore returns
 the pre-access stack position alongside the hit/miss outcome.
 
-Each set keeps its ``CacheLine`` objects MRU-first, plus two mirrors that
-make the per-access tag search cheap: the same tags in the same order as a
-plain ``List[int]`` (so a hit's stack position is one C-level
-``list.index`` call instead of a loop of attribute loads) and an unordered
-membership ``set`` (so a miss is one O(1) hash probe, the common case in
-miss-heavy workloads).  Every path that changes set membership or order -
+There are no per-line objects.  Each set is three parallel columns,
+MRU-first: the tags (so a hit's stack position is one C-level
+``list.index`` call), the flags (``dirty | eager_cleaned << 1``) and the
+set-access count at each line's last touch.  An unordered membership
+``set`` per set makes a miss one O(1) hash probe, the common case in
+miss-heavy workloads.  Every path that changes set membership or order -
 :meth:`LRUCache.access`, the LLC's functional warm-up and checkpoint
-restore - updates all three together.
+restore - updates all four together.  Copying the cache is therefore a
+flatten or a slice of int lists, which is what makes a warm state cheap
+to capture and to restore.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Set, Tuple
+from typing import List, NamedTuple, Optional, Set
+
+#: Flag bits of a line (the ``_flags`` columns).
+DIRTY = 1
+EAGER_CLEANED = 2   # cleaned by an eager mellow writeback
 
 
-@dataclass(slots=True)
-class CacheLine:
+class CacheLine(NamedTuple):
+    """A read-only record of one line, built on demand.
+
+    The cache stores no such objects: :meth:`LRUCache.lookup` and an
+    eviction's :attr:`AccessResult.victim` build one from the columns.
+    """
+
     tag: int
     dirty: bool = False
-    eager_cleaned: bool = False   # cleaned by an eager mellow writeback
+    eager_cleaned: bool = False
     last_touch: int = 0           # set-access count at the last touch
 
 
@@ -53,14 +63,14 @@ class AccessResult(NamedTuple):
     reuse_age: Optional[int] = None
 
 
-_new_result = tuple.__new__
+_new_tuple = tuple.__new__
 
 
 class LRUCache:
     """An N-way set-associative write-back, write-allocate LRU cache.
 
     Lines are indexed by global block number: ``set = block % num_sets``,
-    ``tag = block // num_sets``.  Each set is a list ordered MRU-first.
+    ``tag = block // num_sets``.  Each set's columns are MRU-first.
     """
 
     def __init__(self, num_sets: int, assoc: int) -> None:
@@ -68,11 +78,10 @@ class LRUCache:
             raise ValueError("num_sets and assoc must be >= 1")
         self.num_sets = num_sets
         self.assoc = assoc
-        self.sets: List[List[CacheLine]] = [[] for _ in range(num_sets)]
         self.set_access_counts: List[int] = [0] * num_sets
-        # MRU-first tag mirror of self.sets plus an unordered membership
-        # set per set (see the module docstring).
         self._tag_sets: List[List[int]] = [[] for _ in range(num_sets)]
+        self._flags: List[List[int]] = [[] for _ in range(num_sets)]
+        self._touches: List[List[int]] = [[] for _ in range(num_sets)]
         self._tag_members: List[Set[int]] = [set() for _ in range(num_sets)]
 
     @classmethod
@@ -98,81 +107,84 @@ class LRUCache:
         """Perform a demand access; fills on miss (write-allocate).
 
         A miss is detected by one hash probe of the set's membership set;
-        a hit's stack position is ``list.index`` on the tag mirror.
+        a hit's stack position is ``list.index`` on the tag column.
         """
         num_sets = self.num_sets
         set_index = block % num_sets
-        lines = self.sets[set_index]
         tag = block // num_sets
         counts = self.set_access_counts
         counts[set_index] = count = counts[set_index] + 1
         members = self._tag_members[set_index]
         tags = self._tag_sets[set_index]
+        flags = self._flags[set_index]
+        touches = self._touches[set_index]
         if tag not in members:
             victim = None
-            if len(lines) >= self.assoc:
-                victim = lines.pop()
-                members.remove(tags.pop())
-            lines.insert(0, CacheLine(tag=tag, dirty=is_write,
-                                      last_touch=count))
+            if len(tags) >= self.assoc:
+                victim_tag = tags.pop()
+                members.remove(victim_tag)
+                flag = flags.pop()
+                victim = _new_tuple(CacheLine, (
+                    victim_tag, flag & DIRTY == DIRTY, flag > DIRTY,
+                    touches.pop()))
             tags.insert(0, tag)
             members.add(tag)
-            return _new_result(
+            flags.insert(0, DIRTY if is_write else 0)
+            touches.insert(0, count)
+            return _new_tuple(
                 AccessResult, (False, None, victim, False, None))
         position = tags.index(tag)
         if position:
             del tags[position]
             tags.insert(0, tag)
-            line = lines.pop(position)
-            lines.insert(0, line)
+            flag = flags.pop(position)
+            flags.insert(0, flag)
+            reuse_age = count - touches.pop(position)
+            touches.insert(0, count)
         else:
-            line = lines[0]
-        reuse_age = count - line.last_touch
-        line.last_touch = count
+            flag = flags[0]
+            reuse_age = count - touches[0]
+            touches[0] = count
         rewrote = False
         if is_write:
-            rewrote = line.eager_cleaned and not line.dirty
-            line.dirty = True
-            line.eager_cleaned = False
-        return _new_result(
+            rewrote = flag == EAGER_CLEANED
+            flags[0] = DIRTY
+        return _new_tuple(
             AccessResult, (True, position, None, rewrote, reuse_age))
 
+    def _position(self, block: int) -> Optional[int]:
+        """Stack position of ``block`` in its set, or None if absent."""
+        tag = block // self.num_sets
+        set_index = block % self.num_sets
+        if tag not in self._tag_members[set_index]:
+            return None
+        return self._tag_sets[set_index].index(tag)
+
     def lookup(self, block: int) -> Optional[CacheLine]:
-        """Find a line without touching recency."""
-        lines = self.sets[self.set_index(block)]
-        tag = self.tag_of(block)
-        for line in lines:
-            if line.tag == tag:
-                return line
-        return None
+        """A record of ``block``'s line, without touching recency."""
+        position = self._position(block)
+        if position is None:
+            return None
+        set_index = block % self.num_sets
+        flag = self._flags[set_index][position]
+        return CacheLine(self._tag_sets[set_index][position],
+                         flag & DIRTY == DIRTY, flag > DIRTY,
+                         self._touches[set_index][position])
 
     def mark_clean(self, block: int, eager: bool = False) -> bool:
         """Clear a line's dirty bit (eager writeback); True if it was dirty."""
-        line = self.lookup(block)
-        if line is None or not line.dirty:
+        position = self._position(block)
+        if position is None:
             return False
-        line.dirty = False
-        if eager:
-            line.eager_cleaned = True
+        flags = self._flags[block % self.num_sets]
+        flag = flags[position]
+        if not flag & DIRTY:
+            return False
+        flags[position] = (flag & ~DIRTY) | (EAGER_CLEANED if eager else 0)
         return True
 
-    def dirty_lines_in_set(
-            self, set_index: int) -> List[Tuple[int, CacheLine]]:
-        """(stack_position, line) pairs of dirty lines, MRU-first order."""
-        return [
-            (position, line)
-            for position, line in enumerate(self.sets[set_index])
-            if line.dirty
-        ]
-
-    def line_age(self, set_index: int, line: CacheLine) -> int:
-        """Set accesses since ``line`` was last touched."""
-        return self.set_access_counts[set_index] - line.last_touch
-
     def occupancy(self) -> int:
-        return sum(len(lines) for lines in self.sets)
+        return sum(map(len, self._tag_sets))
 
     def dirty_count(self) -> int:
-        return sum(
-            1 for lines in self.sets for line in lines if line.dirty
-        )
+        return sum(flag & DIRTY for flags in self._flags for flag in flags)

@@ -35,10 +35,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
-                    Sequence, Tuple, TypeGuard, TypeVar)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
+                    Optional, Sequence, Tuple, TypeGuard, TypeVar)
 
-from repro.cache.lru import CacheLine, LRUCache
+from repro.cache.lru import LRUCache
 from repro.cpu.trace import TraceRecord
 from repro.memory.bank import InFlight
 from repro.memory.queues import Request, RequestQueue
@@ -379,16 +379,15 @@ def _capture_llc(system: "System") -> Dict[str, Any]:
     lru = llc.cache
     deadblock = llc.deadblock
     age = deadblock.age_threshold
-    lines = [line for set_lines in lru.sets for line in set_lines]
     return {
         "stats": _fields_to_dict(llc.stats, _LLC_STATS_FIELDS),
         "rng": _rng_to_json(llc.rng),
-        # One flat column per line field, sets in order, each MRU-first;
-        # flags packs dirty | eager_cleaned << 1.
-        "lines_per_set": [len(set_lines) for set_lines in lru.sets],
-        "tags": [line.tag for line in lines],
-        "flags": [line.dirty | line.eager_cleaned << 1 for line in lines],
-        "last_touch": [line.last_touch for line in lines],
+        # The cache's own columns flattened, sets in order, each
+        # MRU-first; flags packs dirty | eager_cleaned << 1.
+        "lines_per_set": list(map(len, lru._tag_sets)),
+        "tags": list(itertools.chain.from_iterable(lru._tag_sets)),
+        "flags": list(itertools.chain.from_iterable(lru._flags)),
+        "last_touch": list(itertools.chain.from_iterable(lru._touches)),
         "set_access_counts": list(lru.set_access_counts),
         "profiler": {
             "hit_counters": list(llc.profiler.hit_counters),
@@ -421,22 +420,20 @@ def _restore_llc(restore: _Restore, state: Dict[str, Any]) -> None:
     if not set(flags) <= {0, 1, 2, 3}:
         raise CheckpointError(f"LLC line flags outside 0-3: "
                               f"{sorted(set(flags) - {0, 1, 2, 3})}")
-    lines = [CacheLine(tag, flag & 1 == 1, flag > 1, touch)
-             for tag, flag, touch in zip(tags, flags, touches)]
-    start = 0
-    for index, size in enumerate(sizes):
-        end = start + size
-        set_tags = tags[start:end]
-        members = lru._tag_members[index]
-        members.clear()
-        members.update(set_tags)
-        if not len(members) == size <= lru.assoc:
+    bounds = list(zip(itertools.accumulate(sizes, initial=0),
+                      itertools.accumulate(sizes)))
+    tag_sets = [tags[start:end] for start, end in bounds]
+    members = [set(set_tags) for set_tags in tag_sets]
+    for index, (size, set_members) in enumerate(zip(sizes, members)):
+        if not len(set_members) == size <= lru.assoc:
             raise CheckpointError(
-                f"LLC set {index} holds {size} lines with {len(members)} "
-                f"distinct tags in a {lru.assoc}-way cache")
-        lru._tag_sets[index][:] = set_tags
-        lru.sets[index][:] = lines[start:end]
-        start = end
+                f"LLC set {index} holds {size} lines with "
+                f"{len(set_members)} distinct tags in a {lru.assoc}-way "
+                "cache")
+    lru._tag_sets = tag_sets
+    lru._tag_members = members
+    lru._flags = [flags[start:end] for start, end in bounds]
+    lru._touches = [touches[start:end] for start, end in bounds]
     lru.set_access_counts[:] = state["set_access_counts"]
     # hit_counters / buckets are aliased by the LLC hot path
     # (llc._hit_counters, llc._db_buckets); restore strictly in place.
@@ -448,6 +445,16 @@ def _restore_llc(restore: _Restore, state: Dict[str, Any]) -> None:
     _fields_from_dict(deadblock, _DEADBLOCK_FIELDS, state["deadblock"])
     age = state["deadblock"]["age_threshold"]
     deadblock.age_threshold = float("inf") if age is None else age
+
+
+def _capture_dram_buffer(system: "System") -> Optional[Dict[str, Any]]:
+    buffer = system.dram_buffer
+    if buffer is None:
+        return None
+    return {
+        "lines": list(buffer._lines.keys()),
+        "stats": _fields_to_dict(buffer.stats, _DRAM_STATS_FIELDS),
+    }
 
 
 def _capture_wear(system: "System") -> Dict[str, Any]:
@@ -615,7 +622,6 @@ def capture_state(system: "System") -> Dict[str, Any]:
     next_request_id = next(ctrl._request_ids)
     ctrl._request_ids = itertools.count(next_request_id)
 
-    dram_buffer = system.dram_buffer
     quota = system.quota
     flip = system.flip_n_write
 
@@ -666,11 +672,7 @@ def capture_state(system: "System") -> Dict[str, Any]:
             "rng": _rng_to_json(flip.rng),
             **_fields_to_dict(flip, _FLIP_FIELDS),
         },
-        "dram_buffer": None if dram_buffer is None else {
-            "lines": list(dram_buffer._lines.keys()),
-            "stats": _fields_to_dict(dram_buffer.stats,
-                                     _DRAM_STATS_FIELDS),
-        },
+        "dram_buffer": _capture_dram_buffer(system),
         "telemetry": _capture_telemetry(system),
         # Identity tables last: fully populated by the walks above.
         "requests": capture.request_rows,
@@ -801,12 +803,53 @@ def restore_state(system: "System", state: Dict[str, Any]) -> None:
             f"snapshot was captured with sanitize="
             f"{bool(state['sanitize'])} but this environment resolves "
             f"sanitize={bool(system.sanitize)} (check REPRO_SANITIZE)")
+    _restore_sections(system, state, _SECTION_RESTORERS)
+
+
+def _restore_sections(system: "System", state: Dict[str, Any],
+                      names: Iterable[str]) -> None:
+    """Restore ``names`` from ``state`` in order; a malformed section
+    raises :class:`CheckpointError` naming it."""
     restore = _Restore(system)
-    for name, restore_section in _SECTION_RESTORERS.items():
+    for name in names:
         try:
-            restore_section(restore, state[name])
+            _SECTION_RESTORERS[name](restore, state[name])
         except (AttributeError, IndexError, KeyError, TypeError,
                 ValueError) as error:
             raise CheckpointError(
                 f"snapshot state section {name!r} is malformed: "
                 f"{type(error).__name__}: {error}") from None
+
+
+#: The sections functional warm-up writes, in restore order.
+_WARM_SECTIONS: Tuple[str, ...] = ("trace", "llc", "dram_buffer")
+
+
+def capture_warm(system: "System") -> Dict[str, Any]:
+    """The state functional warm-up leaves behind, as a plain dict.
+
+    Call it on a system whose only work so far is
+    :meth:`~repro.sim.system.System._functional_warmup`: the warm-up
+    writes the trace position, the LLC and the DRAM write buffer and
+    nothing else, so these three snapshot sections are the whole warm
+    state.  :func:`restore_warm` puts it into any fresh system whose
+    config has the same :meth:`~repro.sim.config.SimConfig.warm_key`.
+    """
+    return {
+        "state_schema": STATE_SCHEMA_VERSION,
+        "trace": _capture_trace(system),
+        "llc": _capture_llc(system),
+        "dram_buffer": _capture_dram_buffer(system),
+    }
+
+
+def restore_warm(system: "System", state: Dict[str, Any]) -> None:
+    """Overwrite a fresh system with a :func:`capture_warm` state; the
+    system is then exactly where its own functional warm-up would have
+    left it."""
+    schema = state.get("state_schema")
+    if schema != STATE_SCHEMA_VERSION:
+        raise CheckpointError(
+            f"unsupported warm state schema {schema!r} "
+            f"(this build reads schema {STATE_SCHEMA_VERSION})")
+    _restore_sections(system, state, _WARM_SECTIONS)

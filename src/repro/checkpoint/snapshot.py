@@ -130,7 +130,8 @@ def _decode_snapshot(path: Path, raw: bytes
 @contextmanager
 def _collector_paused() -> Iterator[None]:
     """Pause the cyclic collector around a bulk capture or restore, whose
-    fresh objects (one per LLC line) would set off whole-heap passes."""
+    fresh containers (the decoded JSON, the rebuilt requests and LLC
+    columns) would otherwise count towards whole-heap passes."""
     enabled = gc.isenabled()
     gc.disable()
     try:

@@ -39,12 +39,15 @@ from __future__ import annotations
 
 import logging
 import os
+import pickle
 import shutil
 import tempfile
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (FIRST_COMPLETED, Future, ProcessPoolExecutor,
+                                wait)
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from repro.sim.config import SimConfig
 from repro.sim.stats import RunResult
@@ -116,15 +119,33 @@ class SweepProgress:
 ProgressCallback = Callable[[SweepProgress], None]
 
 
+def _warm_state(config: SimConfig) -> bytes:
+    """Sweep worker entry point: functional warm-up for a warm key.
+
+    Returns the :func:`~repro.checkpoint.capture_warm` state, pickled
+    into one ``bytes`` blob, that every run sharing
+    ``config.warm_key()`` restores instead of warming up itself.
+    """
+    from repro.checkpoint import capture_warm
+    system = System(config)
+    system._functional_warmup()
+    blob = pickle.dumps(capture_warm(system), pickle.HIGHEST_PROTOCOL)
+    system.release()
+    return blob
+
+
 def _advance_slice(config: SimConfig, snapshot_path: Optional[str],
-                   next_snapshot_path: str) -> tuple:
+                   next_snapshot_path: str,
+                   warm: Optional[bytes] = None) -> tuple:
     """Sweep worker entry point: run one checkpoint segment of a run.
 
-    The first slice of a run starts from the config; later slices resume
-    from the snapshot the previous slice (possibly in a *different*
-    process) wrote.  Returns ``("pending", path)`` after writing the next
-    snapshot, or ``("done", result_dict)`` when the run completed - at
-    once for a config without ``checkpoint_every``.  Results travel as
+    The first slice of a run starts from the config, warmed up by
+    restoring ``warm`` (a :func:`_warm_state` blob) when one is given;
+    later slices resume from the snapshot the previous slice (possibly
+    in a *different* process) wrote.  Returns ``("pending", path)``
+    after writing the next snapshot, or ``("done", result_dict)`` when
+    the run completed - at once for a config without
+    ``checkpoint_every``.  Results travel as
     plain dicts, exactly what the parent writes to the store; the parent
     process owns all store traffic.  Telemetry is the one exception:
     the run's last slice writes the bundle into ``telemetry_dir``
@@ -138,7 +159,7 @@ def _advance_slice(config: SimConfig, snapshot_path: Optional[str],
     """
     if snapshot_path is None:
         system = System(config)
-        system.start_run()
+        system.start_run(None if warm is None else pickle.loads(warm))
     else:
         from repro.checkpoint import CheckpointError, restore_system
         try:
@@ -150,14 +171,12 @@ def _advance_slice(config: SimConfig, snapshot_path: Optional[str],
             return ("done", result_to_dict(run_simulation(
                 replace(config, checkpoint_dir=None))))
     result = system.continue_run()
-    if result is None:
-        from repro.checkpoint import save_snapshot
-        save_snapshot(system, next_snapshot_path)
-        outcome: tuple = ("pending", next_snapshot_path)
-    else:
-        outcome = ("done", result_to_dict(result))
+    if result is not None:
+        return ("done", result_to_dict(result))
+    from repro.checkpoint import save_snapshot
+    save_snapshot(system, next_snapshot_path)
     system.release()
-    return outcome
+    return ("pending", next_snapshot_path)
 
 
 class Runner:
@@ -303,6 +322,14 @@ class Runner:
         own ``checkpoint_dir`` is never read here: it is the single-run
         knob behind ``repro run --checkpoint-dir``.
 
+        Functional warm-up depends only on :meth:`SimConfig.warm_key`, not
+        on the write policy.  When two or more misses share a warm key
+        and their workload is a profile (a mix's trace cannot be
+        captured), one :func:`_warm_state` task warms up once and each of
+        those runs restores its state in its first slice; restoring is
+        bit-identical to warming up (``tests/test_golden_sweep.py``).
+        Warm states live only for the sweep, as ``bytes`` in this process.
+
         ``apply_env_scale=False`` skips the ``REPRO_SCALE`` rescaling:
         callers that computed digests from the configs *as given* need
         execution and identity to agree even when the environment
@@ -342,6 +369,21 @@ class Runner:
                 report(i, cached, from_cache=True)
 
         runs = list(misses.values())
+        # Runs sharing a warm key, in run order; singletons warm up alone.
+        warm_keys: Dict[tuple, List[int]] = {}
+        for run, indices in enumerate(runs):
+            config = configs[indices[0]]
+            if config.workload in WORKLOAD_NAMES:
+                warm_keys.setdefault(config.warm_key(), []).append(run)
+        warm_groups = [group for group in warm_keys.values()
+                       if len(group) > 1]
+        group_of = {run: number for number, group in enumerate(warm_groups)
+                    for run in group}
+
+        def warm_config(number: int) -> SimConfig:
+            """The config warm group ``number`` warms up under."""
+            return configs[runs[warm_groups[number][0]][0]]
+
         slice_counts = [0] * len(runs)
         snapshots: List[Optional[str]] = [None] * len(runs)
         own_dir = checkpoint_dir is None
@@ -377,22 +419,47 @@ class Runner:
 
         try:
             if len(runs) <= 1 or jobs <= 1:
+                blobs: Dict[int, bytes] = {}
                 for run in range(len(runs)):
-                    while settle(run, _advance_slice(*next_slice(run))):
-                        pass
+                    warm = None
+                    number = group_of.get(run)
+                    if number is not None:
+                        if number not in blobs:
+                            blobs[number] = _warm_state(warm_config(number))
+                        warm = blobs[number]
+                        if run == warm_groups[number][-1]:
+                            del blobs[number]
+                    outcome = _advance_slice(*next_slice(run), warm)
+                    while settle(run, outcome):
+                        outcome = _advance_slice(*next_slice(run))
             else:
                 with ProcessPoolExecutor(
                         max_workers=min(jobs, len(runs))) as pool:
-                    futures = {pool.submit(_advance_slice, *next_slice(run)):
-                               run for run in range(len(runs))}
+                    # A future maps to ("warm", group) or ("run", run).
+                    futures: Dict[Future, Tuple[str, int]] = {
+                        pool.submit(_warm_state, warm_config(number)):
+                        ("warm", number)
+                        for number in range(len(warm_groups))}
+                    futures.update(
+                        (pool.submit(_advance_slice, *next_slice(run)),
+                         ("run", run))
+                        for run in range(len(runs)) if run not in group_of)
                     while futures:
                         done, _pending = wait(futures,
                                               return_when=FIRST_COMPLETED)
                         for future in done:
-                            run = futures.pop(future)
-                            if settle(run, future.result()):
+                            kind, index = futures.pop(future)
+                            if kind == "warm":
+                                blob = future.result()
+                                futures.update(
+                                    (pool.submit(_advance_slice,
+                                                 *next_slice(run), blob),
+                                     ("run", run))
+                                    for run in warm_groups[index])
+                            elif settle(index, future.result()):
                                 futures[pool.submit(
-                                    _advance_slice, *next_slice(run))] = run
+                                    _advance_slice,
+                                    *next_slice(index))] = ("run", index)
         finally:
             if own_dir:
                 shutil.rmtree(directory, ignore_errors=True)

@@ -215,7 +215,10 @@ class MemoryController:
             raise ValueError("need 0 < drain_low <= drain_high <= capacity")
 
         def clock() -> float:
-            return self.events.now
+            # Over the event queue, not ``self``: a closure over the
+            # controller would tie every request queue into a reference
+            # cycle with it.
+            return events.now
 
         self._sanitize = resolve(sanitize)
         self.telemetry = telemetry

@@ -172,3 +172,19 @@ class SimConfig:
     def cache_digest(self) -> str:
         """Filename-safe digest of :meth:`cache_key` (see digest_for_key)."""
         return digest_for_key(self.cache_key())
+
+    def warm_key(self) -> Tuple[Any, ...]:
+        """Exactly the fields functional warm-up reads.
+
+        Configs with equal warm keys leave the trace, the LLC and the DRAM
+        write buffer in the same state after
+        :meth:`~repro.sim.system.System._functional_warmup`, so a sweep
+        warms each key once and restores that state into every run that
+        shares it.  ``tests/test_warm_key.py`` perturbs every field to
+        keep this list complete.
+        """
+        return (
+            self.workload, self.seed, self.llc_size_bytes, self.llc_assoc,
+            self.functional_warmup_max, self.functional_warmup_occupancy,
+            self.dram_buffer_entries,
+        )

@@ -13,7 +13,7 @@ import json
 import random
 import zlib
 from pathlib import Path
-from typing import TYPE_CHECKING, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
 from repro.analysis.validation import validate_result
 from repro.cache.llc import LastLevelCache
@@ -66,20 +66,25 @@ class System:
         # component of this system.
         self.sanitize = config.sanitize or env_enabled()
         # Telemetry is constructed before the event queue; its clock is a
-        # lazy closure over self.events so the order does not matter at
-        # sample time.  Like the sanitizer it is observe-only: it never
-        # draws randomness or schedules events, so traced runs are
-        # bit-identical to untraced ones.
+        # lazy closure over the ``events`` local assigned just below, so
+        # the order does not matter at sample time (and the clock holds
+        # no reference to this system).  Like the sanitizer it is
+        # observe-only: it never draws randomness or schedules events, so
+        # traced runs are bit-identical to untraced ones.
+
+        def clock() -> float:
+            return events.now
+
         self.telemetry: Telemetry = (
             Telemetry(
                 num_banks=config.num_banks,
-                clock=lambda: self.events.now,
+                clock=clock,
                 trace_capacity=config.telemetry_trace_capacity,
             )
             if config.telemetry else NULL_TELEMETRY
         )
-        self.events = EventQueue(sanitize=self.sanitize,
-                                 telemetry=self.telemetry)
+        events = self.events = EventQueue(sanitize=self.sanitize,
+                                          telemetry=self.telemetry)
         self.amap = AddressMap(
             num_banks=config.num_banks,
             num_ranks=config.num_ranks,
@@ -131,7 +136,7 @@ class System:
                 num_banks=config.num_banks,
                 model=self.endurance,
                 rng=random.Random(zlib.crc32(material.encode())),
-                clock=lambda: self.events.now,
+                clock=clock,
             )
         self.controller = MemoryController(
             events=self.events,
@@ -221,11 +226,14 @@ class System:
                           lambda: float(stats.lines_retired))
             metrics.probe("faults.spare_lines_left",
                           lambda: float(injector.total_spares_left()))
-            for bank in ctrl.banks:
+            banks = ctrl.banks
+            for bank in banks:
                 metrics.probe(bank_metric_name(bank.index, "lines_retired"),
                               lambda b=bank: float(b.lines_retired))
+            # Closes over the banks, not the controller: the heatmap keeps
+            # this probe past release() (its presence shapes the bundle).
             tel.set_retired_probe(
-                lambda: [float(b.lines_retired) for b in ctrl.banks])
+                lambda: [float(b.lines_retired) for b in banks])
 
     # ------------------------------------------------------------------
     # DRAM write buffer
@@ -392,14 +400,23 @@ class System:
         self.start_run()
         return self.finish_run(max_events)
 
-    def start_run(self) -> None:
+    def start_run(self, warm: Optional[Dict[str, Any]] = None) -> None:
         """Warm up and arm the event loop (first phase of :meth:`run`).
 
         Split out so checkpointing callers can alternate
         :meth:`continue_run` with snapshot captures; plain callers just
-        use :meth:`run`.
+        use :meth:`run`.  ``warm`` is a
+        :func:`~repro.checkpoint.capture_warm` state taken from a system
+        whose config has the same :meth:`SimConfig.warm_key`; restoring
+        it replaces :meth:`_functional_warmup` and leaves this system in
+        exactly the state its own warm-up would have.
         """
-        self._functional_warmup()
+        if warm is None:
+            self._functional_warmup()
+        else:
+            # Local import: repro.checkpoint imports this module.
+            from repro.checkpoint.codec import restore_warm
+            restore_warm(self, warm)
         self.core.start()
         if self.telemetry.enabled:
             self.telemetry.tracer.record(
@@ -444,6 +461,7 @@ class System:
             self.telemetry.sample_epoch(self.events.now)
             if self.config.telemetry_dir is not None:
                 self.telemetry.write(Path(self.config.telemetry_dir))
+        self.release()
         return result
 
     def finish_run(self, max_events: int = 200_000_000) -> RunResult:
@@ -483,17 +501,37 @@ class System:
         self._paused = False
 
     def release(self) -> None:
-        """Free this system now rather than at a whole-heap collection.
+        """Cut the callback edges so reference counting frees this system.
 
-        The controller and the core hold bound-method callbacks into each
-        other and into the system, so a dropped system waits for a full
-        cyclic-collector pass.  Clearing the attributes of those three
-        objects breaks their cycles and lets reference counting reclaim
-        the system at once.  The system is unusable afterwards; sliced
-        sweeps call this once per slice, after the snapshot is written.
+        The event heap, the core, the controller, queued requests and
+        telemetry probes hold callbacks into one another and into the
+        system; left in place, those cycles keep a dropped system (and
+        its LLC) alive until a whole-heap collection.  Clearing them
+        ends the run for good but keeps every statistic readable and the
+        telemetry bundle writable.  :meth:`continue_run` calls this when
+        it returns a result; sliced sweeps call it after a paused
+        slice's snapshot is written.  Calling it twice is harmless.
         """
-        for part in (self.controller, self.core, self):
-            vars(part).clear()
+        events = self.events
+        events._heap.clear()
+        events._deferred = None
+        core = self.core
+        for name in ("on_access", "writeback_sink", "_gap_callback"):
+            setattr(core, name, None)
+        ctrl = self.controller
+        ctrl.on_fatal = None
+        ctrl._write_space_waiters.clear()
+        ctrl._read_space_waiters.clear()
+        for queue in (ctrl.read_q, ctrl.write_q, ctrl.eager_q):
+            for fifo in queue._fifos:
+                for request in fifo:
+                    request.callback = None
+        for op in ctrl._bank_in_flight:
+            if op is not None:
+                op.request.callback = None
+        if self.telemetry.enabled:
+            # After the final epoch: nothing samples the probes again.
+            self.telemetry.metrics.release()
 
     def _drain_events(self, max_events: int) -> None:
         """Run events until the run completes or pauses.

@@ -181,6 +181,16 @@ class MetricRegistry:
         self._claim(name, self._probes)
         self._probes[name] = fn
 
+    def release(self) -> None:
+        """Drop every probe and pre-sample hook after the final sample.
+
+        They are closures over live simulator components; dropping them
+        lets a finished run be freed by reference counting.  The sampled
+        series stay, so the registry still exports.
+        """
+        self._probes.clear()
+        self._pre_sample_hooks.clear()
+
     # -- sampling -------------------------------------------------------
 
     def _append(self, index: int, name: str, value: float) -> None:

@@ -27,6 +27,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.export import run_result_to_dict
+from repro.cache.lru import EAGER_CLEANED
 from repro.checkpoint import (CheckpointCorruptionError, CheckpointError,
                               CheckpointUnsupportedError, capture_state,
                               config_from_dict, config_to_dict,
@@ -244,9 +245,10 @@ def test_llc_columns_validated(tmp_path: Path, edit, message: str) -> None:
 
 def test_llc_round_trip_restores_lines_and_tag_mirrors(tmp_path: Path
                                                         ) -> None:
-    """Every set's lines, the MRU-first tag mirror and the membership sets
-    come back exactly, through partly filled sets and eager-cleaned
-    lines (a half-occupancy warm-up leaves sets partly filled)."""
+    """Every set's tag, flag and last-touch columns (MRU-first) and the
+    membership sets come back exactly, through partly filled sets and
+    eager-cleaned lines (a half-occupancy warm-up leaves sets partly
+    filled)."""
     config = dataclasses.replace(
         SimConfig(workload="zeusmp", policy="BE-Mellow+SC",
                   seed=3).scaled(0.1),
@@ -255,19 +257,44 @@ def test_llc_round_trip_restores_lines_and_tag_mirrors(tmp_path: Path
     system.start_run()
     assert system.continue_run() is None
     original = system.llc.cache
-    assert any(len(lines) < original.assoc for lines in original.sets)
-    assert any(line.eager_cleaned
-               for lines in original.sets for line in lines)
+    assert any(len(tags) < original.assoc for tags in original._tag_sets)
+    assert any(flag & EAGER_CLEANED
+               for flags in original._flags for flag in flags)
     restored = restore_system(
         save_snapshot(system, tmp_path / "llc.ckpt")).llc.cache
 
-    def rows(cache) -> list:
-        return [[(line.tag, line.dirty, line.eager_cleaned, line.last_touch)
-                 for line in lines] for lines in cache.sets]
-
-    assert rows(restored) == rows(original)
     assert restored._tag_sets == original._tag_sets
+    assert restored._flags == original._flags
+    assert restored._touches == original._touches
     assert restored._tag_members == original._tag_members
+    assert restored.set_access_counts == original.set_access_counts
+
+
+#: A schema-3 snapshot written by the build before the LLC became
+#: columnar: zeusmp under BE-Mellow+SC on a 16 KB 4-way LLC with a DRAM
+#: write buffer, paused 4000 accesses into the measured window with
+#: eager-cleaned and dirty lines resident.
+EARLIER_BUILD_SNAPSHOT = (Path(__file__).parent / "data"
+                          / "snapshot_state3_small_llc.ckpt")
+
+
+def test_snapshot_from_an_earlier_build_resumes_byte_equal(
+        monkeypatch: pytest.MonkeyPatch) -> None:
+    """Snapshots outlive the build that wrote them: this one restores,
+    re-captures to its own state, and finishes byte-equal to a straight
+    run of its embedded config.  (States, not file bytes, are compared:
+    the compressed stream may differ between zlib versions.)"""
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    config, state = load_snapshot(EARLIER_BUILD_SNAPSHOT)
+    assert state["state_schema"] == 3
+    assert any(flag & EAGER_CLEANED for flag in state["llc"]["flags"])
+    restored = restore_system(EARLIER_BUILD_SNAPSHOT)
+    assert (json.dumps(capture_state(restored), sort_keys=True)
+            == json.dumps(state, sort_keys=True))
+    resumed = json.dumps(run_result_to_dict(restored.finish_run()),
+                         sort_keys=True)
+    assert resumed == _straight_json(
+        dataclasses.replace(config, checkpoint_every=None))
 
 
 def test_run_with_checkpoint_dir_writes_snapshots(tmp_path: Path) -> None:

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.lru import LRUCache
+from repro.cache.lru import DIRTY, LRUCache
 
 
 def test_miss_then_hit():
@@ -94,11 +94,13 @@ def test_dirty_lines_in_set_order():
     cache.access(0, is_write=True)
     cache.access(1, is_write=False)
     cache.access(2, is_write=True)
-    pairs = cache.dirty_lines_in_set(0)
-    # MRU-first: block 2 at position 0, block 0 at position 2.
-    assert [(pos, cache.block_of(0, line.tag)) for pos, line in pairs] == [
-        (0, 2), (2, 0),
-    ]
+    # The set's columns are MRU-first: block 2 at position 0, block 0 at
+    # position 2, and only those two carry the dirty flag.
+    pairs = [(position, cache.block_of(0, tag))
+             for position, (tag, flag)
+             in enumerate(zip(cache._tag_sets[0], cache._flags[0]))
+             if flag & DIRTY]
+    assert pairs == [(0, 2), (2, 0)]
 
 
 def test_occupancy_and_dirty_count():
@@ -133,7 +135,9 @@ def test_occupancy_never_exceeds_capacity(blocks):
         cache.access(block, is_write=block % 3 == 0)
     assert cache.occupancy() <= 8
     for set_index in range(4):
-        assert len(cache.sets[set_index]) <= 2
+        assert (len(cache._tag_sets[set_index])
+                == len(cache._flags[set_index])
+                == len(cache._touches[set_index]) <= 2)
 
 
 @given(
@@ -150,6 +154,6 @@ def test_lru_inclusion_property(blocks):
         small.access(block, is_write=False)
         large.access(block, is_write=False)
     for set_index in range(2):
-        small_tags = {line.tag for line in small.sets[set_index]}
-        large_tags = {line.tag for line in large.sets[set_index]}
+        small_tags = set(small._tag_sets[set_index])
+        large_tags = set(large._tag_sets[set_index])
         assert small_tags <= large_tags
