@@ -1,6 +1,6 @@
 """Golden-result corpus: configs pinned to the digest of their results.
 
-``tests/data/golden_results.json`` maps fifty small configs to the
+``tests/data/golden_results.json`` maps fifty-one small configs to the
 sha256 of their canonical ``run_result_to_dict`` JSON (and, for traced
 configs, of every telemetry bundle file).  ``tests/test_golden.py`` reruns
 each entry and requires the same digests, so any change in simulated
@@ -124,6 +124,8 @@ def corpus_configs() -> Dict[str, Dict[str, Any]]:
         "zeusmp", "BE-Mellow+SC", sanitize=True, faults=FAULTS_MILD)
     entries["telemetry/lbm/BE-Mellow+SC+WQ"] = _config(
         "lbm", "BE-Mellow+SC+WQ", telemetry=True)
+    entries["telemetry+faults/gups/BE-Mellow+SC"] = _config(
+        "gups", "BE-Mellow+SC", telemetry=True, faults=FAULTS_HARSH)
     for index in range(6):
         entries[f"random/{index}"] = random_small_config(
             random.Random(0xFA57 + index))

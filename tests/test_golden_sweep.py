@@ -2,7 +2,7 @@
 runs from a shared warm state.
 
 ``Runner.sweep`` warms each warm key once and restores that state into
-every run sharing it (``SimConfig.warm_key``).  Forty-two of the corpus
+every run sharing it (``SimConfig.warm_key``).  Forty-three of the corpus
 entries fall into nine shared warm groups - several policies, window
 lengths, fault settings, the sanitizer, telemetry and sliced runs over
 one warm-up - so running all of them through one sweep and requiring
@@ -55,7 +55,7 @@ def test_corpus_shares_warm_states():
     counts = Counter(config.warm_key() for config in _configs()
                      if config.workload in WORKLOAD_NAMES)
     shared = [count for count in counts.values() if count > 1]
-    assert (len(shared), sum(shared)) == (9, 42)
+    assert (len(shared), sum(shared)) == (9, 43)
 
 
 def test_corpus_through_one_sweep_reproduces_every_digest():
