@@ -14,8 +14,8 @@ Two representation rules keep restores bit-identical:
 * **Identity tables.**  :class:`~repro.memory.queues.Request` and
   :class:`~repro.memory.bank.InFlight` objects appear in several places
   at once (queue FIFOs, the controller's bank in-flight slots, *and*
-  inside stale completion-event closures, where ``bank.in_flight is not
-  op`` identity checks are load-bearing).  Each object is serialized
+  inside stale completion-event closures, where ``in_flight[bank] is
+  not op`` identity checks are load-bearing).  Each object is serialized
   once under a table index and every appearance stores the index, so
   the restored object graph has the same aliasing as the original.
 * **Descriptors, not pickles.**  Event callbacks are bound methods and
@@ -504,6 +504,14 @@ def _capture_faults(system: "System") -> Optional[Dict[str, Any]]:
     }
 
 
+def _retired_per_bank(system: "System") -> List[int]:
+    """Lines retired per bank: the fault injector's count, else zeros."""
+    injector = system.faults
+    if injector is None:
+        return [0] * system.controller._num_banks
+    return list(injector.retired_per_bank)
+
+
 def _restore_faults(restore: _Restore, state: Any) -> None:
     injector = restore.system.faults
     if not _present(injector, state, "fault"):
@@ -583,11 +591,9 @@ def capture_state(system: "System") -> Dict[str, Any]:
     """Serialize a paused system's complete state to a plain dict.
 
     Must be called at an event boundary (no core frame on the stack).
-    Buffered accounting is folded in first (the controller's pending
-    telemetry counters here, the wear epoch buffers when the records are
-    read) and the controller's flat bank state is written back to the
-    Bank objects; a captured-and-continued run stays bit-identical to a
-    straight-through one.
+    The wear records fold in their epoch buffers when read; nothing else
+    is buffered, so a captured-and-continued run stays bit-identical to
+    a straight-through one.
     """
     core = system.core
     if core._in_run or core._owns_clock:
@@ -595,17 +601,15 @@ def capture_state(system: "System") -> Dict[str, Any]:
             "capture_state must run at an event boundary, not from "
             "inside a core execution frame")
     ctrl = system.controller
-    if ctrl._ts is not None:
-        ctrl._ts.flush_pending()
-    ctrl.sync_bank_state()
-
     capture = _Capture(system)
     events = system.events
 
-    # The flat bank state is captured once; the Bank objects only add
-    # their cold counters.
-    banks_rows = [[bank.busy_time_ns, bank.ops_begun, bank.ops_cancelled,
-                   bank.lines_retired] for bank in ctrl.banks]
+    # One row per bank: busy time, operations begun and cancelled, lines
+    # retired.  The retired column repeats the fault injector's count
+    # (zeros without faults); _restore_controller checks they agree.
+    banks_rows = [list(row) for row in zip(
+        ctrl.bank_busy_ns, ctrl.bank_ops_begun, ctrl.bank_ops_cancelled,
+        _retired_per_bank(system))]
     bank_in_flight = [
         None if op is None else capture.inflight_ref(op)
         for op in ctrl._bank_in_flight
@@ -724,15 +728,25 @@ def _restore_controller(restore: _Restore, state: Dict[str, Any]) -> None:
     _restore_queue(restore, ctrl.read_q, state["queues"]["read"])
     _restore_queue(restore, ctrl.write_q, state["queues"]["write"])
     _restore_queue(restore, ctrl.eager_q, state["queues"]["eager"])
-    for bank, row in zip(ctrl.banks, state["banks"]):
-        (bank.busy_time_ns, bank.ops_begun, bank.ops_cancelled,
-         bank.lines_retired) = row
+    rows = state["banks"]
+    if len(rows) != ctrl._num_banks:
+        raise CheckpointError(
+            f"snapshot has {len(rows)} controller bank rows for "
+            f"{ctrl._num_banks} banks")
+    busy, begun, cancelled, retired = (list(column)
+                                       for column in zip(*rows))
+    if retired != _retired_per_bank(restore.system):
+        raise CheckpointError(
+            "snapshot controller bank rows disagree with the fault "
+            "injector's retired lines per bank")
+    ctrl.bank_busy_ns[:] = busy
+    ctrl.bank_ops_begun[:] = begun
+    ctrl.bank_ops_cancelled[:] = cancelled
     ctrl._bank_busy_until[:] = state["bank_busy_until"]
     ctrl._bank_open_row[:] = state["bank_open_row"]
     ctrl._bank_in_flight[:] = [
         None if ref is None else restore.inflights[ref]
         for ref in state["bank_in_flight"]]
-    ctrl.sync_bank_state()
 
 
 def _restore_quota(restore: _Restore, state: Any) -> None:
@@ -759,7 +773,8 @@ def _restore_dram_buffer(restore: _Restore, state: Any) -> None:
 
 
 #: State sections in restore order: the identity tables first, since
-#: events and controller queues refer into them by index.
+#: events and controller queues refer into them by index, and the faults
+#: before the controller, whose bank rows are checked against them.
 _SECTION_RESTORERS: Dict[str, Callable[[_Restore, Any], None]] = {
     "requests": _restore_requests,
     "inflights": _restore_inflights,
@@ -767,11 +782,11 @@ _SECTION_RESTORERS: Dict[str, Callable[[_Restore, Any], None]] = {
     "system": _restore_system,
     "core": _restore_core,
     "trace": _restore_trace,
+    "faults": _restore_faults,
     "controller": _restore_controller,
     "llc": _restore_llc,
     "wear": _restore_wear,
     "quota": _restore_quota,
-    "faults": _restore_faults,
     "flip_n_write": _restore_flip_n_write,
     "dram_buffer": _restore_dram_buffer,
     "telemetry": _restore_telemetry,

@@ -187,9 +187,6 @@ class Runner:
         if store is None:
             store = resolve_store(cache_dir=cache_dir)
         self.store = store
-        # Kept for file-backend introspection (tests, legacy tooling);
-        # None whenever entries do not live in a directory.
-        self.cache_dir: Optional[Path] = getattr(store, "root", None)
         self._memo: Dict[tuple, RunResult] = {}
         self.simulated = 0
         self.cache_hits = 0

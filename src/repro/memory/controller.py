@@ -31,7 +31,7 @@ from repro.faults.injector import (WRITE_FATAL, WRITE_OK, WRITE_RETIRED,
                                    WRITE_RETRY, FaultInjector)
 from repro.sim.sanitize import check, close_enough, resolve
 from repro.memory.address import AddressMap
-from repro.memory.bank import Bank, InFlight
+from repro.memory.bank import InFlight
 from repro.memory.queues import EAGER, READ, WRITE, Request, RequestQueue
 from repro.memory.rank import RankFawLimiter
 from repro.memory.timing import MemoryTiming
@@ -54,7 +54,6 @@ class _ControllerTelemetry:
     """
 
     def __init__(self, telemetry: Telemetry, num_banks: int) -> None:
-        self.tel = telemetry
         # Bound method, saving two attribute loads per trace record.
         self.record = telemetry.tracer.record
         metrics = telemetry.metrics
@@ -78,50 +77,6 @@ class _ControllerTelemetry:
             metrics.counter(bank_metric_name(i, "writes_normal"))
             for i in range(num_banks)
         ]
-        # Per-epoch pending increments: whole-unit counter bumps on the
-        # issue path accumulate in plain ints / flat per-bank int lists
-        # and are folded in by flush_pending, which the registry runs
-        # before every sample.  Integer adds commute exactly, so the
-        # sampled series equal per-event increments.
-        self.pend_reads = 0
-        self.pend_writes_normal = 0
-        self.pend_writes_slow = 0
-        self.pend_eager = 0
-        self.pend_cancellations = 0
-        self.pend_pauses = 0
-        self.pend_bank_slow: List[int] = [0] * num_banks
-        self.pend_bank_normal: List[int] = [0] * num_banks
-
-    def flush_pending(self) -> None:
-        """Fold the buffered increments into the live counters."""
-        if self.pend_reads:
-            self.reads_issued.value += self.pend_reads
-            self.pend_reads = 0
-        if self.pend_writes_normal:
-            self.writes_normal.value += self.pend_writes_normal
-            self.pend_writes_normal = 0
-        if self.pend_writes_slow:
-            self.writes_slow.value += self.pend_writes_slow
-            self.pend_writes_slow = 0
-        if self.pend_eager:
-            self.eager_issued.value += self.pend_eager
-            self.pend_eager = 0
-        if self.pend_cancellations:
-            self.cancellations.value += self.pend_cancellations
-            self.pend_cancellations = 0
-        if self.pend_pauses:
-            self.pauses.value += self.pend_pauses
-            self.pend_pauses = 0
-        bank_slow = self.pend_bank_slow
-        for index, count in enumerate(bank_slow):
-            if count:
-                self.bank_slow[index].value += count
-                bank_slow[index] = 0
-        bank_normal = self.pend_bank_normal
-        for index, count in enumerate(bank_normal):
-            if count:
-                self.bank_normal[index].value += count
-                bank_normal[index] = 0
 
 
 class ControllerStats:
@@ -166,11 +121,17 @@ class ControllerStats:
 class MemoryController:
     """ReRAM memory controller with Mellow Writes support.
 
-    The scheduling-hot bank state (busy-until time, open row, in-flight
-    operation) lives in three flat lists indexed by bank id; the
-    :class:`~repro.memory.bank.Bank` objects keep the cold per-bank
-    counters and receive the hot state at sync points
-    (:meth:`sync_bank_state`).  docs/performance.md describes the layout.
+    Each bank has an open-page 1 KB row buffer.  Writes are
+    write-through: they never load the row buffer, and a write to the
+    currently open row leaves the buffer open (the device updates it in
+    place).  Reads open rows.
+
+    All per-bank state lives in flat lists indexed by bank id, and
+    nowhere else: busy-until time, open row and in-flight operation for
+    the issue path, plus busy time and operation counts for results and
+    telemetry.  Lines retired per bank are the fault injector's count
+    (``FaultInjector.retired_per_bank``).  docs/performance.md describes
+    the layout.
     """
 
     def __init__(
@@ -226,8 +187,6 @@ class MemoryController:
             _ControllerTelemetry(telemetry, self.amap.num_banks)
             if telemetry.enabled else None
         )
-        if self._ts is not None:
-            telemetry.metrics.add_pre_sample_hook(self._ts.flush_pending)
         self.read_q = RequestQueue(read_queue_entries, "read", clock=clock,
                                    sanitize=self._sanitize,
                                    telemetry=telemetry,
@@ -253,14 +212,12 @@ class MemoryController:
             raise ValueError("page_policy must be 'open' or 'closed'")
         # Table II uses open-page; closed-page (precharge after every
         # access) is provided for sensitivity studies.
-        self.page_policy = page_policy
+        self._closed_page = page_policy == "closed"
         if read_scheduler not in ("fcfs", "frfcfs"):
             raise ValueError("read_scheduler must be 'fcfs' or 'frfcfs'")
         # Per-bank read selection: plain FCFS, or FR-FCFS (row hits first).
-        self.read_scheduler = read_scheduler
         self._frfcfs = read_scheduler == "frfcfs"
 
-        self.banks: List[Bank] = [Bank(i) for i in range(self.amap.num_banks)]
         self.faw: List[RankFawLimiter] = [
             RankFawLimiter(self.timing.t_faw_ns, self.timing.t_faw_activates)
             for _ in range(self.amap.num_ranks)
@@ -301,7 +258,6 @@ class MemoryController:
         self._burst = self.timing.burst_ns
         self._t_wp = self.timing.t_wp_normal_ns
         self._cancel_penalty = self.timing.cancel_penalty_ns
-        self._closed_page = page_policy == "closed"
         self._pausing = policy.pausing
         self._cancel_normal = policy.cancel_normal
         self._cancel_slow = policy.cancel_slow
@@ -323,15 +279,16 @@ class MemoryController:
         # damage_per_write(factor) is a pure function of the factor; cache
         # the handful of distinct factors a run can use.
         self._damage_by_factor: Dict[float, float] = {}
-        # Flat bank state, indexed by bank id: the issue path reads and
-        # writes these primitives, and sync_bank_state writes them back to
-        # the Bank objects at sync points.  The cold per-bank counters
-        # (busy_time_ns, ops_begun, ops_cancelled, lines_retired) stay
-        # live on the Bank objects.
+        # Flat bank state, indexed by bank id.  The issue path reads and
+        # writes the first three; results and telemetry probes read the
+        # busy time (this window) and the lifetime operation counts.
         self._bank_busy_until: List[float] = [0.0] * self._num_banks
         self._bank_open_row: List[Optional[int]] = [None] * self._num_banks
         self._bank_in_flight: List[Optional[InFlight]] = (
             [None] * self._num_banks)
+        self.bank_busy_ns: List[float] = [0.0] * self._num_banks
+        self.bank_ops_begun: List[int] = [0] * self._num_banks
+        self.bank_ops_cancelled: List[int] = [0] * self._num_banks
 
     # ------------------------------------------------------------------
     # Submission API (called by the LLC / CPU side)
@@ -499,10 +456,9 @@ class MemoryController:
         victim_queue = self.eager_q if op.request.kind == EAGER else self.write_q
         if victim_queue._size >= victim_queue.capacity:
             return  # nowhere to put the victim; let the write finish
-        bank = self.banks[bank_index]
-        bank.busy_time_ns -= max(0.0, op.finish_ns - now)
+        self.bank_busy_ns[bank_index] -= max(0.0, op.finish_ns - now)
         self._bank_in_flight[bank_index] = None
-        bank.ops_cancelled += 1
+        self.bank_ops_cancelled[bank_index] += 1
         # Partial cell stress: fraction of the programming pulse completed.
         if fraction > 0.0:
             self._record_wear(op.request, fraction)
@@ -517,9 +473,9 @@ class MemoryController:
         ts = self._ts
         if ts is not None:
             if pausing:
-                ts.pend_pauses += 1
+                ts.pauses.value += 1.0
             else:
-                ts.pend_cancellations += 1
+                ts.cancellations.value += 1.0
             ts.record(
                 now, EV_PAUSE if pausing else EV_CANCEL,
                 bank_index, op.request.block, op.request.req_id,
@@ -599,7 +555,7 @@ class MemoryController:
         stats.reads_issued += 1
         ts = self._ts
         if ts is not None:
-            ts.pend_reads += 1
+            ts.reads_issued.value += 1.0
             ts.record(now, EV_ISSUE, bank_index, request.block,
                       request.req_id, 0.0, detail)
         op = InFlight(
@@ -608,9 +564,8 @@ class MemoryController:
         )
         self._bank_in_flight[bank_index] = op
         self._bank_busy_until[bank_index] = finish
-        bank = self.banks[bank_index]
-        bank.busy_time_ns += finish - now
-        bank.ops_begun += 1
+        self.bank_busy_ns[bank_index] += finish - now
+        self.bank_ops_begun[bank_index] += 1
         if self._read_space_waiters:
             self._notify_read_space()
         self.events.schedule(
@@ -677,13 +632,13 @@ class MemoryController:
         ts = self._ts
         if ts is not None:
             if slow:
-                ts.pend_writes_slow += 1
-                ts.pend_bank_slow[bank_index] += 1
+                ts.writes_slow.value += 1.0
+                ts.bank_slow[bank_index].value += 1.0
             else:
-                ts.pend_writes_normal += 1
-                ts.pend_bank_normal[bank_index] += 1
+                ts.writes_normal.value += 1.0
+                ts.bank_normal[bank_index].value += 1.0
             if eager:
-                ts.pend_eager += 1
+                ts.eager_issued.value += 1.0
             ts.record(now, EV_ISSUE, bank_index, request.block,
                       request.req_id, factor, request.kind)
         op = InFlight(
@@ -694,9 +649,8 @@ class MemoryController:
         )
         self._bank_in_flight[bank_index] = op
         self._bank_busy_until[bank_index] = finish
-        bank = self.banks[bank_index]
-        bank.busy_time_ns += finish - now
-        bank.ops_begun += 1
+        self.bank_busy_ns[bank_index] += finish - now
+        self.bank_ops_begun[bank_index] += 1
         if not eager:
             if self._write_space_waiters:
                 self._notify_write_space()
@@ -793,7 +747,7 @@ class MemoryController:
             self._issue_write(bank_index, request, now)
             return True
         if outcome == WRITE_RETIRED:
-            self.banks[bank_index].lines_retired += 1
+            # The injector has counted the line (retired_per_bank).
             if ts is not None:
                 ts.record(
                     now, EV_LINE_RETIRE, bank_index, request.block,
@@ -845,19 +799,6 @@ class MemoryController:
                     self.events.now, EV_CELL_FAIL, bank, request.block,
                     request.req_id, factor, f"cells={newly_dead}")
 
-    def sync_bank_state(self) -> None:
-        """Write the flat bank state back to the Bank objects.
-
-        Runs at sync points only (end of warmup via reset_statistics,
-        RunResult collection, snapshot capture), so anything that
-        inspects Bank objects there sees the controller's current state.
-        """
-        busy = self._bank_busy_until
-        rows = self._bank_open_row
-        ops = self._bank_in_flight
-        for index, bank in enumerate(self.banks):
-            bank.apply_hot_state(busy[index], rows[index], ops[index])
-
     def _notify_write_space(self) -> None:
         while self._write_space_waiters and not self.write_q.full:
             self._write_space_waiters.pop(0)()
@@ -870,13 +811,6 @@ class MemoryController:
     # Introspection helpers
     # ------------------------------------------------------------------
 
-    def bank_utilization(self, window_ns: float) -> float:
-        """Mean fraction of time banks were busy over ``window_ns``."""
-        if window_ns <= 0:
-            return 0.0
-        busy = sum(b.busy_time_ns for b in self.banks)
-        return busy / (window_ns * len(self.banks))
-
     def drain_fraction(self, window_ns: float) -> float:
         """Fraction of time spent in write-drain mode over ``window_ns``."""
         if window_ns <= 0:
@@ -888,14 +822,12 @@ class MemoryController:
 
     def reset_statistics(self) -> None:
         """Clear stats and utilization counters (end of warmup)."""
-        self.sync_bank_state()
         self.stats.reset()
-        for bank in self.banks:
-            # Charge only the remaining busy time to the new window.
-            if bank.in_flight is not None:
-                bank.busy_time_ns = max(0.0, bank.in_flight.finish_ns - self.events.now)
-            else:
-                bank.busy_time_ns = 0.0
+        # Charge only the remaining busy time to the new window.
+        now = self.events.now
+        self.bank_busy_ns[:] = [
+            0.0 if op is None else max(0.0, op.finish_ns - now)
+            for op in self._bank_in_flight]
         if self.drain_mode:
             self._drain_started_ns = self.events.now
         for queue in (self.read_q, self.write_q, self.eager_q):

@@ -207,11 +207,13 @@ class System:
                       lambda: float(ctrl.eager_q.epoch_peak_depth()))
         metrics.probe("wear.total_writes",
                       lambda: float(self.wear.total_writes()))
-        for bank in ctrl.banks:
-            metrics.probe(bank_metric_name(bank.index, "ops_begun"),
-                          lambda b=bank: float(b.ops_begun))
-            metrics.probe(bank_metric_name(bank.index, "ops_cancelled"),
-                          lambda b=bank: float(b.ops_cancelled))
+        ops_begun = ctrl.bank_ops_begun
+        ops_cancelled = ctrl.bank_ops_cancelled
+        for index in range(len(ops_begun)):
+            metrics.probe(bank_metric_name(index, "ops_begun"),
+                          lambda i=index: float(ops_begun[i]))
+            metrics.probe(bank_metric_name(index, "ops_cancelled"),
+                          lambda i=index: float(ops_cancelled[i]))
         tel.set_wear_probe(self.wear.bank_damages)
         injector = self.faults
         if injector is not None:
@@ -226,14 +228,13 @@ class System:
                           lambda: float(stats.lines_retired))
             metrics.probe("faults.spare_lines_left",
                           lambda: float(injector.total_spares_left()))
-            banks = ctrl.banks
-            for bank in banks:
-                metrics.probe(bank_metric_name(bank.index, "lines_retired"),
-                              lambda b=bank: float(b.lines_retired))
-            # Closes over the banks, not the controller: the heatmap keeps
-            # this probe past release() (its presence shapes the bundle).
-            tel.set_retired_probe(
-                lambda: [float(b.lines_retired) for b in banks])
+            # Closes over the list, not the injector: the heatmap keeps
+            # its probe past release() (its presence shapes the bundle).
+            retired = injector.retired_per_bank
+            for index in range(len(retired)):
+                metrics.probe(bank_metric_name(index, "lines_retired"),
+                              lambda i=index: float(retired[i]))
+            tel.set_retired_probe(lambda: [float(n) for n in retired])
 
     # ------------------------------------------------------------------
     # DRAM write buffer
@@ -565,10 +566,6 @@ class System:
 
     def _collect(self) -> RunResult:
         config = self.config
-        # Sync point: write the controller's flat bank state back to the
-        # Bank objects read below (the wear records fold in their epoch
-        # buffers on read).
-        self.controller.sync_bank_state()
         measure_start = self._measure_start_ns
         measure_end = self._measure_end_ns
         assert measure_start is not None and measure_end is not None, (
@@ -580,10 +577,10 @@ class System:
 
         # Trim bank busy time that extends past the end of the window.
         bank_utilizations: List[float] = []
-        for bank in self.controller.banks:
-            busy = bank.busy_time_ns
-            if bank.busy_until > measure_end:
-                busy -= bank.busy_until - measure_end
+        for busy, busy_until in zip(self.controller.bank_busy_ns,
+                                    self.controller._bank_busy_until):
+            if busy_until > measure_end:
+                busy -= busy_until - measure_end
             bank_utilizations.append(max(0.0, busy) / window)
         utilization = sum(bank_utilizations) / len(bank_utilizations)
 

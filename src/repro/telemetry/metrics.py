@@ -133,17 +133,6 @@ class MetricRegistry:
         self._names: Set[str] = set()
         self.sample_times_ns: List[float] = []
         self.series: Dict[str, List[Optional[float]]] = {}
-        self._pre_sample_hooks: List[Callable[[], None]] = []
-
-    def add_pre_sample_hook(self, hook: Callable[[], None]) -> None:
-        """Run ``hook`` before each sample (and each live export).
-
-        Components that buffer whole-unit counter increments between
-        epochs (the memory controller) register their flush here, so the
-        sampled series - and :meth:`current` snapshots - always show the
-        same values per-event increments would.
-        """
-        self._pre_sample_hooks.append(hook)
 
     # -- instrument factories ------------------------------------------
 
@@ -182,14 +171,13 @@ class MetricRegistry:
         self._probes[name] = fn
 
     def release(self) -> None:
-        """Drop every probe and pre-sample hook after the final sample.
+        """Drop every probe after the final sample.
 
         They are closures over live simulator components; dropping them
         lets a finished run be freed by reference counting.  The sampled
         series stay, so the registry still exports.
         """
         self._probes.clear()
-        self._pre_sample_hooks.clear()
 
     # -- sampling -------------------------------------------------------
 
@@ -202,8 +190,6 @@ class MetricRegistry:
 
     def sample(self, now_ns: float) -> None:
         """Record one epoch: snapshot every instrument and probe."""
-        for hook in self._pre_sample_hooks:
-            hook()
         index = len(self.sample_times_ns)
         self.sample_times_ns.append(now_ns)
         for name, counter in self._counters.items():

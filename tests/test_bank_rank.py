@@ -1,9 +1,8 @@
 """Tests for the per-bank state and the rank tFAW limiter.
 
 The bank bookkeeping (busy time, open row, in-flight operation,
-cancellation) is done by the controller on its flat arrays, so these
-tests drive :class:`MemoryController` and read the :class:`Bank` objects
-at a sync point.
+cancellation) lives in the controller's flat per-bank lists, so these
+tests drive :class:`MemoryController` and read bank 0's entries.
 """
 
 import math
@@ -12,7 +11,6 @@ import pytest
 
 from repro.core.policies import parse_policy
 from repro.memory.address import AddressMap
-from repro.memory.bank import Bank
 from repro.memory.controller import MemoryController
 from repro.memory.rank import RankFawLimiter
 from repro.sim.events import EventQueue
@@ -27,34 +25,27 @@ def make_controller(policy):
                                     address_map=AMAP)
 
 
-def bank0(ctrl):
-    """Bank 0 with the controller's flat state written back."""
-    ctrl.sync_bank_state()
-    return ctrl.banks[0]
-
-
 class TestBank:
     def test_initially_idle_no_open_row(self):
-        bank = Bank(0)
-        assert bank.busy_until == 0.0
-        assert bank.open_row is None
-        assert bank.in_flight is None
+        _, ctrl = make_controller("Norm")
+        assert ctrl._bank_busy_until[0] == 0.0
+        assert ctrl._bank_open_row[0] is None
+        assert ctrl._bank_in_flight[0] is None
 
     def test_begin_makes_busy_until_finish(self):
         events, ctrl = make_controller("Slow+SC")
         ctrl.submit_write(AMAP.encode(0, 32))
-        bank = bank0(ctrl)
-        assert bank.in_flight is not None
+        assert ctrl._bank_in_flight[0] is not None
         # 20 ns burst + 450 ns slow pulse.
-        assert bank.busy_until == pytest.approx(470)
-        assert math.isclose(bank.busy_time_ns, 470)
-        assert bank.ops_begun == 1
+        assert ctrl._bank_busy_until[0] == pytest.approx(470)
+        assert math.isclose(ctrl.bank_busy_ns[0], 470)
+        assert ctrl.bank_ops_begun[0] == 1
 
     def test_row_hit_tracking(self):
         events, ctrl = make_controller("Norm")
         ctrl.submit_read(AMAP.encode(0, 0))
         events.run_all()
-        first_row = bank0(ctrl).open_row
+        first_row = ctrl._bank_open_row[0]
         assert first_row is not None
         ctrl.submit_read(AMAP.encode(0, 1))     # same row
         events.run_all()
@@ -62,27 +53,25 @@ class TestBank:
         ctrl.submit_read(AMAP.encode(0, 16))    # next row
         events.run_all()
         assert ctrl.stats.read_row_misses == 2
-        assert bank0(ctrl).open_row != first_row
+        assert ctrl._bank_open_row[0] != first_row
 
     def test_cancel_frees_bank_and_trims_busy_time(self):
         events, ctrl = make_controller("Slow+SC")
         ctrl.submit_write(AMAP.encode(0, 32))   # busy until 470 ns
         events.run_until(100)
         ctrl.submit_read(AMAP.encode(0, 0))     # cancels the write
-        bank = bank0(ctrl)
         assert ctrl.stats.cancellations == 1
-        assert bank.ops_cancelled == 1
-        assert bank.in_flight is None
-        assert math.isclose(bank.busy_time_ns, 100)
-        assert bank.busy_until == pytest.approx(
+        assert ctrl.bank_ops_cancelled[0] == 1
+        assert ctrl._bank_in_flight[0] is None
+        assert math.isclose(ctrl.bank_busy_ns[0], 100)
+        assert ctrl._bank_busy_until[0] == pytest.approx(
             100 + ctrl.timing.cancel_penalty_ns)
 
     def test_complete_clears_in_flight(self):
         events, ctrl = make_controller("Norm")
         ctrl.submit_write(AMAP.encode(0, 32))
         events.run_all()
-        bank = bank0(ctrl)
-        assert bank.in_flight is None
+        assert ctrl._bank_in_flight[0] is None
         assert ctrl.stats.writes_completed == 1
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
+from typing import Optional
 
 import pytest
 from hypothesis import example, given, settings
@@ -203,6 +204,32 @@ def test_resume_malformed_state_is_a_clean_cli_error(tmp_path: Path,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'llc'" in err
     assert "Traceback" not in err
+
+
+def _bump_row_retired(state: dict) -> None:
+    state["controller"]["banks"][0][3] += 1
+
+
+def _bump_injector_retired(state: dict) -> None:
+    state["faults"]["retired_per_bank"][0] += 1
+
+
+@pytest.mark.parametrize("faults, edit, message", [
+    (None, _bump_row_retired,
+     "disagree with the fault injector's retired lines"),
+    (FAULTS, _bump_injector_retired,
+     "disagree with the fault injector's retired lines"),
+    (None, lambda state: state["controller"]["banks"].pop(),
+     "15 controller bank rows for 16 banks"),
+], ids=["retired-without-faults", "retired-vs-faults", "bank-count"])
+def test_bank_rows_checked_against_one_count(tmp_path: Path, faults, edit,
+                                             message: str) -> None:
+    """Lines retired per bank are counted once, by the fault injector;
+    the controller's bank rows repeat that count, so rows that disagree
+    with it (or with the bank count) are refused, not adopted."""
+    bad = _edited_snapshot(tmp_path, edit, faults)
+    with pytest.raises(CheckpointError, match=message):
+        restore_system(bad)
 
 
 def _overfill_set_0(llc: dict) -> int:
@@ -399,18 +426,20 @@ def test_config_codec_round_trip(config: SimConfig) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _one_snapshot(tmp_path: Path) -> Path:
+def _one_snapshot(tmp_path: Path,
+                  faults: Optional[FaultConfig] = None) -> Path:
     config = SimConfig(workload="hmmer", policy="Norm", seed=3,
-                       checkpoint_every=900).scaled(0.02)
+                       checkpoint_every=900, faults=faults).scaled(0.02)
     system = System(config)
     system.start_run()
     assert system.continue_run() is None
     return save_snapshot(system, tmp_path / "good.ckpt")
 
 
-def _edited_snapshot(tmp_path: Path, edit) -> Path:
+def _edited_snapshot(tmp_path: Path, edit,
+                     faults: Optional[FaultConfig] = None) -> Path:
     """A digest-valid snapshot whose state ``edit`` changed in place."""
-    config, state = load_snapshot(_one_snapshot(tmp_path))
+    config, state = load_snapshot(_one_snapshot(tmp_path, faults))
     edit(state)
     path = tmp_path / "edited.ckpt"
     path.write_bytes(_encode_snapshot(config, state))

@@ -72,9 +72,6 @@ def run_storm(policy_name, sequence):
                                         completions["write"].append)
                 submitted["write"] += 1
     events.run_all(max_events=100_000)
-    # The controller keeps bank scheduling state in flat lists; copy it to
-    # the Bank objects the quiescence checks read.
-    controller.sync_bank_state()
     return controller, submitted, completions
 
 
@@ -90,8 +87,7 @@ def test_all_requests_complete(policy_name, sequence):
     assert len(controller.read_q) == 0
     assert len(controller.write_q) == 0
     assert len(controller.eager_q) == 0
-    for bank in controller.banks:
-        assert bank.in_flight is None
+    assert controller._bank_in_flight == [None] * AMAP.num_banks
 
 
 @pytest.mark.parametrize("policy_name", ["Norm", "BE-Mellow+SC", "Slow+SC"])

@@ -301,6 +301,10 @@ def test_traced_fault_run_exports_fault_telemetry():
     retired = heatmap["retired"]
     assert retired["num_banks"] == result.num_banks
     assert sum(retired["cumulative"][-1]) == result.lines_retired
+    # One count per bank: the per-bank series and the heatmap agree.
+    for bank in range(result.num_banks):
+        assert series[f"bank.{bank:02d}.lines_retired"][-1] \
+            == retired["cumulative"][-1][bank]
     kinds = {json.loads(line)["kind"]
              for line in (bundle / "trace.jsonl").read_text().splitlines()}
     assert "cell_fail" in kinds
