@@ -5,7 +5,7 @@ Combines the paper's temporal technique (Mellow Writes) with the physical
 techniques from its related-work section - Flip-N-Write, DRAM write
 buffering, write pausing - and renders the lifetimes as a terminal bar
 chart against the 8-year target.  Also reports the measured leveling
-efficiency of the implemented wear levelers.
+efficiency of Start-Gap against no leveling.
 
 Usage:
     python examples/wear_limiting_zoo.py [workload]
@@ -18,8 +18,6 @@ from repro import SimConfig, run_simulation
 from repro.analysis.charts import bar_chart
 from repro.endurance.leveling import (
     NoLeveler,
-    RotationLeveler,
-    SecurityRefreshLeveler,
     StartGapLeveler,
     measure_efficiency,
 )
@@ -68,8 +66,6 @@ def main():
     levelers = [
         ("none", NoLeveler(64)),
         ("Start-Gap (paper)", StartGapLeveler(64, psi=10)),
-        ("Security Refresh", SecurityRefreshLeveler(64, refresh_interval=10)),
-        ("line rotation", RotationLeveler(64, psi=10)),
     ]
     efficiency = [
         (label, measure_efficiency(leveler, writes=100_000))

@@ -1,3 +1,2 @@
 """Cache substrate: LRU arrays, the 2 MB LLC with eager-candidate
-selection, the LRU-stack profiler, dead-block prediction, and the
-Table I upper-hierarchy trace filter."""
+selection, the LRU-stack profiler and dead-block prediction."""

@@ -14,16 +14,18 @@ Two representation rules keep restores bit-identical:
 * **Identity tables.**  :class:`~repro.memory.queues.Request` and
   :class:`~repro.memory.bank.InFlight` objects appear in several places
   at once (queue FIFOs, the controller's bank in-flight slots, *and*
-  inside stale completion-event closures, where ``in_flight[bank] is
-  not op`` identity checks are load-bearing).  Each object is serialized
+  as the argument of stale completion events, where ``in_flight[bank]
+  is not op`` identity checks are load-bearing).  Each object is serialized
   once under a table index and every appearance stores the index, so
   the restored object graph has the same aliasing as the original.
-* **Descriptors, not pickles.**  Event callbacks are bound methods and
-  small lambdas over live simulator objects.  They are encoded as
-  symbolic descriptors (``["ctrl.read", bank, op]``) and rebuilt
-  against the restored system with the same closure shape, so a
+* **Descriptors, not pickles.**  Every scheduled event is a bound method
+  of a live simulator object plus one argument, and every request
+  callback is a bound method of the core.  Each is encoded as a symbolic
+  descriptor (``["ctrl.read", bank, op]``) through one method table and
+  rebound through its inverse against the restored system, so a
   restored system can itself be captured again byte-identically
-  (double round-trip idempotence).
+  (double round-trip idempotence).  A callback outside the tables
+  cannot be captured.
 
 Dicts with insertion-order-dependent semantics (per-factor wear tallies,
 lazily touched fault lines, the DRAM buffer's LRU order) are serialized
@@ -163,28 +165,27 @@ def _restore_pattern(pattern: Pattern, state: Dict[str, Any]) -> None:
         _restore_pattern(pattern.second, state["second"])
 
 
-def _closure_cells(fn: Callable[..., Any]) -> Dict[str, Any]:
-    return dict(zip(fn.__code__.co_freevars,
-                    (cell.cell_contents for cell in fn.__closure__ or ())))
+#: The only methods the simulator schedules.  A system or core event is
+#: the row ``[owner, method name]``; a controller event is ``[kind, ...]``
+#: under its kind: ``["ctrl.poke", bank]`` or ``[kind, bank, op]``, with
+#: ``op`` an index into the in-flight table.
+_OWNER_EVENTS: Dict[str, Tuple[str, ...]] = {
+    "system": ("_sample_tick", "_eager_tick"),
+    "core": ("_start_event", "_gap_fired"),
+}
+_CTRL_EVENTS: Dict[str, str] = {
+    "ctrl.poke": "_try_issue_bank",
+    "ctrl.read": "_complete_read",
+    "ctrl.write": "_complete_write",
+}
+_CTRL_EVENT_KINDS = {name: kind for kind, name in _CTRL_EVENTS.items()}
 
 
-# Factory helpers rebuild event lambdas with the *same closure shape*
-# as the originals in repro.memory.controller, so a restored system
-# re-captures to an identical snapshot (the encoder below reads the
-# closure cells back out by name).
-
-def _make_complete_read(ctrl: Any, bank_index: int, op: InFlight
-                        ) -> Callable[[], None]:
-    return lambda: ctrl._complete_read(bank_index, op)
-
-
-def _make_complete_write(ctrl: Any, bank_index: int, op: InFlight
-                         ) -> Callable[[], None]:
-    return lambda: ctrl._complete_write(bank_index, op)
-
-
-def _make_poke(ctrl: Any, bank_index: int) -> Callable[..., None]:
-    return lambda b=bank_index: ctrl._try_issue_bank(b)
+def _bound_name(fn: Any, owner: Any) -> str:
+    """The method name of ``fn`` if it is bound to ``owner``, else ''."""
+    if getattr(fn, "__self__", None) is not owner:
+        return ""
+    return getattr(fn, "__name__", "")
 
 
 class _Capture:
@@ -222,67 +223,39 @@ class _Capture:
         return serial
 
     def _encode_request_callback(
-            self, callback: Optional[Callable[..., None]]
+            self, callback: Optional[Callable[[float], None]]
     ) -> Optional[List[Any]]:
         if callback is None:
             return None
         core = self.system.core
-        bound_self = getattr(callback, "__self__", None)
-        if bound_self is core:
-            name = callback.__func__.__name__  # type: ignore[attr-defined]
-            if name == "_read_done_plain":
-                return ["plain"]
-            raise CheckpointUnsupportedError(
-                f"unsupported bound request callback SimpleCore.{name}")
-        code = getattr(callback, "__code__", None)
-        if code is not None and code.co_name == "on_done":
-            cells = _closure_cells(callback)
-            return ["dep", cells["read_id"]]
+        name = _bound_name(callback, core)
+        if name == "_read_done_plain":
+            return ["plain"]
+        if name == "_read_done_dependent":
+            return ["dep", core._wait_read_id]
         raise CheckpointUnsupportedError(
             f"unsupported request callback {callback!r}")
 
     def encode_waiter(self, waiter: Callable[[], None]) -> str:
-        core = self.system.core
-        bound_self = getattr(waiter, "__self__", None)
-        if bound_self is core:
-            name = waiter.__func__.__name__  # type: ignore[attr-defined]
-            if name in ("_write_space_ready", "_read_space_ready"):
-                return name
+        name = _bound_name(waiter, self.system.core)
+        if name in ("_write_space_ready", "_read_space_ready"):
+            return name
         raise CheckpointUnsupportedError(
             f"unsupported space waiter {waiter!r}")
 
-    def encode_event(self, callback: Callable[[], None]) -> List[Any]:
+    def encode_event(self, fn: Callable[[Any], None], arg: Any) -> List[Any]:
         system = self.system
-        bound_self = getattr(callback, "__self__", None)
-        if bound_self is not None:
-            name = callback.__func__.__name__  # type: ignore[attr-defined]
-            if bound_self is system and name in ("_sample_tick",
-                                                 "_eager_tick"):
-                return ["system", name]
-            if bound_self is system.core and name in ("_start_event",
-                                                      "_gap_fired"):
-                return ["core", name]
-            raise CheckpointUnsupportedError(
-                f"unsupported bound event callback "
-                f"{type(bound_self).__name__}.{name}")
-        code = getattr(callback, "__code__", None)
-        if code is None:
-            raise CheckpointUnsupportedError(
-                f"unsupported event callback {callback!r}")
-        names = code.co_names
-        cells = _closure_cells(callback)
-        if "_try_issue_bank" in names:
-            defaults = callback.__defaults__ or ()  # type: ignore[attr-defined]
-            return ["ctrl.poke", defaults[0]]
-        if "_complete_read" in names:
-            return ["ctrl.read", cells["bank_index"],
-                    self.inflight_ref(cells["op"])]
-        if "_complete_write" in names:
-            return ["ctrl.write", cells["bank_index"],
-                    self.inflight_ref(cells["op"])]
+        kind = _CTRL_EVENT_KINDS.get(_bound_name(fn, system.controller))
+        if kind == "ctrl.poke":
+            return [kind, arg]
+        if kind is not None:
+            return [kind, arg.request.bank, self.inflight_ref(arg)]
+        for owner_kind, owner in (("system", system), ("core", system.core)):
+            name = _bound_name(fn, owner)
+            if name in _OWNER_EVENTS[owner_kind] and arg is None:
+                return [owner_kind, name]
         raise CheckpointUnsupportedError(
-            f"unsupported event callback {callback!r} "
-            f"(co_names={names!r})")
+            f"unsupported event callback {fn!r} (argument {arg!r})")
 
 
 class _Restore:
@@ -292,21 +265,26 @@ class _Restore:
         self.system = system
         self.requests: List[Request] = []
         self.inflights: List[InFlight] = []
+        # The read ids of the "dep" request rows (at most one is valid).
+        self.dependent_read_ids: List[Any] = []
 
-    def decode_event(self, desc: Sequence[Any]) -> Callable[..., None]:
+    def decode_event(self, desc: Sequence[Any]
+                     ) -> Tuple[Callable[[Any], None], Any]:
         kind = desc[0]
         system = self.system
-        if kind == "system":
-            return getattr(system, desc[1])  # type: ignore[no-any-return]
-        if kind == "core":
-            return getattr(system.core, desc[1])  # type: ignore[no-any-return]
-        ctrl = system.controller
-        if kind == "ctrl.poke":
-            return _make_poke(ctrl, desc[1])
-        if kind == "ctrl.read":
-            return _make_complete_read(ctrl, desc[1], self.inflights[desc[2]])
-        if kind == "ctrl.write":
-            return _make_complete_write(ctrl, desc[1], self.inflights[desc[2]])
+        if kind in _CTRL_EVENTS:
+            fn = getattr(system.controller, _CTRL_EVENTS[kind])
+            if kind == "ctrl.poke":
+                return fn, desc[1]
+            op = self.inflights[desc[2]]
+            if op.request.bank != desc[1]:
+                raise CheckpointError(
+                    f"event {desc!r} names bank {desc[1]} but its "
+                    f"operation is on bank {op.request.bank}")
+            return fn, op
+        if kind in _OWNER_EVENTS and desc[1] in _OWNER_EVENTS[kind]:
+            owner = system if kind == "system" else system.core
+            return getattr(owner, desc[1]), None
         raise CheckpointError(f"unknown event descriptor {desc!r}")
 
 
@@ -316,9 +294,13 @@ def _restore_requests(restore: _Restore, rows: List[List[Any]]) -> None:
     core = restore.system.core
     for row in rows:
         desc = row[6]
-        callback = (None if desc is None
-                    else core._read_done_plain if desc[0] == "plain"
-                    else core._make_read_callback(desc[1]))
+        if desc is None:
+            callback = None
+        elif desc[0] == "plain":
+            callback = core._read_done_plain
+        else:
+            callback = core._read_done_dependent
+            restore.dependent_read_ids.append(desc[1])
         restore.requests.append(Request(*row[:6] + [callback] + row[7:]))
 
 
@@ -614,12 +596,12 @@ def capture_state(system: "System") -> Dict[str, Any]:
         None if op is None else capture.inflight_ref(op)
         for op in ctrl._bank_in_flight
     ]
-    heap_rows = [[time_ns, seq, capture.encode_event(callback)]
-                 for time_ns, seq, callback in events._heap]
+    heap_rows = [[time_ns, seq, capture.encode_event(fn, arg)]
+                 for time_ns, seq, fn, arg in events._heap]
     deferred = events._deferred
     deferred_row = (None if deferred is None else
                     [deferred[0], deferred[1],
-                     capture.encode_event(deferred[2])])
+                     capture.encode_event(deferred[2], deferred[3])])
 
     # Peek-and-reanchor: observe the next request id without changing
     # what the live controller will hand out next.
@@ -689,12 +671,12 @@ def _restore_events(restore: _Restore, state: Dict[str, Any]) -> None:
     events = restore.system.events
     events.now = state["now"]
     events._seq = state["seq"]
-    events._heap = [(time_ns, seq, restore.decode_event(desc))
+    events._heap = [(time_ns, seq, *restore.decode_event(desc))
                     for time_ns, seq, desc in state["heap"]]
     deferred = state["deferred"]
     events._deferred = (None if deferred is None else
                         (deferred[0], deferred[1],
-                         restore.decode_event(deferred[2])))
+                         *restore.decode_event(deferred[2])))
     events.stop = False
 
 
@@ -707,6 +689,13 @@ def _restore_core(restore: _Restore, state: Dict[str, Any]) -> None:
     _fields_from_dict(core, _CORE_FIELDS, state)
     core._pending_fill = _trace_record_from_row(state["pending_fill"])
     core._gap_record = _trace_record_from_row(state["gap_record"])
+    # At most one dependent read is outstanding, the one the core waits on.
+    dependent = restore.dependent_read_ids
+    if len(dependent) > 1 or (dependent
+                              and dependent[0] != core._wait_read_id):
+        raise CheckpointError(
+            f"snapshot has dependent reads {dependent} but the core "
+            f"waits on read {core._wait_read_id}")
     core._in_run = False
     core._owns_clock = False
     core.stop_requested = False

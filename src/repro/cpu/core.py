@@ -48,6 +48,7 @@ from repro.cache.lru import AccessResult
 from repro.cpu.trace import TraceRecord
 from repro.memory.controller import MemoryController
 from repro.sim.events import EventQueue
+from repro.sim.sanitize import check, resolve
 
 __all__ = ["SimpleCore"]
 
@@ -63,6 +64,7 @@ class SimpleCore:
         mlp: int = params.LLC_MSHRS,
         on_access: Optional[Callable[[int], None]] = None,
         writeback_sink: Optional[Callable[[int], bool]] = None,
+        sanitize: Optional[bool] = None,
     ) -> None:
         if base_cpi <= 0:
             raise ValueError("base_cpi must be positive")
@@ -75,6 +77,7 @@ class SimpleCore:
         self.base_cpi = base_cpi
         self.mlp = mlp
         self.on_access = on_access
+        self._sanitize = resolve(sanitize)
         # Writebacks normally go straight to the controller's write queue;
         # a DRAM write buffer (repro.memory.drambuffer) interposes here.
         self.writeback_sink = (
@@ -123,7 +126,7 @@ class SimpleCore:
         """Schedule the first instruction batch."""
         self.events.schedule(self.events.now, self._start_event)
 
-    def _start_event(self) -> None:
+    def _start_event(self, _arg: None) -> None:
         self._owns_clock = True
         try:
             self._run()
@@ -257,7 +260,7 @@ class SimpleCore:
             if not result.hit:
                 self._handle_miss(record, result)
 
-    def _gap_fired(self) -> None:
+    def _gap_fired(self, _arg: None) -> None:
         record = self._gap_record
         assert record is not None, "gap event fired without a pending record"
         self._gap_record = None
@@ -318,14 +321,12 @@ class SimpleCore:
         read_id = self._next_read_id
         self._next_read_id += 1
         dependent_load = record.dependent and not record.is_write
-        if not dependent_load:
-            # A non-dependent read's id can never match _wait_read_id
-            # (only dependent loads set it, each to its own id), so its
-            # completion logic is read-id-free and one shared bound
-            # method replaces the per-read closure.
-            callback: Callable[[float], None] = self._read_done_plain
-        else:
-            callback = self._make_read_callback(read_id)
+        # A dependent load blocks the core until it returns, and _run_inner
+        # issues nothing while blocked, so at most one dependent read is
+        # ever outstanding: the one _wait_read_id names.  Its completion
+        # needs no read id of its own.
+        callback = (self._read_done_dependent if dependent_load
+                    else self._read_done_plain)
         if not self.controller.submit_read(record.block, callback):
             # Read queue full: the line is already allocated; replay the
             # read (gap 0, same block - an LLC hit plus a fresh fill) once
@@ -348,30 +349,25 @@ class SimpleCore:
     # ------------------------------------------------------------------
 
     def _read_done_plain(self, _completion_ns: float) -> None:
-        """Completion for non-dependent reads.
-
-        Semantically :meth:`_make_read_callback`'s closure with the
-        read-id compare constant-folded away; see the comment at the
-        call site in :meth:`_handle_miss`.
-        """
+        """Completion for non-dependent reads."""
         self.outstanding_reads -= 1
         if self._waiting_mlp and self.outstanding_reads < self.mlp:
             self._waiting_mlp = False
             self._run()
 
-    def _make_read_callback(self, read_id: int) -> Callable[[float], None]:
-        def on_done(_completion_ns: float) -> None:
-            self.outstanding_reads -= 1
-            changed = False
-            if self._wait_read_id == read_id:
-                self._wait_read_id = None
-                changed = True
-            if self._waiting_mlp and self.outstanding_reads < self.mlp:
-                self._waiting_mlp = False
-                changed = True
-            if changed:
-                self._run()
-        return on_done
+    def _read_done_dependent(self, _completion_ns: float) -> None:
+        """Completion for the one outstanding dependent read."""
+        if self._sanitize:
+            check(
+                self._wait_read_id is not None, "dependent-read-wait",
+                "a dependent read completed while the core waited on none",
+                outstanding_reads=self.outstanding_reads,
+            )
+        self.outstanding_reads -= 1
+        self._wait_read_id = None
+        if self._waiting_mlp and self.outstanding_reads < self.mlp:
+            self._waiting_mlp = False
+        self._run()
 
     def _write_space_ready(self) -> None:
         self._waiting_write_space = False

@@ -2,16 +2,11 @@
 
 The paper uses Start-Gap [Qureshi et al., MICRO 2009] at bank granularity
 and credits it ~0.9-0.95 of ideal leveling (its ``Ratio_quota`` = 0.9 exists
-precisely to absorb the leveler's imperfection).  This module provides the
-cited alternatives behind one interface so the choice can be ablated:
+precisely to absorb the leveler's imperfection).  This module puts two
+levelers behind one interface:
 
 * :class:`StartGapLeveler`  - the paper's scheme (wraps
   :class:`repro.endurance.startgap.StartGap`);
-* :class:`SecurityRefreshLeveler` - Seong et al., ISCA 2010: randomized
-  address remapping (XOR with a key) re-keyed incrementally every refresh
-  interval, which both levels wear and frustrates malicious hot-spotting;
-* :class:`RotationLeveler` - Zhou et al., ISCA 2009 style: rotate lines
-  within the region by one position every K writes;
 * :class:`NoLeveler` - the identity baseline.
 
 :func:`measure_efficiency` drives any leveler with a hot-spotted write
@@ -23,7 +18,7 @@ default ``START_GAP_EFFICIENCY`` was validated.
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional, Protocol
+from typing import Dict, Protocol
 
 from repro.endurance.startgap import StartGap
 
@@ -69,96 +64,6 @@ class StartGapLeveler:
 
     def record_write(self) -> None:
         self._inner.record_write()
-
-
-class RotationLeveler:
-    """Rotate the whole region by one line every ``psi`` writes.
-
-    The line-shift approach of Zhou et al. (ISCA 2009): cheap, predictable,
-    but slower to disperse a persistent hotspot than Start-Gap because the
-    *relative* layout of lines never changes.
-    """
-
-    def __init__(self, num_lines: int, psi: int = 100) -> None:
-        if num_lines < 1:
-            raise ValueError("num_lines must be >= 1")
-        if psi < 1:
-            raise ValueError("psi must be >= 1")
-        self.num_lines = num_lines
-        self.psi = psi
-        self.rotation = 0
-        self._writes_since_move = 0
-
-    def remap(self, logical: int) -> int:
-        if not 0 <= logical < self.num_lines:
-            raise IndexError(f"logical index {logical} out of range")
-        return (logical + self.rotation) % self.num_lines
-
-    def record_write(self) -> None:
-        self._writes_since_move += 1
-        if self._writes_since_move >= self.psi:
-            self._writes_since_move = 0
-            self.rotation = (self.rotation + 1) % self.num_lines
-
-
-class SecurityRefreshLeveler:
-    """Security Refresh (Seong et al., ISCA 2010), single level.
-
-    Addresses are remapped by XOR with a random key, and the key is
-    re-drawn every full *refresh round*.  The transition is incremental:
-    every ``refresh_interval`` writes, the line at the sweep pointer is
-    migrated to its new-key location by *swapping* it with whatever
-    occupies that slot - which keeps the logical->physical map a bijection
-    at every instant (hardware derives the same mapping from the two keys
-    and the pointer; the simulator tracks the swap permutation
-    explicitly).
-
-    Region size must be a power of two (XOR remapping requirement).
-    """
-
-    def __init__(self, num_lines: int, refresh_interval: int = 100,
-                 rng: Optional[random.Random] = None) -> None:
-        if num_lines < 1 or num_lines & (num_lines - 1):
-            raise ValueError("num_lines must be a power of two")
-        if refresh_interval < 1:
-            raise ValueError("refresh_interval must be >= 1")
-        self.num_lines = num_lines
-        self.refresh_interval = refresh_interval
-        self.rng = rng if rng is not None else random.Random(0)
-        self.current_key = 0
-        self.next_key = self.rng.randrange(num_lines)
-        self.sweep_pointer = 0
-        self._writes_since_refresh = 0
-        self._perm = list(range(num_lines))       # logical -> physical
-        self._inverse = list(range(num_lines))    # physical -> logical
-
-    def remap(self, logical: int) -> int:
-        if not 0 <= logical < self.num_lines:
-            raise IndexError(f"logical index {logical} out of range")
-        return self._perm[logical]
-
-    def _swap_to(self, logical: int, target_physical: int) -> None:
-        """Move ``logical`` to ``target_physical``, swapping occupants."""
-        current_physical = self._perm[logical]
-        if current_physical == target_physical:
-            return
-        displaced = self._inverse[target_physical]
-        self._perm[logical] = target_physical
-        self._perm[displaced] = current_physical
-        self._inverse[target_physical] = logical
-        self._inverse[current_physical] = displaced
-
-    def record_write(self) -> None:
-        self._writes_since_refresh += 1
-        if self._writes_since_refresh < self.refresh_interval:
-            return
-        self._writes_since_refresh = 0
-        self._swap_to(self.sweep_pointer, self.sweep_pointer ^ self.next_key)
-        self.sweep_pointer += 1
-        if self.sweep_pointer >= self.num_lines:
-            self.current_key = self.next_key
-            self.next_key = self.rng.randrange(self.num_lines)
-            self.sweep_pointer = 0
 
 
 def measure_efficiency(

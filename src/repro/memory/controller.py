@@ -485,9 +485,7 @@ class MemoryController:
         # tiny turnaround penalty before the bank can accept the read
         busy = now + self._cancel_penalty
         self._bank_busy_until[bank_index] = busy
-        self.events.schedule(
-            busy, lambda b=bank_index: self._try_issue_bank(b),
-        )
+        self.events.schedule(busy, self._try_issue_bank, bank_index)
 
     # ------------------------------------------------------------------
     # Issue logic
@@ -568,8 +566,7 @@ class MemoryController:
         self.bank_ops_begun[bank_index] += 1
         if self._read_space_waiters:
             self._notify_read_space()
-        self.events.schedule(
-            finish, lambda: self._complete_read(bank_index, op))
+        self.events.schedule(finish, self._complete_read, op)
 
     def _issue_write(self, bank_index: int, request: Request,
                      now: float) -> None:   # simlint: hotpath
@@ -656,21 +653,20 @@ class MemoryController:
                 self._notify_write_space()
             if self.drain_mode and self.write_q._size <= self.drain_low:
                 self._maybe_exit_drain()
-        self.events.schedule(
-            finish, lambda: self._complete_write(bank_index, op))
+        self.events.schedule(finish, self._complete_write, op)
 
     # ------------------------------------------------------------------
     # Completion
     # ------------------------------------------------------------------
 
-    def _complete_read(self, bank_index: int,
-                       op: InFlight) -> None:   # simlint: hotpath
+    def _complete_read(self, op: InFlight) -> None:   # simlint: hotpath
+        request = op.request
+        bank_index = request.bank
         if self._bank_in_flight[bank_index] is not op:
             # Stale completion for a cancelled/replaced operation; the bank
             # may still be idle with queued work, so poke it.
             self._try_issue_bank(bank_index)
             return
-        request = op.request
         self._bank_in_flight[bank_index] = None
         if self._closed_page:
             self._bank_open_row[bank_index] = None
@@ -689,14 +685,14 @@ class MemoryController:
             callback(now)
         self._try_issue_bank(bank_index)
 
-    def _complete_write(self, bank_index: int,
-                        op: InFlight) -> None:   # simlint: hotpath
+    def _complete_write(self, op: InFlight) -> None:   # simlint: hotpath
+        request = op.request
+        bank_index = request.bank
         if self._bank_in_flight[bank_index] is not op:
             # The write was cancelled; a fresh issue will complete it.  The
             # bank may be idle with queued work, so poke it.
             self._try_issue_bank(bank_index)
             return
-        request = op.request
         self._bank_in_flight[bank_index] = None
         self.stats.writes_completed += 1
         resumed = op.resumed_progress_ns

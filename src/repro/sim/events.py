@@ -1,8 +1,12 @@
 """Deterministic event queue used by the whole simulator.
 
-Events are (time_ns, sequence, callback) triples ordered first by time and
+Events are ``(time_ns, seq, fn, arg)`` entries ordered first by time and
 then by insertion order, which makes simulation results independent of
-callback identity and fully reproducible.
+callback identity and fully reproducible.  ``seq`` is unique, so ``fn``
+and ``arg`` are never compared; the queue runs an entry as ``fn(arg)``.
+Every ``fn`` the simulator schedules is a bound method of a live
+simulator object, which is what lets a snapshot name each pending event
+(see :mod:`repro.checkpoint.codec`).
 
 The queue also exposes the core's clock-advance seam,
 :meth:`EventQueue.advance_if_clear`: when no pending event is due at or
@@ -28,12 +32,14 @@ from __future__ import annotations
 
 import sys
 from heapq import heappop, heappush
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.sim.sanitize import check, resolve
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
-Callback = Callable[[], None]
+Callback = Callable[[Any], None]
+#: One pending event: ``(time_ns, seq, fn, arg)``.
+Entry = Tuple[float, int, Callback, Any]
 
 
 class EventQueue:
@@ -56,14 +62,14 @@ class EventQueue:
 
     def __init__(self, sanitize: Optional[bool] = None,
                  telemetry: Telemetry = NULL_TELEMETRY) -> None:
-        self._heap: List[Tuple[float, int, Callback]] = []
+        self._heap: List[Entry] = []
         self._seq = 0
         self.now: float = 0.0
         self._sanitize = resolve(sanitize)
         self._executed = (telemetry.metrics.counter("events.executed")
                           if telemetry.enabled else None)
         # The single deferred-event slot (see module doc).
-        self._deferred: Optional[Tuple[float, int, Callback]] = None
+        self._deferred: Optional[Entry] = None
         # Cooperative stop flag for run_fast: the driver sets it when its
         # termination condition holds, ending the batched drain.
         self.stop = False
@@ -71,20 +77,21 @@ class EventQueue:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def schedule(self, time_ns: float, callback: Callback) -> None:
-        """Schedule ``callback`` to run at absolute ``time_ns``."""
+    def schedule(self, time_ns: float, fn: Callback, arg: Any = None) -> None:
+        """Schedule ``fn(arg)`` to run at absolute ``time_ns``."""
         if time_ns < self.now:
             raise ValueError(
                 f"cannot schedule event at {time_ns} ns before now ({self.now} ns)"
             )
-        heappush(self._heap, (time_ns, self._seq, callback))
+        heappush(self._heap, (time_ns, self._seq, fn, arg))
         self._seq += 1
 
-    def schedule_in(self, delay_ns: float, callback: Callback) -> None:
-        """Schedule ``callback`` to run ``delay_ns`` after the current time."""
+    def schedule_in(self, delay_ns: float, fn: Callback,
+                    arg: Any = None) -> None:
+        """Schedule ``fn(arg)`` to run ``delay_ns`` after the current time."""
         if delay_ns < 0:
             raise ValueError(f"negative delay: {delay_ns}")
-        self.schedule(self.now + delay_ns, callback)
+        self.schedule(self.now + delay_ns, fn, arg)
 
     def peek_time(self) -> Optional[float]:
         """Time of the next pending event, or None when the queue is empty."""
@@ -133,7 +140,7 @@ class EventQueue:
             self.flush_deferred()
         if not heap:
             return False
-        time_ns, seq, callback = heappop(heap)
+        time_ns, seq, fn, arg = heappop(heap)
         if self._sanitize:
             check(
                 time_ns >= self.now, "event-time-monotonicity",
@@ -144,15 +151,15 @@ class EventQueue:
         executed = self._executed
         if executed is not None:
             executed.value += 1.0
-        callback()
+        fn(arg)
         return True
 
     # ------------------------------------------------------------------
     # Deferred event: the miss-path batch-advance seam
     # ------------------------------------------------------------------
 
-    def defer(self, time_ns: float, callback: Callback) -> None:
-        """Register ``callback`` at ``time_ns`` without entering the heap.
+    def defer(self, time_ns: float, fn: Callback, arg: Any = None) -> None:
+        """Register ``fn(arg)`` at ``time_ns`` without entering the heap.
 
         Exactly one deferral may be outstanding; its sequence number is
         reserved *now*, so any event scheduled afterwards sorts behind it
@@ -167,7 +174,7 @@ class EventQueue:
             )
         if self._deferred is not None:
             raise RuntimeError("a deferred event is already outstanding")
-        self._deferred = (time_ns, self._seq, callback)
+        self._deferred = (time_ns, self._seq, fn, arg)
         self._seq += 1
 
     @property
@@ -222,12 +229,12 @@ class EventQueue:
                     self.now = deferred[0]
                     if executed is not None:
                         executed.value += 1.0
-                    deferred[2]()
+                    deferred[2](deferred[3])
                     count += 1
                     continue
             if not heap:
                 break
-            time_ns, seq, callback = pop(heap)
+            time_ns, seq, fn, arg = pop(heap)
             if sanitize:
                 check(
                     time_ns >= self.now, "event-time-monotonicity",
@@ -237,7 +244,7 @@ class EventQueue:
             self.now = time_ns
             if executed is not None:
                 executed.value += 1.0
-            callback()
+            fn(arg)
             count += 1
         return count
 

@@ -24,6 +24,9 @@ Armed invariants:
 * **startgap-bijectivity** (:class:`repro.endurance.startgap.StartGap`) -
   the logical-to-physical remap stays injective and in range after every
   gap move.
+* **dependent-read-wait** (:class:`repro.cpu.core.SimpleCore`) - a
+  dependent read completes only while the core waits on it; at most one
+  is outstanding, so its completion callback carries no read id.
 * **result-consistency** (:class:`repro.sim.system.System`) - the
   collected :class:`~repro.sim.stats.RunResult` passes every cross-check
   of :func:`repro.analysis.validation.validate_result` (busy time, bus

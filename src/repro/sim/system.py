@@ -172,6 +172,7 @@ class System:
                 self._buffered_writeback if self.dram_buffer is not None
                 else None
             ),
+            sanitize=self.sanitize,
         )
         self._measure_start_ns: Optional[float] = None
         self._measure_end_ns: Optional[float] = None
@@ -263,7 +264,7 @@ class System:
     # Periodic machinery
     # ------------------------------------------------------------------
 
-    def _sample_tick(self) -> None:
+    def _sample_tick(self, _arg: None) -> None:
         if self._done:
             return
         # Telemetry closes its epoch BEFORE the profiler counters reset,
@@ -277,7 +278,7 @@ class System:
             self.quota.start_period()
         self.events.schedule_in(self.config.sample_period_ns, self._sample_tick)
 
-    def _eager_tick(self) -> None:
+    def _eager_tick(self, _arg: None) -> None:
         if self._done:
             return
         # Section IV-B1: candidates are chosen on *idle* LLC cycles.  Gate

@@ -232,6 +232,69 @@ def test_bank_rows_checked_against_one_count(tmp_path: Path, faults, edit,
         restore_system(bad)
 
 
+def _ctrl_completion_row(state: dict) -> list:
+    return next(row[2] for row in state["events"]["heap"]
+                if row[2][0] in ("ctrl.read", "ctrl.write"))
+
+
+def _shift_completion_bank(state: dict) -> None:
+    desc = _ctrl_completion_row(state)
+    desc[1] = (desc[1] + 1) % 16
+
+
+def _mark_dependent(state: dict, read_ids: list) -> None:
+    """Give the first ``len(read_ids)`` request rows dependent-read
+    callbacks naming ``read_ids``."""
+    for row, read_id in zip(state["requests"], read_ids):
+        row[6] = ["dep", read_id]
+
+
+def _two_dependent_reads(state: dict) -> None:
+    state["core"]["_wait_read_id"] = 7
+    _mark_dependent(state, [7, 7])
+
+
+def _dependent_read_not_awaited(state: dict) -> None:
+    state["core"]["_wait_read_id"] = 7
+    _mark_dependent(state, [8])
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_shift_completion_bank, "names bank .* but its operation is on bank"),
+    (_two_dependent_reads, r"dependent reads \[7, 7\]"),
+    (_dependent_read_not_awaited,
+     r"dependent reads \[8\] but the core waits on read 7"),
+], ids=["completion-bank", "two-dependent-reads", "dependent-read-id"])
+def test_rebound_callbacks_checked(tmp_path: Path, edit, message: str
+                                   ) -> None:
+    """A completion event finds its bank from its operation, and a
+    dependent read's callback finds its read id from the core, so a
+    snapshot that disagrees with either is refused, not rebound."""
+    def checked_edit(state: dict) -> None:
+        assert _ctrl_completion_row(state) and len(state["requests"]) >= 2
+        edit(state)
+
+    bad = _edited_snapshot(tmp_path, checked_edit)
+    with pytest.raises(CheckpointError, match=message):
+        restore_system(bad)
+
+
+@pytest.mark.parametrize("add_foreign, message", [
+    (lambda system: system.events.schedule_in(1.0, lambda _: None),
+     "event callback"),
+    (lambda system: system.controller.submit_read(
+        0, lambda _completion_ns: None), "request callback"),
+], ids=["event", "request"])
+def test_capture_refuses_foreign_callbacks(add_foreign, message: str
+                                           ) -> None:
+    """Only methods the codec's tables name can be captured: an event or
+    a read completion that calls anything else is refused."""
+    system = _paused_system()
+    add_foreign(system)
+    with pytest.raises(CheckpointUnsupportedError, match=message):
+        capture_state(system)
+
+
 def _overfill_set_0(llc: dict) -> int:
     """Give set 0 the lines of sets 0 and 1 (column lengths unchanged),
     more than the default 16-way LLC holds."""
@@ -384,7 +447,7 @@ def test_checkpoint_at_arbitrary_boundary(tmp_path_factory, every: int
 @example(every=_PROP_CONFIG.measure_accesses - 1)
 def test_double_round_trip_idempotent(tmp_path_factory, every: int) -> None:
     """restore(snapshot) must re-capture to the identical bytes: the
-    rebuilt callback closures and identity tables are shape-exact.
+    rebound callbacks and identity tables are shape-exact.
 
     ``every`` stays below the measured window so the first pause always
     lands before the run completes."""
@@ -426,14 +489,18 @@ def test_config_codec_round_trip(config: SimConfig) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _one_snapshot(tmp_path: Path,
-                  faults: Optional[FaultConfig] = None) -> Path:
+def _paused_system(faults: Optional[FaultConfig] = None) -> System:
     config = SimConfig(workload="hmmer", policy="Norm", seed=3,
                        checkpoint_every=900, faults=faults).scaled(0.02)
     system = System(config)
     system.start_run()
     assert system.continue_run() is None
-    return save_snapshot(system, tmp_path / "good.ckpt")
+    return system
+
+
+def _one_snapshot(tmp_path: Path,
+                  faults: Optional[FaultConfig] = None) -> Path:
+    return save_snapshot(_paused_system(faults), tmp_path / "good.ckpt")
 
 
 def _edited_snapshot(tmp_path: Path, edit,

@@ -1,14 +1,9 @@
 """Tests for the wear-leveling suite and the efficiency evaluator."""
 
-import random
-
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.endurance.leveling import (
     NoLeveler,
-    RotationLeveler,
-    SecurityRefreshLeveler,
     StartGapLeveler,
     measure_efficiency,
 )
@@ -22,72 +17,6 @@ class TestNoLeveler:
     def test_range_check(self):
         with pytest.raises(IndexError):
             NoLeveler(4).remap(4)
-
-
-class TestRotationLeveler:
-    def test_rotation_advances_every_psi(self):
-        leveler = RotationLeveler(4, psi=2)
-        assert leveler.remap(0) == 0
-        leveler.record_write()
-        leveler.record_write()
-        assert leveler.remap(0) == 1
-
-    def test_wraps(self):
-        leveler = RotationLeveler(3, psi=1)
-        for _ in range(3):
-            leveler.record_write()
-        assert leveler.rotation == 0
-
-    def test_bijective(self):
-        leveler = RotationLeveler(8, psi=1)
-        for _ in range(5):
-            leveler.record_write()
-        mapped = {leveler.remap(i) for i in range(8)}
-        assert mapped == set(range(8))
-
-
-class TestSecurityRefresh:
-    def test_power_of_two_required(self):
-        with pytest.raises(ValueError):
-            SecurityRefreshLeveler(6)
-
-    def test_initial_mapping_uses_current_key(self):
-        leveler = SecurityRefreshLeveler(8, rng=random.Random(1))
-        assert [leveler.remap(i) for i in range(8)] == list(range(8))
-
-    def test_sweep_migrates_lines_gradually(self):
-        leveler = SecurityRefreshLeveler(8, refresh_interval=1,
-                                         rng=random.Random(3))
-        next_key = leveler.next_key
-        leveler.record_write()      # pointer -> 1: line 0 migrated
-        assert leveler.remap(0) == 0 ^ next_key
-        mapped = {leveler.remap(i) for i in range(8)}
-        assert mapped == set(range(8))   # still a bijection mid-sweep
-
-    def test_full_sweep_installs_new_key(self):
-        leveler = SecurityRefreshLeveler(4, refresh_interval=1,
-                                         rng=random.Random(5))
-        first_next = leveler.next_key
-        for _ in range(4):
-            leveler.record_write()
-        assert leveler.current_key == first_next
-        assert leveler.sweep_pointer == 0
-        # Every logical line now sits at its new-key location.
-        for logical in range(4):
-            assert leveler.remap(logical) == logical ^ first_next
-
-    @given(
-        writes=st.integers(min_value=0, max_value=200),
-        interval=st.integers(min_value=1, max_value=7),
-    )
-    @settings(max_examples=50)
-    def test_remap_always_bijective(self, writes, interval):
-        leveler = SecurityRefreshLeveler(16, refresh_interval=interval,
-                                         rng=random.Random(9))
-        for _ in range(writes):
-            leveler.record_write()
-        mapped = {leveler.remap(i) for i in range(16)}
-        assert mapped == set(range(16))
 
 
 class TestEfficiency:
@@ -106,18 +35,6 @@ class TestEfficiency:
         base = measure_efficiency(NoLeveler(64), writes=50_000)
         sg = measure_efficiency(StartGapLeveler(64, psi=10), writes=50_000)
         assert sg > base * 5
-
-    def test_security_refresh_levels_hotspots(self):
-        eff = measure_efficiency(
-            SecurityRefreshLeveler(64, refresh_interval=10,
-                                   rng=random.Random(2)),
-            writes=100_000,
-        )
-        assert eff > 0.5
-
-    def test_rotation_levels_hotspots(self):
-        eff = measure_efficiency(RotationLeveler(64, psi=10), writes=100_000)
-        assert eff > 0.5
 
     def test_uniform_traffic_is_already_level(self):
         eff = measure_efficiency(NoLeveler(64), writes=100_000,

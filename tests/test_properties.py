@@ -2,7 +2,7 @@
 
 Three families of invariants that example-based tests can only sample:
 
-* wear-leveling remaps stay bijections under *arbitrary* gap movements,
+* the Start-Gap remap stays a bijection under *arbitrary* gap movements,
   not just the handful a scripted test drives;
 * the endurance model is monotone in write-pulse width for every
   exponent, so a slower write can never look worse for lifetime;
@@ -15,11 +15,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.endurance.leveling import (
-    RotationLeveler,
-    SecurityRefreshLeveler,
-    StartGapLeveler,
-)
+from repro.endurance.leveling import StartGapLeveler
 from repro.endurance.model import EnduranceModel
 from repro.endurance.variability import EnduranceVariability
 from repro.faults.ecc import (
@@ -57,37 +53,6 @@ def test_startgap_remap_is_bijective_under_any_gap_position(
     images = _assert_bijective(leveler, num_lines, num_lines + 1)
     # The gap slot is exactly the one physical slot with no preimage.
     assert leveler._inner.gap not in images
-
-
-@settings(deadline=None)
-@given(
-    num_lines=st.integers(min_value=1, max_value=200),
-    psi=st.integers(min_value=1, max_value=40),
-    writes=st.integers(min_value=0, max_value=2000),
-)
-def test_rotation_remap_is_bijective(num_lines, psi, writes):
-    leveler = RotationLeveler(num_lines, psi=psi)
-    for _ in range(writes):
-        leveler.record_write()
-    _assert_bijective(leveler, num_lines, num_lines)
-
-
-@settings(deadline=None)
-@given(
-    lines_log2=st.integers(min_value=0, max_value=8),
-    interval=st.integers(min_value=1, max_value=40),
-    writes=st.integers(min_value=0, max_value=2000),
-)
-def test_security_refresh_remap_is_bijective_mid_sweep(
-        lines_log2, interval, writes):
-    # Bijectivity must hold at every instant, including halfway through
-    # an incremental re-keying sweep - the subtle case the swap-based
-    # implementation exists to get right.
-    leveler = SecurityRefreshLeveler(2 ** lines_log2,
-                                     refresh_interval=interval)
-    for _ in range(writes):
-        leveler.record_write()
-    _assert_bijective(leveler, leveler.num_lines, leveler.num_lines)
 
 
 # --------------------------------------------------------------------------

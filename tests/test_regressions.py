@@ -46,7 +46,7 @@ def test_same_instant_issue_does_not_lose_completions():
     # is not available for later inserts, so force via an event at 142.5
     # that was scheduled... the submission path itself runs through an
     # event placed after; instead drive the race directly:
-    events.schedule(142.5, lambda: ctrl.submit_read(
+    events.schedule(142.5, lambda _: ctrl.submit_read(
         block_for_bank(0, 16), lambda t: done.append("second"),
     ))
     events.run_all()

@@ -62,7 +62,7 @@ def test_env_enabled_truthiness(monkeypatch, value, expected):
 def test_env_arms_components(monkeypatch):
     monkeypatch.setenv(ENV_VAR, "1")
     eq = EventQueue()
-    heapq.heappush(eq._heap, (-1.0, 0, lambda: None))
+    heapq.heappush(eq._heap, (-1.0, 0, lambda _: None, None))
     with pytest.raises(InvariantViolation):
         eq.pop_and_run()
 
@@ -94,12 +94,12 @@ def test_close_enough_tolerance():
 
 def test_event_queue_detects_time_regression():
     eq = EventQueue(sanitize=True)
-    eq.schedule(10.0, lambda: None)
+    eq.schedule(10.0, lambda _: None)
     eq.run_all()
     assert eq.now == 10.0   # simlint: ignore[SIM004] -- exact by construction
     # schedule() refuses past times, so corrupt the heap directly - the
     # sanitizer is the backstop for exactly this kind of internal bug.
-    heapq.heappush(eq._heap, (5.0, 999, lambda: None))
+    heapq.heappush(eq._heap, (5.0, 999, lambda _: None, None))
     with pytest.raises(InvariantViolation) as excinfo:
         eq.pop_and_run()
     assert excinfo.value.invariant == "event-time-monotonicity"
@@ -107,7 +107,7 @@ def test_event_queue_detects_time_regression():
 
 def test_event_queue_clean_when_unsanitized():
     eq = EventQueue(sanitize=False)
-    heapq.heappush(eq._heap, (-1.0, 0, lambda: None))
+    heapq.heappush(eq._heap, (-1.0, 0, lambda _: None, None))
     assert eq.pop_and_run()   # silently accepted: the check is opt-in
 
 
@@ -215,7 +215,7 @@ def test_phantom_wear_write_trips_conservation_check():
     # next real write completion.
     config = replace(SMOKE_CONFIG, warmup_accesses=0, sanitize=True)
     system = System(config)
-    system.events.schedule(0.5, lambda: system.wear.record_write(0, 1.0))
+    system.events.schedule(0.5, lambda _: system.wear.record_write(0, 1.0))
     with pytest.raises(InvariantViolation) as excinfo:
         system.run()
     assert excinfo.value.invariant == "wear-conservation"
