@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from repro import params
 from repro.analysis.report import Table
 from repro.experiments.runner import Runner, default_runner
 from repro.sim.config import SimConfig
@@ -26,12 +27,6 @@ def _runner(runner: Optional[Runner]) -> Runner:
     return runner if runner is not None else default_runner()
 
 
-def _prefetch(runner: Runner, configs) -> None:
-    """Simulate a study's whole grid in parallel; the table loops that
-    follow re-request each config and hit the in-memory memo."""
-    runner.sweep(configs)
-
-
 def abl_eager_selector(runner: Optional[Runner] = None,
                        workloads: Sequence[str] = ABLATION_WORKLOADS) -> Table:
     runner = _runner(runner)
@@ -41,22 +36,17 @@ def abl_eager_selector(runner: Optional[Runner] = None,
         columns=["workload", "selector", "ipc", "lifetime_years",
                  "eager_writebacks", "wasted_eager", "waste_rate"],
     )
-    _prefetch(runner, [
+    grid = [
         SimConfig(workload=workload, policy="BE-Mellow+SC",
                   eager_selector=selector)
         for workload in workloads for selector in ("stack", "deadblock")
-    ])
-    for workload in workloads:
-        for selector in ("stack", "deadblock"):
-            result = runner.scaled(SimConfig(
-                workload=workload, policy="BE-Mellow+SC",
-                eager_selector=selector,
-            ))
-            waste = (result.wasted_eager / result.eager_writebacks
-                     if result.eager_writebacks else 0.0)
-            table.add_row(workload, selector, result.ipc,
-                          result.lifetime_years, result.eager_writebacks,
-                          result.wasted_eager, waste)
+    ]
+    for config, result in zip(grid, runner.sweep(grid)):
+        waste = (result.wasted_eager / result.eager_writebacks
+                 if result.eager_writebacks else 0.0)
+        table.add_row(config.workload, config.eager_selector, result.ipc,
+                      result.lifetime_years, result.eager_writebacks,
+                      result.wasted_eager, waste)
     table.notes.append(
         "decay-based dead-block prediction trades recall (far fewer eager "
         "writes) for precision (near-zero waste)"
@@ -71,20 +61,16 @@ def abl_flip_n_write(runner: Optional[Runner] = None,
         title="Ablation: Flip-N-Write composed with Mellow Writes",
         columns=["workload", "config", "ipc", "lifetime_years"],
     )
-    _prefetch(runner, [
+    grid = [
         SimConfig(workload=workload, policy=policy, flip_n_write=fnw)
         for workload in workloads
         for policy, fnw in (("Norm", False), ("Norm", True),
                             ("BE-Mellow+SC", False), ("BE-Mellow+SC", True))
-    ])
-    for workload in workloads:
-        for policy, fnw in (("Norm", False), ("Norm", True),
-                            ("BE-Mellow+SC", False), ("BE-Mellow+SC", True)):
-            result = runner.scaled(SimConfig(
-                workload=workload, policy=policy, flip_n_write=fnw,
-            ))
-            label = policy + ("+FNW" if fnw else "")
-            table.add_row(workload, label, result.ipc, result.lifetime_years)
+    ]
+    for config, result in zip(grid, runner.sweep(grid)):
+        label = config.policy + ("+FNW" if config.flip_n_write else "")
+        table.add_row(config.workload, label, result.ipc,
+                      result.lifetime_years)
     table.notes.append(
         "Flip-N-Write reduces wear per write (~0.46x) with no timing cost; "
         "gains multiply with Mellow Writes because the techniques are "
@@ -102,17 +88,15 @@ def abl_multi_latency(runner: Optional[Runner] = None,
         columns=["workload", "policy", "ipc", "lifetime_years",
                  "normal_writes", "slow_writes"],
     )
-    _prefetch(runner, [
+    grid = [
         SimConfig(workload=workload, policy=policy)
         for workload in workloads
         for policy in ("B-Mellow+SC", "B-Mellow+SC+ML", "BE-Mellow+SC+ML")
-    ])
-    for workload in workloads:
-        for policy in ("B-Mellow+SC", "B-Mellow+SC+ML", "BE-Mellow+SC+ML"):
-            result = runner.scaled(SimConfig(workload=workload, policy=policy))
-            table.add_row(workload, policy, result.ipc,
-                          result.lifetime_years, result.writes_issued_normal,
-                          result.writes_issued_slow)
+    ]
+    for config, result in zip(grid, runner.sweep(grid)):
+        table.add_row(config.workload, config.policy, result.ipc,
+                      result.lifetime_years, result.writes_issued_normal,
+                      result.writes_issued_slow)
     table.notes.append(
         "the 1.5x middle tier targets the latency-sensitive workloads "
         "(hmmer, lbm, stream) where the paper says two speeds are too coarse"
@@ -128,18 +112,15 @@ def abl_eager_scan_interval(runner: Optional[Runner] = None,
         columns=["scan_interval_ns", "ipc", "lifetime_years",
                  "eager_writebacks", "wasted_eager"],
     )
-    _prefetch(runner, [
+    grid = [
         SimConfig(workload=workload, policy="BE-Mellow+SC",
                   eager_scan_interval_ns=interval)
         for interval in (30.0, 60.0, 240.0, 960.0)
-    ])
-    for interval in (30.0, 60.0, 240.0, 960.0):
-        result = runner.scaled(SimConfig(
-            workload=workload, policy="BE-Mellow+SC",
-            eager_scan_interval_ns=interval,
-        ))
-        table.add_row(interval, result.ipc, result.lifetime_years,
-                      result.eager_writebacks, result.wasted_eager)
+    ]
+    for config, result in zip(grid, runner.sweep(grid)):
+        table.add_row(config.eager_scan_interval_ns, result.ipc,
+                      result.lifetime_years, result.eager_writebacks,
+                      result.wasted_eager)
     table.notes.append(
         "slower scans shrink the eager-write supply and with it the "
         "lifetime benefit; the paper's 'any idle LLC cycle' is the "
@@ -155,18 +136,17 @@ def abl_quota_period(runner: Optional[Runner] = None,
         title=f"Ablation: Wear Quota sample period ({workload})",
         columns=["period_ns", "ipc", "lifetime_years", "slow_writes"],
     )
-    _prefetch(runner, [
+    # The default period is the int params.PROFILE_PERIOD_NS: passing it
+    # as is keeps the 500 us point's digest equal to the main sweep's
+    # BE-Mellow+SC+WQ entry (500000.0 would digest as another config).
+    grid = [
         SimConfig(workload=workload, policy="BE-Mellow+SC+WQ",
                   sample_period_ns=period)
-        for period in (100_000.0, 500_000.0, 2_000_000.0)
-    ])
-    for period in (100_000.0, 500_000.0, 2_000_000.0):
-        result = runner.scaled(SimConfig(
-            workload=workload, policy="BE-Mellow+SC+WQ",
-            sample_period_ns=period,
-        ))
-        table.add_row(period, result.ipc, result.lifetime_years,
-                      result.writes_issued_slow)
+        for period in (100_000.0, params.PROFILE_PERIOD_NS, 2_000_000.0)
+    ]
+    for config, result in zip(grid, runner.sweep(grid)):
+        table.add_row(float(config.sample_period_ns), result.ipc,
+                      result.lifetime_years, result.writes_issued_slow)
     table.notes.append(
         "shorter periods track the quota more tightly (lifetime closer to "
         "the target from below) at slightly higher control overhead"
@@ -185,24 +165,18 @@ def abl_dram_buffer(runner: Optional[Runner] = None,
                  "writes_to_memory"],
     )
     entries_options = (0, 65536)           # 0 vs a 4 MB coalescing buffer
-    _prefetch(runner, [
+    grid = [
         SimConfig(workload=workload, policy=policy,
                   dram_buffer_entries=entries)
         for workload in workloads
         for policy in ("Norm", "BE-Mellow+SC")
         for entries in entries_options
-    ])
-    for workload in workloads:
-        for policy in ("Norm", "BE-Mellow+SC"):
-            for entries in entries_options:
-                result = runner.scaled(SimConfig(
-                    workload=workload, policy=policy,
-                    dram_buffer_entries=entries,
-                ))
-                label = policy + (f"+DRAM{entries}" if entries else "")
-                table.add_row(workload, label, result.ipc,
-                              result.lifetime_years,
-                              result.writes_issued_total)
+    ]
+    for config, result in zip(grid, runner.sweep(grid)):
+        entries = config.dram_buffer_entries
+        label = config.policy + (f"+DRAM{entries}" if entries else "")
+        table.add_row(config.workload, label, result.ipc,
+                      result.lifetime_years, result.writes_issued_total)
     table.notes.append(
         "coalescing removes re-writebacks where they exist (milc's 96 MB "
         "working set) and is nearly inert for uniform-random updates over "
@@ -221,19 +195,16 @@ def abl_write_pausing(runner: Optional[Runner] = None,
         columns=["workload", "policy", "ipc", "lifetime_years",
                  "cancellations", "pauses"],
     )
-    _prefetch(runner, [
+    grid = [
         SimConfig(workload=workload, policy=policy)
         for workload in workloads
         for policy in ("Slow+SC", "Slow+SC+WP", "BE-Mellow+SC",
                        "BE-Mellow+SC+WP")
-    ])
-    for workload in workloads:
-        for policy in ("Slow+SC", "Slow+SC+WP", "BE-Mellow+SC",
-                       "BE-Mellow+SC+WP"):
-            result = runner.scaled(SimConfig(workload=workload, policy=policy))
-            table.add_row(workload, policy, result.ipc,
-                          result.lifetime_years, result.cancellations,
-                          result.pauses)
+    ]
+    for config, result in zip(grid, runner.sweep(grid)):
+        table.add_row(config.workload, config.policy, result.ipc,
+                      result.lifetime_years, result.cancellations,
+                      result.pauses)
     table.notes.append(
         "pausing retains pulse progress, so interrupted writes stop "
         "re-paying wear and latency; lifetimes rise at equal or better IPC"

@@ -110,7 +110,12 @@ def survival_summary(
     jobs: Optional[int] = None,
     progress: Optional[Callable[..., None]] = None,
 ) -> Table:
-    """Per-policy survival aggregates over the Monte Carlo seeds."""
+    """Per-policy survival aggregates over the Monte Carlo seeds.
+
+    ``survival_vs_norm`` is each policy's mean survival over Norm's,
+    whatever order ``policies`` lists them in; it is ``nan`` only when
+    Norm is not among ``policies``.
+    """
     runner = runner if runner is not None else default_runner()
     policies = tuple(policies)
     grid = survival_configs(workload, policies, seeds, faults, scale)
@@ -126,20 +131,21 @@ def survival_summary(
                  "mean_lines_retired", "mean_ecc_corrected",
                  "mean_verify_retries"],
     )
-    norm_mean: Optional[float] = None
+    mean_survival = {
+        policy: sum(survival_time_ns(r) for r in results) / seeds
+        for policy, results in by_policy.items()
+    }
+    norm_mean = mean_survival.get("Norm")
     for policy in policies:
         results = by_policy[policy]
         failed = sum(1 for r in results if r.uncorrectable)
-        mean_survival = sum(survival_time_ns(r) for r in results) / seeds
-        if policy == "Norm":
-            norm_mean = mean_survival
         first = [r.time_to_first_failure_ns for r in results
                  if r.time_to_first_failure_ns >= 0.0]
         table.add_row(
             policy,
             f"{failed}/{seeds}",
-            mean_survival,
-            mean_survival / norm_mean if norm_mean else float("nan"),
+            mean_survival[policy],
+            mean_survival[policy] / norm_mean if norm_mean else float("nan"),
             # -1.0 = no cell ever failed, the RunResult sentinel (inf
             # would leak non-standard JSON through --output).
             sum(first) / len(first) if first else -1.0,

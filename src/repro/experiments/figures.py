@@ -119,26 +119,23 @@ def fig02_static_latency(runner: Optional[Runner] = None,
         title="Figure 2: static write latencies (normalized IPC, lifetime)",
         columns=["workload", "policy", "ipc", "ipc_vs_norm", "lifetime_years"],
     )
-    runner.sweep([                      # parallel prefetch; loops hit memo
+    points = [(factor, cancellable) for factor in STATIC_FACTORS
+              for cancellable in (False, True)]
+    results = iter(runner.sweep([
         _static_config(workload, factor, cancellable)
-        for workload in workloads
-        for factor in STATIC_FACTORS
-        for cancellable in (False, True)
-    ])
+        for workload in workloads for factor, cancellable in points
+    ]))
     for workload in workloads:
-        base = runner.scaled(_static_config(workload, 1.0, False))
-        for factor in STATIC_FACTORS:
-            for cancellable in (False, True):
-                result = runner.scaled(
-                    _static_config(workload, factor, cancellable)
-                )
-                table.add_row(
-                    workload,
-                    static_policy_label(factor, cancellable),
-                    result.ipc,
-                    result.ipc / base.ipc,
-                    capped(result.lifetime_years),
-                )
+        rows = {point: next(results) for point in points}
+        base = rows[(1.0, False)]
+        for (factor, cancellable), result in rows.items():
+            table.add_row(
+                workload,
+                static_policy_label(factor, cancellable),
+                result.ipc,
+                result.ipc / base.ipc,
+                capped(result.lifetime_years),
+            )
     return table
 
 
@@ -371,23 +368,18 @@ def fig18_bank_sensitivity(runner: Optional[Runner] = None,
                  "eager_writes", "normal_writes_issued",
                  "slow_writes_issued"],
     )
-    runner.sweep([                      # parallel prefetch; loop hits memo
+    grid = [
         SimConfig(workload=workload, policy=policy,
                   num_banks=banks, num_ranks=ranks)
         for banks, ranks in params.BANK_OPTIONS
         for policy in ("Norm", "BE-Mellow+SC")
-    ])
-    for banks, ranks in params.BANK_OPTIONS:
-        for policy in ("Norm", "BE-Mellow+SC"):
-            result = runner.scaled(SimConfig(
-                workload=workload, policy=policy,
-                num_banks=banks, num_ranks=ranks,
-            ))
-            table.add_row(
-                banks, policy, capped(result.lifetime_years),
-                result.bank_utilization, result.eager_issued,
-                result.writes_issued_normal, result.writes_issued_slow,
-            )
+    ]
+    for config, result in zip(grid, runner.sweep(grid)):
+        table.add_row(
+            config.num_banks, config.policy, capped(result.lifetime_years),
+            result.bank_utilization, result.eager_issued,
+            result.writes_issued_normal, result.writes_issued_slow,
+        )
     return table
 
 
@@ -405,35 +397,21 @@ def fig19_vs_static(runner: Optional[Runner] = None,
         columns=["workload", "policy", "ipc", "lifetime_years",
                  "meets_8y", "is_best_static", "mellow_vs_best_static"],
     )
-    runner.sweep(                       # parallel prefetch; loops hit memo
-        [_static_config(workload, factor, cancellable)
-         for workload in workloads
-         for factor in STATIC_FACTORS
-         for cancellable in (False, True)]
-        + [_static_config(workload, factor, True, eager=True)
-           for workload in workloads for factor in (1.0, 3.0)]
-        + [SimConfig(workload=workload, policy="BE-Mellow+SC+WQ")
-           for workload in workloads]
-    )
+    # Per workload: every static point, then the eager variants the
+    # paper also evaluates as statics, then BE-Mellow+SC+WQ.
+    points = ([(factor, cancellable, False) for factor in STATIC_FACTORS
+               for cancellable in (False, True)]
+              + [(1.0, True, True), (3.0, True, True)])
+    grid = []
     for workload in workloads:
-        statics: Dict[str, RunResult] = {}
-        for factor in STATIC_FACTORS:
-            for cancellable in (False, True):
-                label = static_policy_label(factor, cancellable)
-                statics[label] = runner.scaled(
-                    _static_config(workload, factor, cancellable)
-                )
-        # The paper also evaluates the eager variants as statics.
-        statics[static_policy_label(1.0, True, eager=True)] = runner.scaled(
-            _static_config(workload, 1.0, True, eager=True)
-        )
-        statics[static_policy_label(3.0, True, eager=True)] = runner.scaled(
-            _static_config(workload, 3.0, True, eager=True)
-        )
+        grid += [_static_config(workload, *point) for point in points]
+        grid.append(SimConfig(workload=workload, policy="BE-Mellow+SC+WQ"))
+    results = iter(runner.sweep(grid))
+    for workload in workloads:
+        statics: Dict[str, RunResult] = {
+            static_policy_label(*point): next(results) for point in points}
+        mellow = next(results)
         best = best_static_policy(statics)
-        mellow = runner.scaled(
-            SimConfig(workload=workload, policy="BE-Mellow+SC+WQ")
-        )
         for label, result in statics.items():
             table.add_row(
                 workload, label, result.ipc,

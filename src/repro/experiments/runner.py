@@ -7,10 +7,11 @@ bench already produced.  Results are stored as versioned JSON entries
 :class:`SimConfig`, so any parameter change invalidates cleanly.
 
 Where those bytes live is the :mod:`repro.store` layer's business: the
-runner talks to one :class:`~repro.store.Store` - a directory of files,
-or an in-memory dict when caching is disabled.  Backend choice never
-enters a cache key, so the same config yields bit-identical entries in
-either backend.
+runner talks to one :class:`~repro.store.FileStore` - the cache
+directory, or a temporary one that dies with the store when caching is
+disabled.  The store is the only place a result lives, and the digest
+the only identity the runner uses, so a fresh process finds exactly the
+results this one would.
 
 :meth:`Runner.sweep` fans cache misses out over a
 ``concurrent.futures.ProcessPoolExecutor``.  Each run is seeded entirely by
@@ -30,9 +31,9 @@ Environment knobs:
 * ``REPRO_WORKLOADS``   - comma-separated subset of workloads to sweep.
 * ``REPRO_CACHE_DIR``   - cache directory (default ``.repro_cache``;
   see ``docs/storage.md``).
-* ``REPRO_NO_CACHE=1``  - nothing persists (an in-memory store is
-  injected in place of the configured backend; its telemetry bundles go
-  to a temporary directory deleted at exit).
+* ``REPRO_NO_CACHE=1``  - nothing persists (a :class:`MemoryStore`
+  over a temporary directory, deleted with the store or at exit, is
+  injected in place of the cache directory).
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from repro.sim.stats import RunResult
 from repro.sim.system import System, run_simulation
 from repro.store import (
     CacheEntryError,
-    Store,
+    FileStore,
     entry_from_json,
     entry_to_json,
     resolve_store,
@@ -180,14 +181,13 @@ def _advance_slice(config: SimConfig, snapshot_path: Optional[str],
 
 
 class Runner:
-    """Runs configs through the simulator with memo + store caching."""
+    """Runs configs through the simulator, caching results in a store."""
 
     def __init__(self, cache_dir: Optional[Path] = None,
-                 store: Optional[Store] = None) -> None:
+                 store: Optional[FileStore] = None) -> None:
         if store is None:
             store = resolve_store(cache_dir=cache_dir)
         self.store = store
-        self._memo: Dict[tuple, RunResult] = {}
         self.simulated = 0
         self.cache_hits = 0
 
@@ -237,23 +237,17 @@ class Runner:
             return None
 
     def _store_result(self, config: SimConfig, result: RunResult) -> None:
-        self._memo[config.cache_key()] = result
         self.store.put(config.cache_digest(),
                        entry_to_json(config, result).encode("utf-8"))
 
     def _cached(self, config: SimConfig) -> Optional[RunResult]:
-        """The memo or store result satisfying ``config``, or None on a
-        miss; a hit counts in ``cache_hits``."""
+        """The store result satisfying ``config``, or None on a miss; a
+        hit counts in ``cache_hits``."""
         if not self._telemetry_satisfied(config):
             return None
-        key = config.cache_key()
-        result = self._memo.get(key)
-        if result is None:
-            result = self._load_store(config)
-            if result is None:
-                return None
-            self._memo[key] = result
-        self.cache_hits += 1
+        result = self._load_store(config)
+        if result is not None:
+            self.cache_hits += 1
         return result
 
     def run(self, config: SimConfig) -> RunResult:
@@ -279,16 +273,6 @@ class Runner:
         result = self.run(config)
         assert config.telemetry_dir is not None
         return result, Path(config.telemetry_dir)
-
-    def scaled(self, config: SimConfig) -> RunResult:
-        """Run with window lengths scaled by REPRO_SCALE."""
-        return self.run(self._scaled_config(config))
-
-    def _scaled_config(self, config: SimConfig) -> SimConfig:
-        factor = scale_factor()
-        if factor != 1.0:
-            config = config.scaled(factor)
-        return config
 
     def sweep(self, configs: Iterable[SimConfig],
               jobs: Optional[int] = None,
@@ -332,9 +316,9 @@ class Runner:
         execution and identity to agree even when the environment
         carries a scale override.
         """
-        if apply_env_scale:
-            configs = [self._scaled_config(c) for c in configs]
-        configs = [self._with_telemetry_dir(c) for c in configs]
+        factor = scale_factor() if apply_env_scale else 1.0
+        configs = [self._with_telemetry_dir(
+            c.scaled(factor) if factor != 1.0 else c) for c in configs]
         total = len(configs)
         jobs = default_jobs() if jobs is None else max(1, jobs)
         results: Dict[int, RunResult] = {}
@@ -348,13 +332,13 @@ class Runner:
                     from_cache=from_cache,
                 ))
 
-        # Resolve memo/store hits up front; group the misses by cache key
+        # Resolve store hits up front; group the misses by cache digest
         # (plus telemetry destination - a traced and an untraced grid
         # point share a result but not a bundle) so duplicate grid points
         # cost one simulation.
         misses: Dict[tuple, List[int]] = {}
         for i, config in enumerate(configs):
-            group = (config.cache_key(), config.telemetry,
+            group = (config.cache_digest(), config.telemetry,
                      config.telemetry_dir)
             if group in misses:
                 misses[group].append(i)

@@ -39,20 +39,16 @@ def seed_stability(runner: Optional[Runner] = None,
         columns=["workload", "ipc_ratio_mean", "ipc_ratio_cv",
                  "lifetime_ratio_mean", "lifetime_ratio_cv", "seeds"],
     )
-    runner.sweep([                      # parallel prefetch; loops hit memo
+    results = iter(runner.sweep([
         SimConfig(workload=workload, policy=policy, seed=seed)
         for workload in workloads for seed in seeds
         for policy in ("Norm", "BE-Mellow+SC")
-    ])
+    ]))
     for workload in workloads:
         ipc_ratios = []
         life_ratios = []
-        for seed in seeds:
-            base = runner.scaled(SimConfig(workload=workload, policy="Norm",
-                                           seed=seed))
-            mellow = runner.scaled(SimConfig(workload=workload,
-                                             policy="BE-Mellow+SC",
-                                             seed=seed))
+        for _seed in seeds:
+            base, mellow = next(results), next(results)
             ipc_ratios.append(mellow.ipc / base.ipc)
             life_ratios.append(
                 capped(mellow.lifetime_years) / capped(base.lifetime_years)

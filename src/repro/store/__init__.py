@@ -1,20 +1,15 @@
 """Content-addressed storage for results and telemetry.
 
-Every cached simulation result lives in a :class:`Store` keyed by the
-config digest, and its telemetry bundle in the store's
-:meth:`Store.bundle_dir` for that digest.  :class:`FileStore` keeps the
-``.repro_cache`` directory layout; :class:`MemoryStore` backs
-``REPRO_NO_CACHE`` and tests.  Backend choice never touches a cache key:
-the same config digests identically in both.  See ``docs/storage.md``
-for the contract.
+Every cached simulation result lives in a :class:`FileStore` keyed by
+the config digest, and its telemetry bundle in the store's
+:meth:`FileStore.bundle_dir` for that digest.  :class:`FileStore` keeps
+the ``.repro_cache`` directory layout; :class:`MemoryStore` is the same
+store over a temporary directory that dies with it, and backs
+``REPRO_NO_CACHE`` and tests.  Neither touches a cache key: the same
+config digests identically in both.  See ``docs/storage.md`` for the
+contract.
 """
 
-from repro.store.base import (
-    KIND_BUNDLE,
-    KIND_ENTRY,
-    Store,
-    StoreEntry,
-)
 from repro.store.codec import (
     CACHE_SCHEMA_VERSION,
     CacheEntryError,
@@ -25,7 +20,7 @@ from repro.store.codec import (
     result_from_dict,
     result_to_dict,
 )
-from repro.store.file import FileStore
+from repro.store.file import KIND_BUNDLE, KIND_ENTRY, FileStore, StoreEntry
 from repro.store.maintenance import (
     cache_clear,
     cache_stats,
@@ -42,7 +37,6 @@ __all__ = [
     "KIND_BUNDLE",
     "KIND_ENTRY",
     "MemoryStore",
-    "Store",
     "StoreEntry",
     "atomic_write_bytes",
     "atomic_write_text",

@@ -1,11 +1,12 @@
-"""The schema-versioned cache-entry codec, shared by every backend.
+"""The schema-versioned cache-entry codec: the bytes every store holds.
 
 A cache entry is one JSON document: the schema version, the full
 :meth:`SimConfig.cache_key` it was computed from, and the serialised
 :class:`RunResult`.  The codec lives here - not in the runner - because
-it is the *contract* of the storage layer: any :class:`repro.store.Store`
-backend holds exactly these bytes under the entry's digest, so the same
-run yields byte-identical entries in every backend.
+it is the *contract* of the storage layer: a
+:class:`repro.store.FileStore` holds exactly these bytes under the
+entry's digest, so the same run yields byte-identical entries in a
+cache directory and in a :class:`repro.store.MemoryStore`.
 
 The strict key-set check in :func:`result_from_dict` means a payload
 written by a different ``RunResult`` layout reads as a cache miss rather

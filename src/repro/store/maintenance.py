@@ -1,9 +1,8 @@
 """Backend selection and cache maintenance: resolve, stats, verify, clear.
 
-:func:`resolve_store` is the one place a backend is picked.  The
+:func:`resolve_store` is the one place a store is picked.  The
 maintenance functions back the ``repro cache`` CLI verbs; each is one
-:meth:`Store.scan`-driven pass that works identically against either
-backend.
+:meth:`FileStore.scan`-driven pass.
 """
 
 from __future__ import annotations
@@ -14,19 +13,18 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
 from repro.sim.config import digest_for_key
-from repro.store.base import KIND_BUNDLE, Store
 from repro.store.codec import CACHE_SCHEMA_VERSION, CacheEntryError, entry_from_json
-from repro.store.file import FileStore
+from repro.store.file import KIND_BUNDLE, FileStore
 from repro.store.memory import MemoryStore
 
 #: What the maintenance verbs accept as a cache designator: an open
 #: store, a directory path, or None (environment resolution).
-CacheTarget = Union[Store, Path, str, None]
+CacheTarget = Union[FileStore, Path, str, None]
 
 
 def resolve_store(cache_dir: Optional[Path | str] = None,
-                  respect_no_cache: bool = True) -> Store:
-    """The one place backend selection happens.
+                  respect_no_cache: bool = True) -> FileStore:
+    """The one place store selection happens.
 
     Precedence: ``REPRO_NO_CACHE=1`` (memory store; disabled caching) >
     explicit ``cache_dir`` > ``REPRO_CACHE_DIR`` > ``.repro_cache``.
@@ -44,13 +42,13 @@ def resolve_store(cache_dir: Optional[Path | str] = None,
     return FileStore(Path(cache_dir))
 
 
-def open_store(target: CacheTarget) -> Store:
+def open_store(target: CacheTarget) -> FileStore:
     """Resolve a maintenance target to a live store.
 
     ``REPRO_NO_CACHE`` is deliberately ignored - inspecting a cache must
     work even where caching is disabled for runs.
     """
-    if isinstance(target, Store):
+    if isinstance(target, FileStore):
         return target
     return resolve_store(cache_dir=target, respect_no_cache=False)
 
@@ -121,6 +119,6 @@ def cache_verify(target: CacheTarget = None) -> Dict[str, Any]:
 
 
 def cache_clear(target: CacheTarget = None) -> int:
-    """Delete all entries, bundles and backend debris; returns the count
+    """Delete all entries, bundles and crash debris; returns the count
     of objects removed (a bundle counts as one)."""
     return open_store(target).clear()

@@ -1,12 +1,11 @@
-"""The in-process dict backend: tests, and the ``REPRO_NO_CACHE`` store.
+"""The ephemeral store: tests, and the ``REPRO_NO_CACHE`` store.
 
-Entries live in a dict.  Telemetry bundles are directories like in
-every backend, under a private temporary directory that is created on
-first use and deleted when the store is collected or the interpreter
-exits.  Injected into the :class:`~repro.experiments.runner.Runner`
-when the persistent cache is disabled, so the "no cache" code path is
-*the same code path* as the cached one - entries and bundles simply die
-with the store object.
+A :class:`MemoryStore` is a :class:`~repro.store.file.FileStore` over a
+private ``repro-memory-*`` temporary directory, deleted when the store
+is collected or the interpreter exits.  Injected into the
+:class:`~repro.experiments.runner.Runner` when the persistent cache is
+disabled, so the "no cache" code path is *the same code path* as the
+cached one - entries and bundles simply die with the store object.
 """
 
 from __future__ import annotations
@@ -14,47 +13,17 @@ from __future__ import annotations
 import shutil
 import tempfile
 import weakref
-from pathlib import Path
-from typing import Dict, List, Optional
 
-from repro.store.base import KIND_ENTRY, Store, StoreEntry
+from repro.store.file import FileStore
 
 
-class MemoryStore(Store):
-    """Ephemeral content-addressed store over a plain dict."""
+class MemoryStore(FileStore):
+    """A :class:`FileStore` whose directory dies with the object."""
 
     kind = "memory"
 
     def __init__(self) -> None:
-        super().__init__()
-        self._entries: Dict[str, bytes] = {}
-        self._bundle_root: Optional[Path] = None
-
-    @property
-    def description(self) -> str:
-        return "memory"
-
-    @property
-    def bundle_root(self) -> Path:
-        with self._lock:
-            if self._bundle_root is None:
-                root = tempfile.mkdtemp(prefix="repro-memory-")
-                weakref.finalize(self, shutil.rmtree, root,
-                                 ignore_errors=True)
-                self._bundle_root = Path(root)
-            return self._bundle_root
-
-    # -- entries --------------------------------------------------------
-
-    def _get(self, digest: str) -> Optional[bytes]:
-        return self._entries.get(digest)
-
-    def _put(self, digest: str, data: bytes) -> None:
-        self._entries[digest] = data
-
-    def _delete(self, digest: str) -> bool:
-        return self._entries.pop(digest, None) is not None
-
-    def _scan(self) -> List[StoreEntry]:
-        return [StoreEntry(digest=digest, kind=KIND_ENTRY, size=len(data))
-                for digest, data in self._entries.items()]
+        root = tempfile.mkdtemp(prefix="repro-memory-")
+        super().__init__(root)
+        self.description = "memory"
+        weakref.finalize(self, shutil.rmtree, root, ignore_errors=True)

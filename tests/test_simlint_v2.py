@@ -1,11 +1,11 @@
 """simlint engine behaviour: SIM100, comment parsing, CLI, repro check.
 
 Also pins cache digests next to their ``CACHE_KEY_EXCLUDED`` registries,
-and asserts the whole tree lints clean.  Three sections keep the fixtures
+and asserts the whole tree lints clean.  Two sections keep the fixtures
 of the retired interprocedural rules, now aimed at the runtime guards
-that replaced them: cache-key completeness (``tests/test_cache_key.py``),
-start-method determinism (``tests/test_sweep_parallel.py``) and the
-store's lock discipline.
+that replaced them: cache-key completeness (``tests/test_cache_key.py``)
+and start-method determinism (``tests/test_sweep_parallel.py``).  A
+third pins that what a store hands out is the caller's own copy.
 """
 
 import importlib
@@ -251,132 +251,16 @@ def test_sim011_clean_helpers_are_clean(monkeypatch):
 
 
 # --------------------------------------------------------------------------
-# Store lock discipline: a store's own state changes only under its lock
+# Store: what a store hands out is the caller's own copy
 # --------------------------------------------------------------------------
-
-class UnlockedMutation(AssertionError):
-    """A store's state was changed without holding the store lock."""
-
-
-class _LockedDict(dict):
-    """A store's dict that refuses to change unless the store lock is held."""
-
-    def __init__(self, owner, name, items):
-        super().__init__(items)
-        self._owner = owner
-        self._name = name
-
-    def _check(self):
-        if not self._owner._lock._is_owned():
-            raise UnlockedMutation(
-                f"{type(self._owner).__name__}.{self._name} changed "
-                "outside the store lock")
-
-    def __setitem__(self, key, value):
-        self._check()
-        super().__setitem__(key, value)
-
-    def __delitem__(self, key):
-        self._check()
-        super().__delitem__(key)
-
-    def pop(self, *args):
-        self._check()
-        return super().pop(*args)
-
-    def popitem(self):
-        self._check()
-        return super().popitem()
-
-    def clear(self):
-        self._check()
-        super().clear()
-
-    def update(self, *args, **kwargs):
-        self._check()
-        super().update(*args, **kwargs)
-
-    def setdefault(self, *args):
-        self._check()
-        return super().setdefault(*args)
-
-
-def guard_store(store):
-    """Swap every dict a constructed store holds for a lock-checking one."""
-    for name, value in list(vars(store).items()):
-        if isinstance(value, dict):
-            setattr(store, name, _LockedDict(store, name, value))
-    return store
-
-
-class _LeakyStore(MemoryStore):
-    def poke(self, digest):
-        self._entries[digest] = b"x"
-
-    def wipe(self):
-        self._entries.clear()
-
-    def poke_locked(self, digest):
-        with self._lock:
-            self._entries[digest] = b"x"
-            self._entries.clear()
-
-    def on_done_callback(self, digest):
-        def on_done():
-            self._entries[digest] = b"done"
-        return on_done
-
 
 STORE_DIGEST = "ab" * 12
 
 
-def test_sim013_flags_unlocked_self_mutation():
-    store = guard_store(_LeakyStore())
-    with pytest.raises(UnlockedMutation, match="_LeakyStore._entries"):
-        store.poke(STORE_DIGEST)
-
-def test_sim013_flags_mutator_method_calls():
-    store = guard_store(_LeakyStore())
-    with pytest.raises(UnlockedMutation, match="_LeakyStore._entries"):
-        store.wipe()
-
-def test_sim013_lock_scope_is_clean():
-    store = guard_store(_LeakyStore())
-    store.poke_locked(STORE_DIGEST)
-    # The whole public API takes the lock before touching state.
-    store.put(STORE_DIGEST, b"data")
-    assert store.get(STORE_DIGEST) == b"data"
-    assert [e.digest for e in store.scan()] == [STORE_DIGEST]
-    assert store.delete(STORE_DIGEST)
-    store.put(STORE_DIGEST, b"again")
-    assert store.clear() == 1
-
-def test_sim013_init_is_exempt():
-    # A store is filled by its constructor before any other thread can
-    # see it, so construction is not checked.
-    class Seeded(MemoryStore):
-        def __init__(self):
-            super().__init__()
-            self._entries[STORE_DIGEST] = b"seed"
-
-    store = guard_store(Seeded())
-    assert store.get(STORE_DIGEST) == b"seed"
-
-def test_sim013_closure_inherits_annotation():
-    # A callback handed out by the store runs later, maybe on another
-    # thread; it is held to the same lock as the store's own methods.
-    store = guard_store(_LeakyStore())
-    on_done = store.on_done_callback(STORE_DIGEST)
-    with pytest.raises(UnlockedMutation):
-        on_done()
-    with store._lock:
-        on_done()
-    assert store.get(STORE_DIGEST) == b"done"
-
 def test_sim013_unmarked_class_is_exempt():
     # What a store hands out is the caller's own copy: changing it needs
     # no lock and never reaches the store.
-    store = guard_store(MemoryStore())
+    store = MemoryStore()
     store.put(STORE_DIGEST, b"data")
     found = store.scan()
     found.clear()

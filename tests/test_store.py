@@ -1,7 +1,7 @@
 """Storage backends: conformance, compat, resolution, equivalence.
 
-One shared conformance class runs the identical contract against both
-backends; the rest pins what actually matters operationally - pre-store
+One shared conformance class runs the identical contract against a
+cache directory and a MemoryStore; the rest pins what actually matters operationally - pre-store
 cache directories keep reading, digests never move, and a memory-backed
 parallel sweep matches a serial file-backed one.
 """
@@ -133,7 +133,7 @@ class TestConformance:
     def test_bundle_roundtrip(self, store):
         files = make_bundle()
         bundle = store.bundle_dir(DIGEST)
-        assert bundle.parent == store.bundle_root
+        assert bundle.parent == store.root
         assert not bundle_is_complete(bundle)
         write_bundle(store, DIGEST, files)
         assert bundle_is_complete(bundle)
@@ -200,14 +200,14 @@ class TestFileStoreCompat:
     def test_entry_and_bundle_paths(self, tmp_path):
         s = FileStore(tmp_path)
         assert s.entry_path(DIGEST) == tmp_path / f"{DIGEST}.json"
-        assert s.bundle_root == tmp_path
+        assert s.bundle_dir(DIGEST).parent == tmp_path
         assert s.bundle_dir(DIGEST) == tmp_path / f"{DIGEST}.telemetry"
 
     def test_memory_bundle_root_dies_with_the_store(self):
         store = MemoryStore()
         runner = Runner(store=store)
         _, bundle = runner.run_traced(tiny_config())
-        root = store.bundle_root
+        root = store.root
         assert bundle == store.bundle_dir(tiny_config().cache_digest())
         assert bundle.parent == root and bundle_is_complete(bundle)
         del runner, store
@@ -282,7 +282,7 @@ class TestResolvePrecedence:
         assert isinstance(runner.store, MemoryStore)
         runner.run(tiny_config())
         assert not list(tmp_path.glob("*.json"))
-        # The no-cache path is the same code path: memoisation still works.
+        # The no-cache path is the same code path: a repeat run hits.
         runner.run(tiny_config())
         assert runner.simulated == 1
         assert runner.cache_hits == 1
