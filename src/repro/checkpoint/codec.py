@@ -1,13 +1,14 @@
-"""Full simulator state <-> JSON-compatible dict, bit-identical on resume.
+"""Full simulator state <-> plain dict, bit-identical on resume.
 
 The codec walks a paused :class:`repro.sim.system.System` and produces a
-plain dict (strings, numbers, bools, lists, dicts, ``None``) capturing
-*everything* the rest of the run depends on: the event queue with its
-reserved sequence numbers and deferred-event seam, controller/bank/queue
-state down to object identity between queue entries and in-flight
-operations, LLC contents and LRU order, wear accounting (flushed before
-capture), fault-injector per-line endurance state, every RNG stream, the
-telemetry epoch alignment, and the core's architectural state.
+plain dict (strings, numbers, bools, lists, dicts, ``None`` and
+``array.array`` columns) capturing *everything* the rest of the run
+depends on: the event queue with its reserved sequence numbers and
+deferred-event seam, controller/bank/queue state down to object
+identity between queue entries and in-flight operations, LLC contents
+and LRU order, wear accounting (flushed before capture), fault-injector
+per-line endurance state, every RNG stream, the telemetry epoch
+alignment, and the core's architectural state.
 
 Two representation rules keep restores bit-identical:
 
@@ -28,15 +29,21 @@ Two representation rules keep restores bit-identical:
   cannot be captured.
 
 Dicts with insertion-order-dependent semantics (per-factor wear tallies,
-lazily touched fault lines, the DRAM buffer's LRU order) are serialized
-as pair lists so JSON round-trips preserve their order exactly.  The LLC,
-most of a snapshot, is stored as flat per-line columns (see _capture_llc).
+the DRAM buffer's LRU order) are serialized as pair lists so JSON
+round-trips preserve their order exactly.  The bulk of a snapshot - the
+LLC's per-line state and the fault injector's lazily touched lines, in
+first-touch order - is stored as flat columns: ``array.array`` objects
+that :mod:`.snapshot` writes as packed bytes beside the JSON.  An integer
+column takes the narrowest of ``B/H/I/Q`` that holds its maximum
+(:func:`pack_ints`), a float column ``d`` (:func:`pack_floats`); every
+other value stays JSON.  Restore accepts a column as an array or a list.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from array import array
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
                     Optional, Sequence, Tuple, TypeGuard, TypeVar)
 
@@ -53,7 +60,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.sim.system import System
 
 #: Version of the *state* layout below (the file envelope has its own).
-STATE_SCHEMA_VERSION = 3
+STATE_SCHEMA_VERSION = 4
+
+#: Integer column typecodes, narrowest first.
+_INT_TYPECODES = "BHIQ"
+#: Every typecode a column may have.
+COLUMN_TYPECODES = frozenset("BHIQd")
 
 _CTRL_STATS_FIELDS: Tuple[str, ...] = (
     "reads_from_llc", "writes_from_llc", "eager_from_llc", "reads_issued",
@@ -100,6 +112,50 @@ _CORE_FIELDS: Tuple[str, ...] = (
 )
 
 
+_T = TypeVar("_T")
+
+
+def pack_ints(values: Iterable[int], name: str) -> array[int]:
+    """``values`` as an array of the narrowest unsigned typecode that
+    holds their maximum; a value outside ``[0, 2**64)`` raises
+    :class:`CheckpointError` instead of being truncated.
+
+    Each typecode is tried narrowest first: converting stops at the
+    first value that does not fit, which is cheaper than a separate pass
+    for the maximum, and ``bytes`` packs a ``B`` column faster than
+    ``array`` does."""
+    column = list(values)
+    for typecode in _INT_TYPECODES:
+        try:
+            return array(typecode,
+                         bytes(column) if typecode == "B" else column)
+        except (OverflowError, ValueError):
+            pass
+        except TypeError as error:
+            raise CheckpointError(
+                f"column {name!r} cannot be packed: {error}") from None
+    raise CheckpointError(
+        f"column {name!r} holds a value outside [0, 2**64)")
+
+
+def pack_floats(values: Iterable[float], name: str) -> array[float]:
+    """``values`` as an array of doubles."""
+    try:
+        return array("d", values)
+    except TypeError as error:
+        raise CheckpointError(
+            f"column {name!r} cannot be packed: {error}") from None
+
+
+def _sized(values: Sequence[_T], expected: int, name: str) -> Sequence[_T]:
+    """``values``, which must hold ``expected`` entries: every column
+    restored in place or zipped against a live one goes through here."""
+    if len(values) != expected:
+        raise ValueError(
+            f"{name} has {len(values)} entries, expected {expected}")
+    return values
+
+
 def _fields_to_dict(obj: Any, fields: Sequence[str]) -> Dict[str, Any]:
     return {name: getattr(obj, name) for name in fields}
 
@@ -108,9 +164,6 @@ def _fields_from_dict(obj: Any, fields: Sequence[str],
                       data: Dict[str, Any]) -> None:
     for name in fields:
         setattr(obj, name, data[name])
-
-
-_T = TypeVar("_T")
 
 
 def _present(live: Optional[_T], state: Any, what: str) -> TypeGuard[_T]:
@@ -366,11 +419,15 @@ def _capture_llc(system: "System") -> Dict[str, Any]:
         "rng": _rng_to_json(llc.rng),
         # The cache's own columns flattened, sets in order, each
         # MRU-first; flags packs dirty | eager_cleaned << 1.
-        "lines_per_set": list(map(len, lru._tag_sets)),
-        "tags": list(itertools.chain.from_iterable(lru._tag_sets)),
-        "flags": list(itertools.chain.from_iterable(lru._flags)),
-        "last_touch": list(itertools.chain.from_iterable(lru._touches)),
-        "set_access_counts": list(lru.set_access_counts),
+        "lines_per_set": pack_ints(map(len, lru._tag_sets), "lines_per_set"),
+        "tags": pack_ints(itertools.chain.from_iterable(lru._tag_sets),
+                          "tags"),
+        "flags": pack_ints(itertools.chain.from_iterable(lru._flags),
+                           "flags"),
+        "last_touch": pack_ints(itertools.chain.from_iterable(lru._touches),
+                                "last_touch"),
+        "set_access_counts": pack_ints(lru.set_access_counts,
+                                       "set_access_counts"),
         "profiler": {
             "hit_counters": list(llc.profiler.hit_counters),
             **_fields_to_dict(llc.profiler, _PROFILER_FIELDS),
@@ -389,8 +446,9 @@ def _restore_llc(restore: _Restore, state: Dict[str, Any]) -> None:
     lru: LRUCache = llc.cache
     _fields_from_dict(llc.stats, _LLC_STATS_FIELDS, state["stats"])
     _rng_from_json(llc.rng, state["rng"])
-    sizes = state["lines_per_set"]
-    tags, flags, touches = state["tags"], state["flags"], state["last_touch"]
+    sizes, tags, flags, touches = (
+        list(state[name])
+        for name in ("lines_per_set", "tags", "flags", "last_touch"))
     if len(sizes) != lru.num_sets:
         raise CheckpointError(
             f"LLC geometry changed: snapshot has {len(sizes)} "
@@ -416,14 +474,19 @@ def _restore_llc(restore: _Restore, state: Dict[str, Any]) -> None:
     lru._tag_members = members
     lru._flags = [flags[start:end] for start, end in bounds]
     lru._touches = [touches[start:end] for start, end in bounds]
-    lru.set_access_counts[:] = state["set_access_counts"]
+    lru.set_access_counts[:] = _sized(
+        state["set_access_counts"], lru.num_sets, "set_access_counts")
     # hit_counters / buckets are aliased by the LLC hot path
     # (llc._hit_counters, llc._db_buckets); restore strictly in place.
     profiler = llc.profiler
-    profiler.hit_counters[:] = state["profiler"]["hit_counters"]
+    profiler.hit_counters[:] = _sized(
+        state["profiler"]["hit_counters"], len(profiler.hit_counters),
+        "profiler.hit_counters")
     _fields_from_dict(profiler, _PROFILER_FIELDS, state["profiler"])
     deadblock = llc.deadblock
-    deadblock.buckets[:] = state["deadblock"]["buckets"]
+    deadblock.buckets[:] = _sized(
+        state["deadblock"]["buckets"], len(deadblock.buckets),
+        "deadblock.buckets")
     _fields_from_dict(deadblock, _DEADBLOCK_FIELDS, state["deadblock"])
     age = state["deadblock"]["age_threshold"]
     deadblock.age_threshold = float("inf") if age is None else age
@@ -455,15 +518,21 @@ def _capture_wear(system: "System") -> Dict[str, Any]:
 
 def _restore_wear(restore: _Restore, state: Dict[str, Any]) -> None:
     wear = restore.system.wear
-    for record, row in zip(wear.records, state["records"]):
+    records = _sized(state["records"], len(wear.records), "records")
+    for record, row in zip(wear.records, records):
         record.normal_writes = row[0]
         record.slow_writes_by_factor = {
             factor: count for factor, count in row[1]}
-    wear._damage_watermarks = list(state["damage_watermarks"])
-    for remapper, remap_state in zip(wear.remappers, state["remappers"]):
+    wear._damage_watermarks = list(_sized(
+        state["damage_watermarks"], len(wear._damage_watermarks),
+        "damage_watermarks"))
+    remappers = _sized(state["remappers"], len(wear.remappers), "remappers")
+    for remapper, remap_state in zip(wear.remappers, remappers):
         _fields_from_dict(remapper, _REMAPPER_FIELDS, remap_state)
-    for target, row in zip(wear.block_damage, state["block_damage"]):
-        target[:] = row
+    rows = _sized(state["block_damage"], len(wear.block_damage),
+                  "block_damage")
+    for bank, (target, row) in enumerate(zip(wear.block_damage, rows)):
+        target[:] = _sized(row, len(target), f"block_damage[{bank}]")
     # Pending whole-write buffers were flushed before capture.
     wear._pend_normal = [0.0] * wear.num_banks
     wear._pend_slow = [dict() for _ in range(wear.num_banks)]
@@ -474,15 +543,26 @@ def _capture_faults(system: "System") -> Optional[Dict[str, Any]]:
     injector = system.faults
     if injector is None:
         return None
+    states = [state for bank_lines in injector._lines
+              for state in bank_lines.values()]
+    # Each line's state as one entry per column, banks in order and each
+    # bank's lines in first-touch order; limits holds cells_per_line
+    # entries per line.
     return {
         "stats": _fields_to_dict(injector.stats, _FAULT_STATS_FIELDS),
         "rng": _rng_to_json(injector._rng),
         "spares_left": list(injector.spares_left),
         "retired_per_bank": list(injector.retired_per_bank),
-        "lines": [[[line, [list(ls.limits), ls.damage, ls.dead,
-                           ls.replaced]]
-                   for line, ls in bank_lines.items()]
-                  for bank_lines in injector._lines],
+        "lines_per_bank": pack_ints(map(len, injector._lines),
+                                    "lines_per_bank"),
+        "line": pack_ints(itertools.chain.from_iterable(injector._lines),
+                          "line"),
+        "limits": pack_floats(itertools.chain.from_iterable(
+            state.limits for state in states), "limits"),
+        "damage": pack_floats([state.damage for state in states], "damage"),
+        "dead": pack_ints([state.dead for state in states], "dead"),
+        "replaced": pack_ints([state.replaced for state in states],
+                              "replaced"),
     }
 
 
@@ -501,12 +581,27 @@ def _restore_faults(restore: _Restore, state: Any) -> None:
     from repro.faults.injector import _LineState
     _fields_from_dict(injector.stats, _FAULT_STATS_FIELDS, state["stats"])
     _rng_from_json(injector._rng, state["rng"])
-    injector.spares_left[:] = state["spares_left"]
-    injector.retired_per_bank[:] = state["retired_per_bank"]
-    for bank_lines, rows in zip(injector._lines, state["lines"]):
+    banks = len(injector._lines)
+    injector.spares_left[:] = _sized(state["spares_left"], banks,
+                                     "spares_left")
+    injector.retired_per_bank[:] = _sized(state["retired_per_bank"], banks,
+                                          "retired_per_bank")
+    counts = list(_sized(state["lines_per_bank"], banks, "lines_per_bank"))
+    lines, damage, dead, replaced = (
+        list(_sized(state[name], sum(counts), name))
+        for name in ("line", "damage", "dead", "replaced"))
+    cells = injector.config.cells_per_line
+    limits = list(_sized(state["limits"], cells * len(lines), "limits"))
+    start = 0
+    for bank, (bank_lines, count) in enumerate(zip(injector._lines, counts)):
         bank_lines.clear()
-        for line, (limits, damage, dead, replaced) in rows:
-            bank_lines[line] = _LineState(list(limits), damage, dead, replaced)
+        for index in range(start, start + count):
+            bank_lines[lines[index]] = _LineState(
+                limits[index * cells:(index + 1) * cells], damage[index],
+                dead[index], replaced[index])
+        start += count
+        if len(bank_lines) != count:
+            raise ValueError(f"fault bank {bank} repeats a line")
 
 
 def _capture_telemetry(system: "System") -> Optional[Dict[str, Any]]:
@@ -711,17 +806,19 @@ def _restore_controller(restore: _Restore, state: Dict[str, Any]) -> None:
         getattr(core, name) for name in state["write_space_waiters"]]
     ctrl._read_space_waiters[:] = [
         getattr(core, name) for name in state["read_space_waiters"]]
-    for limiter, recent in zip(ctrl.faw, state["faw"]):
+    for limiter, recent in zip(ctrl.faw,
+                               _sized(state["faw"], len(ctrl.faw), "faw")):
         limiter._recent.clear()
         limiter._recent.extend(recent)
     _restore_queue(restore, ctrl.read_q, state["queues"]["read"])
     _restore_queue(restore, ctrl.write_q, state["queues"]["write"])
     _restore_queue(restore, ctrl.eager_q, state["queues"]["eager"])
+    banks = ctrl._num_banks
     rows = state["banks"]
-    if len(rows) != ctrl._num_banks:
+    if len(rows) != banks:
         raise CheckpointError(
             f"snapshot has {len(rows)} controller bank rows for "
-            f"{ctrl._num_banks} banks")
+            f"{banks} banks")
     busy, begun, cancelled, retired = (list(column)
                                        for column in zip(*rows))
     if retired != _retired_per_bank(restore.system):
@@ -731,18 +828,23 @@ def _restore_controller(restore: _Restore, state: Dict[str, Any]) -> None:
     ctrl.bank_busy_ns[:] = busy
     ctrl.bank_ops_begun[:] = begun
     ctrl.bank_ops_cancelled[:] = cancelled
-    ctrl._bank_busy_until[:] = state["bank_busy_until"]
-    ctrl._bank_open_row[:] = state["bank_open_row"]
+    ctrl._bank_busy_until[:] = _sized(state["bank_busy_until"], banks,
+                                      "bank_busy_until")
+    ctrl._bank_open_row[:] = _sized(state["bank_open_row"], banks,
+                                    "bank_open_row")
     ctrl._bank_in_flight[:] = [
         None if ref is None else restore.inflights[ref]
-        for ref in state["bank_in_flight"]]
+        for ref in _sized(state["bank_in_flight"], banks, "bank_in_flight")]
 
 
 def _restore_quota(restore: _Restore, state: Any) -> None:
     quota = restore.system.quota
     if _present(quota, state, "wear-quota"):
-        quota.cumulative_wear = list(state["cumulative_wear"])
-        quota.slow_only[:] = [bool(v) for v in state["slow_only"]]
+        quota.cumulative_wear = list(_sized(
+            state["cumulative_wear"], len(quota.cumulative_wear),
+            "cumulative_wear"))
+        quota.slow_only[:] = [bool(v) for v in _sized(
+            state["slow_only"], len(quota.slow_only), "slow_only")]
         _fields_from_dict(quota, _QUOTA_FIELDS, state)
 
 

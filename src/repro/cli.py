@@ -158,32 +158,16 @@ def cmd_resume(args: argparse.Namespace) -> int:
     simulation's identity).  The completed result is bit-identical to
     the run that would have produced it straight through.
     """
-    from dataclasses import replace
-
-    from repro.checkpoint import (CheckpointCorruptionError, CheckpointError,
-                                  load_snapshot, restore_state)
-    from repro.sim.system import System
+    from repro.checkpoint import CheckpointError, restore_system
 
     path = Path(args.snapshot)
     try:
-        config, state = load_snapshot(path)
+        system = restore_system(path, checkpoint_every=args.checkpoint_every,
+                                checkpoint_dir=args.checkpoint_dir)
     except FileNotFoundError:
         raise CLIError(f"snapshot not found: {path}") from None
-    except CheckpointCorruptionError as error:
+    except (CheckpointError, ValueError) as error:
         raise CLIError(str(error)) from None
-    try:
-        if args.checkpoint_every is not None:
-            config = replace(config, checkpoint_every=args.checkpoint_every)
-        if args.checkpoint_dir is not None:
-            config = replace(config, checkpoint_dir=args.checkpoint_dir)
-    except ValueError as error:
-        raise CLIError(str(error)) from None
-    system = System(config)
-    try:
-        restore_state(system, state)
-    except CheckpointError as error:
-        raise CLIError(str(error)) from None
-    system.rearm_after_restore()
     result = system.finish_run()
     print(render(_result_table([result])))
     if args.output:

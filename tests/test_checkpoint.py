@@ -18,8 +18,12 @@ cache entries precisely *because* this suite proves them bit-identical).
 """
 from __future__ import annotations
 
+import base64
 import dataclasses
+import hashlib
 import json
+import zlib
+from array import array
 from pathlib import Path
 from typing import Optional
 
@@ -34,7 +38,8 @@ from repro.checkpoint import (CheckpointCorruptionError, CheckpointError,
                               config_from_dict, config_to_dict,
                               load_snapshot, restore_system, save_snapshot,
                               snapshot_bytes)
-from repro.checkpoint.snapshot import _encode_snapshot
+from repro.checkpoint.codec import pack_floats, pack_ints
+from repro.checkpoint.snapshot import SNAPSHOT_MAGIC, _encode_snapshot
 from repro.cli import main
 from repro.faults import FaultConfig
 from repro.sim.config import CACHE_KEY_EXCLUDED, SimConfig
@@ -162,17 +167,29 @@ def _nested_llc_rows(llc: dict) -> None:
     llc["sets"] = sets
 
 
-@pytest.mark.parametrize("schema", [1, 2])
+def _unpacked_columns(section: dict) -> None:
+    """Turn a section's packed columns back into the JSON lists state
+    schema 3 held."""
+    for name, value in section.items():
+        if isinstance(value, array):
+            section[name] = value.tolist()
+
+
+@pytest.mark.parametrize("schema", [1, 2, 3])
 def test_old_state_schema_refused(tmp_path: Path, schema: int) -> None:
     """Schema 1 carried a controller-mode flag and event kinds this build
     no longer has; schemas 1 and 2 stored the LLC as nested per-line
-    rows.  There is no reader for either: restoring one fails loudly
+    rows; schema 3 held the LLC columns and the fault lines as JSON.
+    There is no reader for any of them: restoring one fails loudly
     instead of being misread."""
     def downgrade(state: dict) -> None:
         state["state_schema"] = schema
         if schema == 1:
             state["fastpath"] = True
-        _nested_llc_rows(state["llc"])
+        if schema == 3:
+            _unpacked_columns(state["llc"])
+        else:
+            _nested_llc_rows(state["llc"])
 
     old = _edited_snapshot(tmp_path, downgrade)
     with pytest.raises(CheckpointError, match=f"state schema {schema}"):
@@ -230,6 +247,125 @@ def test_bank_rows_checked_against_one_count(tmp_path: Path, faults, edit,
     bad = _edited_snapshot(tmp_path, edit, faults)
     with pytest.raises(CheckpointError, match=message):
         restore_system(bad)
+
+
+def _resized(edit, *keys):
+    """An edit that applies ``edit`` to the list or column at ``keys``."""
+    def apply(state: dict) -> None:
+        target = state
+        for key in keys:
+            target = target[key]
+        edit(target)
+    return apply
+
+
+def _short(column) -> None:
+    column.pop()
+
+
+def _long(column) -> None:
+    column.append(column[0])
+
+
+_LENGTH_CASES = [
+    (("llc", "set_access_counts"), _short, None),
+    (("llc", "profiler", "hit_counters"), _long, None),
+    (("llc", "deadblock", "buckets"), _short, None),
+    (("controller", "bank_busy_until"), _short, None),
+    (("controller", "bank_open_row"), _long, None),
+    (("controller", "bank_in_flight"), _short, None),
+    (("faults", "spares_left"), _short, FAULTS),
+    (("faults", "retired_per_bank"), _long, FAULTS),
+    (("faults", "limits"), _short, FAULTS),
+    (("wear", "records"), _short, None),
+    # A System's wear tracker keeps no per-block damage: the list is
+    # empty, so the one-too-many row is an empty one.
+    (("wear", "block_damage"), lambda rows: rows.append([]), None),
+]
+
+
+@pytest.mark.parametrize("keys, edit, faults", _LENGTH_CASES,
+                         ids=[".".join(case[0]) for case in _LENGTH_CASES])
+def test_column_lengths_checked(tmp_path: Path, keys, edit, faults) -> None:
+    """Every list restored in place, or zipped against a live one, must
+    have the live length: one entry too few or too many is refused with
+    a CheckpointError naming the section and the column, not adopted or
+    silently truncated."""
+    bad = _edited_snapshot(tmp_path, _resized(edit, *keys), faults)
+    with pytest.raises(CheckpointError,
+                       match=rf"'{keys[0]}'.*{keys[-1]} has \d+ entries, "
+                             rf"expected \d+"):
+        restore_system(bad)
+
+
+_UINT64 = st.integers(min_value=0, max_value=2**64 - 1)
+
+
+def _narrowest(values: list) -> str:
+    high = max(values, default=0)
+    return ("B" if high < 2**8 else "H" if high < 2**16
+            else "I" if high < 2**32 else "Q")
+
+
+@settings(max_examples=40, deadline=None)
+@given(ints=st.lists(_UINT64, max_size=40),
+       floats=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                       max_size=40))
+def test_packed_columns_round_trip(tmp_path_factory, ints: list,
+                                   floats: list) -> None:
+    """Any unsigned 64-bit int list and any finite float list come back
+    from a snapshot file exactly, the ints in the narrowest typecode."""
+    packed_ints = pack_ints(ints, "ints")
+    assert packed_ints.typecode == _narrowest(ints)
+    packed_floats = pack_floats(floats, "floats")
+    path = tmp_path_factory.mktemp("packed") / "columns.ckpt"
+    path.write_bytes(_encode_snapshot(_PROP_CONFIG, {
+        "section": {"ints": packed_ints, "floats": packed_floats}}))
+    _, state = load_snapshot(path)
+    ints_back, floats_back = state["section"]["ints"], state["section"]["floats"]
+    assert ints_back.typecode == packed_ints.typecode
+    assert ints_back.tolist() == ints
+    assert floats_back.tolist() == floats
+    assert floats_back.tobytes() == packed_floats.tobytes()
+
+
+@given(ints=st.lists(_UINT64, max_size=20),
+       bad=st.one_of(st.integers(max_value=-1), st.integers(min_value=2**64)),
+       position=st.integers(min_value=0, max_value=20))
+def test_pack_ints_refuses_out_of_range(ints: list, bad: int,
+                                        position: int) -> None:
+    """A value below 0 or at or above 2**64 is refused, never truncated."""
+    ints.insert(position, bad)
+    with pytest.raises(CheckpointError, match="column 'ints'"):
+        pack_ints(ints, "ints")
+
+
+def test_capture_refuses_an_unpackable_column() -> None:
+    system = _paused_system()
+    system.llc.cache._tag_sets[0][0] = -1
+    with pytest.raises(CheckpointError, match="column 'tags'"):
+        capture_state(system)
+
+
+def test_resume_applies_checkpoint_overrides(tmp_path: Path) -> None:
+    """``repro resume`` restores through ``restore_system`` with its
+    slicing flags applied to the embedded config: the rest of the run
+    writes its snapshots at the new cadence into the new directory and
+    still ends at the straight run's result; a cadence the config
+    refuses is a clean CLI error."""
+    snapshot = _one_snapshot(tmp_path)
+    config, state = load_snapshot(snapshot)
+    assert config.checkpoint_every == 900 and config.checkpoint_dir is None
+    more, out = tmp_path / "more", tmp_path / "resumed.json"
+    assert main(["resume", str(snapshot), "--checkpoint-every", "1400",
+                 "--checkpoint-dir", str(more), "--output", str(out)]) == 0
+    paused_at = sorted(int(path.stem.split("-")[1])
+                       for path in more.iterdir())
+    assert paused_at[0] == state["core"]["accesses_processed"] + 1400
+    resumed = json.loads(out.read_text())["result"]
+    assert (json.dumps(resumed, sort_keys=True) == _straight_json(
+        dataclasses.replace(config, checkpoint_every=None)))
+    assert main(["resume", str(snapshot), "--checkpoint-every", "0"]) == 1
 
 
 def _ctrl_completion_row(state: dict) -> list:
@@ -313,14 +449,17 @@ def _repeat_a_tag_in_set_0(llc: dict) -> int:
     (lambda llc: llc["tags"].pop(), "column lengths .* disagree"),
     (_overfill_set_0, "LLC set 0 holds {} lines"),
     (lambda llc: llc["flags"].__setitem__(0, 4), r"flags outside 0-3: \[4\]"),
-    (lambda llc: llc["flags"].__setitem__(0, -1), r"flags outside 0-3: \[-1\]"),
+    (lambda llc: llc.update(flags=[-1, *llc["flags"][1:]]),
+     r"flags outside 0-3: \[-1\]"),
     (_repeat_a_tag_in_set_0, "LLC set 0 holds .* with {} distinct tags"),
 ], ids=["column-lengths", "over-assoc", "flags-high", "flags-negative",
         "repeated-tag"])
 def test_llc_columns_validated(tmp_path: Path, edit, message: str) -> None:
     """The LLC columns are outside input: lengths that disagree with the
     per-set counts, a set fuller than the associativity, flags outside
-    0-3 and a set holding one tag twice are each refused."""
+    0-3 and a set holding one tag twice are each refused.  (A packed
+    column cannot hold -1, but restore also takes a column as a JSON
+    list, so the negative flag arrives as one.)"""
     expected: list = []
 
     def corrupt(state: dict) -> None:
@@ -360,27 +499,30 @@ def test_llc_round_trip_restores_lines_and_tag_mirrors(tmp_path: Path
     assert restored.set_access_counts == original.set_access_counts
 
 
-#: A schema-3 snapshot written by the build before the LLC became
-#: columnar: zeusmp under BE-Mellow+SC on a 16 KB 4-way LLC with a DRAM
-#: write buffer, paused 4000 accesses into the measured window with
-#: eager-cleaned and dirty lines resident.
+#: A state captured by the build before the LLC became columnar:
+#: zeusmp under BE-Mellow+SC on a 16 KB 4-way LLC with a DRAM write
+#: buffer, paused 4000 accesses into the measured window with
+#: eager-cleaned and dirty lines resident.  It was written as state
+#: schema 3 and rewritten in the schema-4 file layout (columns packed,
+#: nothing else changed) when that layout replaced the JSON envelope.
 EARLIER_BUILD_SNAPSHOT = (Path(__file__).parent / "data"
-                          / "snapshot_state3_small_llc.ckpt")
+                          / "snapshot_state4_small_llc.ckpt")
 
 
 def test_snapshot_from_an_earlier_build_resumes_byte_equal(
         monkeypatch: pytest.MonkeyPatch) -> None:
     """Snapshots outlive the build that wrote them: this one restores,
     re-captures to its own state, and finishes byte-equal to a straight
-    run of its embedded config.  (States, not file bytes, are compared:
-    the compressed stream may differ between zlib versions.)"""
+    run of its embedded config.  (States are compared through one
+    encoding, not against the file's bytes: the compressed stream may
+    differ between zlib versions.)"""
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
     config, state = load_snapshot(EARLIER_BUILD_SNAPSHOT)
-    assert state["state_schema"] == 3
+    assert state["state_schema"] == 4
     assert any(flag & EAGER_CLEANED for flag in state["llc"]["flags"])
     restored = restore_system(EARLIER_BUILD_SNAPSHOT)
-    assert (json.dumps(capture_state(restored), sort_keys=True)
-            == json.dumps(state, sort_keys=True))
+    assert (_encode_snapshot(config, capture_state(restored))
+            == _encode_snapshot(config, state))
     resumed = json.dumps(run_result_to_dict(restored.finish_run()),
                          sort_keys=True)
     assert resumed == _straight_json(
@@ -524,13 +666,31 @@ def test_corrupt_truncated(tmp_path: Path) -> None:
         assert excinfo.value.reason
 
 
-def test_corrupt_bit_flip(tmp_path: Path) -> None:
-    """A single flipped bit anywhere in the body is caught (digest,
-    base64, zlib, or JSON layer - whichever trips first)."""
+def _header_span(raw: bytes) -> tuple:
+    """Where the JSON header line of a snapshot starts and ends."""
+    start = len(SNAPSHOT_MAGIC)
+    return start, raw.index(b"\n", start)
+
+
+def test_corrupt_trailing_bytes(tmp_path: Path) -> None:
     path = _one_snapshot(tmp_path)
-    raw = bytearray(path.read_bytes())
-    body_at = raw.index(b'"body"') + 10   # inside the base64 payload
-    for offset in (body_at, body_at + len(raw) // 3, len(raw) - 20):
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(CheckpointCorruptionError, match="follow the payload"):
+        load_snapshot(path)
+
+
+def test_corrupt_bit_flip(tmp_path: Path) -> None:
+    """A single flipped bit is caught in the header (a column's slot name,
+    the digest) and in the compressed payload (zlib, digest, length or
+    JSON check - whichever trips first)."""
+    path = _one_snapshot(tmp_path)
+    raw = path.read_bytes()
+    _, header_end = _header_span(raw)
+    name_at = raw.index(b'"llc.tags"') + 5
+    digest_at = raw.index(b'"sha256":"') + 12
+    payload_at = header_end + 1
+    for offset in (name_at, digest_at,
+                   payload_at + (len(raw) - payload_at) // 3, len(raw) - 20):
         flipped = bytearray(raw)
         flipped[offset] ^= 0x04
         path.write_bytes(bytes(flipped))
@@ -538,27 +698,69 @@ def test_corrupt_bit_flip(tmp_path: Path) -> None:
             load_snapshot(path)
 
 
+def _header_file(path: Path, header: bytes) -> Path:
+    path.write_bytes(SNAPSHOT_MAGIC + header + b"\n")
+    return path
+
+
 def test_corrupt_garbage_and_schema(tmp_path: Path) -> None:
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"\x00\x01 not json")
-    with pytest.raises(CheckpointCorruptionError, match="envelope"):
+    with pytest.raises(CheckpointCorruptionError, match="magic"):
         load_snapshot(path)
-    path.write_text(json.dumps({"schema": 999, "sha256": "0" * 64,
-                                "body": ""}))
-    with pytest.raises(CheckpointCorruptionError, match="schema"):
+    _header_file(path, b"\x00\x01 not json")
+    with pytest.raises(CheckpointCorruptionError, match="header is not"):
         load_snapshot(path)
-    path.write_text(json.dumps({"schema": 1}))
-    with pytest.raises(CheckpointCorruptionError, match="missing keys"):
+    _header_file(path, json.dumps({
+        "byte_order": "little", "columns": [], "json_length": 0,
+        "schema": 999, "sha256": "0" * 64}).encode())
+    with pytest.raises(CheckpointCorruptionError, match="schema 999"):
+        load_snapshot(path)
+    _header_file(path, json.dumps({"schema": 2}).encode())
+    with pytest.raises(CheckpointCorruptionError, match="object with keys"):
+        load_snapshot(path)
+    _header_file(path, json.dumps({
+        "byte_order": "big", "columns": [], "json_length": 0,
+        "schema": 2, "sha256": "0" * 64}).encode())
+    with pytest.raises(CheckpointCorruptionError, match="byte order"):
         load_snapshot(path)
 
 
 def test_corrupt_digest_mismatch(tmp_path: Path) -> None:
     path = _one_snapshot(tmp_path)
-    envelope = json.loads(path.read_text())
-    envelope["sha256"] = "0" * 64
-    path.write_text(json.dumps(envelope))
+    raw = path.read_bytes()
+    start, end = _header_span(raw)
+    header = json.loads(raw[start:end])
+    header["sha256"] = "0" * 64
+    path.write_bytes(raw[:start] + json.dumps(header).encode() + raw[end:])
     with pytest.raises(CheckpointCorruptionError, match="digest mismatch"):
         load_snapshot(path)
+
+
+def _schema_1_snapshot(path: Path) -> Path:
+    """A file in the JSON envelope this build no longer reads:
+    ``{"schema": 1, "sha256": ..., "body": base64(zlib(json))}``."""
+    body = json.dumps(
+        {"config": config_to_dict(_PROP_CONFIG), "state": {"state_schema": 3}},
+        sort_keys=True, separators=(",", ":")).encode()
+    path.write_text(json.dumps({
+        "schema": 1, "sha256": hashlib.sha256(body).hexdigest(),
+        "body": base64.b64encode(zlib.compress(body, 1)).decode("ascii"),
+    }, sort_keys=True))
+    return path
+
+
+def test_schema_1_envelope_refused(tmp_path: Path, capsys) -> None:
+    """There is one reader: a schema-1 file is refused as corrupt, naming
+    its schema, by the loader and by ``repro resume``."""
+    path = _schema_1_snapshot(tmp_path / "old.ckpt")
+    with pytest.raises(CheckpointCorruptionError,
+                       match="unsupported snapshot schema 1 "):
+        load_snapshot(path)
+    assert main(["resume", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "unsupported snapshot schema 1 " in err
+    assert "Traceback" not in err
 
 
 def test_missing_snapshot_is_not_corruption(tmp_path: Path) -> None:

@@ -12,11 +12,10 @@ outside the key must leave the :func:`capture_warm` state after
 
 import dataclasses
 import functools
-import json
 
 import pytest
 
-from repro.checkpoint import capture_state, capture_warm
+from repro.checkpoint import capture_warm, snapshot_bytes
 from repro.faults.config import FaultConfig
 from repro.sim.config import SimConfig
 from repro.sim.system import System
@@ -93,5 +92,4 @@ def test_start_run_from_a_warm_state_matches_warming_up():
     warmed.start_run()
     forked = System(config)
     forked.start_run(_base_warm())
-    assert (json.dumps(capture_state(forked), sort_keys=True)
-            == json.dumps(capture_state(warmed), sort_keys=True))
+    assert snapshot_bytes(forked) == snapshot_bytes(warmed)
