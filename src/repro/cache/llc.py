@@ -78,6 +78,8 @@ class LastLevelCache:
         self.stats = LLCStats()
         self._tel = telemetry
         if telemetry.enabled:
+            self._eager_demotions = telemetry.metrics.counter(
+                "llc.eager_demotions", from_first_bump=True)
             # Export the Section IV-B1 stack-position hit counters as
             # per-epoch probes.  System samples telemetry *before*
             # end_sample_period() resets the profiler, so each sampled
@@ -261,9 +263,9 @@ class LastLevelCache:
         block = cache.block_of(set_index, cache._tag_sets[set_index][position])
         tel = self._tel
         if tel.enabled:
-            tel.metrics.counter("llc.eager_demotions").value += 1.0
-            tel.tracer.record(tel.clock(), EV_EAGER_DEMOTE, block=block,
-                              detail=self.eager_selector)
+            self._eager_demotions.value += 1.0
+            tel.tracer.record(tel.clock(), EV_EAGER_DEMOTE, -1, block, -1,
+                              0.0, self.eager_selector)
         return block
 
     def _pick_by_stack_position(self, set_index: int) -> Optional[int]:

@@ -9,11 +9,14 @@ the remaining condition is therefore "no other write queued for this bank".
 
 from __future__ import annotations
 
-from repro.telemetry import NULL_TELEMETRY, Telemetry
+from typing import Optional, Sequence
+
+from repro.telemetry.metrics import Counter
 
 
 def bank_aware_wants_slow(other_writes_for_bank: int, reads_for_bank: int,
-                          telemetry: Telemetry = NULL_TELEMETRY) -> bool:
+                          verdicts: Optional[Sequence[Counter]] = None,
+                          ) -> bool:
     """Decide whether Bank-Aware Mellow Writes issues this write slowly.
 
     Args:
@@ -24,15 +27,15 @@ def bank_aware_wants_slow(other_writes_for_bank: int, reads_for_bank: int,
             read-priority scheduling this is zero whenever a write is
             actually selected, but the predicate checks it anyway so it can
             be used standalone (Figure 4 shows both conditions).
-        telemetry: when enabled, the decision outcome is counted
-            (``decision.bank_aware.slow`` / ``decision.bank_aware.normal``)
-            so the slow-vs-fast mix can be plotted per epoch.
+        verdicts: with telemetry enabled, the ``(normal, slow)`` decision
+            counters (``decision.bank_aware.normal`` /
+            ``decision.bank_aware.slow``), resolved once by the caller;
+            the one matching the outcome is bumped so the slow-vs-fast mix
+            can be plotted per epoch.
     """
     if other_writes_for_bank < 0 or reads_for_bank < 0:
         raise ValueError("request counts cannot be negative")
     wants_slow = other_writes_for_bank == 0 and reads_for_bank == 0
-    if telemetry.enabled:
-        name = ("decision.bank_aware.slow" if wants_slow
-                else "decision.bank_aware.normal")
-        telemetry.metrics.counter(name).value += 1.0
+    if verdicts is not None:
+        verdicts[wants_slow].value += 1.0
     return wants_slow

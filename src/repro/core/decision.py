@@ -15,10 +15,12 @@ even eager writes at normal speed (its design point is maximum performance).
 
 from __future__ import annotations
 
+from typing import Optional, Sequence
+
 from repro.core.bank_aware import bank_aware_wants_slow
 from repro.core.policies import WritePolicy
 from repro.memory.queues import EAGER, WRITE
-from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.telemetry.metrics import Counter
 
 
 def choose_write_factor(
@@ -27,7 +29,7 @@ def choose_write_factor(
     other_writes_for_bank: int,
     reads_for_bank: int,
     quota_exceeded: bool,
-    telemetry: Telemetry = NULL_TELEMETRY,
+    verdicts: Optional[Sequence[Counter]] = None,
 ) -> float:
     """Slowdown factor for the write being issued (1.0 = normal speed).
 
@@ -38,7 +40,7 @@ def choose_write_factor(
     """
     slow = choose_write_speed(
         policy, kind, other_writes_for_bank, reads_for_bank, quota_exceeded,
-        telemetry=telemetry,
+        verdicts,
     )
     if slow:
         return policy.slow_factor
@@ -58,7 +60,7 @@ def choose_write_speed(
     other_writes_for_bank: int,
     reads_for_bank: int,
     quota_exceeded: bool,
-    telemetry: Telemetry = NULL_TELEMETRY,
+    verdicts: Optional[Sequence[Counter]] = None,
 ) -> bool:
     """Return True when the write should be issued slow.
 
@@ -70,8 +72,9 @@ def choose_write_speed(
         reads_for_bank: same-bank read-queue occupancy.
         quota_exceeded: Wear Quota slow-only gate for the bank (only honoured
             when the policy enables +WQ).
-        telemetry: passed through to the Bank-Aware predicate so its
-            decision mix is counted when telemetry is enabled.
+        verdicts: the Bank-Aware ``(normal, slow)`` decision counters,
+            passed through to the predicate so its decision mix is counted
+            when telemetry is enabled.
     """
     if kind == EAGER:
         if not policy.eager:
@@ -86,5 +89,5 @@ def choose_write_speed(
         return True
     if policy.bank_aware:
         return bank_aware_wants_slow(other_writes_for_bank, reads_for_bank,
-                                     telemetry=telemetry)
+                                     verdicts)
     return False

@@ -77,6 +77,12 @@ class _ControllerTelemetry:
             metrics.counter(bank_metric_name(i, "writes_normal"))
             for i in range(num_banks)
         ]
+        # Bank-Aware (normal, slow) verdicts, indexed by the decision.
+        self.bank_aware_verdicts = (
+            metrics.counter("decision.bank_aware.normal",
+                            from_first_bump=True),
+            metrics.counter("decision.bank_aware.slow", from_first_bump=True),
+        )
 
 
 class ControllerStats:
@@ -182,11 +188,12 @@ class MemoryController:
             return events.now
 
         self._sanitize = resolve(sanitize)
-        self.telemetry = telemetry
         self._ts: Optional[_ControllerTelemetry] = (
             _ControllerTelemetry(telemetry, self.amap.num_banks)
             if telemetry.enabled else None
         )
+        self._bank_aware_verdicts = (
+            self._ts.bank_aware_verdicts if self._ts is not None else None)
         self.read_q = RequestQueue(read_queue_entries, "read", clock=clock,
                                    sanitize=self._sanitize,
                                    telemetry=telemetry,
@@ -603,7 +610,7 @@ class MemoryController:
                             self.quota.is_slow_only(bank_index)
                             if self.quota else False
                         ),
-                        telemetry=self.telemetry,
+                        verdicts=self._bank_aware_verdicts,
                     )
             request.speed_factor = factor
         slow = factor > 1.0

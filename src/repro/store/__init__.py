@@ -14,6 +14,7 @@ from repro.store.codec import (
     CACHE_SCHEMA_VERSION,
     CacheEntryError,
     atomic_write_bytes,
+    atomic_write_chunks,
     atomic_write_text,
     entry_from_json,
     entry_to_json,
@@ -39,6 +40,7 @@ __all__ = [
     "MemoryStore",
     "StoreEntry",
     "atomic_write_bytes",
+    "atomic_write_chunks",
     "atomic_write_text",
     "cache_clear",
     "cache_stats",

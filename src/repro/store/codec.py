@@ -22,7 +22,7 @@ import os
 import tempfile
 from dataclasses import fields
 from pathlib import Path
-from typing import Any, Dict, List
+from typing import Any, Dict, Iterable, List
 
 from repro.endurance.wear import BankWearRecord
 from repro.sim.config import SimConfig
@@ -119,12 +119,16 @@ def entry_from_json(text: str) -> RunResult:
         raise CacheEntryError(f"undecodable result: {error!r}") from error
 
 
-def atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` so readers never see a partial file.
+def atomic_write_chunks(path: Path, chunks: Iterable[bytes]) -> None:
+    """Write the concatenated ``chunks`` to ``path`` so readers never see
+    a partial file.
 
-    The temp file lives in the target directory so ``os.replace`` stays on
-    one filesystem and is atomic; concurrent writers of the same key
-    last-write-win with either complete payload.
+    Chunks are written as they are drawn, so a caller that generates its
+    payload piece by piece never holds the whole of it.  The temp file
+    lives in the target directory so ``os.replace`` stays on one
+    filesystem and is atomic; concurrent writers of the same key
+    last-write-win with either complete payload.  If drawing or writing
+    a chunk raises, the temp file is removed and ``path`` is untouched.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(
@@ -132,7 +136,8 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
     )
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -140,6 +145,12 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
         except OSError:
             pass
         raise
+
+
+def atomic_write_bytes(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` atomically (one-chunk
+    :func:`atomic_write_chunks`)."""
+    atomic_write_chunks(path, (data,))
 
 
 def atomic_write_text(path: Path, text: str) -> None:

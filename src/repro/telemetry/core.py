@@ -22,20 +22,22 @@ one and shares its cache key.
 
 Each file is written atomically (temp file + ``os.replace``) and the
 manifest goes last, so a directory containing ``manifest.json`` is
-always a complete bundle - the result cache relies on this.
+always a complete bundle - the result cache relies on this.  The two
+trace files are streamed a chunk at a time, so export memory does not
+grow with the ring.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import (Any, Callable, ClassVar, Dict, List, NoReturn, Optional,
-                    Sequence)
+from typing import (Any, Callable, ClassVar, Dict, Iterable, List, NoReturn,
+                    Optional, Sequence)
 
-from repro.store.codec import atomic_write_text
+from repro.store.codec import atomic_write_chunks, atomic_write_text
 from repro.telemetry.heatmap import WearHeatmap
 from repro.telemetry.metrics import MetricRegistry
-from repro.telemetry.tracer import EventTracer, chrome_trace_json
+from repro.telemetry.tracer import EventTracer, chrome_trace_chunks
 
 MANIFEST_NAME = "manifest.json"
 TELEMETRY_SCHEMA_VERSION = 1
@@ -125,13 +127,14 @@ class Telemetry:
             heatmap_payload, indent=2, sort_keys=True))
         written.append(heatmap_path)
 
+        # The trace files scale with the ring; they stream chunk by chunk.
         jsonl_path = out_dir / "trace.jsonl"
-        atomic_write_text(jsonl_path, self.tracer.to_jsonl())
+        _write_text_chunks(jsonl_path, self.tracer.jsonl_chunks())
         written.append(jsonl_path)
 
         chrome_path = out_dir / "trace.chrome.json"
-        atomic_write_text(chrome_path,
-                           chrome_trace_json(self.tracer, self.metrics))
+        _write_text_chunks(chrome_path,
+                           chrome_trace_chunks(self.tracer, self.metrics))
         written.append(chrome_path)
 
         manifest_path = out_dir / MANIFEST_NAME
@@ -139,6 +142,11 @@ class Telemetry:
             self.manifest(), indent=2, sort_keys=True))
         written.append(manifest_path)
         return written
+
+
+def _write_text_chunks(path: Path, chunks: Iterable[str]) -> None:
+    """Atomically write UTF-8 text drawn chunk by chunk."""
+    atomic_write_chunks(path, (chunk.encode("utf-8") for chunk in chunks))
 
 
 class NullTelemetry(Telemetry):

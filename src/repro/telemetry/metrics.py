@@ -127,6 +127,8 @@ class MetricRegistry:
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
+        # from_first_bump counters still at zero: not sampled yet.
+        self._unbumped: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._probes: Dict[str, Probe] = {}
@@ -142,11 +144,22 @@ class MetricRegistry:
                              "instrument kind")
         self._names.add(name)
 
-    def counter(self, name: str) -> Counter:
+    def counter(self, name: str, *, from_first_bump: bool = False) -> Counter:
+        """Get or create the counter ``name``.
+
+        A counter created ``from_first_bump`` samples as if it had been
+        created at its first increment: its series starts at the first
+        sample that finds it nonzero, back-filled with ``None`` like any
+        late instrument.  A call site can then resolve it once up front
+        without adding a column of zeros for an event that may never
+        happen.
+        """
         existing = self._counters.get(name)
         if existing is None:
             self._claim(name, self._counters)
             existing = self._counters[name] = Counter(name)
+            if from_first_bump:
+                self._unbumped[name] = existing
         return existing
 
     def gauge(self, name: str) -> Gauge:
@@ -192,8 +205,13 @@ class MetricRegistry:
         """Record one epoch: snapshot every instrument and probe."""
         index = len(self.sample_times_ns)
         self.sample_times_ns.append(now_ns)
+        unbumped = self._unbumped
+        for name in [name for name, counter in unbumped.items()
+                     if counter.value]:
+            del unbumped[name]
         for name, counter in self._counters.items():
-            self._append(index, name, counter.value)
+            if name not in unbumped:
+                self._append(index, name, counter.value)
         for name, gauge in self._gauges.items():
             self._append(index, name, gauge.value)
         for name, fn in self._probes.items():

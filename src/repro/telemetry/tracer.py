@@ -23,6 +23,12 @@ Two export formats:
   (https://ui.perfetto.dev opens it directly).  Issue/complete pairs
   become duration ("X") slices on a per-bank track, point events become
   instants ("i"), and sampled metric series become counter ("C") tracks.
+
+Each format has one serialiser, a generator of text chunks covering at
+most :data:`_CHUNK_RECORDS` records each (:meth:`EventTracer.jsonl_chunks`,
+:func:`chrome_trace_chunks`).  ``Telemetry.write`` streams the chunks to
+disk, so exporting a full ring holds one chunk of text at a time rather
+than the whole file; the string exports join the same chunks.
 """
 
 from __future__ import annotations
@@ -30,7 +36,9 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
+from itertools import islice
+from typing import (Any, Callable, Deque, Dict, Iterator, List, Optional,
+                    Tuple, TypeVar)
 
 from repro.telemetry.metrics import MetricRegistry
 
@@ -68,6 +76,40 @@ _SLICE_CLOSERS = (EV_COMPLETE, EV_CANCEL)
 #: The ring's internal record layout (field order of :class:`TraceEvent`).
 _Record = Tuple[float, str, int, int, int, float, str]
 
+#: Records (or Chrome events) serialised per export chunk: enough that
+#: per-chunk overhead vanishes, few enough that one chunk's text stays a
+#: few hundred KB however large the ring.
+_CHUNK_RECORDS = 2048
+
+_T = TypeVar("_T")
+
+
+def _batches(items: Iterator[_T]) -> Iterator[List[_T]]:
+    """Consecutive lists of up to :data:`_CHUNK_RECORDS` items."""
+    while True:
+        batch = list(islice(items, _CHUNK_RECORDS))
+        if not batch:
+            return
+        yield batch
+
+
+def _string_encoder() -> Callable[[str], str]:
+    """``json.dumps`` for strings, memoised.
+
+    Event kinds, details and slice names are low-cardinality strings, and
+    running ``json.dumps`` per record was the bulk of export time at full
+    ring capacity.
+    """
+    encoded: Dict[str, str] = {}
+
+    def enc(text: str) -> str:
+        cached = encoded.get(text)
+        if cached is None:
+            cached = encoded[text] = json.dumps(text)
+        return cached
+
+    return enc
+
 
 @dataclass
 class TraceEvent:
@@ -94,17 +136,6 @@ class TraceEvent:
     req_id: int = -1
     factor: float = 0.0
     detail: str = ""
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "t_ns": self.t_ns,
-            "kind": self.kind,
-            "bank": self.bank,
-            "block": self.block,
-            "req_id": self.req_id,
-            "factor": self.factor,
-            "detail": self.detail,
-        }
 
 
 class EventTracer:
@@ -136,36 +167,21 @@ class EventTracer:
         """Current ring contents as :class:`TraceEvent`, oldest first."""
         return [TraceEvent(*record) for record in self._ring]
 
-    def raw(self) -> List[_Record]:
-        """Current ring contents as bare tuples, oldest first."""
-        return list(self._ring)
+    def jsonl_chunks(self) -> Iterator[str]:
+        """The JSONL export in chunks: one compact JSON object per event,
+        each line newline-terminated, oldest first."""
+        enc = _string_encoder()
+        for batch in _batches(iter(self._ring)):
+            yield "".join([
+                f'{{"t_ns":{t_ns},"kind":{enc(kind)},"bank":{bank},'
+                f'"block":{block},"req_id":{req_id},"factor":{factor},'
+                f'"detail":{enc(detail)}}}\n'
+                for t_ns, kind, bank, block, req_id, factor, detail in batch
+            ])
 
     def to_jsonl(self) -> str:
-        """One compact JSON object per event, newline separated.
-
-        ``kind`` and ``detail`` encodings are memoised: both are
-        low-cardinality strings, and running ``json.dumps`` per record
-        was the bulk of export time at full ring capacity.
-        """
-        encoded: Dict[str, str] = {}
-
-        def enc(text: str) -> str:
-            cached = encoded.get(text)
-            if cached is None:
-                cached = encoded[text] = json.dumps(text)
-            return cached
-
-        lines = [
-            f'{{"t_ns":{t_ns},"kind":{enc(kind)},"bank":{bank},'
-            f'"block":{block},"req_id":{req_id},"factor":{factor},'
-            f'"detail":{enc(detail)}}}'
-            for t_ns, kind, bank, block, req_id, factor, detail in self._ring
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def iter_dicts(self) -> Iterator[Dict[str, Any]]:
-        for record in self._ring:
-            yield TraceEvent(*record).to_dict()
+        """The whole JSONL export as one string ("" for an empty ring)."""
+        return "".join(self.jsonl_chunks())
 
 
 def _counter_track_name(series_name: str) -> bool:
@@ -173,11 +189,10 @@ def _counter_track_name(series_name: str) -> bool:
     return not series_name.startswith("hist.")
 
 
-def chrome_trace_json(tracer: EventTracer,
-                      metrics: Optional[MetricRegistry] = None,
-                      process_name: str = "repro-sim") -> str:
-    """Serialise the Chrome ``trace_event`` document straight to compact
-    JSON text (what ``Telemetry.write`` puts in ``trace.chrome.json``).
+def _chrome_events(tracer: EventTracer,
+                   metrics: Optional[MetricRegistry],
+                   process_name: str) -> Iterator[str]:
+    """Each event of the Chrome document as compact JSON, in order.
 
     Layout: one fake process, one thread ("track") per bank plus track 0
     for bank-less events.  Timestamps are microseconds as the format
@@ -192,31 +207,20 @@ def chrome_trace_json(tracer: EventTracer,
     Numbers go through ``repr``, which matches ``json.dumps`` exactly
     for the ints and finite floats that reach this point.
     """
-    records = tracer.raw()
-    encoded: Dict[str, str] = {}
+    ring = tracer._ring
+    enc = _string_encoder()
 
-    def enc(text: str) -> str:
-        cached = encoded.get(text)
-        if cached is None:
-            cached = encoded[text] = json.dumps(text)
-        return cached
-
-    parts: List[str] = [
-        f'{{"name":"process_name","ph":"M","pid":1,"tid":0,'
-        f'"args":{{"name":{enc(process_name)}}}}}'
-    ]
-
-    banks = sorted({record[2] for record in records if record[2] >= 0})
-    for bank in banks:
-        parts.append(
-            f'{{"name":"thread_name","ph":"M","pid":1,"tid":{bank + 1},'
-            f'"args":{{"name":"bank {bank}"}}}}')
-    parts.append('{"name":"thread_name","ph":"M","pid":1,"tid":0,'
-                 '"args":{"name":"system"}}')
+    yield (f'{{"name":"process_name","ph":"M","pid":1,"tid":0,'
+           f'"args":{{"name":{enc(process_name)}}}}}')
+    for bank in sorted({record[2] for record in ring if record[2] >= 0}):
+        yield (f'{{"name":"thread_name","ph":"M","pid":1,"tid":{bank + 1},'
+               f'"args":{{"name":"bank {bank}"}}}}')
+    yield ('{"name":"thread_name","ph":"M","pid":1,"tid":0,'
+           '"args":{"name":"system"}}')
 
     # Pair issue -> complete/cancel per (bank, req_id) into "X" slices.
     open_issues: Dict[Tuple[int, int], _Record] = {}
-    for record in records:
+    for record in ring:
         t_ns, kind, bank, block, req_id, factor, detail = record
         tid = bank + 1 if bank >= 0 else 0
         if kind in _SLICE_OPENERS:
@@ -231,30 +235,27 @@ def chrome_trace_json(tracer: EventTracer,
                     name = f"{name} x{open_factor:g}"
                 if kind == EV_CANCEL:
                     name = f"{name} (cancelled)"
-                parts.append(
-                    f'{{"name":{enc(name)},"ph":"X","pid":1,"tid":{tid},'
-                    f'"ts":{open_t / 1e3!r},"dur":{(t_ns - open_t) / 1e3!r},'
-                    f'"args":{{"block":{open_block},"req_id":{req_id},'
-                    f'"factor":{open_factor!r},"outcome":{enc(kind)}}}}}')
+                yield (f'{{"name":{enc(name)},"ph":"X","pid":1,"tid":{tid},'
+                       f'"ts":{open_t / 1e3!r},"dur":{(t_ns - open_t) / 1e3!r},'
+                       f'"args":{{"block":{open_block},"req_id":{req_id},'
+                       f'"factor":{open_factor!r},"outcome":{enc(kind)}}}}}')
                 continue
             # Closer whose opener was evicted from the ring: keep it as
             # an instant so the record is not lost entirely.
         name = f"{kind} {detail}" if detail else kind
-        parts.append(
-            f'{{"name":{enc(name)},"ph":"i","pid":1,"tid":{tid},'
-            f'"ts":{t_ns / 1e3!r},"s":"t",'
-            f'"args":{{"block":{block},"req_id":{req_id},'
-            f'"factor":{factor!r}}}}}')
+        yield (f'{{"name":{enc(name)},"ph":"i","pid":1,"tid":{tid},'
+               f'"ts":{t_ns / 1e3!r},"s":"t",'
+               f'"args":{{"block":{block},"req_id":{req_id},'
+               f'"factor":{factor!r}}}}}')
 
     # Issues still open at the end of the ring: emit as instants.
     for opener in open_issues.values():
         t_ns, _, bank, block, req_id, factor, detail = opener
         tid = bank + 1 if bank >= 0 else 0
-        parts.append(
-            f'{{"name":{enc(f"issue {detail}".rstrip())},"ph":"i","pid":1,'
-            f'"tid":{tid},"ts":{t_ns / 1e3!r},"s":"t",'
-            f'"args":{{"block":{block},"req_id":{req_id},'
-            f'"factor":{factor!r}}}}}')
+        yield (f'{{"name":{enc(f"issue {detail}".rstrip())},"ph":"i",'
+               f'"pid":1,"tid":{tid},"ts":{t_ns / 1e3!r},"s":"t",'
+               f'"args":{{"block":{block},"req_id":{req_id},'
+               f'"factor":{factor!r}}}}}')
 
     if metrics is not None:
         for name, column in sorted(metrics.series.items()):
@@ -264,12 +265,30 @@ def chrome_trace_json(tracer: EventTracer,
             for t_ns, value in zip(metrics.sample_times_ns, column):
                 if value is None:
                     continue
-                parts.append(
-                    f'{{"name":{name_json},"ph":"C","pid":1,"tid":0,'
-                    f'"ts":{t_ns / 1e3!r},"args":{{"value":{value!r}}}}}')
+                yield (f'{{"name":{name_json},"ph":"C","pid":1,"tid":0,'
+                       f'"ts":{t_ns / 1e3!r},"args":{{"value":{value!r}}}}}')
 
-    return ('{"traceEvents":[' + ",".join(parts)
-            + '],"displayTimeUnit":"ns"}')
+
+def chrome_trace_chunks(tracer: EventTracer,
+                        metrics: Optional[MetricRegistry] = None,
+                        process_name: str = "repro-sim") -> Iterator[str]:
+    """The Chrome ``trace_event`` document as compact JSON text, in
+    chunks of up to :data:`_CHUNK_RECORDS` events (what
+    ``Telemetry.write`` streams into ``trace.chrome.json``)."""
+    events = _chrome_events(tracer, metrics, process_name)
+    # The process-name record always comes first, so every later event
+    # is comma-prefixed.
+    yield '{"traceEvents":[' + next(events)
+    for batch in _batches(events):
+        yield "," + ",".join(batch)
+    yield '],"displayTimeUnit":"ns"}'
+
+
+def chrome_trace_json(tracer: EventTracer,
+                      metrics: Optional[MetricRegistry] = None,
+                      process_name: str = "repro-sim") -> str:
+    """The whole Chrome trace document as one string."""
+    return "".join(chrome_trace_chunks(tracer, metrics, process_name))
 
 
 def chrome_trace(tracer: EventTracer,
@@ -277,8 +296,8 @@ def chrome_trace(tracer: EventTracer,
                  process_name: str = "repro-sim") -> Dict[str, Any]:
     """The Chrome trace document as a Python object.
 
-    Thin wrapper parsing :func:`chrome_trace_json`, which is the actual
-    builder, so the dict and text exports cannot drift apart.
+    Thin wrapper parsing :func:`chrome_trace_json`, so the dict and text
+    exports cannot drift apart.
     """
     document: Dict[str, Any] = json.loads(
         chrome_trace_json(tracer, metrics, process_name))

@@ -24,6 +24,7 @@ from repro.sim.system import run_simulation
 from repro.store import (
     FileStore,
     MemoryStore,
+    atomic_write_chunks,
     atomic_write_text,
     cache_stats,
     entry_from_json,
@@ -426,3 +427,31 @@ class TestCodecProperty:
         restored = entry_from_json(data.decode("utf-8"))
         assert json.loads(json.dumps(result_to_dict(restored))) \
             == result_to_dict(result)
+
+
+class TestAtomicWriteChunks:
+    def test_chunks_are_concatenated(self, tmp_path):
+        path = tmp_path / "sub" / "file.bin"
+        atomic_write_chunks(path, iter([b"ab", b"", b"cd"]))
+        assert path.read_bytes() == b"abcd"
+
+    @pytest.mark.parametrize("existing", [None, b"complete payload"])
+    def test_failing_source_leaves_no_partial_file(self, tmp_path, existing):
+        """A chunk source that raises partway leaves the target as it
+        was (absent, or byte-identical) and no temp file behind."""
+        path = tmp_path / "trace.jsonl"
+        if existing is not None:
+            path.write_bytes(existing)
+
+        def chunks():
+            yield b"first chunk\n"
+            yield b"second chunk\n"
+            raise OSError("source failed")
+
+        with pytest.raises(OSError, match="source failed"):
+            atomic_write_chunks(path, chunks())
+        if existing is None:
+            assert not path.exists()
+        else:
+            assert path.read_bytes() == existing
+        assert list(tmp_path.iterdir()) == ([path] if existing else [])

@@ -9,6 +9,7 @@ bundle equality) protects the observability outputs themselves.
 
 import copy
 import json
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -20,9 +21,11 @@ from repro.store import cache_clear, cache_stats
 from repro.telemetry import (
     EV_CANCEL,
     EV_COMPLETE,
+    EV_ENQUEUE,
     EV_ISSUE,
     EV_QUOTA_TRIP,
     EVENT_KINDS,
+    MANIFEST_NAME,
     NULL_TELEMETRY,
     EventTracer,
     MetricRegistry,
@@ -93,6 +96,24 @@ class TestMetrics:
         dump = reg.to_dict()
         assert dump["series"]["early"] == [0.0, 0.0]
         assert dump["series"]["late"] == [None, 1.0]
+
+    def test_from_first_bump_counter_samples_like_a_late_counter(self):
+        """A counter resolved up front with ``from_first_bump`` must
+        sample exactly as one created at its first increment."""
+        eager, lazy = MetricRegistry(), MetricRegistry()
+        early = eager.counter("demotions", from_first_bump=True)
+        never = eager.counter("never", from_first_bump=True)
+        for registry in (eager, lazy):
+            registry.sample(1.0)
+        early.inc()
+        lazy.counter("demotions").inc()
+        for registry in (eager, lazy):
+            registry.sample(2.0)
+            registry.sample(3.0)
+        assert eager.to_dict() == lazy.to_dict()
+        assert eager.series["demotions"] == [None, 1.0, 1.0]
+        assert "never" not in eager.series
+        assert eager.counter("never") is never
 
     def test_histogram_buckets_and_overflow(self):
         reg = MetricRegistry()
@@ -218,6 +239,110 @@ class TestChromeTrace:
         text = chrome_trace_json(tracer, reg)
         assert text == json.dumps(json.loads(text), separators=(",", ":"))
         assert chrome_trace(tracer, reg) == json.loads(text)
+
+
+# --------------------------------------------------------------------------
+# Streaming bundle export
+# --------------------------------------------------------------------------
+
+def full_ring_telemetry():
+    """Telemetry whose 65536-record ring is full and spans many export
+    chunks, with every pairing case the Chrome export handles: an issue
+    completed tens of thousands of records later, a closer whose opener
+    was evicted, and an issue still open at the end."""
+    telemetry = Telemetry(num_banks=16, clock=lambda: 0.0)
+    tracer = telemetry.tracer
+    records = [
+        (0.0, EV_ISSUE, 0, 5, 0, 3.0, "write"),   # evicted from the ring
+        (1.0, EV_COMPLETE, 0, 5, 0, 3.0, ""),     # so this closer is orphaned
+        (2.0, EV_ISSUE, 1, 6, 1, 0.0, "read"),    # completed ~40k records on
+    ]
+    req_id = 2
+    while len(records) < tracer.capacity:
+        t_ns = 12.5 * len(records)
+        bank = req_id % 16
+        records.append((t_ns, EV_ENQUEUE, bank, req_id, req_id, 0.0, "write"))
+        records.append((t_ns + 1.0, EV_ISSUE, bank, req_id, req_id, 3.0,
+                        "write"))
+        closer = EV_CANCEL if req_id % 7 == 0 else EV_COMPLETE
+        records.append((t_ns + 900.25, closer, bank, req_id, req_id, 3.0, ""))
+        if req_id % 1000 == 0:
+            records.append((t_ns + 901.0, EV_QUOTA_TRIP, bank, -1, -1, 0.0,
+                            'exceed="1.2"\n'))
+            telemetry.metrics.counter("writes").inc(float(req_id))
+            telemetry.sample_epoch(t_ns)
+        if req_id == 13_000:
+            records.append((t_ns + 902.0, EV_COMPLETE, 1, 6, 1, 0.0, ""))
+        req_id += 1
+    del records[tracer.capacity:]
+    records.append((12.5 * len(records), EV_ISSUE, 3, 9, req_id, 0.0,
+                    "read"))                      # still open at the end
+    for record in records:
+        tracer.record(*record)
+    assert len(tracer) == tracer.capacity and tracer.dropped == 1
+    return telemetry
+
+
+class TestStreamingExport:
+    def test_export_memory_is_bounded_and_bytes_match(self, tmp_path):
+        """Writing a full ring holds a few chunks, not whole files, and
+        streams exactly the bytes of the string exports."""
+        telemetry = full_ring_telemetry()
+        tracemalloc.start()
+        try:
+            written = telemetry.write(tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        total = sum(path.stat().st_size for path in written)
+        assert peak < total / 4, (peak, total)
+
+        jsonl = (tmp_path / "trace.jsonl").read_text()
+        chrome = (tmp_path / "trace.chrome.json").read_text()
+        assert jsonl == telemetry.tracer.to_jsonl()
+        assert chrome == chrome_trace_json(telemetry.tracer,
+                                           telemetry.metrics)
+        assert len(jsonl.splitlines()) == telemetry.tracer.capacity
+        events = json.loads(chrome)["traceEvents"]
+        slices = [e for e in events if e["ph"] == "X"]
+        instants = [e for e in events if e["ph"] == "i"]
+        assert any(e["args"]["req_id"] == 1 and e["name"] == "read"
+                   for e in slices)                     # cross-chunk pair
+        assert any(e["args"]["req_id"] == 0 and e["name"] == EV_COMPLETE
+                   for e in instants)                   # orphan closer
+        assert instants[-1]["name"] == "issue read"     # open at the end
+        assert any(e["ph"] == "C" for e in events)
+
+    def test_empty_ring_streams_the_string_exports(self, tmp_path):
+        telemetry = Telemetry(num_banks=2, clock=lambda: 0.0)
+        telemetry.write(tmp_path)
+        assert (tmp_path / "trace.jsonl").read_text() == ""
+        assert (tmp_path / "trace.chrome.json").read_text() == \
+            chrome_trace_json(telemetry.tracer, telemetry.metrics)
+
+    def test_failed_export_keeps_the_existing_bundle(self, tmp_path,
+                                                     monkeypatch):
+        """A chunk source that raises partway leaves the complete bundle
+        already on disk byte-identical, with no temp file behind."""
+        telemetry = full_ring_telemetry()
+        telemetry.write(tmp_path)
+        before = {path.name: path.read_bytes()
+                  for path in tmp_path.iterdir()}
+        assert MANIFEST_NAME in before
+
+        jsonl_chunks = EventTracer.jsonl_chunks
+
+        def failing_chunks(tracer):
+            for index, chunk in enumerate(jsonl_chunks(tracer)):
+                if index == 2:
+                    raise OSError("disk full")
+                yield chunk
+
+        monkeypatch.setattr(EventTracer, "jsonl_chunks", failing_chunks)
+        with pytest.raises(OSError, match="disk full"):
+            telemetry.write(tmp_path)
+        assert {path.name: path.read_bytes()
+                for path in tmp_path.iterdir()} == before
 
 
 # --------------------------------------------------------------------------
