@@ -61,7 +61,7 @@ bench-telemetry:
 bench-smoke:
 	$(PYTHON) bench/run.py --smoke
 
-# The sliced survival study with per-layer timing, including
-# checkpoint.save_ms / restore_ms / snapshot_kb.
+# The survival study with per-layer timing; its checkpoint probe times
+# a single run's checkpoint.save_ms / restore_ms / snapshot_kb.
 bench-survival:
 	$(PYTHON) bench/run.py --workload survival --trace

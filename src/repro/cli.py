@@ -433,44 +433,31 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_faults(args: argparse.Namespace) -> int:
     """Monte Carlo lifetime-to-failure comparison under fault injection.
 
-    With ``--slices > 1`` the study runs sharded: every (policy, seed)
-    sample is cut into checkpointed time slices and seeds x slices
-    scatter across the worker pool, which is bit-identical to the
-    serial study (the sliced runs share its cache entries).  Output is
-    the per-policy summary, a survival bar chart, and a Kaplan-Meier
-    table with Greenwood 95% confidence bands.
+    One sweep runs the (policy, seed) grid; its results feed the
+    per-policy summary, a survival bar chart, and a Kaplan-Meier table
+    with Greenwood 95% confidence bands.
     """
     from repro.analysis.charts import bar_chart
     from repro.experiments.faults import (
         DEFAULT_MC_SCALE,
         SURVIVAL_POLICIES,
-        sharded_survival_study,
+        survival_configs,
         survival_curve_table,
-        survival_summary,
+        survival_records,
+        survival_table,
     )
     if args.seeds < 1:
         raise CLIError(f"--seeds must be >= 1, got {args.seeds}")
-    if args.slices < 1:
-        raise CLIError(f"--slices must be >= 1, got {args.slices}")
     policies = (args.policies.split(",") if args.policies
                 else list(SURVIVAL_POLICIES))
     for name in policies:
         _validate_policy(name)
     _validate_workload(args.workload)
-    runner = Runner()
     scale = args.scale if args.scale is not None else DEFAULT_MC_SCALE
-    progress = None if args.quiet else _print_progress
-    records = sharded_survival_study(
-        runner=runner, workload=args.workload, policies=policies,
-        seeds=args.seeds, scale=scale, slices=args.slices,
-        jobs=args.jobs, checkpoint_dir=args.checkpoint_dir,
-        progress=progress,
-    )
-    # The summary replays the same grid from the cache.
-    table = survival_summary(
-        runner=runner, workload=args.workload, policies=policies,
-        seeds=args.seeds, scale=scale, jobs=args.jobs,
-    )
+    results = Runner().sweep(
+        survival_configs(args.workload, policies, args.seeds, scale=scale),
+        jobs=args.jobs, progress=None if args.quiet else _print_progress)
+    table = survival_table(policies, args.seeds, results, args.workload)
     print(render(table))
     print()
     survival = {str(row[0]): float(row[2]) for row in table.rows}
@@ -479,6 +466,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
         unit=" ns",
     ))
     print()
+    records = survival_records(policies, args.seeds, results)
     print(render(survival_curve_table(records, policies, args.workload)))
     if args.output:
         from repro.analysis.export import write_table
@@ -671,14 +659,6 @@ def build_parser() -> argparse.ArgumentParser:
     faults_parser.add_argument("--jobs", type=int, default=None,
                                help="parallel workers (default REPRO_JOBS "
                                     "or all cores)")
-    faults_parser.add_argument("--slices", type=int, default=1,
-                               help="checkpoint time slices per sample; "
-                                    ">1 shards seeds x slices across the "
-                                    "worker pool (default 1 = unsliced)")
-    faults_parser.add_argument("--checkpoint-dir", default=None,
-                               help="directory for intermediate shard "
-                                    "snapshots (default: private temp dir, "
-                                    "removed afterwards)")
     faults_parser.add_argument("--quiet", action="store_true",
                                help="suppress per-run progress on stderr")
     faults_parser.add_argument("--output", default=None,

@@ -27,9 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from pathlib import Path
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import Table
 from repro.experiments.runner import Runner, default_runner
@@ -110,16 +108,29 @@ def survival_summary(
     jobs: Optional[int] = None,
     progress: Optional[Callable[..., None]] = None,
 ) -> Table:
+    """Sweep the Monte Carlo grid and summarise it with
+    :func:`survival_table`."""
+    runner = runner if runner is not None else default_runner()
+    grid = survival_configs(workload, policies, seeds, faults, scale)
+    results = runner.sweep(grid, jobs=jobs, progress=progress)
+    return survival_table(policies, seeds, results, workload)
+
+
+def survival_table(
+    policies: Sequence[str],
+    seeds: int,
+    results: Sequence[RunResult],
+    workload: str = DEFAULT_WORKLOAD,
+) -> Table:
     """Per-policy survival aggregates over the Monte Carlo seeds.
 
-    ``survival_vs_norm`` is each policy's mean survival over Norm's,
-    whatever order ``policies`` lists them in; it is ``nan`` only when
-    Norm is not among ``policies``.
+    ``results`` is the :func:`survival_configs` grid's, in its
+    policy-major order.  ``survival_vs_norm`` is each policy's mean
+    survival over Norm's, whatever order ``policies`` lists them in; it
+    is ``nan`` only when Norm is not among ``policies``.
     """
-    runner = runner if runner is not None else default_runner()
     policies = tuple(policies)
-    grid = survival_configs(workload, policies, seeds, faults, scale)
-    flat = iter(runner.sweep(grid, jobs=jobs, progress=progress))
+    flat = iter(results)
     by_policy = {
         policy: [next(flat) for _ in range(seeds)] for policy in policies
     }
@@ -162,16 +173,8 @@ def survival_summary(
 
 
 # ---------------------------------------------------------------------------
-# Sharded long-horizon studies: scatter seeds x time slices over the
-# worker pool via checkpoints, then merge the right-censored records.
+# Right-censored survival records and Kaplan-Meier curves.
 # ---------------------------------------------------------------------------
-
-#: Time slices per Monte Carlo sample in the sharded study.  Each slice
-#: is an independently schedulable unit of work: a 1000-seed study with
-#: 4 slices spreads 4000 work items over the pool instead of 1000
-#: process-pinned runs, so stragglers (slow policies survive longest)
-#: stop serializing the tail of the study.
-DEFAULT_SLICES = 4
 
 #: figfaults seed count: enough Monte Carlo mass for smooth survival
 #: curves with tight Greenwood confidence bands.
@@ -187,13 +190,14 @@ def sliced_survival_configs(
     seeds: int = DEFAULT_SEEDS,
     faults: Optional[FaultConfig] = None,
     scale: float = DEFAULT_MC_SCALE,
-    slices: int = DEFAULT_SLICES,
+    slices: int = 4,
 ) -> List[SimConfig]:
-    """The Monte Carlo grid with each run cut into ``slices`` segments.
+    """The Monte Carlo grid with each run set to pause ``slices`` times.
 
-    ``checkpoint_every`` sits outside the cache key, so these configs
-    share cache entries with the unsliced :func:`survival_configs` grid
-    bit-for-bit.
+    The pauses take effect only in a single run (``System.run`` or
+    ``continue_run``); a sweep runs these configs straight through.
+    ``checkpoint_every`` sits outside the cache key, so they share cache
+    entries with the :func:`survival_configs` grid bit-for-bit.
     """
     if slices < 1:
         raise ValueError(f"slices must be >= 1, got {slices}")
@@ -216,7 +220,7 @@ def survival_records(
     """Merge per-run results into right-censored survival records.
 
     One record per (policy, seed) in policy-major order - the canonical
-    merged form that serial and sharded studies must agree on
+    merged form that serial and parallel studies must agree on
     byte-for-byte.  ``observed`` False marks a censored record: the run
     outlived its window, so ``time_ns`` is a lower bound.
     """
@@ -235,36 +239,6 @@ def survival_records(
         for policy in policies
         for seed, result in zip(range(1, seeds + 1), flat)
     ]
-
-
-def sharded_survival_study(
-    runner: Optional[Runner] = None,
-    workload: str = DEFAULT_WORKLOAD,
-    policies: Sequence[str] = SURVIVAL_POLICIES,
-    seeds: int = DEFAULT_SEEDS,
-    faults: Optional[FaultConfig] = None,
-    scale: float = DEFAULT_MC_SCALE,
-    slices: int = DEFAULT_SLICES,
-    jobs: Optional[int] = None,
-    checkpoint_dir: Optional[Union[str, Path]] = None,
-    progress: Optional[Callable[..., None]] = None,
-) -> List[Dict[str, Any]]:
-    """Run the Monte Carlo grid sharded across processes via checkpoints.
-
-    Returns the merged right-censored survival records in canonical
-    (policy-major, seed-ascending) order.  Because every slice chain is
-    bit-identical to a straight-through run, these records are
-    byte-for-byte those of a serial study over the same grid.
-    """
-    runner = runner if runner is not None else default_runner()
-    policies = tuple(policies)
-    grid = sliced_survival_configs(workload, policies, seeds, faults,
-                                   scale, slices)
-    results = runner.sweep(
-        grid, jobs=jobs, progress=progress,
-        checkpoint_dir=None if checkpoint_dir is None
-        else Path(checkpoint_dir))
-    return survival_records(policies, seeds, results)
 
 
 def kaplan_meier(
@@ -363,12 +337,14 @@ def figfaults_survival(runner: Optional[Runner] = None,
                        workloads: Optional[Sequence[str]] = None) -> Table:
     """Figure-registry entry point (first workload only, if given).
 
-    A 1000-seed sharded survival study: seeds x time slices scatter over
-    the worker pool via checkpoints, and the merged records feed the
-    Kaplan-Meier summary with confidence bands.  All 3000 samples land
-    in the result cache, so regeneration is incremental.
+    A 1000-seed survival study swept once over the worker pool; the
+    merged records feed the Kaplan-Meier summary with confidence bands.
+    All 3000 samples land in the result cache, so regeneration is
+    incremental.
     """
+    runner = runner if runner is not None else default_runner()
     workload = workloads[0] if workloads else DEFAULT_WORKLOAD
-    records = sharded_survival_study(
-        runner=runner, workload=workload, seeds=FIGFAULTS_SEEDS)
+    results = runner.sweep(
+        survival_configs(workload=workload, seeds=FIGFAULTS_SEEDS))
+    records = survival_records(SURVIVAL_POLICIES, FIGFAULTS_SEEDS, results)
     return survival_curve_table(records, workload=workload)

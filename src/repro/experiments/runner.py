@@ -41,8 +41,6 @@ from __future__ import annotations
 import logging
 import os
 import pickle
-import shutil
-import tempfile
 from concurrent.futures import (FIRST_COMPLETED, Future, ProcessPoolExecutor,
                                 wait)
 from dataclasses import dataclass, replace
@@ -135,49 +133,23 @@ def _warm_state(config: SimConfig) -> bytes:
     return blob
 
 
-def _advance_slice(config: SimConfig, snapshot_path: Optional[str],
-                   next_snapshot_path: str,
-                   warm: Optional[bytes] = None) -> tuple:
-    """Sweep worker entry point: run one checkpoint segment of a run.
+def _simulate(config: SimConfig, warm: Optional[bytes] = None) -> dict:
+    """Sweep worker entry point: run one config straight through.
 
-    The first slice of a run starts from the config, warmed up by
-    restoring ``warm`` (a :func:`_warm_state` blob) when one is given;
-    later slices resume from the snapshot the previous slice (possibly
-    in a *different* process) wrote.  Returns ``("pending", path)``
-    after writing the next snapshot, or ``("done", result_dict)`` when
-    the run completed - at once for a config without
-    ``checkpoint_every``.  Results travel as
-    plain dicts, exactly what the parent writes to the store; the parent
-    process owns all store traffic.  Telemetry is the one exception:
-    the run's last slice writes the bundle into ``telemetry_dir``
-    (atomically, manifest last), which is the store's bundle directory.
-
-    A snapshot that fails validation - truncated, bit-flipped, or from a
-    mismatched environment - is not fatal: the worker warns and
-    re-simulates the whole run from scratch, which is bit-identical to
-    the interrupted one (the checkpoint equivalence contract), exactly
-    like the store layer's unreadable-entry fallback.
+    The run warms up by restoring ``warm`` (a :func:`_warm_state` blob)
+    when one is given.  ``checkpoint_every`` and ``checkpoint_dir`` are
+    dropped: a sweep runs each miss whole and writes no snapshot, which
+    is bit-identical to pausing along the way (the checkpoint
+    equivalence contract).  The result travels as a plain dict, exactly
+    what the parent writes to the store; the parent process owns all
+    store traffic.  Telemetry is the one exception: the run writes its
+    bundle into ``telemetry_dir`` (atomically, manifest last), which is
+    the store's bundle directory.
     """
-    if snapshot_path is None:
-        system = System(config)
-        system.start_run(None if warm is None else pickle.loads(warm))
-    else:
-        from repro.checkpoint import CheckpointError, restore_system
-        try:
-            system = restore_system(snapshot_path)
-        except (CheckpointError, FileNotFoundError, OSError) as error:
-            logger.warning(
-                "snapshot %s unusable (%s); re-simulating from scratch",
-                snapshot_path, error)
-            return ("done", result_to_dict(run_simulation(
-                replace(config, checkpoint_dir=None))))
-    result = system.continue_run()
-    if result is not None:
-        return ("done", result_to_dict(result))
-    from repro.checkpoint import save_snapshot
-    save_snapshot(system, next_snapshot_path)
-    system.release()
-    return ("pending", next_snapshot_path)
+    system = System(replace(config, checkpoint_every=None,
+                            checkpoint_dir=None))
+    system.start_run(None if warm is None else pickle.loads(warm))
+    return result_to_dict(system.continue_run())
 
 
 class Runner:
@@ -278,7 +250,6 @@ class Runner:
               jobs: Optional[int] = None,
               progress: Optional[ProgressCallback] = None,
               apply_env_scale: bool = True,
-              checkpoint_dir: Optional[Path] = None,
               ) -> List[RunResult]:
         """Run a grid of configs, fanning cache misses out over processes.
 
@@ -288,27 +259,19 @@ class Runner:
         ``REPRO_JOBS`` (or all cores); ``progress`` receives one
         :class:`SweepProgress` per completed run.
 
-        Every miss runs as a chain of :func:`_advance_slice` segments.  A
-        config carrying ``checkpoint_every`` pauses at each boundary and
-        whichever worker is free picks up the next slice from the
-        snapshot the previous one wrote, so a long-horizon study
-        scatters *seeds x time slices* across the pool instead of
-        pinning each seed to one process for its whole lifetime; any
-        other config finishes in its first slice and writes no snapshot.
-        Slicing is bit-identical to straight-through execution
-        (``tests/test_checkpoint.py``), so neither results nor cache
-        entries depend on it.  Snapshots live in ``checkpoint_dir`` (a
-        private temporary directory by default, removed afterwards), and
-        each is deleted once its successor slice completes.  A config's
-        own ``checkpoint_dir`` is never read here: it is the single-run
-        knob behind ``repro run --checkpoint-dir``.
+        Every miss is one :func:`_simulate` task that runs its config
+        straight through.  A config's ``checkpoint_every`` and
+        ``checkpoint_dir`` are ignored: they are the single-run knobs
+        behind ``repro run --checkpoint-every/--checkpoint-dir``, and a
+        pause changes no result (``tests/test_checkpoint.py``), so
+        neither results nor cache entries depend on them.
 
         Functional warm-up depends only on :meth:`SimConfig.warm_key`, not
         on the write policy.  When two or more misses share a warm key
         and their workload is a profile (a mix's trace cannot be
         captured), one :func:`_warm_state` task warms up once and each of
-        those runs restores its state in its first slice; restoring is
-        bit-identical to warming up (``tests/test_golden_sweep.py``).
+        those runs restores its state, which is bit-identical to warming
+        up (``tests/test_golden_sweep.py``).
         Warm states live only for the sweep, as ``bytes`` in this process.
 
         ``apply_env_scale=False`` skips the ``REPRO_SCALE`` rescaling:
@@ -350,10 +313,10 @@ class Runner:
                 report(i, cached, from_cache=True)
 
         runs = list(misses.values())
+        lead = [configs[indices[0]] for indices in runs]
         # Runs sharing a warm key, in run order; singletons warm up alone.
         warm_keys: Dict[tuple, List[int]] = {}
-        for run, indices in enumerate(runs):
-            config = configs[indices[0]]
+        for run, config in enumerate(lead):
             if config.workload in WORKLOAD_NAMES:
                 warm_keys.setdefault(config.warm_key(), []).append(run)
         warm_groups = [group for group in warm_keys.values()
@@ -363,93 +326,68 @@ class Runner:
 
         def warm_config(number: int) -> SimConfig:
             """The config warm group ``number`` warms up under."""
-            return configs[runs[warm_groups[number][0]][0]]
+            return lead[warm_groups[number][0]]
 
-        slice_counts = [0] * len(runs)
-        snapshots: List[Optional[str]] = [None] * len(runs)
-        own_dir = checkpoint_dir is None
-        directory = (Path(tempfile.mkdtemp(prefix="repro-slices-"))
-                     if own_dir else Path(checkpoint_dir))
-        directory.mkdir(parents=True, exist_ok=True)
-
-        def next_slice(run: int) -> tuple:
-            """Arguments of ``run``'s next :func:`_advance_slice` call."""
-            config = configs[runs[run][0]]
-            slice_counts[run] += 1
-            target = directory / (f"{config.cache_digest()}-{run:04d}"
-                                  f"-slice-{slice_counts[run]:04d}.ckpt")
-            return config, snapshots[run], str(target)
-
-        def settle(run: int, outcome: tuple) -> bool:
-            """Take one slice's outcome; True while ``run`` has more."""
-            status, payload = outcome
-            if snapshots[run] is not None:
-                Path(snapshots[run]).unlink(missing_ok=True)
-            if status == "pending":
-                snapshots[run] = payload
-                return True
-            indices = runs[run]
+        def settle(run: int, payload: dict) -> None:
+            """Store and report one finished run."""
             result = result_from_dict(payload)
             self.simulated += 1
-            self._store_result(configs[indices[0]], result)
-            for j, index in enumerate(indices):
+            self._store_result(lead[run], result)
+            for j, index in enumerate(runs[run]):
                 if j:
                     self.cache_hits += 1
                 report(index, result, from_cache=bool(j))
-            return False
 
-        try:
-            if len(runs) <= 1 or jobs <= 1:
-                blobs: Dict[int, bytes] = {}
-                for run in range(len(runs)):
-                    warm = None
-                    number = group_of.get(run)
-                    if number is not None:
-                        if number not in blobs:
-                            blobs[number] = _warm_state(warm_config(number))
-                        warm = blobs[number]
-                        if run == warm_groups[number][-1]:
-                            del blobs[number]
-                    outcome = _advance_slice(*next_slice(run), warm)
-                    while settle(run, outcome):
-                        outcome = _advance_slice(*next_slice(run))
-            else:
-                with ProcessPoolExecutor(
-                        max_workers=min(jobs, len(runs))) as pool:
-                    # A future maps to ("warm", group) or ("run", run).
-                    futures: Dict[Future, Tuple[str, int]] = {
-                        pool.submit(_warm_state, warm_config(number)):
-                        ("warm", number)
-                        for number in range(len(warm_groups))}
-                    futures.update(
-                        (pool.submit(_advance_slice, *next_slice(run)),
-                         ("run", run))
-                        for run in range(len(runs)) if run not in group_of)
-                    while futures:
-                        done, _pending = wait(futures,
-                                              return_when=FIRST_COMPLETED)
-                        for future in done:
-                            kind, index = futures.pop(future)
-                            if kind == "warm":
-                                blob = future.result()
-                                futures.update(
-                                    (pool.submit(_advance_slice,
-                                                 *next_slice(run), blob),
-                                     ("run", run))
-                                    for run in warm_groups[index])
-                            elif settle(index, future.result()):
-                                futures[pool.submit(
-                                    _advance_slice,
-                                    *next_slice(index))] = ("run", index)
-        finally:
-            if own_dir:
-                shutil.rmtree(directory, ignore_errors=True)
+        if len(runs) <= 1 or jobs <= 1:
+            blobs: Dict[int, bytes] = {}
+            for run in range(len(runs)):
+                warm = None
+                number = group_of.get(run)
+                if number is not None:
+                    if number not in blobs:
+                        blobs[number] = _warm_state(warm_config(number))
+                    warm = blobs[number]
+                    if run == warm_groups[number][-1]:
+                        del blobs[number]
+                settle(run, _simulate(lead[run], warm))
+        else:
+            with ProcessPoolExecutor(
+                    max_workers=min(jobs, len(runs))) as pool:
+                # A future maps to ("warm", group) or ("run", run).
+                futures: Dict[Future, Tuple[str, int]] = {
+                    pool.submit(_warm_state, warm_config(number)):
+                    ("warm", number)
+                    for number in range(len(warm_groups))}
+                futures.update(
+                    (pool.submit(_simulate, lead[run]), ("run", run))
+                    for run in range(len(runs)) if run not in group_of)
+                while futures:
+                    done, _pending = wait(futures,
+                                          return_when=FIRST_COMPLETED)
+                    for future in done:
+                        kind, index = futures.pop(future)
+                        if kind == "warm":
+                            blob = future.result()
+                            futures.update(
+                                (pool.submit(_simulate, lead[run], blob),
+                                 ("run", run))
+                                for run in warm_groups[index])
+                        else:
+                            settle(index, future.result())
 
         return [results[i] for i in range(total)]
 
-    # bench/workloads.py still calls the old name, and the benchmark's
-    # files change only together with the benchmark; drop it with them.
-    sweep_sliced = sweep
+    def sweep_sliced(self, configs: Iterable[SimConfig],
+                     jobs: Optional[int] = None,
+                     apply_env_scale: bool = True,
+                     checkpoint_dir: Optional[Path] = None,
+                     ) -> List[RunResult]:
+        """:meth:`sweep` under the name ``bench/workloads.py`` still
+        calls; ``checkpoint_dir`` is ignored.  The benchmark-upkeep item
+        in ROADMAP.md deletes this with the next change to the
+        benchmark, whose files change only together."""
+        return self.sweep(configs, jobs=jobs,
+                          apply_env_scale=apply_env_scale)
 
 
 _default_runner: Optional[Runner] = None

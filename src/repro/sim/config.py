@@ -103,10 +103,10 @@ class SimConfig:
     # Checkpoint/resume (repro.checkpoint).  ``checkpoint_every`` pauses
     # the run at an event boundary every N processed LLC accesses;
     # ``checkpoint_dir`` is where the paused run drops snapshot files
-    # (None = pause without persisting, which callers like the sharded
-    # survival study use to hand snapshots around themselves).  Sliced
-    # runs are bit-identical to straight-through ones, so neither knob
-    # enters cache_key().
+    # (None = pause without persisting, so a caller holding the system
+    # can capture it itself).  Both are single-run knobs: a sweep runs
+    # every miss straight through.  Sliced runs are bit-identical to
+    # straight-through ones, so neither knob enters cache_key().
     checkpoint_every: Optional[int] = None
     checkpoint_dir: Optional[str] = None
     # Fault injection (repro.faults).  None (the default) disables the

@@ -436,11 +436,11 @@ class System:
         """Drain events until completion or the next checkpoint pause.
 
         Returns ``None`` when the run paused at a ``checkpoint_every``
-        boundary (capture a snapshot, then call again - or restore the
-        snapshot elsewhere and call there); returns the collected
-        :class:`RunResult` once the run completes.  A restored system
-        resumes here directly: :meth:`start_run` must not be called
-        again, its work is part of the captured state.
+        boundary (capture a snapshot, then call again); returns the
+        collected :class:`RunResult` once the run completes.  A system
+        restored from a snapshot (``repro resume``) resumes here
+        directly: :meth:`start_run` must not be called again, its work
+        is part of the captured state.
         """
         self._paused = False
         self.core.stop_requested = False
@@ -511,8 +511,8 @@ class System:
         its LLC) alive until a whole-heap collection.  Clearing them
         ends the run for good but keeps every statistic readable and the
         telemetry bundle writable.  :meth:`continue_run` calls this when
-        it returns a result; sliced sweeps call it after a paused
-        slice's snapshot is written.  Calling it twice is harmless.
+        it returns a result; a sweep's warm-up task calls it once the
+        warm state is captured.  Calling it twice is harmless.
         """
         events = self.events
         events._heap.clear()

@@ -20,8 +20,15 @@ from __future__ import annotations
 
 import base64
 import dataclasses
+import gc
 import hashlib
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+import weakref
 import zlib
 from array import array
 from pathlib import Path
@@ -556,6 +563,77 @@ def test_pause_without_dir_is_invisible(tmp_path: Path) -> None:
     sliced = dataclasses.replace(config, checkpoint_every=500)
     assert json.dumps(run_result_to_dict(System(sliced).run()),
                       sort_keys=True) == _straight_json(config)
+
+
+def test_release_frees_a_paused_system_without_the_collector() -> None:
+    """Snapshot capture and restore pause the cyclic collector, so a
+    caller that drops a paused system must not leave it for the
+    collector: ``release`` lets reference counting alone reclaim it."""
+    config = SimConfig(workload="zeusmp", policy="Slow+SC", seed=1,
+                       faults=FAULTS).scaled(0.01)
+    system = System(dataclasses.replace(config, checkpoint_every=(
+        config.warmup_accesses + config.measure_accesses) // 3))
+    system.start_run()
+    assert system.continue_run() is None
+    alive = weakref.ref(system)
+    gc.disable()
+    try:
+        system.release()
+        del system
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+_CHILD_SCRIPT = """
+import sys
+from repro.experiments.faults import default_fault_config
+from repro.sim.config import SimConfig
+from repro.sim.system import System
+
+config = SimConfig(workload="zeusmp", policy="Slow+SC", seed=2,
+                   faults=default_fault_config(),
+                   checkpoint_every=400,
+                   checkpoint_dir=sys.argv[1]).scaled(0.01)
+System(config).run()
+"""
+
+
+def test_sigterm_resume_equals_uninterrupted(tmp_path: Path) -> None:
+    """Kill a checkpointing run with SIGTERM mid-flight, resume from the
+    newest snapshot, and require the exact uninterrupted result.
+    Atomic snapshot writes guarantee the newest file is complete even
+    though the process died without warning."""
+    snap_dir = tmp_path / "snaps"
+    child = subprocess.Popen(
+        [sys.executable, "-c", _CHILD_SCRIPT, str(snap_dir)],
+        env={**os.environ, "PYTHONPATH": "src"},
+        cwd=str(Path(__file__).resolve().parent.parent),
+    )
+    try:
+        deadline = time.monotonic() + 120.0   # simlint: ignore[SIM003] -- real child wait
+        while time.monotonic() < deadline:   # simlint: ignore[SIM003] -- real child wait
+            if snap_dir.is_dir() and any(snap_dir.glob("*.ckpt")):
+                break
+            if child.poll() is not None:
+                break
+            time.sleep(0.02)
+        else:
+            pytest.fail("child never wrote a snapshot")
+        child.send_signal(signal.SIGTERM)
+        child.wait(timeout=60)
+    finally:
+        if child.poll() is None:
+            child.kill()
+            child.wait(timeout=60)
+
+    snapshots = sorted(snap_dir.glob("*.ckpt"))
+    assert snapshots, "no snapshot survived the SIGTERM"
+    resumed = restore_system(snapshots[-1]).finish_run()
+    straight = SimConfig(workload="zeusmp", policy="Slow+SC", seed=2,
+                         faults=FAULTS).scaled(0.01)
+    assert (json.dumps(run_result_to_dict(resumed), sort_keys=True)
+            == _straight_json(straight))
 
 
 # ---------------------------------------------------------------------------

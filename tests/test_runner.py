@@ -1,13 +1,19 @@
 """Tests for the sweep runner and its persistent cache."""
 
 import json
+import tempfile
+from dataclasses import replace
 
 import pytest
 
+import repro.checkpoint
+import repro.checkpoint.snapshot
+from repro.experiments.faults import (sliced_survival_configs,
+                                      survival_configs, survival_records)
 from repro.experiments.runner import Runner, selected_workloads
 from repro.sim.config import SimConfig
 from repro.sim.system import run_simulation
-from repro.store import result_from_dict, result_to_dict
+from repro.store import MemoryStore, result_from_dict, result_to_dict
 
 TINY = dict(warmup_accesses=2000, measure_accesses=3000,
             llc_size_bytes=128 * 1024)
@@ -90,3 +96,72 @@ class TestEnvSelection:
         monkeypatch.setenv("REPRO_WORKLOADS", "nosuch")
         with pytest.raises(ValueError):
             selected_workloads()
+
+
+class TestSweepRunsStraightThrough:
+    """A sweep runs every miss whole: the checkpoint knobs are single-run
+    features, so a config's ``checkpoint_every`` and ``checkpoint_dir``
+    change neither what a sweep returns nor what it writes."""
+
+    POLICIES = ("Norm", "Slow+SC")
+    SEEDS = 3
+    SCALE = 0.01
+
+    @pytest.fixture(autouse=True)
+    def no_snapshots(self, monkeypatch):
+        """Any snapshot save fails the sweep (pool workers fork with
+        this patch in place)."""
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a sweep wrote a snapshot")
+
+        for module in (repro.checkpoint, repro.checkpoint.snapshot):
+            monkeypatch.setattr(module, "save_snapshot", refuse)
+
+    def test_survival_records_serial_equal_pool(self):
+        records = []
+        for jobs in (1, 2):
+            runner = Runner(store=MemoryStore())
+            results = runner.sweep(
+                survival_configs(policies=self.POLICIES, seeds=self.SEEDS,
+                                 scale=self.SCALE), jobs=jobs)
+            assert runner.simulated == len(self.POLICIES) * self.SEEDS
+            records.append(json.dumps(
+                survival_records(self.POLICIES, self.SEEDS, results),
+                sort_keys=True))
+        assert records[0] == records[1]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_checkpoint_fields_ignored(self, jobs, tmp_path, monkeypatch):
+        snapshots = tmp_path / "snapshots"
+        grid = [replace(config, checkpoint_dir=str(snapshots))
+                for config in sliced_survival_configs(
+                    policies=self.POLICIES, seeds=self.SEEDS,
+                    scale=self.SCALE, slices=3)]
+        assert all(config.checkpoint_every for config in grid)
+        expected = Runner(store=MemoryStore()).sweep(
+            [replace(config, checkpoint_every=None, checkpoint_dir=None)
+             for config in grid], jobs=1)
+
+        temp = tmp_path / "temp"
+        temp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp))
+        seen = []
+        results = Runner(store=MemoryStore()).sweep(
+            grid, jobs=jobs,
+            progress=lambda _: seen.extend(temp.glob("repro-slices-*")))
+        assert ([result_to_dict(r) for r in results]
+                == [result_to_dict(r) for r in expected])
+        assert not seen and not list(temp.glob("repro-slices-*"))
+        assert not snapshots.exists() or not any(snapshots.iterdir())
+
+    def test_sweep_sliced_is_sweep(self, tmp_path):
+        grid = sliced_survival_configs(policies=("Slow+SC",), seeds=2,
+                                       scale=self.SCALE, slices=3)
+        target = tmp_path / "slices"
+        sliced = Runner(store=MemoryStore()).sweep_sliced(
+            grid, jobs=2, apply_env_scale=False, checkpoint_dir=target)
+        swept = Runner(store=MemoryStore()).sweep(
+            grid, jobs=2, apply_env_scale=False)
+        assert ([result_to_dict(r) for r in sliced]
+                == [result_to_dict(r) for r in swept])
+        assert not target.exists() or not any(target.iterdir())
