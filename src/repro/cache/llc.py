@@ -164,7 +164,6 @@ class LastLevelCache:
         tag_sets = cache._tag_sets
         flag_sets = cache._flags
         touch_sets = cache._touches
-        tag_members = cache._tag_members
         counts = cache.set_access_counts
         assoc = cache.assoc
         hit_counters = self.profiler.hit_counters
@@ -202,19 +201,16 @@ class LastLevelCache:
             tags = tag_sets[set_index]
             tag = block // num_sets
             counts[set_index] = count = counts[set_index] + 1
-            members = tag_members[set_index]
             touches = touch_sets[set_index]
-            if tag not in members:
+            if tag not in tags:
                 misses += 1
                 flags = flag_sets[set_index]
                 if len(tags) >= assoc:
                     victim_tag = tags.pop()
-                    members.remove(victim_tag)
                     touches.pop()
                     if flags.pop() & DIRTY and on_dirty_victim is not None:
                         on_dirty_victim(victim_tag * num_sets + set_index)
                 tags.insert(0, tag)
-                members.add(tag)
                 flags.insert(0, DIRTY if is_write else 0)
                 touches.insert(0, count)
                 continue

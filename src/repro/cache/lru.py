@@ -6,20 +6,22 @@ stack property of LRU (Mattson et al., 1970).  ``access`` therefore returns
 the pre-access stack position alongside the hit/miss outcome.
 
 There are no per-line objects.  Each set is three parallel columns,
-MRU-first: the tags (so a hit's stack position is one C-level
-``list.index`` call), the flags (``dirty | eager_cleaned << 1``) and the
-set-access count at each line's last touch.  An unordered membership
-``set`` per set makes a miss one O(1) hash probe, the common case in
-miss-heavy workloads.  Every path that changes set membership or order -
-:meth:`LRUCache.access`, the LLC's functional warm-up and checkpoint
-restore - updates all four together.  Copying the cache is therefore a
-flatten or a slice of int lists, which is what makes a warm state cheap
-to capture and to restore.
+MRU-first: the tags, the flags (``dirty | eager_cleaned << 1``) and the
+set-access count at each line's last touch.  A set holds at most
+``assoc`` (16) tags, so membership is a C-level scan of the tag column
+(``tag in tags``) and a hit's stack position one ``list.index`` call.
+A hash set per set made a miss one probe, but saved no measurable time
+and held 3.5 MB of a default run's heap.
+Every path that changes set membership or order - :meth:`LRUCache.access`,
+the LLC's functional warm-up and checkpoint restore - updates the three
+columns together.  Copying the cache is therefore a flatten or a slice of
+int lists, which is what makes a warm state cheap to capture and to
+restore.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Set
+from typing import List, NamedTuple, Optional
 
 #: Flag bits of a line (the ``_flags`` columns).
 DIRTY = 1
@@ -82,7 +84,6 @@ class LRUCache:
         self._tag_sets: List[List[int]] = [[] for _ in range(num_sets)]
         self._flags: List[List[int]] = [[] for _ in range(num_sets)]
         self._touches: List[List[int]] = [[] for _ in range(num_sets)]
-        self._tag_members: List[Set[int]] = [set() for _ in range(num_sets)]
 
     @classmethod
     def from_geometry(cls, size_bytes: int, assoc: int,
@@ -106,29 +107,26 @@ class LRUCache:
                is_write: bool) -> AccessResult:   # simlint: hotpath
         """Perform a demand access; fills on miss (write-allocate).
 
-        A miss is detected by one hash probe of the set's membership set;
-        a hit's stack position is ``list.index`` on the tag column.
+        A miss is a scan of the set's tag column; a hit's stack position
+        is ``list.index`` on it.
         """
         num_sets = self.num_sets
         set_index = block % num_sets
         tag = block // num_sets
         counts = self.set_access_counts
         counts[set_index] = count = counts[set_index] + 1
-        members = self._tag_members[set_index]
         tags = self._tag_sets[set_index]
         flags = self._flags[set_index]
         touches = self._touches[set_index]
-        if tag not in members:
+        if tag not in tags:
             victim = None
             if len(tags) >= self.assoc:
                 victim_tag = tags.pop()
-                members.remove(victim_tag)
                 flag = flags.pop()
                 victim = _new_tuple(CacheLine, (
                     victim_tag, flag & DIRTY == DIRTY, flag > DIRTY,
                     touches.pop()))
             tags.insert(0, tag)
-            members.add(tag)
             flags.insert(0, DIRTY if is_write else 0)
             touches.insert(0, count)
             return _new_tuple(
@@ -156,9 +154,10 @@ class LRUCache:
         """Stack position of ``block`` in its set, or None if absent."""
         tag = block // self.num_sets
         set_index = block % self.num_sets
-        if tag not in self._tag_members[set_index]:
+        tags = self._tag_sets[set_index]
+        if tag not in tags:
             return None
-        return self._tag_sets[set_index].index(tag)
+        return tags.index(tag)
 
     def lookup(self, block: int) -> Optional[CacheLine]:
         """A record of ``block``'s line, without touching recency."""

@@ -31,16 +31,20 @@ Two representation rules keep restores bit-identical:
 Dicts with insertion-order-dependent semantics (per-factor wear tallies,
 the DRAM buffer's LRU order) are serialized as pair lists so JSON
 round-trips preserve their order exactly.  The bulk of a snapshot - the
-LLC's per-line state and the fault injector's lazily touched lines, in
-first-touch order - is stored as flat columns: ``array.array`` objects
-that :mod:`.snapshot` writes as packed bytes beside the JSON.  An integer
+LLC's per-line state, the fault injector's lazily touched lines in
+first-touch order, the trace ring's records and every RNG's Mersenne
+Twister words - is stored as flat columns: ``array.array`` objects that
+:mod:`.snapshot` writes as packed bytes beside the JSON.  An integer
 column takes the narrowest of ``B/H/I/Q`` that holds its maximum
-(:func:`pack_ints`), a float column ``d`` (:func:`pack_floats`); every
-other value stays JSON.  Restore accepts a column as an array or a list.
+(:func:`pack_ints`), a float column ``d`` (:func:`pack_floats`), and the
+ring's numeric fields the arrays the ring packed them into (signed
+``i``/``q`` for fields that hold -1); every other value stays JSON.
+Restore accepts a column as an array or a list.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from array import array
@@ -51,6 +55,7 @@ from repro.cache.lru import LRUCache
 from repro.cpu.trace import TraceRecord
 from repro.memory.bank import InFlight
 from repro.memory.queues import Request, RequestQueue
+from repro.telemetry.tracer import EventTracer, TraceEvent
 from repro.workloads.patterns import (Pattern, PhasedPattern,
                                       ReadModifyWrite, SequentialStream)
 
@@ -60,12 +65,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.sim.system import System
 
 #: Version of the *state* layout below (the file envelope has its own).
-STATE_SCHEMA_VERSION = 4
+STATE_SCHEMA_VERSION = 5
 
 #: Integer column typecodes, narrowest first.
 _INT_TYPECODES = "BHIQ"
-#: Every typecode a column may have.
-COLUMN_TYPECODES = frozenset("BHIQd")
+#: Every typecode a column may have; the signed ones come from the trace
+#: ring, whose fields hold -1.
+COLUMN_TYPECODES = frozenset("BHIQiqd")
 
 _CTRL_STATS_FIELDS: Tuple[str, ...] = (
     "reads_from_llc", "writes_from_llc", "eager_from_llc", "reads_issued",
@@ -174,13 +180,17 @@ def _present(live: Optional[_T], state: Any, what: str) -> TypeGuard[_T]:
     return live is not None
 
 
-def _rng_to_json(rng: random.Random) -> List[Any]:
+def _rng_state(rng: random.Random) -> Dict[str, Any]:
+    """An RNG's ``getstate()``: its 625 Mersenne Twister words as a
+    column, the version and the cached Gaussian as JSON."""
     version, internal, gauss_next = rng.getstate()
-    return [version, list(internal), gauss_next]
+    return {"version": version, "internal": pack_ints(internal, "internal"),
+            "gauss_next": gauss_next}
 
 
-def _rng_from_json(rng: random.Random, data: Sequence[Any]) -> None:
-    rng.setstate((data[0], tuple(data[1]), data[2]))
+def _restore_rng(rng: random.Random, state: Dict[str, Any]) -> None:
+    rng.setstate((state["version"], tuple(state["internal"]),
+                  state["gauss_next"]))
 
 
 def _trace_record_row(record: Optional[TraceRecord]) -> Optional[List[Any]]:
@@ -391,7 +401,7 @@ def _capture_trace(system: "System") -> Dict[str, Any]:
             "checkpointable state (workload mixes are generator-backed "
             "and cannot be checkpointed; use a single profile)")
     return {
-        "rng": _rng_to_json(rng),
+        "rng": _rng_state(rng),
         "patterns": [_pattern_state(p) for p in patterns],
     }
 
@@ -404,7 +414,7 @@ def _restore_trace(restore: _Restore, state: Dict[str, Any]) -> None:
         raise CheckpointError(
             f"trace pattern count changed: snapshot has "
             f"{len(state['patterns'])}, live trace has {len(patterns)}")
-    _rng_from_json(rng, state["rng"])
+    _restore_rng(rng, state["rng"])
     for pattern, pattern_state in zip(patterns, state["patterns"]):
         _restore_pattern(pattern, pattern_state)
 
@@ -416,7 +426,7 @@ def _capture_llc(system: "System") -> Dict[str, Any]:
     age = deadblock.age_threshold
     return {
         "stats": _fields_to_dict(llc.stats, _LLC_STATS_FIELDS),
-        "rng": _rng_to_json(llc.rng),
+        "rng": _rng_state(llc.rng),
         # The cache's own columns flattened, sets in order, each
         # MRU-first; flags packs dirty | eager_cleaned << 1.
         "lines_per_set": pack_ints(map(len, lru._tag_sets), "lines_per_set"),
@@ -445,7 +455,7 @@ def _restore_llc(restore: _Restore, state: Dict[str, Any]) -> None:
     llc = restore.system.llc
     lru: LRUCache = llc.cache
     _fields_from_dict(llc.stats, _LLC_STATS_FIELDS, state["stats"])
-    _rng_from_json(llc.rng, state["rng"])
+    _restore_rng(llc.rng, state["rng"])
     sizes, tags, flags, touches = (
         list(state[name])
         for name in ("lines_per_set", "tags", "flags", "last_touch"))
@@ -463,15 +473,13 @@ def _restore_llc(restore: _Restore, state: Dict[str, Any]) -> None:
     bounds = list(zip(itertools.accumulate(sizes, initial=0),
                       itertools.accumulate(sizes)))
     tag_sets = [tags[start:end] for start, end in bounds]
-    members = [set(set_tags) for set_tags in tag_sets]
-    for index, (size, set_members) in enumerate(zip(sizes, members)):
-        if not len(set_members) == size <= lru.assoc:
+    for index, (size, set_tags) in enumerate(zip(sizes, tag_sets)):
+        distinct = len(set(set_tags))
+        if not distinct == size <= lru.assoc:
             raise CheckpointError(
-                f"LLC set {index} holds {size} lines with "
-                f"{len(set_members)} distinct tags in a {lru.assoc}-way "
-                "cache")
+                f"LLC set {index} holds {size} lines with {distinct} "
+                f"distinct tags in a {lru.assoc}-way cache")
     lru._tag_sets = tag_sets
-    lru._tag_members = members
     lru._flags = [flags[start:end] for start, end in bounds]
     lru._touches = [touches[start:end] for start, end in bounds]
     lru.set_access_counts[:] = _sized(
@@ -550,7 +558,7 @@ def _capture_faults(system: "System") -> Optional[Dict[str, Any]]:
     # entries per line.
     return {
         "stats": _fields_to_dict(injector.stats, _FAULT_STATS_FIELDS),
-        "rng": _rng_to_json(injector._rng),
+        "rng": _rng_state(injector._rng),
         "spares_left": list(injector.spares_left),
         "retired_per_bank": list(injector.retired_per_bank),
         "lines_per_bank": pack_ints(map(len, injector._lines),
@@ -580,7 +588,7 @@ def _restore_faults(restore: _Restore, state: Any) -> None:
         return
     from repro.faults.injector import _LineState
     _fields_from_dict(injector.stats, _FAULT_STATS_FIELDS, state["stats"])
-    _rng_from_json(injector._rng, state["rng"])
+    _restore_rng(injector._rng, state["rng"])
     banks = len(injector._lines)
     injector.spares_left[:] = _sized(state["spares_left"], banks,
                                      "spares_left")
@@ -604,12 +612,48 @@ def _restore_faults(restore: _Restore, state: Any) -> None:
             raise ValueError(f"fault bank {bank} repeats a line")
 
 
+#: The trace ring's record fields.  The string fields are stored as
+#: codes into a table of their values.
+_RING_FIELDS = tuple(field.name for field in dataclasses.fields(TraceEvent))
+_RING_CODED_FIELDS = ("kind", "detail")
+
+
+def _capture_ring(tracer: EventTracer) -> Dict[str, Any]:
+    """The trace ring's records as one column per field, oldest first.
+
+    A numeric field is the array the ring packed it into, or a JSON
+    list if its values are not all of one type (JSON keeps ``2`` and
+    ``2.0`` apart, so each value restores with its exact type).  A
+    string field is ``<field>`` codes into a ``<field>_table``."""
+    ring: Dict[str, Any] = {"recorded": tracer.recorded}
+    for field, name in enumerate(_RING_FIELDS):
+        values = tracer.column(field)
+        if name in _RING_CODED_FIELDS:
+            table = list(dict.fromkeys(values))
+            index = {value: code for code, value in enumerate(table)}
+            ring[name] = pack_ints(map(index.__getitem__, values), name)
+            ring[f"{name}_table"] = table
+        else:
+            ring[name] = values
+    return ring
+
+
+def _restore_ring(tracer: EventTracer, ring: Dict[str, Any]) -> None:
+    count = len(ring["t_ns"])
+    columns = []
+    for name in _RING_FIELDS:
+        column = _sized(ring[name], count, name)
+        if name in _RING_CODED_FIELDS:
+            column = map(ring[f"{name}_table"].__getitem__, column)
+        columns.append(column)
+    tracer.load(ring["recorded"], zip(*columns))
+
+
 def _capture_telemetry(system: "System") -> Optional[Dict[str, Any]]:
     telemetry = system.telemetry
     if not telemetry.enabled:
         return None
     registry = telemetry.metrics
-    tracer = telemetry.tracer
 
     def heatmap_state(heatmap: Any) -> Dict[str, Any]:
         return {"epoch_times_ns": list(heatmap.epoch_times_ns),
@@ -628,10 +672,7 @@ def _capture_telemetry(system: "System") -> Optional[Dict[str, Any]]:
             "series": {name: list(column) for name, column
                        in registry.series.items()},
         },
-        "tracer": {
-            "recorded": tracer.recorded,
-            "ring": [list(record) for record in tracer._ring],
-        },
+        "tracer": _capture_ring(telemetry.tracer),
         "heatmap": heatmap_state(telemetry.heatmap),
         "retired_heatmap": heatmap_state(telemetry.retired_heatmap),
     }
@@ -654,10 +695,7 @@ def _restore_telemetry(restore: _Restore, state: Any) -> None:
     registry.sample_times_ns[:] = metrics["sample_times_ns"]
     registry.series = {name: list(column) for name, column
                        in metrics["series"].items()}
-    tracer = telemetry.tracer
-    tracer._ring.clear()
-    tracer._ring.extend(tuple(record) for record in state["tracer"]["ring"])
-    tracer.recorded = state["tracer"]["recorded"]
+    _restore_ring(telemetry.tracer, state["tracer"])
     for name in ("heatmap", "retired_heatmap"):
         heatmap, heat_state = getattr(telemetry, name), state[name]
         heatmap.epoch_times_ns[:] = heat_state["epoch_times_ns"]
@@ -750,7 +788,7 @@ def capture_state(system: "System") -> Dict[str, Any]:
         },
         "faults": _capture_faults(system),
         "flip_n_write": None if flip is None else {
-            "rng": _rng_to_json(flip.rng),
+            "rng": _rng_state(flip.rng),
             **_fields_to_dict(flip, _FLIP_FIELDS),
         },
         "dram_buffer": _capture_dram_buffer(system),
@@ -851,7 +889,7 @@ def _restore_quota(restore: _Restore, state: Any) -> None:
 def _restore_flip_n_write(restore: _Restore, state: Any) -> None:
     flip = restore.system.flip_n_write
     if _present(flip, state, "Flip-N-Write"):
-        _rng_from_json(flip.rng, state["rng"])
+        _restore_rng(flip.rng, state["rng"])
         _fields_from_dict(flip, _FLIP_FIELDS, state)
 
 

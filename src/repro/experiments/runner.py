@@ -272,7 +272,8 @@ class Runner:
         captured), one :func:`_warm_state` task warms up once and each of
         those runs restores its state, which is bit-identical to warming
         up (``tests/test_golden_sweep.py``).
-        Warm states live only for the sweep, as ``bytes`` in this process.
+        Warm states live only for the sweep, as ``bytes`` in this process;
+        on the pool at most ``jobs`` warm-ups are outstanding at once.
 
         ``apply_env_scale=False`` skips the ``REPRO_SCALE`` rescaling:
         callers that computed digests from the configs *as given* need
@@ -354,10 +355,22 @@ class Runner:
             with ProcessPoolExecutor(
                     max_workers=min(jobs, len(runs))) as pool:
                 # A future maps to ("warm", group) or ("run", run).
-                futures: Dict[Future, Tuple[str, int]] = {
-                    pool.submit(_warm_state, warm_config(number)):
-                    ("warm", number)
-                    for number in range(len(warm_groups))}
+                futures: Dict[Future, Tuple[str, int]] = {}
+                # At most ``jobs`` warm-ups are outstanding: the next one
+                # goes out when a blob arrives, behind that blob's runs,
+                # so the pool cannot finish every warm-up first and leave
+                # this process holding every blob at once.
+                unwarmed = iter(range(len(warm_groups)))
+
+                def submit_warm_up() -> None:
+                    number = next(unwarmed, None)
+                    if number is not None:
+                        futures[pool.submit(
+                            _warm_state, warm_config(number))] = (
+                            "warm", number)
+
+                for _ in range(min(jobs, len(warm_groups))):
+                    submit_warm_up()
                 futures.update(
                     (pool.submit(_simulate, lead[run]), ("run", run))
                     for run in range(len(runs)) if run not in group_of)
@@ -372,6 +385,7 @@ class Runner:
                                 (pool.submit(_simulate, lead[run], blob),
                                  ("run", run))
                                 for run in warm_groups[index])
+                            submit_warm_up()
                         else:
                             settle(index, future.result())
 

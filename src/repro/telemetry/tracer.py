@@ -6,13 +6,22 @@ mode transitions, Wear Quota trips, eager demotions, and phase markers.
 Timestamps are **simulated** nanoseconds - never wall clock (enforced by
 simlint rule SIM008).
 
-The buffer is a ``collections.deque(maxlen=capacity)`` of plain tuples:
-when full, the oldest events are silently evicted and only ``dropped``
-is bumped, so a long run costs O(capacity) memory no matter how many
-events fire.  Tuples (not :class:`TraceEvent` instances) live in the
-ring because ``record()`` runs hundreds of thousands of times per
-simulation and per-event object allocation dominated the enabled-path
-overhead; :class:`TraceEvent` objects are materialised lazily by
+The ring keeps the last ``capacity`` records.  ``record()`` runs
+hundreds of thousands of times per simulation, so it only extends a
+flat staging list by the record's seven fields.  Every
+:data:`_CHUNK_RECORDS` records the staging list is sealed into a chunk
+of columns, one per field, each a slice of it: ``t_ns`` and ``factor``
+become ``array('d')``, ``bank``/``block``/``req_id`` a signed 32-bit
+(or, if a value needs it, 64-bit) array, and ``kind``/``detail`` stay lists
+of references to the few strings the simulator passes.  A sealed record
+takes about 50 bytes against some 180 for a tuple and its number
+objects.  Whole chunks are evicted once every record in them is older
+than the last ``capacity``; the ring reads as exactly those last
+``capacity`` records, and ``dropped`` counts the rest.  A numeric column
+whose values are not all of the packed type (an integer ``factor``, say)
+stays a list of the values as given, so every record reads back with
+its exact Python types and the exports do not change by a byte.
+:class:`TraceEvent` objects are materialised lazily by
 :meth:`EventTracer.events`.
 
 Two export formats:
@@ -34,11 +43,15 @@ than the whole file; the string exports join the same chunks.
 from __future__ import annotations
 
 import json
+from array import array
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
-from typing import (Any, Callable, Deque, Dict, Iterator, List, Optional,
-                    Tuple, TypeVar)
+from itertools import chain, islice
+from operator import countOf
+from struct import error as struct_error
+from struct import pack
+from typing import (Any, Callable, Deque, Dict, Iterable, Iterator, List,
+                    Optional, Sequence, Tuple, TypeVar)
 
 from repro.telemetry.metrics import MetricRegistry
 
@@ -73,13 +86,17 @@ _SLICE_OPENERS = (EV_ISSUE,)
 #: Event kinds that close the slice opened by the matching issue.
 _SLICE_CLOSERS = (EV_COMPLETE, EV_CANCEL)
 
-#: The ring's internal record layout (field order of :class:`TraceEvent`).
+#: The ring's record layout (field order of :class:`TraceEvent`).
 _Record = Tuple[float, str, int, int, int, float, str]
 
-#: Records (or Chrome events) serialised per export chunk: enough that
-#: per-chunk overhead vanishes, few enough that one chunk's text stays a
-#: few hundred KB however large the ring.
+#: Records per sealed ring chunk, and records (or Chrome events)
+#: serialised per export chunk: enough that per-chunk overhead vanishes,
+#: few enough that one chunk's staged records or text stay a few hundred
+#: KB however large the ring.
 _CHUNK_RECORDS = 2048
+
+#: Integer column typecodes: 32-bit signed, else 64-bit.
+_INT_TYPECODES = "iq"
 
 _T = TypeVar("_T")
 
@@ -138,6 +155,48 @@ class TraceEvent:
     detail: str = ""
 
 
+def _float_column(values: List[Any]) -> Sequence[Any]:
+    """Doubles if every value is a float, else the values as given."""
+    if countOf(map(type, values), float) == len(values):
+        return array("d", pack(f"={len(values)}d", *values))
+    return values
+
+
+def _int_column(values: List[Any]) -> Sequence[Any]:
+    """A signed 32-bit array of the values, 64-bit if one needs it, or
+    the values as given if one is not an int.
+
+    ``struct.pack`` converts a whole list several times faster than
+    ``array`` does item by item.  Banks, blocks and request ids fit 32
+    bits, so the first typecode nearly always holds."""
+    for typecode in _INT_TYPECODES:
+        try:
+            return array(typecode,
+                         pack(f"={len(values)}{typecode}", *values))
+        except struct_error:
+            pass
+    return values
+
+
+def _strings(values: List[Any]) -> Sequence[Any]:
+    """String fields stay references to the objects the simulator
+    passed: a handful of distinct strings."""
+    return values
+
+
+#: How a chunk packs each field, in :data:`_Record` order.
+_PACKERS: Tuple[Callable[[List[Any]], Sequence[Any]], ...] = (
+    _float_column, _strings, _int_column, _int_column, _int_column,
+    _float_column, _strings)
+#: Fields per record.
+_FIELDS = len(_PACKERS)
+#: Staged items that make a full chunk.
+_CHUNK_ITEMS = _FIELDS * _CHUNK_RECORDS
+
+#: A sealed chunk: one column per record field, in :data:`_Record` order.
+_Chunk = Tuple[Sequence[Any], ...]
+
+
 class EventTracer:
     """Fixed-capacity ring buffer of trace records."""
 
@@ -145,33 +204,100 @@ class EventTracer:
         if capacity < 1:
             raise ValueError(f"tracer capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._ring: Deque[_Record] = deque(maxlen=capacity)
-        self.recorded = 0  # total ever recorded, including evicted
+        # Sealed chunks of _CHUNK_RECORDS records each, oldest first.
+        self._chunks: Deque[_Chunk] = deque()
+        self._evicted = 0                       # records in evicted chunks
+        # The newest records, not yet sealed, flattened: record i is
+        # items 7i to 7i + 6.  Flat, so staging allocates no container
+        # the cyclic collector would track, and each column is a slice.
+        self._staged: List[Any] = []
+
+    @property
+    def recorded(self) -> int:
+        """Total ever recorded, including evicted."""
+        return (self._evicted + len(self._chunks) * _CHUNK_RECORDS
+                + len(self._staged) // _FIELDS)
 
     def __len__(self) -> int:
-        return len(self._ring)
+        return min(self.recorded, self.capacity)
 
     @property
     def dropped(self) -> int:
         """Events evicted from the ring (derived, not tracked per call)."""
-        return self.recorded - len(self._ring)
+        return self.recorded - len(self)
 
     def record(self, t_ns: float, kind: str, bank: int = -1,
                block: int = -1, req_id: int = -1, factor: float = 0.0,
                detail: str = "") -> None:
-        # The deque's maxlen does the eviction; nothing else to maintain.
-        self.recorded += 1
-        self._ring.append((t_ns, kind, bank, block, req_id, factor, detail))
+        staged = self._staged
+        staged += (t_ns, kind, bank, block, req_id, factor, detail)
+        if len(staged) == _CHUNK_ITEMS:
+            self._seal()
+
+    def _seal(self) -> None:
+        """Pack the staged records into a chunk; evict every chunk whose
+        records are all older than the last ``capacity``."""
+        staged, chunks = self._staged, self._chunks
+        chunks.append(tuple(pack(staged[field::_FIELDS])
+                            for field, pack in enumerate(_PACKERS)))
+        staged.clear()
+        while (len(chunks) - 1) * _CHUNK_RECORDS >= self.capacity:
+            chunks.popleft()
+            self._evicted += _CHUNK_RECORDS
+
+    def load(self, recorded: int, records: Iterable[_Record]) -> None:
+        """Replace the ring with ``records``, oldest first: the last
+        ``min(recorded, capacity)`` of ``recorded`` events."""
+        self._chunks.clear()
+        self._staged.clear()
+        self._evicted = 0
+        for record in records:
+            self.record(*record)
+        held = self.recorded
+        if self._evicted or held != min(recorded, self.capacity):
+            raise ValueError(
+                f"trace ring holds {held} records, expected the last "
+                f"{min(recorded, self.capacity)} of {recorded}")
+        self._evicted = recorded - held
+
+    @property
+    def _stale(self) -> int:
+        """Records held that are older than the last ``capacity``: the
+        head of the oldest chunk, or of the staged records."""
+        return self.recorded - self._evicted - len(self)
+
+    def _records(self) -> Iterator[_Record]:
+        """The ring's records, oldest first."""
+        return islice(chain(
+            chain.from_iterable(zip(*chunk) for chunk in self._chunks),
+            zip(*[iter(self._staged)] * _FIELDS)), self._stale, None)
+
+    def column(self, field: int) -> Sequence[Any]:
+        """Field ``field`` (an index into :class:`TraceEvent`'s fields)
+        of every ring record, oldest first: one array, in the widest
+        typecode any chunk used, if the field packs in every chunk (the
+        staged records included), else a list."""
+        parts = [chunk[field] for chunk in self._chunks]
+        parts.append(_PACKERS[field](self._staged[field::_FIELDS]))
+        if not all(isinstance(part, array) for part in parts):
+            return list(islice(chain.from_iterable(parts), self._stale, None))
+        typecode = max(parts, key=lambda part: part.itemsize).typecode
+        column = array(typecode)
+        for part in parts:
+            column.extend(part if part.typecode == typecode
+                          else array(typecode, part))
+        del column[:self._stale]
+        return column
 
     def events(self) -> List[TraceEvent]:
         """Current ring contents as :class:`TraceEvent`, oldest first."""
-        return [TraceEvent(*record) for record in self._ring]
+        return [TraceEvent(*record) for record in self._records()]
 
     def jsonl_chunks(self) -> Iterator[str]:
         """The JSONL export in chunks: one compact JSON object per event,
         each line newline-terminated, oldest first."""
         enc = _string_encoder()
-        for batch in _batches(iter(self._ring)):
+        for batch in _batches(self._records()):
             yield "".join([
                 f'{{"t_ns":{t_ns},"kind":{enc(kind)},"bank":{bank},'
                 f'"block":{block},"req_id":{req_id},"factor":{factor},'
@@ -207,12 +333,11 @@ def _chrome_events(tracer: EventTracer,
     Numbers go through ``repr``, which matches ``json.dumps`` exactly
     for the ints and finite floats that reach this point.
     """
-    ring = tracer._ring
     enc = _string_encoder()
 
     yield (f'{{"name":"process_name","ph":"M","pid":1,"tid":0,'
            f'"args":{{"name":{enc(process_name)}}}}}')
-    for bank in sorted({record[2] for record in ring if record[2] >= 0}):
+    for bank in sorted({bank for bank in tracer.column(2) if bank >= 0}):
         yield (f'{{"name":"thread_name","ph":"M","pid":1,"tid":{bank + 1},'
                f'"args":{{"name":"bank {bank}"}}}}')
     yield ('{"name":"thread_name","ph":"M","pid":1,"tid":0,'
@@ -220,7 +345,7 @@ def _chrome_events(tracer: EventTracer,
 
     # Pair issue -> complete/cancel per (bank, req_id) into "X" slices.
     open_issues: Dict[Tuple[int, int], _Record] = {}
-    for record in ring:
+    for record in tracer._records():
         t_ns, kind, bank, block, req_id, factor, detail = record
         tid = bank + 1 if bank >= 0 else 0
         if kind in _SLICE_OPENERS:

@@ -51,6 +51,7 @@ from repro.cli import main
 from repro.faults import FaultConfig
 from repro.sim.config import CACHE_KEY_EXCLUDED, SimConfig
 from repro.sim.system import System
+from repro.telemetry.tracer import _CHUNK_RECORDS
 
 POLICIES = ["Norm", "BE-Mellow+SC", "Slow+SC"]
 WORKLOADS = ["hmmer", "lbm"]
@@ -118,24 +119,52 @@ def test_sliced_bit_identity_dram_buffer_and_fnw(tmp_path: Path) -> None:
     assert _sliced_json(config, 800, tmp_path) == _straight_json(config)
 
 
-def test_telemetry_bundle_byte_identity_sliced(tmp_path: Path) -> None:
-    """The full telemetry bundle must be byte-identical between a sliced
-    and a straight run - epochs, trace ring, heatmaps, manifest."""
+def _assert_bundles_equal_sliced(tmp_path: Path, every: int,
+                                 **fields) -> None:
+    """A traced run's whole bundle is byte-identical sliced and straight."""
     bundles = {}
     for mode in ("straight", "sliced"):
         out = tmp_path / f"telemetry-{mode}"
         config = SimConfig(workload="lbm", policy="BE-Mellow+SC", seed=11,
-                           telemetry=True,
-                           telemetry_dir=str(out)).scaled(0.02)
+                           telemetry=True, telemetry_dir=str(out),
+                           **fields).scaled(0.02)
         if mode == "straight":
             System(config).run()
         else:
-            _sliced_json(config, 900, tmp_path)
+            _sliced_json(config, every, tmp_path)
         bundles[mode] = {path.name: path.read_bytes()
                          for path in sorted(out.iterdir())}
     assert bundles["straight"].keys() == bundles["sliced"].keys()
     for name, payload in bundles["straight"].items():
         assert payload == bundles["sliced"][name], f"{name} diverged"
+
+
+def test_telemetry_bundle_byte_identity_sliced(tmp_path: Path) -> None:
+    """The full telemetry bundle must be byte-identical between a sliced
+    and a straight run - epochs, trace ring, heatmaps, manifest."""
+    _assert_bundles_equal_sliced(tmp_path, 900)
+
+
+def test_partly_evicted_ring_round_trips(tmp_path: Path,
+                                         monkeypatch) -> None:
+    """A ring whose capacity is no multiple of the tracer's chunk, paused
+    after it has evicted whole chunks and while records are staged, goes
+    through the snapshot's ring columns and still finishes byte-equal."""
+    capacity = 3001
+    assert capacity % _CHUNK_RECORDS
+    seen = []
+    save = save_snapshot
+
+    def save_and_look(system, path):
+        tracer = system.telemetry.tracer
+        seen.append((tracer.dropped > 0, bool(tracer._staged)))
+        return save(system, path)
+
+    monkeypatch.setattr(sys.modules[__name__], "save_snapshot",
+                        save_and_look)
+    _assert_bundles_equal_sliced(tmp_path, 700,
+                                 telemetry_trace_capacity=capacity)
+    assert (True, True) in seen, seen
 
 
 def test_sliced_bit_identity_sanitizer_armed(
@@ -182,20 +211,32 @@ def _unpacked_columns(section: dict) -> None:
             section[name] = value.tolist()
 
 
-@pytest.mark.parametrize("schema", [1, 2, 3])
+def _listed_rngs(state: dict) -> None:
+    """Rewrite every RNG state as the ``[version, words, gauss]`` JSON
+    list that state schemas 1-4 held."""
+    for section in ("trace", "llc", "faults", "flip_n_write"):
+        if state[section] is not None and "rng" in state[section]:
+            rng = state[section]["rng"]
+            state[section]["rng"] = [rng["version"], rng["internal"].tolist(),
+                                     rng["gauss_next"]]
+
+
+@pytest.mark.parametrize("schema", [1, 2, 3, 4])
 def test_old_state_schema_refused(tmp_path: Path, schema: int) -> None:
     """Schema 1 carried a controller-mode flag and event kinds this build
     no longer has; schemas 1 and 2 stored the LLC as nested per-line
-    rows; schema 3 held the LLC columns and the fault lines as JSON.
+    rows; schema 3 held the LLC columns and the fault lines as JSON;
+    schemas 1-4 held each RNG state and the trace ring as JSON lists.
     There is no reader for any of them: restoring one fails loudly
     instead of being misread."""
     def downgrade(state: dict) -> None:
         state["state_schema"] = schema
+        _listed_rngs(state)
         if schema == 1:
             state["fastpath"] = True
         if schema == 3:
             _unpacked_columns(state["llc"])
-        else:
+        elif schema < 3:
             _nested_llc_rows(state["llc"])
 
     old = _edited_snapshot(tmp_path, downgrade)
@@ -502,7 +543,6 @@ def test_llc_round_trip_restores_lines_and_tag_mirrors(tmp_path: Path
     assert restored._tag_sets == original._tag_sets
     assert restored._flags == original._flags
     assert restored._touches == original._touches
-    assert restored._tag_members == original._tag_members
     assert restored.set_access_counts == original.set_access_counts
 
 
@@ -510,10 +550,12 @@ def test_llc_round_trip_restores_lines_and_tag_mirrors(tmp_path: Path
 #: zeusmp under BE-Mellow+SC on a 16 KB 4-way LLC with a DRAM write
 #: buffer, paused 4000 accesses into the measured window with
 #: eager-cleaned and dirty lines resident.  It was written as state
-#: schema 3 and rewritten in the schema-4 file layout (columns packed,
-#: nothing else changed) when that layout replaced the JSON envelope.
+#: schema 3, rewritten in the schema-4 file layout (columns packed,
+#: nothing else changed) when that layout replaced the JSON envelope,
+#: and rewritten as schema 5 (the RNG words packed, nothing else
+#: changed) when the RNG states became columns.
 EARLIER_BUILD_SNAPSHOT = (Path(__file__).parent / "data"
-                          / "snapshot_state4_small_llc.ckpt")
+                          / "snapshot_state5_small_llc.ckpt")
 
 
 def test_snapshot_from_an_earlier_build_resumes_byte_equal(
@@ -525,7 +567,7 @@ def test_snapshot_from_an_earlier_build_resumes_byte_equal(
     differ between zlib versions.)"""
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
     config, state = load_snapshot(EARLIER_BUILD_SNAPSHOT)
-    assert state["state_schema"] == 4
+    assert state["state_schema"] == 5
     assert any(flag & EAGER_CLEANED for flag in state["llc"]["flags"])
     restored = restore_system(EARLIER_BUILD_SNAPSHOT)
     assert (_encode_snapshot(config, capture_state(restored))

@@ -2,12 +2,14 @@
 
 import json
 import tempfile
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import pytest
 
 import repro.checkpoint
 import repro.checkpoint.snapshot
+import repro.experiments.runner
 from repro.experiments.faults import (sliced_survival_configs,
                                       survival_configs, survival_records)
 from repro.experiments.runner import Runner, selected_workloads
@@ -165,3 +167,44 @@ class TestSweepRunsStraightThrough:
         assert ([result_to_dict(r) for r in sliced]
                 == [result_to_dict(r) for r in swept])
         assert not target.exists() or not any(target.iterdir())
+
+
+class TestWarmUpsBounded:
+    """The pool sweep keeps at most ``jobs`` warm-ups outstanding, so the
+    parent never holds every group's warm state at once."""
+
+    JOBS = 2
+
+    def test_warm_ups_go_out_as_blobs_arrive(self, monkeypatch):
+        grid = [SimConfig(workload=workload, seed=seed, policy=policy, **TINY)
+                for workload in ("GemsFDTD", "lbm", "hmmer")
+                for seed in (1, 2)
+                for policy in ("Norm", "Slow+SC")]
+        assert len({config.warm_key() for config in grid}) == 6
+        expected = Runner(store=MemoryStore()).sweep(grid, jobs=1)
+
+        submissions = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                # A run submitted with a warm blob shows that its group's
+                # warm-up has finished.
+                warm = fn.__name__ == "_warm_state" or len(args) > 1
+                submissions.append((fn.__name__, args[0].warm_key(), warm))
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(repro.experiments.runner, "ProcessPoolExecutor",
+                            RecordingPool)
+        results = Runner(store=MemoryStore()).sweep(grid, jobs=self.JOBS)
+        assert ([result_to_dict(r) for r in results]
+                == [result_to_dict(r) for r in expected])
+
+        submitted, finished = set(), set()
+        for name, key, warm in submissions:
+            if name == "_warm_state":
+                submitted.add(key)
+                assert len(submitted - finished) <= self.JOBS, submissions
+            elif warm:
+                finished.add(key)
+        assert len(submitted) == 6
+        assert finished == submitted

@@ -9,7 +9,9 @@ bundle equality) protects the observability outputs themselves.
 
 import copy
 import json
+import random
 import tracemalloc
+from collections import deque
 from dataclasses import replace
 
 import pytest
@@ -36,6 +38,7 @@ from repro.telemetry import (
     chrome_trace,
     chrome_trace_json,
 )
+from repro.telemetry.tracer import _CHUNK_RECORDS, TraceEvent
 
 TINY = dict(warmup_accesses=2000, measure_accesses=3000,
             llc_size_bytes=128 * 1024)
@@ -164,6 +167,107 @@ class TestTracer:
 
     def test_empty_tracer_exports_empty_jsonl(self):
         assert EventTracer(capacity=4).to_jsonl() == ""
+
+
+_CHUNK = _CHUNK_RECORDS
+
+
+def random_records(count, seed):
+    """A record stream with every field type the ring packs: float and
+    integer factors, -1 sentinels, blocks beyond 32 bits and many
+    distinct details."""
+    rng = random.Random(seed)
+    records = []
+    for index in range(count):
+        factor = rng.choice([0.0, 1.0, 2.5, 3.0, 3])    # 3: an int factor
+        records.append((
+            index * 1.25 + rng.random(), rng.choice(EVENT_KINDS),
+            rng.choice([-1, rng.randrange(16)]),
+            rng.choice([-1, rng.randrange(2**40)]),
+            rng.choice([-1, index]), factor,
+            rng.choice(["", "read", "write", f"retry={rng.randrange(9)}",
+                        f"exceed={rng.random():.4g}"])))
+    return records
+
+
+class DequeRing:
+    """Reference model: the ring as a ``deque(maxlen=capacity)`` of
+    tuples, read through the tracer's interface."""
+
+    def __init__(self, capacity):
+        self.ring = deque(maxlen=capacity)
+        self.recorded = 0
+
+    def record(self, *record):
+        self.recorded += 1
+        self.ring.append(record)
+
+    def _records(self):
+        return iter(self.ring)
+
+    def column(self, field):
+        return (record[field] for record in self.ring)
+
+
+def reference_jsonl(ring):
+    return "".join(json.dumps(dict(zip(TraceEvent.__dataclass_fields__,
+                                       record)), separators=(",", ":"))
+                   + "\n" for record in ring)
+
+
+class TestPackedRing:
+    """The chunked, packed ring reads exactly like a deque of tuples."""
+
+    @pytest.mark.parametrize("capacity", [
+        1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
+    @pytest.mark.parametrize("length", ["below", "at", "far-above"])
+    def test_matches_a_deque(self, capacity, length):
+        count = {"below": capacity // 2, "at": capacity,
+                 "far-above": 4 * capacity + 2 * _CHUNK + 3}[length]
+        records = random_records(count, seed=capacity)
+        tracer, reference = EventTracer(capacity), DequeRing(capacity)
+        for record in records:
+            tracer.record(*record)
+            reference.record(*record)
+        assert len(tracer) == len(reference.ring)
+        assert tracer.recorded == reference.recorded == count
+        assert tracer.dropped == count - len(reference.ring)
+        assert tracer.events() == [TraceEvent(*r) for r in reference.ring]
+        jsonl = tracer.to_jsonl()
+        assert jsonl == reference_jsonl(reference.ring)
+        assert chrome_trace_json(tracer) == chrome_trace_json(reference)
+        # The exports keep every value's Python type: an int factor
+        # stays "3", never "3.0".
+        assert [type(event.factor) for event in tracer.events()] == \
+            [type(record[5]) for record in reference.ring]
+
+    def test_packed_chunks_are_smaller_than_tuples(self):
+        """A full ring of packed chunks costs a fraction of the tuples
+        and number objects a deque of records keeps alive."""
+        def retained(ring):
+            tracemalloc.start()
+            try:
+                for record in random_records(4 * _CHUNK, seed=1):
+                    ring.record(*record)
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        packed = retained(EventTracer(4 * _CHUNK))
+        tuples = retained(DequeRing(4 * _CHUNK))
+        assert packed < tuples / 2, (packed, tuples)
+
+    def test_load_rebuilds_the_window(self):
+        records = random_records(3 * _CHUNK + 5, seed=2)
+        tracer = EventTracer(_CHUNK + 1)
+        for record in records:
+            tracer.record(*record)
+        loaded = EventTracer(_CHUNK + 1)
+        loaded.load(tracer.recorded, tracer._records())
+        assert loaded.recorded == tracer.recorded
+        assert loaded.events() == tracer.events()
+        with pytest.raises(ValueError, match="ring holds"):
+            loaded.load(tracer.recorded, records[:3])
 
 
 class TestChromeTrace:
