@@ -36,10 +36,10 @@ first-touch order, the trace ring's records and every RNG's Mersenne
 Twister words - is stored as flat columns: ``array.array`` objects that
 :mod:`.snapshot` writes as packed bytes beside the JSON.  An integer
 column takes the narrowest of ``B/H/I/Q`` that holds its maximum
-(:func:`pack_ints`), a float column ``d`` (:func:`pack_floats`), and the
-ring's numeric fields the arrays the ring packed them into (signed
-``i``/``q`` for fields that hold -1); every other value stays JSON.
-Restore accepts a column as an array or a list.
+(:func:`pack_ints`), a float column ``d`` (:func:`pack_floats`); the
+ring's columns are transformed first so they compress (see
+:func:`_capture_ring`).  Every other value stays JSON.  Restore accepts
+a column as an array or a list.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import sys
 from array import array
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
                     Optional, Sequence, Tuple, TypeGuard, TypeVar)
@@ -65,13 +66,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.sim.system import System
 
 #: Version of the *state* layout below (the file envelope has its own).
-STATE_SCHEMA_VERSION = 5
+STATE_SCHEMA_VERSION = 6
 
 #: Integer column typecodes, narrowest first.
 _INT_TYPECODES = "BHIQ"
-#: Every typecode a column may have; the signed ones come from the trace
-#: ring, whose fields hold -1.
-COLUMN_TYPECODES = frozenset("BHIQiqd")
+#: Every typecode a column may have.
+COLUMN_TYPECODES = frozenset("BHIQd")
 
 _CTRL_STATS_FIELDS: Tuple[str, ...] = (
     "reads_from_llc", "writes_from_llc", "eager_from_llc", "reads_issued",
@@ -616,14 +616,82 @@ def _restore_faults(restore: _Restore, state: Any) -> None:
 #: codes into a table of their values.
 _RING_FIELDS = tuple(field.name for field in dataclasses.fields(TraceEvent))
 _RING_CODED_FIELDS = ("kind", "detail")
+#: Integer fields that hold -1 or a non-negative value, stored plus one.
+_RING_OFFSET_FIELDS = ("bank", "block")
+_WORD = 8
+
+
+def _xor_planes(times: "array[float]") -> "array[int]":
+    """Doubles, bit-exactly, as the byte planes of each value's 64-bit
+    pattern XORed with the previous one's (little-endian words): equal
+    or close neighbours leave mostly zero bytes, which compress."""
+    if sys.byteorder != "little":
+        times = array("d", times)
+        times.byteswap()
+    raw = times.tobytes()
+    chained = (int.from_bytes(raw, "little")
+               ^ int.from_bytes(bytes(_WORD) + raw[:-_WORD], "little")
+               ).to_bytes(len(raw), "little")
+    return array("B", b"".join(chained[plane::_WORD]
+                               for plane in range(_WORD)))
+
+
+def _from_xor_planes(planes: Sequence[int]) -> "array[float]":
+    count, rest = divmod(len(planes), _WORD)
+    if rest:
+        raise ValueError(f"t_ns_xor holds {len(planes)} bytes, "
+                         f"not whole {_WORD}-byte words")
+    raw = bytearray(len(planes))
+    for plane in range(_WORD):
+        raw[plane::_WORD] = bytes(planes[plane * count:(plane + 1) * count])
+    # XOR of whole words is XOR of their bytes, in either byte order.
+    words = array("Q", raw)
+    previous = 0
+    for index, word in enumerate(words):
+        words[index] = previous = word ^ previous
+    times = array("d", words.tobytes())
+    if sys.byteorder != "little":
+        times.byteswap()
+    return times
+
+
+def _id_deltas(ids: Sequence[int]) -> "array[int]":
+    """Request ids (-1 or non-negative) as 0 for -1, else one plus the
+    zigzag-coded difference from the previous id that was not -1."""
+    out = []
+    previous = 0
+    for value in ids:
+        if value == -1:
+            out.append(0)
+        else:
+            delta = value - previous
+            out.append((delta << 1 if delta >= 0 else ~delta << 1 | 1) + 1)
+            previous = value
+    return pack_ints(out, "req_id_delta")
+
+
+def _from_id_deltas(codes: Sequence[int]) -> List[int]:
+    ids = []
+    previous = 0
+    for code in codes:
+        if code == 0:
+            ids.append(-1)
+        else:
+            code -= 1
+            previous += ~(code >> 1) if code & 1 else code >> 1
+            ids.append(previous)
+    return ids
 
 
 def _capture_ring(tracer: EventTracer) -> Dict[str, Any]:
     """The trace ring's records as one column per field, oldest first.
 
-    A numeric field is the array the ring packed it into, or a JSON
-    list if its values are not all of one type (JSON keeps ``2`` and
-    ``2.0`` apart, so each value restores with its exact type).  A
+    A numeric field whose values are not all of one type is a JSON list
+    under the field's name (JSON keeps ``2`` and ``2.0`` apart, so each
+    value restores with its exact type).  Otherwise each field takes the
+    form that compresses best and restores bit-exactly: ``t_ns_xor``
+    (:func:`_xor_planes`), ``bank_1``/``block_1`` (each value plus one),
+    ``req_id_delta`` (:func:`_id_deltas`) and ``factor`` as doubles.  A
     string field is ``<field>`` codes into a ``<field>_table``."""
     ring: Dict[str, Any] = {"recorded": tracer.recorded}
     for field, name in enumerate(_RING_FIELDS):
@@ -633,19 +701,38 @@ def _capture_ring(tracer: EventTracer) -> Dict[str, Any]:
             index = {value: code for code, value in enumerate(table)}
             ring[name] = pack_ints(map(index.__getitem__, values), name)
             ring[f"{name}_table"] = table
+        elif not isinstance(values, array):
+            ring[name] = values
+        elif name == "t_ns":
+            ring["t_ns_xor"] = _xor_planes(values)
+        elif name == "req_id":
+            ring["req_id_delta"] = _id_deltas(values)
+        elif name in _RING_OFFSET_FIELDS:
+            ring[f"{name}_1"] = pack_ints(map((1).__add__, values),
+                                          f"{name}_1")
         else:
             ring[name] = values
     return ring
 
 
+def _ring_column(ring: Dict[str, Any], name: str) -> Sequence[Any]:
+    """One ring field's values, oldest first, from its stored form."""
+    if name in _RING_CODED_FIELDS:
+        table = ring[f"{name}_table"]
+        return [table[code] for code in ring[name]]
+    if name in ring:
+        return ring[name]
+    if name == "t_ns":
+        return _from_xor_planes(ring["t_ns_xor"])
+    if name == "req_id":
+        return _from_id_deltas(ring["req_id_delta"])
+    return [value - 1 for value in ring[f"{name}_1"]]
+
+
 def _restore_ring(tracer: EventTracer, ring: Dict[str, Any]) -> None:
-    count = len(ring["t_ns"])
-    columns = []
-    for name in _RING_FIELDS:
-        column = _sized(ring[name], count, name)
-        if name in _RING_CODED_FIELDS:
-            column = map(ring[f"{name}_table"].__getitem__, column)
-        columns.append(column)
+    columns = [_ring_column(ring, name) for name in _RING_FIELDS]
+    for name, column in zip(_RING_FIELDS, columns):
+        _sized(column, len(columns[0]), name)
     tracer.load(ring["recorded"], zip(*columns))
 
 
@@ -955,6 +1042,9 @@ def _restore_sections(system: "System", state: Dict[str, Any],
     """Restore ``names`` from ``state`` in order; a malformed section
     raises :class:`CheckpointError` naming it."""
     restore = _Restore(system)
+    # The core's hoisted loop locals reference the LLC columns and the
+    # event heap, which restore replaces: rebuild them on next use.
+    system.core._hot = None
     for name in names:
         try:
             _SECTION_RESTORERS[name](restore, state[name])

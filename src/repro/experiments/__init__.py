@@ -4,26 +4,34 @@
 regenerator callables; ``ALL_ABLATIONS`` the ablation studies.  The
 benchmark harness and the CLI (`python -m repro figure <id>`) both
 resolve through these registries.
+
+Every name resolves on first use (PEP 562 ``__getattr__``): importing
+:mod:`repro.experiments.runner` to run a sweep does not import the
+exhibit modules.
 """
 
-from repro.experiments.ablations import ALL_ABLATIONS
-from repro.experiments.figures import ALL_FIGURES
-from repro.experiments.headline import headline_summary
-from repro.experiments.runner import (
-    Runner,
-    SweepProgress,
-    default_jobs,
-    default_runner,
-)
-from repro.experiments.seeds import seed_stability
+from importlib import import_module
+from typing import Any
 
-__all__ = [
-    "ALL_ABLATIONS",
-    "ALL_FIGURES",
-    "Runner",
-    "SweepProgress",
-    "default_jobs",
-    "default_runner",
-    "headline_summary",
-    "seed_stability",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "ALL_ABLATIONS": "ablations",
+    "ALL_FIGURES": "figures",
+    "Runner": "runner",
+    "SweepProgress": "runner",
+    "default_jobs": "runner",
+    "default_runner": "runner",
+    "headline_summary": "headline",
+    "seed_stability": "seeds",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -24,7 +24,14 @@ deferred time is quiescent (no pending event due at or before it), the
 loop jumps the clock and runs the callback inline, skipping the heap
 round trip; otherwise the event is flushed into the heap with its
 reserved sequence number and ordinary (time, seq) ordering takes over.
-Both seams are observably identical to having scheduled the event
+The core's third seam, :meth:`EventQueue.pass_ticks`, crosses an
+instruction gap whose window holds only periodic ticks: it reserves the
+gap event's sequence number, runs the ticks due strictly before the gap
+target in place, and then either jumps the clock to the target or, when
+any other event or a tie stands in the way, pushes the gap event into
+the heap under its reserved number.
+
+Every seam is observably identical to having scheduled the event
 eagerly; docs/performance.md explains why.
 """
 
@@ -152,6 +159,60 @@ class EventQueue:
         if executed is not None:
             executed.value += 1.0
         fn(arg)
+        return True
+
+    def pass_ticks(self, time_ns: float, fn: Callback,
+                   ticks: Tuple[Callback, ...]) -> bool:   # simlint: hotpath
+        """Cross a gap to ``time_ns``, running periodic ticks in place.
+
+        Called by the clock owner in place of scheduling ``fn(None)`` at
+        ``time_ns`` when :meth:`advance_if_clear` would refuse.  The
+        gap's sequence number is reserved first, exactly as
+        :meth:`schedule` would take it.  Then, while the earliest
+        pending event is one of ``ticks`` (compared with ``==``, so a
+        rebound method matches) and due *strictly* before ``time_ns``,
+        it is popped and run in place with a popped event's effects
+        (monotonicity check, clock update, executed count), so any
+        event it schedules takes its (time, seq) place.  If the window
+        is then clear, the clock moves to ``time_ns``, one executed
+        event is counted for the gap, and True is returned: the caller
+        runs the gap's body in-line.  Otherwise - another event due at
+        or before ``time_ns`` (a tie included), a deferral outstanding
+        or :attr:`stop` raised by a tick - the gap event enters the heap
+        under its reserved number and False is returned.
+        """
+        heap = self._heap
+        seq = self._seq
+        self._seq = seq + 1
+        sanitize = self._sanitize
+        executed = self._executed
+        while (heap and heap[0][0] < time_ns and heap[0][2] in ticks
+               and not self.stop):
+            tick_ns, tick_seq, tick_fn, arg = heappop(heap)
+            if sanitize:
+                check(
+                    tick_ns >= self.now, "event-time-monotonicity",
+                    "event queue popped an event from the past",
+                    event_time_ns=tick_ns, now_ns=self.now,
+                    sequence=tick_seq,
+                )
+            self.now = tick_ns
+            if executed is not None:
+                executed.value += 1.0
+            tick_fn(arg)
+        if (self.stop or (heap and heap[0][0] <= time_ns)
+                or self._deferred is not None):
+            heappush(heap, (time_ns, seq, fn, None))
+            return False
+        if sanitize:
+            check(
+                time_ns >= self.now, "event-time-monotonicity",
+                "analytic advance moved the clock backwards",
+                event_time_ns=time_ns, now_ns=self.now,
+            )
+        self.now = time_ns
+        if executed is not None:
+            executed.value += 1.0
         return True
 
     # ------------------------------------------------------------------

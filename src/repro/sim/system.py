@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 import zlib
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
@@ -174,6 +175,11 @@ class System:
             ),
             sanitize=self.sanitize,
         )
+        # The core may run these in place inside an instruction gap
+        # (EventQueue.pass_ticks): they touch no state the core keeps in
+        # locals once it has flushed its counters.  The frequent eager
+        # scan is compared first.
+        self.core.ticks = (self._eager_tick, self._sample_tick)
         self._measure_start_ns: Optional[float] = None
         self._measure_end_ns: Optional[float] = None
         self._accesses_at_last_scan = 0
@@ -319,6 +325,21 @@ class System:
             self._paused = True
             self.core.stop_requested = True
             self.events.stop = True
+        self._arm_access_limit()
+
+    def _arm_access_limit(self) -> None:
+        """Publish the next access count at which :meth:`_on_access` has
+        work: the end of warm-up, the end of the window or the next
+        checkpoint pause.  The core reports no access before it.  A
+        limit at or below the current count reports every access, as
+        the stop branches need once they have fired."""
+        config = self.config
+        limit = (config.warmup_accesses if self._measure_start_ns is None
+                 else config.measure_accesses)
+        pause_at = self._pause_at
+        if pause_at is not None and pause_at < limit:
+            limit = pause_at
+        self.core.access_limit = limit
 
     def _on_fault_fatal(self, now: float) -> None:
         """An uncorrectable error: end the run gracefully at ``now``.
@@ -337,6 +358,7 @@ class System:
         self._done = True
         self.core.stop_requested = True
         self.events.stop = True
+        self._arm_access_limit()
 
     def _end_warmup(self) -> None:
         self._measure_start_ns = self.events.now
@@ -430,6 +452,7 @@ class System:
             )
         if self.config.warmup_accesses == 0:
             self._end_warmup()
+        self._arm_access_limit()
 
     def continue_run(self, max_events: int = 200_000_000
                      ) -> Optional[RunResult]:
@@ -444,6 +467,7 @@ class System:
         """
         self._paused = False
         self.core.stop_requested = False
+        self._arm_access_limit()
         self._drain_events(max_events)
         if self._paused and not self._done:
             every = self.config.checkpoint_every
@@ -501,6 +525,7 @@ class System:
         else:
             self._pause_at = None
         self._paused = False
+        self._arm_access_limit()
 
     def release(self) -> None:
         """Cut the callback edges so reference counting frees this system.
@@ -518,8 +543,10 @@ class System:
         events._heap.clear()
         events._deferred = None
         core = self.core
-        for name in ("on_access", "writeback_sink", "_gap_callback"):
+        for name in ("on_access", "writeback_sink", "_gap_callback", "_hot"):
             setattr(core, name, None)
+        core.access_limit = sys.maxsize
+        core.ticks = ()
         ctrl = self.controller
         ctrl.on_fatal = None
         ctrl._write_space_waiters.clear()

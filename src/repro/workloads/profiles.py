@@ -95,17 +95,18 @@ class ProfileTrace:
     is sound because every draw goes through the shared ``rng`` and every
     cursor lives on the pattern objects, never in a generator frame.
 
-    ``next_record`` is the record generator's bound ``__next__``: the
-    core's loop calls it directly, skipping the ``builtins.next`` and
-    ``__next__`` wrapper frames the iterator protocol would add per
-    record.
+    :class:`repro.cpu.core.SimpleCore` inlines the whole record draw the
+    same way, gap included, from ``raw_parts`` and ``lambd``: its record
+    loop builds no record unless it keeps one.  ``next_record`` is the
+    record generator's bound ``__next__``, for callers that want
+    records.
 
     ``rng`` and ``patterns`` exist for :mod:`repro.checkpoint`: restoring
     those two restores the whole trace, because the generator frame holds
     no state between yields.
     """
 
-    __slots__ = ("raw_parts", "next_record", "rng", "patterns")
+    __slots__ = ("raw_parts", "lambd", "next_record", "rng", "patterns")
 
     def __init__(self, rng: random.Random, patterns: WeightedPatterns,
                  cumulative: List[float], mean_gap: float) -> None:
@@ -115,7 +116,7 @@ class ProfileTrace:
         ]
         fallback = compiled[-1][1]
         rnd = rng.random
-        lambd = 1.0 / mean_gap
+        self.lambd = lambd = 1.0 / mean_gap
         self.rng = rng
         self.patterns = [pattern for _, pattern in patterns]
         self.raw_parts = (rnd, compiled, fallback)

@@ -45,7 +45,9 @@ from repro.checkpoint import (CheckpointCorruptionError, CheckpointError,
                               config_from_dict, config_to_dict,
                               load_snapshot, restore_system, save_snapshot,
                               snapshot_bytes)
-from repro.checkpoint.codec import pack_floats, pack_ints
+from repro.checkpoint.codec import (_from_id_deltas, _from_xor_planes,
+                                    _id_deltas, _xor_planes, pack_floats,
+                                    pack_ints)
 from repro.checkpoint.snapshot import SNAPSHOT_MAGIC, _encode_snapshot
 from repro.cli import main
 from repro.faults import FaultConfig
@@ -221,16 +223,19 @@ def _listed_rngs(state: dict) -> None:
                                      rng["gauss_next"]]
 
 
-@pytest.mark.parametrize("schema", [1, 2, 3, 4])
+@pytest.mark.parametrize("schema", [1, 2, 3, 4, 5])
 def test_old_state_schema_refused(tmp_path: Path, schema: int) -> None:
     """Schema 1 carried a controller-mode flag and event kinds this build
     no longer has; schemas 1 and 2 stored the LLC as nested per-line
     rows; schema 3 held the LLC columns and the fault lines as JSON;
-    schemas 1-4 held each RNG state and the trace ring as JSON lists.
-    There is no reader for any of them: restoring one fails loudly
-    instead of being misread."""
+    schemas 1-4 held each RNG state and the trace ring as JSON lists;
+    schema 5 held the ring's numeric fields raw.  There is no reader
+    for any of them: restoring one fails loudly instead of being
+    misread."""
     def downgrade(state: dict) -> None:
         state["state_schema"] = schema
+        if schema == 5:
+            return
         _listed_rngs(state)
         if schema == 1:
             state["fastpath"] = True
@@ -375,6 +380,28 @@ def test_packed_columns_round_trip(tmp_path_factory, ints: list,
     assert ints_back.tolist() == ints
     assert floats_back.tolist() == floats
     assert floats_back.tobytes() == packed_floats.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(times=st.lists(st.floats(), max_size=40),
+       ids=st.lists(st.one_of(st.just(-1), st.integers(0, 2**40)),
+                    max_size=40))
+@example(times=[0.0, -0.0, float("inf"), float("nan"), 5e-324, 1.5, 1.5],
+         ids=[-1, 0, 7, -1, 3, 2**40, 0])
+def test_ring_transforms_are_bit_exact(tmp_path_factory, times: list,
+                                       ids: list) -> None:
+    """The ring's ``t_ns`` XOR planes and ``req_id`` deltas come back
+    from a snapshot file exactly: every float bit pattern (signed zero,
+    NaN payloads, subnormals) and every id, -1 included."""
+    column = array("d", times)
+    planes, deltas = _xor_planes(column), _id_deltas(ids)
+    path = tmp_path_factory.mktemp("ring") / "columns.ckpt"
+    path.write_bytes(_encode_snapshot(_PROP_CONFIG, {
+        "section": {"planes": planes, "deltas": deltas}}))
+    _, state = load_snapshot(path)
+    assert (_from_xor_planes(state["section"]["planes"]).tobytes()
+            == column.tobytes())
+    assert _from_id_deltas(state["section"]["deltas"]) == ids
 
 
 @given(ints=st.lists(_UINT64, max_size=20),
@@ -553,9 +580,11 @@ def test_llc_round_trip_restores_lines_and_tag_mirrors(tmp_path: Path
 #: schema 3, rewritten in the schema-4 file layout (columns packed,
 #: nothing else changed) when that layout replaced the JSON envelope,
 #: and rewritten as schema 5 (the RNG words packed, nothing else
-#: changed) when the RNG states became columns.
+#: changed) when the RNG states became columns, then as schema 6 (the
+#: trace ring's encoding changed; this state has no ring, so nothing
+#: else changed).
 EARLIER_BUILD_SNAPSHOT = (Path(__file__).parent / "data"
-                          / "snapshot_state5_small_llc.ckpt")
+                          / "snapshot_state6_small_llc.ckpt")
 
 
 def test_snapshot_from_an_earlier_build_resumes_byte_equal(
@@ -567,7 +596,7 @@ def test_snapshot_from_an_earlier_build_resumes_byte_equal(
     differ between zlib versions.)"""
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
     config, state = load_snapshot(EARLIER_BUILD_SNAPSHOT)
-    assert state["state_schema"] == 5
+    assert state["state_schema"] == 6
     assert any(flag & EAGER_CLEANED for flag in state["llc"]["flags"])
     restored = restore_system(EARLIER_BUILD_SNAPSHOT)
     assert (_encode_snapshot(config, capture_state(restored))

@@ -108,3 +108,96 @@ def test_invalid_construction():
         build([], base_cpi=0.0)
     with pytest.raises(ValueError):
         build([], mlp=0)
+
+
+# ---------------------------------------------------------------------------
+# The record loop against its specification
+# ---------------------------------------------------------------------------
+
+def _llc_state(llc):
+    cache = llc.cache
+    stats = llc.stats
+    return {
+        "tags": cache._tag_sets,
+        "flags": cache._flags,
+        "touches": cache._touches,
+        "set_access_counts": cache.set_access_counts,
+        "hit_counters": llc.profiler.hit_counters,
+        "miss_counter": llc.profiler.miss_counter,
+        "buckets": llc.deadblock.buckets,
+        "total_reuses": llc.deadblock.total_reuses,
+        "stats": (stats.accesses, stats.hits, stats.misses,
+                  stats.writebacks, stats.eager_writebacks,
+                  stats.wasted_eager),
+    }
+
+
+def _trace_state(trace):
+    from repro.checkpoint.codec import _pattern_state
+
+    return trace.rng.getstate(), [_pattern_state(p) for p in trace.patterns]
+
+
+@pytest.mark.parametrize("sanitize", [False, True], ids=["plain", "sanitized"])
+@pytest.mark.parametrize("seed", [1, 7, 23])
+@pytest.mark.parametrize("workload", ["hmmer", "zeusmp", "gups", "lbm"])
+def test_record_loop_matches_lru_access_and_next_record(workload, seed,
+                                                        sanitize):
+    """The core's record loop draws each record in-line and applies LLC
+    hits in place.  Fed a profile trace, it must leave the cache and the
+    trace exactly where pulling ``ProfileTrace.next_record`` and calling
+    ``LastLevelCache.access`` (``LRUCache.access`` plus the profiler,
+    dead-block and LLCStats counters) once per record would: the three
+    LRU columns, per-set access counts, profiler hit and miss counters,
+    dead-block histogram, LLCStats, trace RNG state and pattern cursors.
+    Some dirty lines start eager-cleaned, so hits that waste an eager
+    writeback are covered too."""
+    import random
+
+    from repro.workloads.profiles import get_profile
+
+    profile = get_profile(workload)
+
+    def fresh():
+        llc = LastLevelCache(size_bytes=1024 * 1024, assoc=16)
+        trace = profile.trace(seed)
+        llc.warm_chunk(trace, 12000)
+        picker = random.Random(seed)
+        for flags in llc.cache._flags:
+            for position, flag in enumerate(flags):
+                if flag & 1 and picker.random() < 0.3:
+                    flags[position] = 2    # EAGER_CLEANED
+        return llc, trace
+
+    llc, trace = fresh()
+    events = EventQueue(sanitize=sanitize)
+    controller = MemoryController(
+        events=events, policy=parse_policy("Norm"), address_map=AMAP,
+        wear=WearTracker(AMAP.num_banks, AMAP.blocks_per_bank),
+        sanitize=sanitize,
+    )
+    stop_at = 3000
+
+    def stop(count):
+        core.stop_requested = True
+        events.stop = True
+
+    core = SimpleCore(events, llc, controller, trace, base_cpi=0.5, mlp=4,
+                      on_access=stop, sanitize=sanitize)
+    core.access_limit = stop_at
+    core.start()
+    events.run_fast(10**7)
+    consumed = core.accesses_processed
+    assert consumed >= stop_at
+    assert controller.read_q.capacity > core.mlp   # no fill is replayed
+
+    ref_llc, ref_trace = fresh()
+    for _ in range(consumed):
+        record = ref_trace.next_record()
+        ref_llc.access(record.block, record.is_write)
+    if core._gap_record is not None:
+        # The record whose gap event is pending was drawn, not accessed.
+        assert ref_trace.next_record() == core._gap_record
+    assert 0 < llc.stats.hits < consumed
+    assert _llc_state(llc) == _llc_state(ref_llc)
+    assert _trace_state(trace) == _trace_state(ref_trace)

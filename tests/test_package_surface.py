@@ -67,3 +67,29 @@ def test_simulator_does_not_import_the_linter():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_simulating_does_not_import_the_exhibits():
+    # repro.experiments resolves its exports lazily, so a run or a sweep
+    # never pays for importing the exhibit regenerators (figures,
+    # ablations, headline, seeds).
+    code = ("import sys, repro.sim.system, repro.experiments.runner; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('repro.experiments.')))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "['repro.experiments.runner']"
+
+
+def test_lazy_registries_resolve():
+    import repro.experiments as experiments
+
+    for symbol in experiments.__all__:
+        assert getattr(experiments, symbol) is not None, symbol
+    assert "fig11" in experiments.ALL_FIGURES
+    assert experiments.ALL_ABLATIONS
+    with pytest.raises(AttributeError):
+        experiments.no_such_exhibit
