@@ -1,11 +1,11 @@
 """Deterministic checkpoint/resume for the Mellow Writes simulator.
 
 Snapshots capture the *complete* simulator state at an event boundary -
-event queue (with its reserved sequence numbers and the deferred-event
-seam), controller/bank/queue state with object identity preserved, LLC
-and LRU tags, Start-Gap leveling positions, wear accounting (flushed
-before capture), fault-injector per-line endurance state, every RNG
-stream, telemetry epoch alignment, and the core clock - so that
+event queue (with its reserved sequence numbers), controller/bank/queue
+state with object identity preserved, LLC and LRU tags, Start-Gap
+leveling positions, wear accounting (flushed before capture),
+fault-injector per-line endurance state, every RNG stream, telemetry
+epoch alignment, and the core clock - so that
 snapshot -> restore -> continue is bit-identical to running straight
 through.  See ``docs/checkpointing.md`` for the schema and the resume
 semantics, and ``tests/test_checkpoint.py`` for the differential

@@ -3,12 +3,12 @@
 The codec walks a paused :class:`repro.sim.system.System` and produces a
 plain dict (strings, numbers, bools, lists, dicts, ``None`` and
 ``array.array`` columns) capturing *everything* the rest of the run
-depends on: the event queue with its reserved sequence numbers and
-deferred-event seam, controller/bank/queue state down to object
-identity between queue entries and in-flight operations, LLC contents
-and LRU order, wear accounting (flushed before capture), fault-injector
-per-line endurance state, every RNG stream, the telemetry epoch
-alignment, and the core's architectural state.
+depends on: the event queue with its reserved sequence numbers,
+controller/bank/queue state down to object identity between queue
+entries and in-flight operations, LLC contents and LRU order, wear
+accounting (flushed before capture), fault-injector per-line endurance
+state, every RNG stream, the telemetry epoch alignment, and the core's
+architectural state.
 
 Two representation rules keep restores bit-identical:
 
@@ -66,7 +66,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.sim.system import System
 
 #: Version of the *state* layout below (the file envelope has its own).
-STATE_SCHEMA_VERSION = 6
+STATE_SCHEMA_VERSION = 7
 
 #: Integer column typecodes, narrowest first.
 _INT_TYPECODES = "BHIQ"
@@ -818,10 +818,6 @@ def capture_state(system: "System") -> Dict[str, Any]:
     ]
     heap_rows = [[time_ns, seq, capture.encode_event(fn, arg)]
                  for time_ns, seq, fn, arg in events._heap]
-    deferred = events._deferred
-    deferred_row = (None if deferred is None else
-                    [deferred[0], deferred[1],
-                     capture.encode_event(deferred[2], deferred[3])])
 
     # Peek-and-reanchor: observe the next request id without changing
     # what the live controller will hand out next.
@@ -838,7 +834,6 @@ def capture_state(system: "System") -> Dict[str, Any]:
             "now": events.now,
             "seq": events._seq,
             "heap": heap_rows,
-            "deferred": deferred_row,
         },
         "system": _fields_to_dict(system, _SYSTEM_FIELDS),
         "core": {
@@ -893,10 +888,6 @@ def _restore_events(restore: _Restore, state: Dict[str, Any]) -> None:
     events._seq = state["seq"]
     events._heap = [(time_ns, seq, *restore.decode_event(desc))
                     for time_ns, seq, desc in state["heap"]]
-    deferred = state["deferred"]
-    events._deferred = (None if deferred is None else
-                        (deferred[0], deferred[1],
-                         *restore.decode_event(deferred[2])))
     events.stop = False
 
 
@@ -918,7 +909,6 @@ def _restore_core(restore: _Restore, state: Dict[str, Any]) -> None:
             f"waits on read {core._wait_read_id}")
     core._in_run = False
     core._owns_clock = False
-    core.stop_requested = False
 
 
 def _restore_controller(restore: _Restore, state: Dict[str, Any]) -> None:

@@ -29,21 +29,23 @@ Clock advance and hits: for a workload profile's trace, ``_run_inner``
 draws each record in-line from the trace's ``raw_parts`` (the same draws,
 in the same order, as the trace's own generator).  While the core owns
 the clock and no pending event is due at or before the access time, the
-loop moves the clock there itself, and it applies an LLC hit in place
-on the cache's three LRU columns with the exact effects of
+loop moves the clock there itself (with the sanitizer's monotonicity
+check when it is armed), and it applies an LLC hit in place on the
+cache's three LRU columns with the exact effects of
 :meth:`LastLevelCache.access`.  Only misses go through ``llc.access``
 and :meth:`_handle_miss`.  Access and hit counts stay in locals and are
-written back before anything can read them.  When the only events due
-strictly before the access time are the owner's periodic ticks
-(``ticks``: the eager scan and the epoch sample), an eager-tick boundary
-costs no gap event: :meth:`EventQueue.pass_ticks` runs the
-ticks in place and the loop carries on.  Any other intervening event,
-or a tie at the access time, turns the instruction gap into a scheduled
-(or deferred) gap event.  Every resolution is observably identical to
-scheduling the gap event; see docs/performance.md for the
-clock-ownership rule that keeps them so.  The owner hears of accesses
-through ``on_access``, called only once ``accesses_processed`` reaches
-``access_limit`` (the owner re-arms it from inside the call).
+written back before anything can read them.  Every other gap goes
+through :meth:`_resolve_gap`: when the only events due strictly before
+the access time are the owner's periodic ticks (``ticks``: the eager
+scan and the epoch sample), :meth:`EventQueue.pass_ticks` runs them in
+place and the loop carries on; any other intervening event, a tie at
+the access time, a stop or a re-entry from a controller frame turns the
+instruction gap into a gap event in the heap.  Every resolution is
+observably identical to scheduling the gap event; see
+docs/performance.md for the clock-ownership rule that keeps them so.
+The owner hears of accesses through ``on_access``, called only once
+``accesses_processed`` reaches ``access_limit`` (the owner re-arms it
+from inside the call).
 """
 
 from __future__ import annotations
@@ -106,11 +108,6 @@ class SimpleCore:
             writeback_sink if writeback_sink is not None
             else controller.submit_write
         )
-        # Cooperative stop: the driver (System) sets this when the
-        # measurement window closes so the core stops advancing the clock
-        # analytically and yields control back to the event loop at the
-        # next gap boundary, with its next gap event scheduled.
-        self.stop_requested = False
 
         self.instructions_retired = 0
         self.accesses_processed = 0
@@ -134,7 +131,7 @@ class SimpleCore:
         # queue-space callback), the caller still has work to do at the
         # current time (e.g. _complete_read issues the bank's next request
         # after the callback), so moving the clock under it would reorder
-        # the simulation.  There the loop defers a gap event instead.
+        # the simulation.  There the loop schedules its gap event instead.
         self._owns_clock = False
         # Gap event: one bound method reused for every gap
         # (at most one gap event is ever outstanding), with the record
@@ -230,8 +227,8 @@ class SimpleCore:
             lambd = trace.lambd
         else:
             rnd = compiled = fallback = lambd = None
-        return (events, events._heap, events._executed, trace, rnd,
-                compiled, fallback, lambd, llc.access, llc.stats,
+        return (events, events._heap, events._executed, events._sanitize,
+                trace, rnd, compiled, fallback, lambd, llc.access, llc.stats,
                 cache.num_sets, cache._tag_sets, cache._flags,
                 cache._touches, cache.set_access_counts, llc._hit_counters,
                 llc._db_buckets, self.base_cpi)
@@ -260,9 +257,9 @@ class SimpleCore:
         hot = self._hot
         if hot is None:
             hot = self._hot = self._hot_locals()
-        (events, heap, executed, trace, rnd, compiled, fallback, lambd,
-         llc_access, stats, num_sets, tag_sets, flag_sets, touch_sets,
-         set_counts, hit_counters, db_buckets, base_cpi) = hot
+        (events, heap, executed, sanitize, trace, rnd, compiled, fallback,
+         lambd, llc_access, stats, num_sets, tag_sets, flag_sets,
+         touch_sets, set_counts, hit_counters, db_buckets, base_cpi) = hot
         clk_ns = params.CPU_CLK_NS
         max_bucket = DeadBlockPredictor.MAX_BUCKET
         count = self.accesses_processed
@@ -270,11 +267,9 @@ class SimpleCore:
         limit = self.access_limit
         hits = 0
         now = events.now
-        # The clock moves in-line only from a frame that owns it, before
-        # a stop, and without the sanitizer, whose checks live in
-        # advance_if_clear; every other gap goes through _resolve_gap.
-        inline = (self._owns_clock and not self.stop_requested
-                  and not events._sanitize)
+        # The clock moves in-line only from a frame that owns it and
+        # before a stop; every other gap goes through _resolve_gap.
+        inline = self._owns_clock and not events.stop
         while True:
             if rnd is not None:
                 # ProfileTrace._record_gen's draws, in its order.
@@ -300,7 +295,11 @@ class SimpleCore:
                 insts += gap
                 target = now + gap * base_cpi * clk_ns
                 if inline and (not heap or heap[0][0] > target):
-                    # EventQueue.advance_if_clear's effects, in-line.
+                    # A popped gap event's effects, in-line.
+                    if sanitize:
+                        check(target >= events.now, "event-time-monotonicity",
+                              "analytic advance moved the clock backwards",
+                              event_time_ns=target, now_ns=events.now)
                     events.now = now = target
                     if executed is not None:
                         executed.value += 1.0
@@ -377,8 +376,7 @@ class SimpleCore:
             insts = self.instructions_retired
             limit = self.access_limit
             now = events.now
-            inline = (self._owns_clock and not self.stop_requested
-                      and not events._sanitize)
+            inline = self._owns_clock and not events.stop
 
     def _flush(self, count: int, insts: int, hits: int) -> None:
         """Write the record loop's local counts back."""
@@ -397,25 +395,17 @@ class SimpleCore:
 
         Returns True when the clock now sits at ``target_ns`` and the
         access may run in-line.  Otherwise a gap event carrying the
-        record is scheduled, deferred, or pushed by
-        :meth:`EventQueue.pass_ticks` under its reserved sequence
-        number, and the loop must return.
+        record is in the heap - scheduled, or pushed by
+        :meth:`EventQueue.pass_ticks` under the sequence number
+        :meth:`~EventQueue.schedule` would have taken - and the loop
+        must return.
         """
         events = self.events
-        if self.stop_requested:
+        if events.stop or not self._owns_clock:
+            # A stopped run ends at a clean event boundary; a controller
+            # frame still has work at the current time (see _owns_clock).
             events.schedule(target_ns, self._gap_callback)
-        elif not self._owns_clock:
-            # Resumed inside a controller frame, the analytic advance is
-            # off the table - the enclosing frame still has work at the
-            # current time - but the gap event can be *deferred*: its
-            # heap slot is reserved now (sequence order preserved) and
-            # the driver loop resolves it once every enclosing frame has
-            # unwound, running it inline when the window up to the gap
-            # target is quiescent.
-            events.defer(target_ns, self._gap_callback)
-        elif ((events._sanitize and events.advance_if_clear(target_ns))
-              or events.pass_ticks(target_ns, self._gap_callback,
-                                   self.ticks)):
+        elif events.pass_ticks(target_ns, self._gap_callback, self.ticks):
             return True
         self._gap_record = _new_tuple(
             TraceRecord, (gap, block, is_write, dependent))

@@ -309,21 +309,16 @@ class System:
               and count >= self.config.measure_accesses):
             self._measure_end_ns = self.events.now
             self._done = True
-            # Stop the core's analytic clock advance too: from here on it
-            # schedules (never inlines or defers) its gap event, so the run
-            # ends at a clean event boundary.
-            self.core.stop_requested = True
+            # The core reads the stop too and schedules its next gap
+            # event, so the run ends at a clean event boundary.
             self.events.stop = True
         elif self._pause_at is not None and count >= self._pause_at:
-            # Checkpoint boundary: reuse the end-of-run stop machinery so
-            # the core schedules (never inlines or defers) its next gap
-            # event and the drain stops at a clean event boundary.  The
-            # scheduled gap consumes one extra sequence number relative
-            # to an unpaused run - a uniform offset on all later events
-            # that cannot reorder same-time ties, so sliced runs stay
-            # bit-identical to straight-through ones.
+            # Checkpoint boundary: the same stop.  The scheduled gap may
+            # take one sequence number an unpaused run would not - a
+            # uniform offset on all later events that cannot reorder
+            # same-time ties, so sliced runs stay bit-identical to
+            # straight-through ones.
             self._paused = True
-            self.core.stop_requested = True
             self.events.stop = True
         self._arm_access_limit()
 
@@ -356,7 +351,6 @@ class System:
             self._measure_start_ns = 0.0
         self._measure_end_ns = now
         self._done = True
-        self.core.stop_requested = True
         self.events.stop = True
         self._arm_access_limit()
 
@@ -466,7 +460,6 @@ class System:
         is part of the captured state.
         """
         self._paused = False
-        self.core.stop_requested = False
         self._arm_access_limit()
         self._drain_events(max_events)
         if self._paused and not self._done:
@@ -541,7 +534,6 @@ class System:
         """
         events = self.events
         events._heap.clear()
-        events._deferred = None
         core = self.core
         for name in ("on_access", "writeback_sink", "_gap_callback", "_hot"):
             setattr(core, name, None)
@@ -566,11 +558,11 @@ class System:
         """Run events until the run completes or pauses.
 
         Hands the whole budget to :meth:`EventQueue.run_fast`, which pops
-        (and resolves deferrals) with every per-event load hoisted out of
-        the loop; ``_on_access`` / ``_on_fault_fatal`` raise the queue's
-        cooperative ``stop`` flag to end the drain right after the event
-        that completed or paused the run.  The event that exhausts the
-        budget raises even when it also completed the run.
+        with every per-event load hoisted out of the loop;
+        ``_on_access`` / ``_on_fault_fatal`` raise the queue's cooperative
+        ``stop`` flag - which the core reads too - to end the drain right
+        after the event that completed or paused the run.  The event that
+        exhausts the budget raises even when it also completed the run.
         """
         events = self.events
         events.stop = False
@@ -582,13 +574,6 @@ class System:
                 f"event queue drained at {events.now} ns with "
                 f"{self.core.accesses_processed} accesses processed"
             )
-        if events.deferred_time is not None:
-            # A deferral can survive the drain only when a fatal fault in
-            # another event's callback stopped the run first (never at a
-            # checkpoint pause, which the core only raises from a frame
-            # with no deferral outstanding); flush it so the queue ends
-            # with every pending event in the heap.
-            events.flush_deferred()
 
     # ------------------------------------------------------------------
 

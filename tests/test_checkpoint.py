@@ -223,18 +223,19 @@ def _listed_rngs(state: dict) -> None:
                                      rng["gauss_next"]]
 
 
-@pytest.mark.parametrize("schema", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("schema", [1, 2, 3, 4, 5, 6])
 def test_old_state_schema_refused(tmp_path: Path, schema: int) -> None:
     """Schema 1 carried a controller-mode flag and event kinds this build
     no longer has; schemas 1 and 2 stored the LLC as nested per-line
     rows; schema 3 held the LLC columns and the fault lines as JSON;
     schemas 1-4 held each RNG state and the trace ring as JSON lists;
-    schema 5 held the ring's numeric fields raw.  There is no reader
-    for any of them: restoring one fails loudly instead of being
-    misread."""
+    schema 5 held the ring's numeric fields raw; schemas 1-6 carried a
+    deferred-event row in the event queue.  There is no reader for any
+    of them: restoring one fails loudly instead of being misread."""
     def downgrade(state: dict) -> None:
         state["state_schema"] = schema
-        if schema == 5:
+        state["events"]["deferred"] = None
+        if schema >= 5:
             return
         _listed_rngs(state)
         if schema == 1:
@@ -582,9 +583,10 @@ def test_llc_round_trip_restores_lines_and_tag_mirrors(tmp_path: Path
 #: and rewritten as schema 5 (the RNG words packed, nothing else
 #: changed) when the RNG states became columns, then as schema 6 (the
 #: trace ring's encoding changed; this state has no ring, so nothing
-#: else changed).
+#: else changed), then as schema 7 (the event queue's empty deferred-event
+#: row dropped, nothing else changed).
 EARLIER_BUILD_SNAPSHOT = (Path(__file__).parent / "data"
-                          / "snapshot_state6_small_llc.ckpt")
+                          / "snapshot_state7_small_llc.ckpt")
 
 
 def test_snapshot_from_an_earlier_build_resumes_byte_equal(
@@ -596,7 +598,7 @@ def test_snapshot_from_an_earlier_build_resumes_byte_equal(
     differ between zlib versions.)"""
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
     config, state = load_snapshot(EARLIER_BUILD_SNAPSHOT)
-    assert state["state_schema"] == 6
+    assert state["state_schema"] == 7
     assert any(flag & EAGER_CLEANED for flag in state["llc"]["flags"])
     restored = restore_system(EARLIER_BUILD_SNAPSHOT)
     assert (_encode_snapshot(config, capture_state(restored))

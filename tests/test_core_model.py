@@ -1,5 +1,7 @@
 """Focused tests for the SimpleCore timing model."""
 
+import dataclasses
+
 import pytest
 
 from repro.cache.llc import LastLevelCache
@@ -179,7 +181,6 @@ def test_record_loop_matches_lru_access_and_next_record(workload, seed,
     stop_at = 3000
 
     def stop(count):
-        core.stop_requested = True
         events.stop = True
 
     core = SimpleCore(events, llc, controller, trace, base_cpi=0.5, mlp=4,
@@ -201,3 +202,30 @@ def test_record_loop_matches_lru_access_and_next_record(workload, seed,
     assert 0 < llc.stats.hits < consumed
     assert _llc_state(llc) == _llc_state(ref_llc)
     assert _trace_state(trace) == _trace_state(ref_trace)
+
+
+def test_sanitized_runs_take_the_plain_gap_path(monkeypatch) -> None:
+    """The sanitizer adds checks, not a second clock path: a sanitized
+    run crosses exactly the instruction gaps in-line that a plain run
+    does, so it sends as many of them to ``_resolve_gap``."""
+    from repro.sim.config import SimConfig
+    from repro.sim.system import System
+
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    calls = []
+    resolve_gap = SimpleCore._resolve_gap
+
+    def spy(self, *args):
+        calls.append(None)
+        return resolve_gap(self, *args)
+
+    monkeypatch.setattr(SimpleCore, "_resolve_gap", spy)
+    config = SimConfig(workload="zeusmp", policy="BE-Mellow+SC",
+                       seed=1).scaled(0.05)
+    counts = []
+    for sanitize in (False, True):
+        calls.clear()
+        System(dataclasses.replace(config, sanitize=sanitize)).run()
+        counts.append(len(calls))
+    assert counts[0] > 0
+    assert counts[0] == counts[1]

@@ -111,104 +111,6 @@ def test_peek_time():
 
 
 # ---------------------------------------------------------------------------
-# Adversarial unit tests for the batch-advance seams: the core's analytic
-# clock advance and the deferred event.  Each targets an edge the seams
-# could get subtly wrong while whole-simulation results still look sane.
-# ---------------------------------------------------------------------------
-
-
-def test_advance_if_clear_refuses_exact_tie_with_heap_event() -> None:
-    """An event due exactly at the jump target must win: the tie has to
-    go through the heap so sequence ordering decides, not the jumper."""
-    q = EventQueue(sanitize=False)
-    q.schedule(10.0, lambda _: None)
-    assert q.advance_if_clear(10.0) is False
-    assert q.now == 0.0   # simlint: ignore[SIM004] -- exact by construction: jump targets are set, not computed
-    # Strictly before the pending event the window is quiescent.
-    assert q.advance_if_clear(9.0) is True
-    assert q.now == 9.0   # simlint: ignore[SIM004] -- exact by construction: jump targets are set, not computed
-
-
-def test_advance_if_clear_refuses_exact_tie_with_deferred_event() -> None:
-    """A deferred event counts as pending even though it is not in the
-    heap: jumping over (or onto) it would run the window out of order."""
-    q = EventQueue(sanitize=False)
-    q.defer(10.0, lambda _: None)
-    assert q.advance_if_clear(10.0) is False
-    assert q.advance_if_clear(11.0) is False
-    assert q.advance_if_clear(9.5) is True
-    assert q.now == 9.5   # simlint: ignore[SIM004] -- exact by construction: jump targets are set, not computed
-
-
-def test_run_fast_zero_length_deferred_window_runs_inline() -> None:
-    """A deferral at exactly ``now`` (zero-length quiescent window) must
-    resolve inline without moving the clock - the degenerate jump."""
-    q = EventQueue(sanitize=False)
-    q.schedule(5.0, lambda _: None)
-    assert q.run_fast(budget=1) == 1
-    assert q.now == 5.0   # simlint: ignore[SIM004] -- exact by construction: jump targets are set, not computed
-    fired = []
-    q.defer(5.0, lambda _: fired.append(q.now))
-    assert q.run_fast(budget=10) == 1
-    assert fired == [5.0]
-    assert q.now == 5.0   # simlint: ignore[SIM004] -- exact by construction: jump targets are set, not computed
-    assert q.deferred_time is None
-
-
-def test_run_fast_flushes_deferral_on_time_tie_fifo_order() -> None:
-    """schedule(t) / defer(t) / schedule(t): all three tie on time, so
-    reserved sequence numbers must serialize them in call order."""
-    q = EventQueue(sanitize=False)
-    order = []
-    q.schedule(10.0, lambda _: order.append("first-scheduled"))
-    q.defer(10.0, lambda _: order.append("deferred"))
-    q.schedule(10.0, lambda _: order.append("last-scheduled"))
-    assert q.run_fast(budget=10) == 3
-    assert order == ["first-scheduled", "deferred", "last-scheduled"]
-    assert q.now == 10.0   # simlint: ignore[SIM004] -- exact by construction: jump targets are set, not computed
-
-
-def test_run_fast_flushes_deferral_past_earlier_heap_event() -> None:
-    """An event scheduled *after* the deferral but due *before* it (the
-    epoch-tick-inside-a-quiescent-window shape) must run first; the
-    deferral is flushed into the heap and keeps its reserved sequence."""
-    q = EventQueue(sanitize=False)
-    order = []
-    q.defer(50.0, lambda _: order.append(("miss-completion", q.now)))
-    q.schedule(30.0, lambda _: order.append(("epoch-tick", q.now)))
-    assert q.run_fast(budget=10) == 2
-    assert order == [("epoch-tick", 30.0), ("miss-completion", 50.0)]
-    assert q.now == 50.0   # simlint: ignore[SIM004] -- exact by construction: jump targets are set, not computed
-
-
-def test_run_fast_deferred_seam_with_sanitizer_armed() -> None:
-    """The inline-resolution branch has its own monotonicity check; a
-    legal window must pass it and an illegal jump must trip it."""
-    q = EventQueue(sanitize=True)
-    fired = []
-    q.defer(20.0, lambda _: fired.append(q.now))
-    assert q.run_fast(budget=10) == 1
-    assert fired == [20.0]
-    with pytest.raises(InvariantViolation):
-        q.advance_if_clear(5.0)   # behind now=20 with the sanitizer armed
-
-
-def test_defer_contract() -> None:
-    """One deferral at a time, never into the past."""
-    q = EventQueue(sanitize=False)
-    q.schedule(5.0, lambda _: None)
-    q.run_fast(budget=1)
-    with pytest.raises(ValueError):
-        q.defer(4.0, lambda _: None)
-    q.defer(6.0, lambda _: None)
-    with pytest.raises(RuntimeError):
-        q.defer(7.0, lambda _: None)
-    q.flush_deferred()
-    with pytest.raises(RuntimeError):
-        q.flush_deferred()
-
-
-# ---------------------------------------------------------------------------
 # pass_ticks: the core's seam for instruction gaps that span periodic ticks
 # ---------------------------------------------------------------------------
 
@@ -304,6 +206,22 @@ def test_pass_ticks_leaves_other_events_to_the_heap() -> None:
     assert owner.log == []
     q.run_fast(3)
     assert owner.log == [("other", 3.0), ("tick", 5.0), ("gap", 10.0)]
+
+
+def test_pass_ticks_behind_now_with_sanitizer_armed() -> None:
+    """A gap whose target lies behind the clock trips the sanitizer's
+    monotonicity check instead of moving the clock backwards."""
+    q = EventQueue(sanitize=True)
+    owner = _Owner(q, 4.0)
+    q.schedule(20.0, owner.other)
+    q.run_fast(budget=10)
+    assert q.now == 20.0   # simlint: ignore[SIM004] -- exact by construction: jump targets are set, not computed
+    with pytest.raises(InvariantViolation):
+        q.pass_ticks(5.0, owner.gap, ())
+    assert q.now == 20.0   # simlint: ignore[SIM004] -- exact by construction: jump targets are set, not computed
+    # A legal gap passes the same check.
+    assert q.pass_ticks(25.0, owner.gap, ()) is True
+    assert q.now == 25.0   # simlint: ignore[SIM004] -- exact by construction: jump targets are set, not computed
 
 
 def test_checkpoint_pause_inside_a_hit_stretch_resumes_byte_equal() -> None:
