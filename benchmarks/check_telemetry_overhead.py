@@ -6,19 +6,20 @@ results are bit-identical, and reports the wall-clock ratios.  The three
 variants are interleaved round-robin and each round scored as a ratio
 against its own baseline run; the minimum per-round ratio is reported,
 so machine noise (which is round-correlated and strictly additive)
-does not masquerade as overhead.  Asserts:
+does not masquerade as overhead.  Every round's times and ratios are
+printed, so a failing log shows whether host load moved between rounds.
+Asserts:
 
-* disabled-path overhead < ``REPRO_TELEMETRY_DISABLED_MAX`` (default 2%,
-  measured as the off/off ratio - the noise floor bounds the cost of the
+* disabled-path overhead < ``DISABLED_MAX`` (2%, measured as the off/off
+  ratio - the noise floor bounds the cost of the
   one-attribute-check-per-site disabled path from above);
-* enabled-path overhead < ``REPRO_TELEMETRY_ENABLED_MAX`` (default 25%),
-  including writing the bundle to disk.
+* enabled-path overhead < ``ENABLED_MAX`` (25%), including writing the
+  bundle to disk.
 
     PYTHONPATH=src python benchmarks/check_telemetry_overhead.py
 """
 from __future__ import annotations
 
-import os
 import sys
 import tempfile
 import time
@@ -31,6 +32,8 @@ from repro.sim.system import run_simulation
 CONFIG = SimConfig(workload="lbm", policy="BE-Mellow+SC+WQ",
                    warmup_accesses=24_000, measure_accesses=96_000)
 REPEATS = 3
+DISABLED_MAX = 0.02
+ENABLED_MAX = 0.25
 
 
 def timed_run(config: SimConfig):
@@ -40,11 +43,6 @@ def timed_run(config: SimConfig):
 
 
 def main() -> int:
-    disabled_max = float(
-        os.environ.get("REPRO_TELEMETRY_DISABLED_MAX", "0.02"))
-    enabled_max = float(
-        os.environ.get("REPRO_TELEMETRY_ENABLED_MAX", "0.25"))
-
     with tempfile.TemporaryDirectory() as tmp:
         variants = {
             "base": CONFIG,
@@ -54,10 +52,14 @@ def main() -> int:
         }
         times = {key: [] for key in variants}
         results = {}
-        for _ in range(REPEATS):
+        for round_index in range(REPEATS):
             for key, config in variants.items():
                 elapsed, results[key] = timed_run(config)
                 times[key].append(elapsed)
+            base, off, on = (times[key][-1] for key in ("base", "off", "on"))
+            print(f"round {round_index + 1}: base {base:.2f}s off {off:.2f}s "
+                  f"on {on:.2f}s | off/base {off / base - 1.0:+.1%} "
+                  f"on/base {on / base - 1.0:+.1%}")
 
     if not (results["base"] == results["off"] == results["on"]):
         print("FAIL: traced/untraced results differ", file=sys.stderr)
@@ -76,16 +78,16 @@ def main() -> int:
     # reports the noise floor; the disabled-path instrumentation cost is
     # below whatever this says.  A persistent excess means a guard is
     # doing real work while disabled.
-    if disabled_overhead > disabled_max:
+    if disabled_overhead > DISABLED_MAX:
         print(f"FAIL: disabled-path overhead {disabled_overhead:+.1%} "
-              f"exceeds {disabled_max:.0%}", file=sys.stderr)
+              f"exceeds {DISABLED_MAX:.0%}", file=sys.stderr)
         return 1
-    if enabled_overhead > enabled_max:
+    if enabled_overhead > ENABLED_MAX:
         print(f"FAIL: enabled-path overhead {enabled_overhead:+.1%} "
-              f"exceeds {enabled_max:.0%}", file=sys.stderr)
+              f"exceeds {ENABLED_MAX:.0%}", file=sys.stderr)
         return 1
-    print(f"OK: disabled within {disabled_max:.0%}, "
-          f"enabled within {enabled_max:.0%}")
+    print(f"OK: disabled within {DISABLED_MAX:.0%}, "
+          f"enabled within {ENABLED_MAX:.0%}")
     return 0
 
 

@@ -75,9 +75,6 @@ class WritePolicy:
         """Whether a write issued at this speed may be cancelled by a read."""
         return self.cancel_slow if slow else self.cancel_normal
 
-    def with_slow_factor(self, factor: float) -> "WritePolicy":
-        return replace(self, slow_factor=factor)
-
 
 # Base-scheme templates; parse_policy stamps the requested name, slow
 # factor, and suffix toggles onto a copy via dataclasses.replace.

@@ -154,9 +154,6 @@ class MemoryController:
         drain_low: int = params.WRITE_DRAIN_LOW,
         drain_high: int = params.WRITE_DRAIN_HIGH,
         wear_scaler: Optional[Callable[[], float]] = None,
-        cancel_threshold: float = 0.5,
-        page_policy: str = "open",
-        read_scheduler: str = "fcfs",
         sanitize: Optional[bool] = None,
         telemetry: Telemetry = NULL_TELEMETRY,
         faults: Optional[FaultInjector] = None,
@@ -208,22 +205,6 @@ class MemoryController:
                                     num_banks=self.amap.num_banks)
         self.drain_low = drain_low
         self.drain_high = drain_high
-        if not 0.0 <= cancel_threshold <= 1.0:
-            raise ValueError("cancel_threshold must be in [0, 1]")
-        # Threshold-based cancellation (Qureshi et al., HPCA 2010): a write
-        # whose programming pulse has progressed beyond this fraction is
-        # allowed to finish - aborting it would waste nearly a whole pulse
-        # of cell stress and re-pay the full write later.
-        self.cancel_threshold = cancel_threshold
-        if page_policy not in ("open", "closed"):
-            raise ValueError("page_policy must be 'open' or 'closed'")
-        # Table II uses open-page; closed-page (precharge after every
-        # access) is provided for sensitivity studies.
-        self._closed_page = page_policy == "closed"
-        if read_scheduler not in ("fcfs", "frfcfs"):
-            raise ValueError("read_scheduler must be 'fcfs' or 'frfcfs'")
-        # Per-bank read selection: plain FCFS, or FR-FCFS (row hits first).
-        self._frfcfs = read_scheduler == "frfcfs"
 
         self.faw: List[RankFawLimiter] = [
             RankFawLimiter(self.timing.t_faw_ns, self.timing.t_faw_activates)
@@ -458,7 +439,7 @@ class MemoryController:
             elapsed = pulse_ns
         fraction = elapsed / pulse_ns
         pausing = self._pausing
-        if not pausing and fraction >= self.cancel_threshold:
+        if not pausing and fraction >= params.CANCEL_THRESHOLD:
             return  # too far along; cancelling would waste a near-full pulse
         victim_queue = self.eager_q if op.request.kind == EAGER else self.write_q
         if victim_queue._size >= victim_queue.capacity:
@@ -521,9 +502,6 @@ class MemoryController:
             request = self.write_q.try_pop_bank(bank_index, now)
             if request is None:
                 return
-        elif self._frfcfs and self.read_q.count_bank(bank_index):
-            request = self.read_q.pop_bank_row_first(
-                bank_index, self._bank_open_row[bank_index])
         else:
             request = self.read_q.try_pop_bank(bank_index, now)
             if request is None:
@@ -675,8 +653,6 @@ class MemoryController:
             self._try_issue_bank(bank_index)
             return
         self._bank_in_flight[bank_index] = None
-        if self._closed_page:
-            self._bank_open_row[bank_index] = None
         now = self.events.now
         stats = self.stats
         stats.reads_completed += 1

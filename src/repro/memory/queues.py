@@ -207,32 +207,6 @@ class RequestQueue:
             return fifos[bank][0]
         return None
 
-    def pop_bank_row_first(self, bank: int, open_row: Optional[int]) -> Request:
-        """Remove the oldest row-hit request for ``bank``, else the oldest.
-
-        This is the FR-FCFS (first-ready, first-come-first-served)
-        selection rule: requests to the currently open row bypass older
-        row-miss requests, trading fairness for row-buffer locality.
-        """
-        fifos = self._fifos
-        per_bank = fifos[bank] if bank < len(fifos) else None
-        if not per_bank:
-            raise LookupError(f"no {self.name} request for bank {bank}")
-        self._integrate()
-        if open_row is not None:
-            for index, request in enumerate(per_bank):
-                if request.row == open_row:
-                    del per_bank[index]
-                    self._size -= 1
-                    if self._sanitize:
-                        self._check_occupancy()
-                    return request
-        self._size -= 1
-        popped = per_bank.popleft()
-        if self._sanitize:
-            self._check_occupancy()
-        return popped
-
     def pop_bank(self, bank: int) -> Request:
         """Remove and return the oldest request for ``bank``."""
         request = self.try_pop_bank(bank)

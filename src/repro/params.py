@@ -23,6 +23,8 @@ LLC_MSHRS = 32
 # Eager Mellow Writes profiling (Section IV-B1)
 USELESS_THRESHOLD_RATIO = 1.0 / 32.0
 PROFILE_PERIOD_NS = 500_000
+EAGER_IDLE_MAX_ACCESSES = 2          # more LLC accesses per scan: no scan
+FUNCTIONAL_WARMUP_OCCUPANCY = 0.95   # untimed LLC pre-fill target
 
 # ---------------------------------------------------------------------------
 # Table II - main memory system
@@ -50,6 +52,7 @@ WRITE_QUEUE_ENTRIES = 32
 WRITE_DRAIN_LOW = 16                 # drain stops when occupancy falls here
 WRITE_DRAIN_HIGH = 32                # drain starts when occupancy reaches here
 EAGER_QUEUE_ENTRIES = 16
+CANCEL_THRESHOLD = 0.5               # no cancel beyond this pulse progress
 
 DEFAULT_BANKS = 16
 DEFAULT_RANKS = 4

@@ -5,11 +5,17 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
-from typing import Any, Optional, Tuple, Union
+from typing import Any, Optional, Tuple
 
 from repro import params
 from repro.core.policies import WritePolicy, parse_policy
 from repro.faults.config import FaultConfig
+
+#: Version of the simulated model, the first term of every cache key.
+#: Bump it with any change that moves a result (a golden-corpus digest),
+#: so entries cached by an older model are never read back as fresh.
+#: ``tests/test_model_version.py`` pins the corpus to this number.
+MODEL_VERSION = 1
 
 
 #: SimConfig fields deliberately OUTSIDE cache_key().  Every entry must
@@ -60,33 +66,23 @@ class SimConfig:
     """
 
     workload: str
-    policy: Union[str, WritePolicy] = "Norm"
+    policy: str = "Norm"
     slow_factor: float = params.SLOW_FACTOR_DEFAULT
     num_banks: int = params.DEFAULT_BANKS
     num_ranks: int = params.DEFAULT_RANKS
     expo_factor: float = params.EXPO_FACTOR_DEFAULT
-    capacity_bytes: int = params.MEMORY_CAPACITY_BYTES
     warmup_accesses: int = 30_000
     measure_accesses: int = 120_000
     functional_warmup_max: int = 600_000   # untimed LLC pre-fill cap
-    functional_warmup_occupancy: float = 0.95
     seed: int = 1
     eager_scan_interval_ns: float = 60.0
     sample_period_ns: float = params.PROFILE_PERIOD_NS
     target_lifetime_years: float = params.TARGET_LIFETIME_YEARS
-    ratio_quota: float = params.RATIO_QUOTA
-    energy_cell: str = params.DEFAULT_ENERGY_CELL
     llc_size_bytes: int = params.LLC_SIZE_BYTES
     llc_assoc: int = params.LLC_ASSOC
-    useless_threshold: float = params.USELESS_THRESHOLD_RATIO
-    leveling_efficiency: float = params.START_GAP_EFFICIENCY
     eager_selector: str = "stack"          # or "deadblock" (extension)
     flip_n_write: bool = False             # Flip-N-Write wear limiting
-    cancel_threshold: float = 0.5          # no cancel beyond this progress
-    eager_idle_max_accesses: int = 2       # LLC-busy gate for eager scans
     dram_buffer_entries: int = 0           # DRAM write-coalescing buffer
-    page_policy: str = "open"              # or "closed" (sensitivity knob)
-    read_scheduler: str = "fcfs"           # or "frfcfs" (row hits first)
     # Arm the runtime invariant sanitizer (repro.sim.sanitize) for this
     # run.  Deliberately NOT part of cache_key(): the sanitizer is
     # read-only, so sanitized and unsanitized runs produce bit-identical
@@ -116,6 +112,9 @@ class SimConfig:
     faults: Optional[FaultConfig] = None
 
     def __post_init__(self) -> None:
+        if type(self.policy) is not str:   # e.g. a WritePolicy object
+            raise TypeError("policy must be a policy name string, not "
+                            f"{type(self.policy).__name__}")
         if self.warmup_accesses < 0 or self.measure_accesses < 1:
             raise ValueError("need warmup >= 0 and measure >= 1 accesses")
         if self.num_banks % self.num_ranks:
@@ -125,16 +124,10 @@ class SimConfig:
 
     @property
     def write_policy(self) -> WritePolicy:
-        if isinstance(self.policy, WritePolicy):
-            if self.policy.slow_factor != self.slow_factor:
-                return self.policy.with_slow_factor(self.slow_factor)
-            return self.policy
         return parse_policy(self.policy, self.slow_factor)
 
     @property
     def policy_name(self) -> str:
-        if isinstance(self.policy, WritePolicy):
-            return self.policy.name
         return self.policy
 
     def scaled(self, fraction: float) -> "SimConfig":
@@ -150,18 +143,13 @@ class SimConfig:
     def cache_key(self) -> Tuple[Any, ...]:
         """Hashable identity for result caching."""
         key: Tuple[Any, ...] = (
-            self.workload, self.policy_name, self.slow_factor,
+            MODEL_VERSION, self.workload, self.policy, self.slow_factor,
             self.num_banks, self.num_ranks, self.expo_factor,
-            self.capacity_bytes, self.warmup_accesses,
-            self.measure_accesses, self.seed, self.eager_scan_interval_ns,
-            self.sample_period_ns, self.target_lifetime_years,
-            self.ratio_quota, self.energy_cell, self.llc_size_bytes,
-            self.llc_assoc, self.useless_threshold,
-            self.leveling_efficiency, self.eager_selector,
-            self.flip_n_write, self.cancel_threshold,
-            self.eager_idle_max_accesses, self.functional_warmup_max,
-            self.functional_warmup_occupancy, self.dram_buffer_entries,
-            self.page_policy, self.read_scheduler,
+            self.warmup_accesses, self.measure_accesses, self.seed,
+            self.eager_scan_interval_ns, self.sample_period_ns,
+            self.target_lifetime_years, self.llc_size_bytes,
+            self.llc_assoc, self.eager_selector, self.flip_n_write,
+            self.functional_warmup_max, self.dram_buffer_entries,
         )
         if self.faults is not None:
             # Appended only when enabled: the default key (and therefore
@@ -185,6 +173,5 @@ class SimConfig:
         """
         return (
             self.workload, self.seed, self.llc_size_bytes, self.llc_assoc,
-            self.functional_warmup_max, self.functional_warmup_occupancy,
-            self.dram_buffer_entries,
+            self.functional_warmup_max, self.dram_buffer_entries,
         )

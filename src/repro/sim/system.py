@@ -16,6 +16,7 @@ import zlib
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
+from repro import params
 from repro.analysis.validation import validate_result
 from repro.cache.llc import LastLevelCache
 from repro.core.wear_quota import WearQuota
@@ -89,7 +90,6 @@ class System:
         self.amap = AddressMap(
             num_banks=config.num_banks,
             num_ranks=config.num_ranks,
-            capacity_bytes=config.capacity_bytes,
         )
         self.timing = MemoryTiming(slow_factor=config.slow_factor)
         self.endurance = EnduranceModel(expo_factor=config.expo_factor)
@@ -97,7 +97,6 @@ class System:
             num_banks=config.num_banks,
             blocks_per_bank=self.amap.blocks_per_bank,
             model=self.endurance,
-            leveling_efficiency=config.leveling_efficiency,
             sanitize=self.sanitize,
         )
         self.quota: Optional[WearQuota] = None
@@ -107,13 +106,11 @@ class System:
                 blocks_per_bank=self.amap.blocks_per_bank,
                 target_lifetime_years=config.target_lifetime_years,
                 period_ns=config.sample_period_ns,
-                ratio_quota=config.ratio_quota,
                 telemetry=self.telemetry,
             )
         self.llc = LastLevelCache(
             size_bytes=config.llc_size_bytes,
             assoc=config.llc_assoc,
-            threshold_ratio=config.useless_threshold,
             sample_period_ns=config.sample_period_ns,
             rng=random.Random(config.seed * 7919 + 13),
             eager_selector=config.eager_selector,
@@ -150,9 +147,6 @@ class System:
                 self.flip_n_write.sample_line_fraction
                 if self.flip_n_write is not None else None
             ),
-            cancel_threshold=config.cancel_threshold,
-            page_policy=config.page_policy,
-            read_scheduler=config.read_scheduler,
             sanitize=self.sanitize,
             telemetry=self.telemetry,
             faults=self.faults,
@@ -293,7 +287,7 @@ class System:
         # volunteer eager writebacks from.
         delta = self.core.accesses_processed - self._accesses_at_last_scan
         self._accesses_at_last_scan = self.core.accesses_processed
-        busy = delta > self.config.eager_idle_max_accesses
+        busy = delta > params.EAGER_IDLE_MAX_ACCESSES
         if not busy and self.controller.eager_queue_has_space:
             block = self.llc.pick_eager_candidate()
             if block is not None:
@@ -387,7 +381,7 @@ class System:
         llc = self.llc
         cache = llc.cache
         capacity = cache.num_sets * cache.assoc
-        target = int(capacity * config.functional_warmup_occupancy)
+        target = int(capacity * params.FUNCTIONAL_WARMUP_OCCUPANCY)
         maximum = config.functional_warmup_max
         trace = self._trace
         # Keep the DRAM write buffer warm too: at steady state it is full,
@@ -602,7 +596,7 @@ class System:
         instructions = self.core.instructions_retired
         mpki = (lstats.misses * 1000.0 / instructions) if instructions else 0.0
 
-        energy_model = LineEnergyModel.for_cell(config.energy_cell)
+        energy_model = LineEnergyModel.for_cell()
         read_energy = (
             cstats.read_row_hits * energy_model.read_energy_pj(True)
             + cstats.read_row_misses * energy_model.read_energy_pj(False)
@@ -649,7 +643,7 @@ class System:
             write_energy_pj=write_energy,
             wear_records=[record.copy() for record in self.wear.records],
             blocks_per_bank=self.amap.blocks_per_bank,
-            leveling_efficiency=config.leveling_efficiency,
+            leveling_efficiency=self.wear.leveling_efficiency,
         )
         injector = self.faults
         if injector is not None:

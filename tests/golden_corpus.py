@@ -1,6 +1,6 @@
 """Golden-result corpus: configs pinned to the digest of their results.
 
-``tests/data/golden_results.json`` maps fifty-one small configs to the
+``tests/data/golden_results.json`` maps fifty small configs to the
 sha256 of their canonical ``run_result_to_dict`` JSON (and, for traced
 configs, of every telemetry bundle file).  ``tests/test_golden.py`` reruns
 each entry and requires the same digests, so any change in simulated
@@ -115,9 +115,6 @@ def corpus_configs() -> Dict[str, Dict[str, Any]]:
         "gups", "BE-Mellow+SC", faults=FAULTS_HARSH)
     entries["option/dram_buffer+flip_n_write/lbm/Norm"] = _config(
         "lbm", "Norm", dram_buffer_entries=16, flip_n_write=True)
-    entries["option/frfcfs+closed/gups/BE-Mellow+SC"] = _config(
-        "gups", "BE-Mellow+SC", read_scheduler="frfcfs",
-        page_policy="closed")
     entries["sanitize/gups/BE-Mellow+SC"] = _config(
         "gups", "BE-Mellow+SC", scale=0.02, sanitize=True)
     entries["sanitize+faults/zeusmp/BE-Mellow+SC"] = _config(

@@ -12,10 +12,8 @@ import dataclasses
 
 import pytest
 
-from repro.energy.cells import CELLS
 from repro.faults import config as faults_config
 from repro.faults.config import FaultConfig
-from repro.params import DEFAULT_ENERGY_CELL
 from repro.sim import config as sim_config
 from repro.sim.config import SimConfig
 
@@ -24,10 +22,7 @@ from repro.sim.config import SimConfig
 EXPLICIT = {
     "workload": "hmmer",
     "policy": "Slow+SC",
-    "energy_cell": next(c for c in CELLS if c != DEFAULT_ENERGY_CELL),
     "eager_selector": "deadblock",
-    "page_policy": "closed",
-    "read_scheduler": "frfcfs",
     "telemetry_dir": "telemetry-out",
     "checkpoint_every": 1000,
     "checkpoint_dir": "snapshots",

@@ -22,9 +22,6 @@ def test_cache_key_stable():
     ("eager_selector", "deadblock"),
     ("flip_n_write", True),
     ("dram_buffer_entries", 64),
-    ("page_policy", "closed"),
-    ("read_scheduler", "frfcfs"),
-    ("cancel_threshold", 0.8),
     ("target_lifetime_years", 4.0),
 ])
 def test_cache_key_sensitive_to_every_knob(field, value):
@@ -41,17 +38,11 @@ def test_write_policy_inherits_slow_factor():
     assert config.write_policy.slow_factor == 2.0
 
 
-def test_write_policy_object_passthrough():
-    policy = parse_policy("B-Mellow+SC")
-    config = SimConfig(workload="lbm", policy=policy)
-    assert config.write_policy.bank_aware
-    assert config.policy_name == "B-Mellow+SC"
-
-
-def test_policy_object_slow_factor_override():
-    policy = parse_policy("Slow")
-    config = SimConfig(workload="lbm", policy=policy, slow_factor=1.5)
-    assert config.write_policy.slow_factor == 1.5
+def test_policy_object_is_refused():
+    """The cache key names a policy by its string, so a policy object
+    must not stand in for one."""
+    with pytest.raises(TypeError):
+        SimConfig(workload="lbm", policy=parse_policy("B-Mellow+SC"))
 
 
 def test_invalid_ranks():

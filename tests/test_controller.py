@@ -374,19 +374,6 @@ class TestPagePolicy:
         events.run_all()
         assert done[1] - done[0] == pytest.approx(22.5)   # row hit
 
-    def test_closed_page_precharges_after_read(self):
-        events, ctrl = make_controller("Norm", page_policy="closed")
-        done = []
-        ctrl.submit_read(block_for_bank(0, 0), done.append)
-        events.run_all()
-        ctrl.submit_read(block_for_bank(0, 1), done.append)  # same row
-        events.run_all()
-        assert done[1] - done[0] == pytest.approx(142.5)  # full activate
-
-    def test_invalid_page_policy(self):
-        with pytest.raises(ValueError):
-            make_controller("Norm", page_policy="bogus")
-
 
 class TestReadScheduler:
     def test_fcfs_serves_in_arrival_order(self):
@@ -398,29 +385,3 @@ class TestReadScheduler:
         ctrl.submit_read(block_for_bank(0, 1), lambda t: order.append("hit"))
         events.run_all()
         assert order == ["warm", "miss", "hit"]
-
-    def test_frfcfs_prefers_open_row(self):
-        events, ctrl = make_controller("Norm", read_scheduler="frfcfs")
-        order = []
-        ctrl.submit_read(block_for_bank(0, 0), lambda t: order.append("warm"))
-        ctrl.submit_read(block_for_bank(0, 32), lambda t: order.append("miss"))
-        ctrl.submit_read(block_for_bank(0, 1), lambda t: order.append("hit"))
-        events.run_all()
-        # The row-hit to the open row (row 0) overtakes the older miss.
-        assert order == ["warm", "hit", "miss"]
-
-    def test_frfcfs_improves_row_hit_rate_end_to_end(self):
-        from repro import SimConfig, run_simulation
-        fast = dict(workload="milc", warmup_accesses=5000,
-                    measure_accesses=12000, llc_size_bytes=256 * 1024,
-                    functional_warmup_max=30000)
-        fcfs = run_simulation(SimConfig(policy="Norm", **fast))
-        frfcfs = run_simulation(SimConfig(policy="Norm",
-                                          read_scheduler="frfcfs", **fast))
-        def hit_rate(r):
-            return r.read_row_hits / max(1, r.reads_issued)
-        assert hit_rate(frfcfs) >= hit_rate(fcfs) - 0.01
-
-    def test_invalid_scheduler(self):
-        with pytest.raises(ValueError):
-            make_controller("Norm", read_scheduler="bogus")

@@ -114,3 +114,39 @@ def test_documented_env_vars_are_read(name):
     named = set(re.findall(r"REPRO_[A-Z_]+", (ROOT / name).read_text()))
     dead = sorted(var for var in named if var not in code)
     assert dead == [], f"{name}: read nowhere in {', '.join(CODE_DIRS)}"
+
+
+#: Documents whose ``SimConfig(...)`` calls must use real fields.
+CONFIG_DOCS = ["README.md", "DESIGN.md", "EXPERIMENTS.md"] + sorted(
+    str(path.relative_to(ROOT)) for path in (ROOT / "docs").glob("*.md"))
+
+
+def _sim_config_keywords(text):
+    """Top-level keyword names of every ``SimConfig(...)`` call in ``text``.
+
+    Nested calls (``faults=FaultConfig(...)``) and string literals are
+    blanked first, so only the config's own keywords remain.
+    """
+    names = set()
+    for match in re.finditer(r"\bSimConfig\(", text):
+        depth, end = 1, match.end()
+        while depth and end < len(text):
+            depth += {"(": 1, ")": -1}.get(text[end], 0)
+            end += 1
+        args = re.sub(r"\"[^\"]*\"|'[^']*'", '""', text[match.end():end - 1])
+        while True:
+            flat = re.sub(r"\([^()]*\)", "", args)
+            if flat == args:
+                break
+            args = flat
+        names.update(re.findall(r"(?<![\w.=!<>])(\w+)\s*=(?!=)", args))
+    return names
+
+
+@pytest.mark.parametrize("name", CONFIG_DOCS)
+def test_documented_sim_config_keywords_are_fields(name):
+    import dataclasses
+    from repro.sim.config import SimConfig
+    fields = {field.name for field in dataclasses.fields(SimConfig)}
+    unknown = _sim_config_keywords((ROOT / name).read_text()) - fields
+    assert sorted(unknown) == [], f"{name}: no such SimConfig field"

@@ -129,7 +129,7 @@ class TestEnergyAccount:
                   for count in record.slow_writes_by_factor.values()]
         assert small_run.cancellations > 0
         assert any(count != int(count) for count in counts)
-        model = LineEnergyModel.for_cell(SMALL.energy_cell)
+        model = LineEnergyModel.for_cell()
         assert small_run.write_energy_pj == pytest.approx(sum(
             record.normal_writes * model.write_energy_pj(False)
             + sum(count * model.write_energy_pj_for(factor)

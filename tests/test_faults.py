@@ -99,13 +99,14 @@ def test_fault_config_key_is_tagged_and_value_sensitive():
     assert FaultConfig().key() != FaultConfig(sigma=0.4).key()
 
 
-# Digests recorded before the faults field existed.  faults=None (the
-# default) must keep producing them bit-for-bit, or every cached result
-# in every existing cache directory would silently invalidate.
+# Digests first recorded before the faults field existed, and re-pinned
+# once when the key gained MODEL_VERSION.  faults=None (the default) must
+# keep producing them bit-for-bit, or every cached result in every
+# existing cache directory would silently invalidate.
 PRE_FAULTS_DIGESTS = {
-    ("lbm", "Norm", 1, 16, 4): "244de89cfa2ec43abc490663",
-    ("hmmer", "BE-Mellow+SC+WQ", 7, 16, 4): "49a5aa88013834afd88743d5",
-    ("gups", "Slow+SC", 1, 8, 2): "7fd6e25b53191e2e57b364dc",
+    ("lbm", "Norm", 1, 16, 4): "91af9deb1bc98a2360aebfba",
+    ("hmmer", "BE-Mellow+SC+WQ", 7, 16, 4): "1b2646726ef3b8f402ec2084",
+    ("gups", "Slow+SC", 1, 8, 2): "060feb5a3436cee3da4218ab",
 }
 
 

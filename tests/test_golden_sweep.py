@@ -55,7 +55,7 @@ def test_corpus_shares_warm_states():
     counts = Counter(config.warm_key() for config in _configs()
                      if config.workload in WORKLOAD_NAMES)
     shared = [count for count in counts.values() if count > 1]
-    assert (len(shared), sum(shared)) == (9, 43)
+    assert (len(shared), sum(shared)) == (9, 42)
 
 
 def test_corpus_through_one_sweep_reproduces_every_digest():

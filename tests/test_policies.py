@@ -78,7 +78,6 @@ def test_uses_slow_writes():
 def test_slow_factor_plumbing():
     p = parse_policy("Slow", slow_factor=2.0)
     assert p.slow_factor == 2.0
-    assert p.with_slow_factor(1.5).slow_factor == 1.5
 
 
 def test_invalid_slow_factor():

@@ -135,7 +135,7 @@ def test_queue_clean_under_normal_mutation():
         queue.push(make_request(bank=bank))
     queue.push_front(make_request(bank=1))
     assert queue.pop_bank(0).bank == 0
-    assert queue.pop_bank_row_first(1, open_row=None).bank == 1
+    assert queue.pop_bank(1).bank == 1
     assert len(queue) == 2
 
 

@@ -272,18 +272,19 @@ def test_sim013_unmarked_class_is_exempt():
 # --------------------------------------------------------------------------
 
 def test_cache_digests_unchanged_by_locking():
-    # Pinned before any shared object grew a lock: the store's lock must
-    # never move a cache key.
+    # Pinned before any shared object grew a lock (re-pinned once when the
+    # key gained MODEL_VERSION): the store's lock must never move a cache
+    # key.
     from repro.sim.config import SimConfig
     small = SimConfig("hmmer", policy="Norm").scaled(0.05)
-    assert small.cache_digest() == "a1c5ae8b70ec20ac7a1fbd05"
-    assert SimConfig("lbm").cache_digest() == "244de89cfa2ec43abc490663"
+    assert small.cache_digest() == "6b87838e1578c2ca43e74a3c"
+    assert SimConfig("lbm").cache_digest() == "91af9deb1bc98a2360aebfba"
 
 def test_faults_digest_unchanged_by_registry():
     from repro.faults.config import FaultConfig
     from repro.sim.config import SimConfig
     config = SimConfig("zeusmp", policy="BE-Mellow+SC", faults=FaultConfig())
-    assert config.cache_digest() == "7500e76450aa31102f58d533"
+    assert config.cache_digest() == "662a08f29d17e495fbbb4a94"
 
 def test_job_spec_digest_unchanged():
     # The scaled run job spec, given on the command line, resolves to the
@@ -292,7 +293,7 @@ def test_job_spec_digest_unchanged():
     args = build_parser().parse_args(
         ["run", "--workload", "lbm", "--policy", "Norm", "--scale", "0.05"])
     config = _config_from_args(args, args.workload, args.policy)
-    assert config.cache_digest() == "8d238a81b934d6ab2c4bc890"
+    assert config.cache_digest() == "c52eb7b85079feeb82bae904"
 
 
 # --------------------------------------------------------------------------

@@ -28,8 +28,7 @@ BASE = SimConfig(workload="lbm", llc_size_bytes=64 * 1024,
 FAULTY = dataclasses.replace(BASE, faults=FaultConfig())
 #: The fields warm_key() is meant to hold.
 WARM_FIELDS = ("workload", "seed", "llc_size_bytes", "llc_assoc",
-               "functional_warmup_max", "functional_warmup_occupancy",
-               "dram_buffer_entries")
+               "functional_warmup_max", "dram_buffer_entries")
 
 
 def _warm_state(config: SimConfig) -> dict:
