@@ -15,7 +15,7 @@ equivalence matrix that pins the contract.
 from .codec import (STATE_SCHEMA_VERSION, capture_state, capture_warm,
                     restore_state, restore_warm)
 from .errors import (CheckpointCorruptionError, CheckpointError,
-                     CheckpointUnsupportedError)
+                     CheckpointUnsupportedError, CheckpointVersionError)
 from .snapshot import (SNAPSHOT_SCHEMA_VERSION, config_from_dict,
                        config_to_dict, default_snapshot_path, load_snapshot,
                        restore_system, save_snapshot, snapshot_bytes)
@@ -26,6 +26,7 @@ __all__ = [
     "CheckpointCorruptionError",
     "CheckpointError",
     "CheckpointUnsupportedError",
+    "CheckpointVersionError",
     "capture_state",
     "capture_warm",
     "config_from_dict",

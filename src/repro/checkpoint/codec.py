@@ -4,25 +4,24 @@ The codec walks a paused :class:`repro.sim.system.System` and produces a
 plain dict (strings, numbers, bools, lists, dicts, ``None`` and
 ``array.array`` columns) capturing *everything* the rest of the run
 depends on: the event queue with its reserved sequence numbers,
-controller/bank/queue state down to object identity between queue
-entries and in-flight operations, LLC contents and LRU order, wear
+controller/bank/queue state with the in-flight columns and issue
+tokens, LLC contents and LRU order, wear
 accounting (flushed before capture), fault-injector per-line endurance
 state, every RNG stream, the telemetry epoch alignment, and the core's
 architectural state.
 
 Two representation rules keep restores bit-identical:
 
-* **Identity tables.**  :class:`~repro.memory.queues.Request` and
-  :class:`~repro.memory.bank.InFlight` objects appear in several places
-  at once (queue FIFOs, the controller's bank in-flight slots, *and*
-  as the argument of stale completion events, where ``in_flight[bank]
-  is not op`` identity checks are load-bearing).  Each object is serialized
-  once under a table index and every appearance stores the index, so
-  the restored object graph has the same aliasing as the original.
+* **Request table.**  Each :class:`~repro.memory.queues.Request` -
+  queued in a FIFO or in flight in a bank slot - is serialized once
+  under a table index, and the FIFOs and bank slots store the index.
+  Completion events carry the controller's integer issue tokens, not
+  requests, and are stored as they are: a stale completion stays stale
+  because its token differs from its bank's.
 * **Descriptors, not pickles.**  Every scheduled event is a bound method
   of a live simulator object plus one argument, and every request
   callback is a bound method of the core.  Each is encoded as a symbolic
-  descriptor (``["ctrl.read", bank, op]``) through one method table and
+  descriptor (``["ctrl.read", token]``) through one method table and
   rebound through its inverse against the restored system, so a
   restored system can itself be captured again byte-identically
   (double round-trip idempotence).  A callback outside the tables
@@ -54,7 +53,6 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
 
 from repro.cache.lru import LRUCache
 from repro.cpu.trace import TraceRecord
-from repro.memory.bank import InFlight
 from repro.memory.queues import Request, RequestQueue
 from repro.telemetry.tracer import EventTracer, TraceEvent
 from repro.workloads.patterns import (Pattern, PhasedPattern,
@@ -66,7 +64,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.sim.system import System
 
 #: Version of the *state* layout below (the file envelope has its own).
-STATE_SCHEMA_VERSION = 7
+STATE_SCHEMA_VERSION = 8
 
 #: Integer column typecodes, narrowest first.
 _INT_TYPECODES = "BHIQ"
@@ -229,9 +227,9 @@ def _restore_pattern(pattern: Pattern, state: Dict[str, Any]) -> None:
 
 
 #: The only methods the simulator schedules.  A system or core event is
-#: the row ``[owner, method name]``; a controller event is ``[kind, ...]``
-#: under its kind: ``["ctrl.poke", bank]`` or ``[kind, bank, op]``, with
-#: ``op`` an index into the in-flight table.
+#: the row ``[owner, method name]``; a controller event is ``[kind, arg]``
+#: under its kind: ``["ctrl.poke", bank]`` or ``[kind, token]``, with
+#: ``token`` the issue token the completion carries.
 _OWNER_EVENTS: Dict[str, Tuple[str, ...]] = {
     "system": ("_sample_tick", "_eager_tick"),
     "core": ("_start_event", "_gap_fired"),
@@ -252,14 +250,12 @@ def _bound_name(fn: Any, owner: Any) -> str:
 
 
 class _Capture:
-    """One capture pass: identity tables plus callback encoding."""
+    """One capture pass: the request table plus callback encoding."""
 
     def __init__(self, system: "System") -> None:
         self.system = system
         self._request_index: Dict[int, int] = {}
         self.request_rows: List[List[Any]] = []
-        self._inflight_index: Dict[int, int] = {}
-        self.inflight_rows: List[List[Any]] = []
 
     def request_ref(self, request: Request) -> int:
         serial = self._request_index.get(id(request))
@@ -271,17 +267,6 @@ class _Capture:
                 self._encode_request_callback(request.callback),
                 request.attempts, request.retries, request.speed_factor,
                 request.progress_ns, request.req_id,
-            ])
-        return serial
-
-    def inflight_ref(self, op: InFlight) -> int:
-        serial = self._inflight_index.get(id(op))
-        if serial is None:
-            serial = self._inflight_index[id(op)] = len(self.inflight_rows)
-            self.inflight_rows.append([
-                self.request_ref(op.request), op.start_ns, op.finish_ns,
-                op.pulse_start_ns, bool(op.cancellable),
-                op.resumed_progress_ns,
             ])
         return serial
 
@@ -309,10 +294,8 @@ class _Capture:
     def encode_event(self, fn: Callable[[Any], None], arg: Any) -> List[Any]:
         system = self.system
         kind = _CTRL_EVENT_KINDS.get(_bound_name(fn, system.controller))
-        if kind == "ctrl.poke":
-            return [kind, arg]
         if kind is not None:
-            return [kind, arg.request.bank, self.inflight_ref(arg)]
+            return [kind, arg]
         for owner_kind, owner in (("system", system), ("core", system.core)):
             name = _bound_name(fn, owner)
             if name in _OWNER_EVENTS[owner_kind] and arg is None:
@@ -322,12 +305,13 @@ class _Capture:
 
 
 class _Restore:
-    """One restore pass: rebuilt identity tables plus callback decoding."""
+    """One restore pass: the rebuilt request table plus callback decoding."""
 
     def __init__(self, system: "System") -> None:
         self.system = system
         self.requests: List[Request] = []
-        self.inflights: List[InFlight] = []
+        # The issue tokens the controller's completion events carry.
+        self.completion_tokens: List[int] = []
         # The read ids of the "dep" request rows (at most one is valid).
         self.dependent_read_ids: List[Any] = []
 
@@ -336,22 +320,20 @@ class _Restore:
         kind = desc[0]
         system = self.system
         if kind in _CTRL_EVENTS:
-            fn = getattr(system.controller, _CTRL_EVENTS[kind])
-            if kind == "ctrl.poke":
-                return fn, desc[1]
-            op = self.inflights[desc[2]]
-            if op.request.bank != desc[1]:
+            arg = desc[1]
+            if type(arg) is not int or arg < 0:
                 raise CheckpointError(
-                    f"event {desc!r} names bank {desc[1]} but its "
-                    f"operation is on bank {op.request.bank}")
-            return fn, op
+                    f"event {desc!r} carries no bank or issue token")
+            if kind != "ctrl.poke":
+                self.completion_tokens.append(arg)
+            return getattr(system.controller, _CTRL_EVENTS[kind]), arg
         if kind in _OWNER_EVENTS and desc[1] in _OWNER_EVENTS[kind]:
             owner = system if kind == "system" else system.core
             return getattr(owner, desc[1]), None
         raise CheckpointError(f"unknown event descriptor {desc!r}")
 
 
-# Request / InFlight rows list the dataclass fields in declaration order.
+# Request rows list the dataclass fields in declaration order.
 
 def _restore_requests(restore: _Restore, rows: List[List[Any]]) -> None:
     core = restore.system.core
@@ -365,13 +347,6 @@ def _restore_requests(restore: _Restore, rows: List[List[Any]]) -> None:
             callback = core._read_done_dependent
             restore.dependent_read_ids.append(desc[1])
         restore.requests.append(Request(*row[:6] + [callback] + row[7:]))
-
-
-def _restore_inflights(restore: _Restore, rows: List[List[Any]]) -> None:
-    restore.inflights[:] = [
-        InFlight(restore.requests[row[0]], row[1], row[2], row[3],
-                 bool(row[4]), row[5])
-        for row in rows]
 
 
 def _capture_queue(capture: _Capture, queue: RequestQueue) -> Dict[str, Any]:
@@ -617,7 +592,7 @@ def _restore_faults(restore: _Restore, state: Any) -> None:
 _RING_FIELDS = tuple(field.name for field in dataclasses.fields(TraceEvent))
 _RING_CODED_FIELDS = ("kind", "detail")
 #: Integer fields that hold -1 or a non-negative value, stored plus one.
-_RING_OFFSET_FIELDS = ("bank", "block")
+_RING_OFFSET_FIELDS = ("bank",)
 _WORD = 8
 
 
@@ -683,6 +658,29 @@ def _from_id_deltas(codes: Sequence[int]) -> List[int]:
     return ids
 
 
+def _block_codes(blocks: Sequence[int],
+                 ids: Sequence[int]) -> "array[int]":
+    """Blocks (-1 or non-negative) as 0 where a record repeats the block
+    of the previous record with the same request id (most records of a
+    request do), else the block plus two."""
+    last: Dict[int, int] = {}
+    out = []
+    for block, req_id in zip(blocks, ids):
+        out.append(0 if last.get(req_id) == block else block + 2)
+        last[req_id] = block
+    return pack_ints(out, "block_by_req")
+
+
+def _from_block_codes(codes: Sequence[int], ids: Sequence[int]) -> List[int]:
+    last: Dict[int, int] = {}
+    blocks = []
+    for code, req_id in zip(_sized(codes, len(ids), "block_by_req"), ids):
+        block = last[req_id] if code == 0 else code - 2
+        blocks.append(block)
+        last[req_id] = block
+    return blocks
+
+
 def _capture_ring(tracer: EventTracer) -> Dict[str, Any]:
     """The trace ring's records as one column per field, oldest first.
 
@@ -690,10 +688,12 @@ def _capture_ring(tracer: EventTracer) -> Dict[str, Any]:
     under the field's name (JSON keeps ``2`` and ``2.0`` apart, so each
     value restores with its exact type).  Otherwise each field takes the
     form that compresses best and restores bit-exactly: ``t_ns_xor``
-    (:func:`_xor_planes`), ``bank_1``/``block_1`` (each value plus one),
-    ``req_id_delta`` (:func:`_id_deltas`) and ``factor`` as doubles.  A
-    string field is ``<field>`` codes into a ``<field>_table``."""
+    (:func:`_xor_planes`), ``bank_1`` (each value plus one),
+    ``block_by_req`` (:func:`_block_codes`), ``req_id_delta``
+    (:func:`_id_deltas`) and ``factor`` as doubles.  A string field
+    is ``<field>`` codes into a ``<field>_table``."""
     ring: Dict[str, Any] = {"recorded": tracer.recorded}
+    ids = tracer.column(_RING_FIELDS.index("req_id"))
     for field, name in enumerate(_RING_FIELDS):
         values = tracer.column(field)
         if name in _RING_CODED_FIELDS:
@@ -707,6 +707,8 @@ def _capture_ring(tracer: EventTracer) -> Dict[str, Any]:
             ring["t_ns_xor"] = _xor_planes(values)
         elif name == "req_id":
             ring["req_id_delta"] = _id_deltas(values)
+        elif name == "block":
+            ring["block_by_req"] = _block_codes(values, ids)
         elif name in _RING_OFFSET_FIELDS:
             ring[f"{name}_1"] = pack_ints(map((1).__add__, values),
                                           f"{name}_1")
@@ -715,8 +717,10 @@ def _capture_ring(tracer: EventTracer) -> Dict[str, Any]:
     return ring
 
 
-def _ring_column(ring: Dict[str, Any], name: str) -> Sequence[Any]:
-    """One ring field's values, oldest first, from its stored form."""
+def _ring_column(ring: Dict[str, Any], name: str,
+                 ids: Sequence[int]) -> Sequence[Any]:
+    """One ring field's values, oldest first, from its stored form;
+    ``ids`` is the restored ``req_id`` column."""
     if name in _RING_CODED_FIELDS:
         table = ring[f"{name}_table"]
         return [table[code] for code in ring[name]]
@@ -725,12 +729,16 @@ def _ring_column(ring: Dict[str, Any], name: str) -> Sequence[Any]:
     if name == "t_ns":
         return _from_xor_planes(ring["t_ns_xor"])
     if name == "req_id":
-        return _from_id_deltas(ring["req_id_delta"])
+        return ids
+    if name == "block":
+        return _from_block_codes(ring["block_by_req"], ids)
     return [value - 1 for value in ring[f"{name}_1"]]
 
 
 def _restore_ring(tracer: EventTracer, ring: Dict[str, Any]) -> None:
-    columns = [_ring_column(ring, name) for name in _RING_FIELDS]
+    ids = (ring["req_id"] if "req_id" in ring
+           else _from_id_deltas(ring["req_id_delta"]))
+    columns = [_ring_column(ring, name, ids) for name in _RING_FIELDS]
     for name, column in zip(_RING_FIELDS, columns):
         _sized(column, len(columns[0]), name)
     tracer.load(ring["recorded"], zip(*columns))
@@ -813,8 +821,8 @@ def capture_state(system: "System") -> Dict[str, Any]:
         ctrl.bank_busy_ns, ctrl.bank_ops_begun, ctrl.bank_ops_cancelled,
         _retired_per_bank(system))]
     bank_in_flight = [
-        None if op is None else capture.inflight_ref(op)
-        for op in ctrl._bank_in_flight
+        None if request is None else capture.request_ref(request)
+        for request in ctrl._bank_in_flight
     ]
     heap_rows = [[time_ns, seq, capture.encode_event(fn, arg)]
                  for time_ns, seq, fn, arg in events._heap]
@@ -859,7 +867,15 @@ def capture_state(system: "System") -> Dict[str, Any]:
             "banks": banks_rows,
             "bank_busy_until": list(ctrl._bank_busy_until),
             "bank_open_row": list(ctrl._bank_open_row),
+            # The in-flight operation per bank: its request (an index
+            # into the request table) and issue token, and the pulse
+            # start, cancellable flag and resumed progress of the last
+            # operation issued.
             "bank_in_flight": bank_in_flight,
+            "bank_token": list(ctrl._bank_token),
+            "bank_pulse_start": list(ctrl._bank_pulse_start),
+            "bank_cancellable": list(ctrl._bank_cancellable),
+            "bank_resumed": list(ctrl._bank_resumed),
         },
         "llc": _capture_llc(system),
         "wear": _capture_wear(system),
@@ -875,9 +891,8 @@ def capture_state(system: "System") -> Dict[str, Any]:
         },
         "dram_buffer": _capture_dram_buffer(system),
         "telemetry": _capture_telemetry(system),
-        # Identity tables last: fully populated by the walks above.
+        # The request table last: fully populated by the walks above.
         "requests": capture.request_rows,
-        "inflights": capture.inflight_rows,
     }
     return state
 
@@ -948,8 +963,31 @@ def _restore_controller(restore: _Restore, state: Dict[str, Any]) -> None:
     ctrl._bank_open_row[:] = _sized(state["bank_open_row"], banks,
                                     "bank_open_row")
     ctrl._bank_in_flight[:] = [
-        None if ref is None else restore.inflights[ref]
+        None if ref is None else restore.requests[ref]
         for ref in _sized(state["bank_in_flight"], banks, "bank_in_flight")]
+    ctrl._bank_token[:] = _sized(state["bank_token"], banks, "bank_token")
+    # A busy bank's token names its latest issue; a completion event's
+    # token names an issue its bank has begun.
+    for bank, (request, token, issued) in enumerate(zip(
+            ctrl._bank_in_flight, ctrl._bank_token, begun)):
+        expected = -1 if request is None else issued * banks + bank
+        if token != expected or (request is not None
+                                 and request.bank != bank):
+            raise CheckpointError(
+                f"bank {bank} holds issue token {token}, expected "
+                f"{expected}")
+    for token in restore.completion_tokens:
+        issue, bank = divmod(token, banks)
+        if not 1 <= issue <= ctrl.bank_ops_begun[bank]:
+            raise CheckpointError(
+                f"a completion event names issue {issue} of bank {bank}, "
+                f"which has begun {ctrl.bank_ops_begun[bank]}")
+    ctrl._bank_pulse_start[:] = _sized(state["bank_pulse_start"], banks,
+                                       "bank_pulse_start")
+    ctrl._bank_cancellable[:] = [bool(flag) for flag in _sized(
+        state["bank_cancellable"], banks, "bank_cancellable")]
+    ctrl._bank_resumed[:] = _sized(state["bank_resumed"], banks,
+                                   "bank_resumed")
 
 
 def _restore_quota(restore: _Restore, state: Any) -> None:
@@ -978,12 +1016,11 @@ def _restore_dram_buffer(restore: _Restore, state: Any) -> None:
         _fields_from_dict(buffer.stats, _DRAM_STATS_FIELDS, state["stats"])
 
 
-#: State sections in restore order: the identity tables first, since
-#: events and controller queues refer into them by index, and the faults
-#: before the controller, whose bank rows are checked against them.
+#: State sections in restore order: the request table first, since the
+#: controller's queues and bank slots refer into it by index, and the
+#: faults before the controller, whose bank rows are checked against them.
 _SECTION_RESTORERS: Dict[str, Callable[[_Restore, Any], None]] = {
     "requests": _restore_requests,
-    "inflights": _restore_inflights,
     "events": _restore_events,
     "system": _restore_system,
     "core": _restore_core,

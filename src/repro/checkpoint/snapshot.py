@@ -4,7 +4,8 @@ A snapshot is one self-contained file of three parts::
 
     REPRO-SNAPSHOT                                  magic line
     {"byte_order":"little","columns":[[name, typecode, count], ...],
-     "json_length":N,"schema":2,"sha256":"<hex>"}   one JSON header line
+     "json_length":N,"model_version":M,"schema":3,
+     "sha256":"<hex>"}                              one JSON header line
     zlib(canonical JSON of the rest of the state, then the column bytes)
 
 The codec hands over a state whose large numeric columns are
@@ -22,7 +23,13 @@ and column slots are checked against it, so any truncation or bit flip
 surfaces as a structured
 :class:`~repro.checkpoint.errors.CheckpointCorruptionError` instead of a
 silently wrong resume.  Embedding the full config makes a snapshot
-self-contained: ``repro resume <file>`` needs no other inputs.
+self-contained: ``repro resume <file>`` needs no other inputs.  A file
+another build wrote - an envelope schema this build does not read, a
+header whose ``model_version`` is not this build's
+:data:`~repro.sim.config.MODEL_VERSION`, or config keys this build does
+not know - is refused with
+:class:`~repro.checkpoint.errors.CheckpointVersionError`, which names
+what differs instead of calling the file damaged.
 
 Writes go through :func:`repro.store.codec.atomic_write_bytes`
 (temp file + ``os.replace``), so a crash mid-write can never leave a
@@ -44,18 +51,18 @@ from typing import (TYPE_CHECKING, Any, Dict, Iterator, List, Optional,
                     Tuple, Union)
 
 from repro.faults.config import FaultConfig
-from repro.sim.config import SimConfig
+from repro.sim.config import MODEL_VERSION, SimConfig
 from repro.store.codec import atomic_write_bytes
 
 from .codec import COLUMN_TYPECODES, capture_state, restore_state
-from .errors import CheckpointCorruptionError
+from .errors import CheckpointCorruptionError, CheckpointVersionError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.sim.system import System
 
 #: Version of the snapshot *file envelope*; the state layout inside the
 #: payload carries its own ``state_schema`` (see :mod:`.codec`).
-SNAPSHOT_SCHEMA_VERSION = 2
+SNAPSHOT_SCHEMA_VERSION = 3
 
 #: The first line of every snapshot file.
 SNAPSHOT_MAGIC = b"REPRO-SNAPSHOT\n"
@@ -67,8 +74,8 @@ BYTE_ORDER = "little"
 #: directory of slices sorts chronologically.
 SNAPSHOT_NAME_FORMAT = "checkpoint-{accesses:012d}.ckpt"
 
-_HEADER_KEYS = frozenset(
-    {"byte_order", "columns", "json_length", "schema", "sha256"})
+_HEADER_KEYS = frozenset({"byte_order", "columns", "json_length",
+                          "model_version", "schema", "sha256"})
 
 
 def config_to_dict(config: SimConfig) -> Dict[str, Any]:
@@ -82,6 +89,8 @@ def config_to_dict(config: SimConfig) -> Dict[str, Any]:
 
 
 def config_from_dict(data: Dict[str, Any]) -> SimConfig:
+    """The inverse of :func:`config_to_dict`; a key that is not a
+    :class:`SimConfig` field raises :class:`TypeError`."""
     kwargs = dict(data)
     faults = kwargs.get("faults")
     if faults is not None:
@@ -133,6 +142,7 @@ def _encode_snapshot(config: SimConfig, state: Dict[str, Any]) -> bytes:
         "columns": [[name, column.typecode, len(column)]
                     for name, column in columns],
         "json_length": len(json_bytes),
+        "model_version": MODEL_VERSION,
         "schema": SNAPSHOT_SCHEMA_VERSION,
         "sha256": digest.hexdigest(),
     }
@@ -146,7 +156,7 @@ def _unsupported_schema(schema: Any) -> str:
             f"(this build reads schema {SNAPSHOT_SCHEMA_VERSION})")
 
 
-def _without_magic(raw: bytes) -> str:
+def _without_magic(path: Path, raw: bytes) -> CheckpointCorruptionError:
     """Why a file that lacks the magic line is refused: an older
     envelope names its schema, anything else is not a snapshot."""
     try:
@@ -154,8 +164,10 @@ def _without_magic(raw: bytes) -> str:
     except ValueError:
         envelope = None
     if isinstance(envelope, dict) and "schema" in envelope:
-        return _unsupported_schema(envelope["schema"])
-    return "not a snapshot file (bad magic line)"
+        return CheckpointVersionError(
+            path, _unsupported_schema(envelope["schema"]))
+    return CheckpointCorruptionError(
+        path, "not a snapshot file (bad magic line)")
 
 
 def _read_header(path: Path, raw: bytes) -> Tuple[Dict[str, Any], int]:
@@ -169,12 +181,19 @@ def _read_header(path: Path, raw: bytes) -> Tuple[Dict[str, Any], int]:
     except ValueError as error:
         raise CheckpointCorruptionError(
             path, f"header is not valid JSON: {error}") from None
+    # The schema first: an older header has another key set, and is
+    # refused as another build's file, not as a malformed header.
+    if (isinstance(header, dict) and "schema" in header
+            and header["schema"] != SNAPSHOT_SCHEMA_VERSION):
+        raise CheckpointVersionError(
+            path, _unsupported_schema(header["schema"]))
     if not isinstance(header, dict) or header.keys() != _HEADER_KEYS:
         raise CheckpointCorruptionError(
             path, f"header is not an object with keys {sorted(_HEADER_KEYS)}")
-    if header["schema"] != SNAPSHOT_SCHEMA_VERSION:
-        raise CheckpointCorruptionError(
-            path, _unsupported_schema(header["schema"]))
+    if header["model_version"] != MODEL_VERSION:
+        raise CheckpointVersionError(
+            path, f"model version {header['model_version']!r} (this build "
+                  f"simulates model version {MODEL_VERSION})")
     length = header["json_length"]
     if not (header["byte_order"] == BYTE_ORDER
             and type(length) is int and length >= 0
@@ -224,7 +243,7 @@ def _place_column(path: Path, state: Dict[str, Any], name: str,
 def _decode_snapshot(path: Path, raw: bytes
                      ) -> Tuple[SimConfig, Dict[str, Any]]:
     if not raw.startswith(SNAPSHOT_MAGIC):
-        raise CheckpointCorruptionError(path, _without_magic(raw))
+        raise _without_magic(path, raw)
     header, offset = _read_header(path, raw)
     payload = _inflate(path, memoryview(raw)[offset:])
     digest = hashlib.sha256(payload).hexdigest()
@@ -255,6 +274,13 @@ def _decode_snapshot(path: Path, raw: bytes
         column.frombytes(view[start:start + size])
         start += size
         _place_column(path, body["state"], name, _little_endian(column))
+    fields = {field.name for field in dataclasses.fields(SimConfig)}
+    unknown = sorted(set(body["config"]) - fields) if isinstance(
+        body["config"], dict) else []
+    if unknown:
+        raise CheckpointVersionError(
+            path, f"its config has keys this build does not know: "
+                  f"{', '.join(unknown)}")
     try:
         config = config_from_dict(body["config"])
     except (TypeError, ValueError) as error:

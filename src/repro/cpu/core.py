@@ -25,27 +25,27 @@ backpressure).  Completion callbacks clear their condition and re-enter
 ``_run``.  Stall time is accounted from the moment ``_run`` first blocks to
 the moment it makes progress again.
 
-Clock advance and hits: for a workload profile's trace, ``_run_inner``
-draws each record in-line from the trace's ``raw_parts`` (the same draws,
-in the same order, as the trace's own generator).  While the core owns
-the clock and no pending event is due at or before the access time, the
-loop moves the clock there itself (with the sanitizer's monotonicity
-check when it is armed), and it applies an LLC hit in place on the
-cache's three LRU columns with the exact effects of
-:meth:`LastLevelCache.access`.  Only misses go through ``llc.access``
-and :meth:`_handle_miss`.  Access and hit counts stay in locals and are
-written back before anything can read them.  Every other gap goes
-through :meth:`_resolve_gap`: when the only events due strictly before
-the access time are the owner's periodic ticks (``ticks``: the eager
-scan and the epoch sample), :meth:`EventQueue.pass_ticks` runs them in
-place and the loop carries on; any other intervening event, a tie at
-the access time, a stop or a re-entry from a controller frame turns the
-instruction gap into a gap event in the heap.  Every resolution is
-observably identical to scheduling the gap event; see
-docs/performance.md for the clock-ownership rule that keeps them so.
-The owner hears of accesses through ``on_access``, called only once
-``accesses_processed`` reaches ``access_limit`` (the owner re-arms it
-from inside the call).
+Clock advance, hits and misses: for a workload profile's trace,
+``_run_inner`` draws each record in-line from the trace's ``raw_parts``
+(the same draws, in the same order, as the trace's own generator).
+While the core owns the clock and no pending event is due at or before
+the access time, the loop moves the clock there itself (with the
+sanitizer's monotonicity check when it is armed).  It applies every
+access in place on the cache's three LRU columns with the exact effects
+of :meth:`LastLevelCache.access`: a hit moves the line to MRU, a miss
+fills it and evicts the LRU line, and only a miss leaves the loop, for
+:meth:`_handle_miss` with the dirty victim's block.  Access and hit
+counts stay in locals and are written back before anything can read
+them.  Every other gap goes through :meth:`_resolve_gap`: from a frame
+that owns the clock, :meth:`EventQueue.cross` runs every event due
+strictly before the access time in place and the loop carries on; a tie
+at the access time, a stop or a re-entry from a controller frame turns
+the instruction gap into a gap event in the heap, whose firing resumes
+the loop with the record it carries.  Every resolution is observably
+identical to scheduling the gap event; see docs/performance.md for the
+clock-ownership rule that keeps them so.  The owner hears of accesses
+through ``on_access``, called only once ``accesses_processed`` reaches
+``access_limit`` (the owner re-arms it from inside the call).
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from typing import Any, Callable, Iterator, Optional, Tuple
 from repro import params
 from repro.cache.deadblock import DeadBlockPredictor
 from repro.cache.llc import LastLevelCache
-from repro.cache.lru import DIRTY, EAGER_CLEANED, AccessResult
+from repro.cache.lru import DIRTY, EAGER_CLEANED
 from repro.cpu.trace import TraceRecord
 from repro.memory.controller import MemoryController
 from repro.sim.events import EventQueue
@@ -97,10 +97,6 @@ class SimpleCore:
         # next warm-up end, window end or checkpoint pause).  By default
         # every access is reported; without on_access, none is.
         self.access_limit = 0 if on_access is not None else sys.maxsize
-        # Callbacks of the owner's periodic ticks, which the record loop
-        # may run in place when they fall inside an instruction gap
-        # (EventQueue.pass_ticks); System sets and release() clears them.
-        self.ticks: Tuple[Callable[[Any], None], ...] = ()
         self._sanitize = resolve(sanitize)
         # Writebacks normally go straight to the controller's write queue;
         # a DRAM write buffer (repro.memory.drambuffer) interposes here.
@@ -204,7 +200,7 @@ class SimpleCore:
             return
         self._in_run = True
         try:
-            self._run_inner()
+            self._run_inner(None)
         finally:
             self._in_run = False
 
@@ -228,17 +224,20 @@ class SimpleCore:
         else:
             rnd = compiled = fallback = lambd = None
         return (events, events._heap, events._executed, events._sanitize,
-                trace, rnd, compiled, fallback, lambd, llc.access, llc.stats,
-                cache.num_sets, cache._tag_sets, cache._flags,
-                cache._touches, cache.set_access_counts, llc._hit_counters,
-                llc._db_buckets, self.base_cpi)
+                trace, rnd, compiled, fallback, lambd, llc.stats,
+                llc.profiler, cache.num_sets, cache.assoc, cache._tag_sets,
+                cache._flags, cache._touches, cache.set_access_counts,
+                llc._hit_counters, llc._db_buckets, self.base_cpi)
 
-    def _run_inner(self) -> None:   # simlint: hotpath
+    def _run_inner(self,
+                   resume: Optional[TraceRecord]) -> None:   # simlint: hotpath
         # The per-record loop.  Every attribute it reads per record is
         # hoisted from one prebuilt tuple; the access, instruction and
         # LLC-hit counts live in locals and are written back (_flush)
-        # before any call that could read them - a tick, on_access, a
-        # miss - and before every return.
+        # before any call that could read them - an event crossed in
+        # place, on_access, a miss - and before every return.  ``resume``
+        # is the record a fired gap event carries: its gap is crossed, so
+        # the loop starts with its access.
         if self._finished:
             return
         if (self._wait_read_id is not None
@@ -258,7 +257,7 @@ class SimpleCore:
         if hot is None:
             hot = self._hot = self._hot_locals()
         (events, heap, executed, sanitize, trace, rnd, compiled, fallback,
-         lambd, llc_access, stats, num_sets, tag_sets, flag_sets,
+         lambd, stats, profiler, num_sets, assoc, tag_sets, flag_sets,
          touch_sets, set_counts, hit_counters, db_buckets, base_cpi) = hot
         clk_ns = params.CPU_CLK_NS
         max_bucket = DeadBlockPredictor.MAX_BUCKET
@@ -271,7 +270,11 @@ class SimpleCore:
         # before a stop; every other gap goes through _resolve_gap.
         inline = self._owns_clock and not events.stop
         while True:
-            if rnd is not None:
+            if resume is not None:
+                _, block, is_write, dependent = resume
+                resume = None
+                gap = 0
+            elif rnd is not None:
                 # ProfileTrace._record_gen's draws, in its order.
                 r = rnd()
                 for cum, fast_next in compiled:
@@ -346,13 +349,30 @@ class SimpleCore:
                 hits = 0
                 self.on_access(count)
             else:
+                # LastLevelCache.access on a miss, in place: fill at MRU,
+                # evict the LRU line, count a dirty victim's writeback.
+                set_counts[set_index] = touch = set_counts[set_index] + 1
+                flags = flag_sets[set_index]
+                touches = touch_sets[set_index]
+                victim = None
+                if len(tags) >= assoc:
+                    victim_tag = tags.pop()
+                    touches.pop()
+                    if flags.pop() & DIRTY:
+                        victim = victim_tag * num_sets + set_index
+                        stats.writebacks += 1
+                tags.insert(0, tag)
+                flags.insert(0, DIRTY if is_write else 0)
+                touches.insert(0, touch)
+                stats.accesses += 1
+                stats.misses += 1
+                profiler.miss_counter += 1
                 count += 1
                 self._flush(count, insts, hits)
                 hits = 0
-                result = llc_access(block, is_write)
                 if count >= limit:
                     self.on_access(count)
-                self._handle_miss(block, is_write, dependent, result)
+                self._handle_miss(block, is_write, dependent, victim)
                 # The entry checks again, in-line like every per-record
                 # step: the miss may have blocked the core or left a
                 # writeback or fill to retry (a space waiter can be
@@ -394,19 +414,24 @@ class SimpleCore:
         """Resolve an instruction gap the loop could not cross in-line.
 
         Returns True when the clock now sits at ``target_ns`` and the
-        access may run in-line.  Otherwise a gap event carrying the
-        record is in the heap - scheduled, or pushed by
-        :meth:`EventQueue.pass_ticks` under the sequence number
-        :meth:`~EventQueue.schedule` would have taken - and the loop
-        must return.
+        access may run in-line.  Otherwise the record is held - in a gap
+        event in the heap (scheduled, or pushed by
+        :meth:`EventQueue.cross` under the sequence number
+        :meth:`~EventQueue.schedule` would have taken) or parked as the
+        fill to replay - and the loop must return.
         """
         events = self.events
         if events.stop or not self._owns_clock:
             # A stopped run ends at a clean event boundary; a controller
             # frame still has work at the current time (see _owns_clock).
             events.schedule(target_ns, self._gap_callback)
-        elif events.pass_ticks(target_ns, self._gap_callback, self.ticks):
-            return True
+        elif events.cross(target_ns, self._gap_callback):
+            # The check _gap_fired makes, on the same state.
+            if not self._blocked() and self._retire_backlog():
+                return True
+            self._park(_new_tuple(
+                TraceRecord, (gap, block, is_write, dependent)))
+            return False
         self._gap_record = _new_tuple(
             TraceRecord, (gap, block, is_write, dependent))
         return False
@@ -415,17 +440,21 @@ class SimpleCore:
         record = self._gap_record
         assert record is not None, "gap event fired without a pending record"
         self._gap_record = None
-        if not self._blocked() and self._retire_backlog():
-            self._do_access(record)
-            self._owns_clock = True
-            try:
-                self._run()
-            finally:
-                self._owns_clock = False
+        if self._blocked() or not self._retire_backlog():
+            self._park(record)
             return
-        # Extremely rare: became blocked between scheduling and firing
-        # (e.g. a cancellation filled the write queue).  Replay the access
-        # once unblocked.
+        self._owns_clock = self._in_run = True
+        try:
+            self._run_inner(record)
+        finally:
+            self._owns_clock = self._in_run = False
+
+    def _park(self, record: TraceRecord) -> None:
+        """Hold a record whose gap is crossed until the core unblocks.
+
+        Extremely rare: the core became blocked while the gap was open
+        (e.g. a cancellation filled the write queue).  The access is
+        replayed once unblocked."""
         self._pending_fill = record
         self._note_blocked()
 
@@ -450,23 +479,24 @@ class SimpleCore:
     # ------------------------------------------------------------------
 
     def _do_access(self, record: TraceRecord) -> None:
-        """One access outside the record loop (a fired gap event or a
-        replayed fill)."""
+        """A replayed fill: one access outside the record loop."""
         block, is_write = record.block, record.is_write
-        result = self.llc.access(block, is_write)
+        llc = self.llc
+        result = llc.access(block, is_write)
         self.accesses_processed = count = self.accesses_processed + 1
         if count >= self.access_limit:
             self.on_access(count)
         if not result.hit:
-            self._handle_miss(block, is_write, record.dependent, result)
+            victim = result.victim
+            self._handle_miss(
+                block, is_write, record.dependent,
+                llc.cache.block_of(block % llc.cache.num_sets, victim.tag)
+                if victim is not None and victim.dirty else None)
 
     def _handle_miss(self, block: int, is_write: bool, dependent: bool,
-                     result: AccessResult) -> None:
+                     victim_block: Optional[int]) -> None:
         # Dirty victim -> writeback (separate queue; may backpressure).
-        if result.victim is not None and result.victim.dirty:
-            victim_block = self.llc.cache.block_of(
-                self.llc.cache.set_index(block), result.victim.tag,
-            )
+        if victim_block is not None:
             if not self.writeback_sink(victim_block):
                 self._pending_writeback = victim_block
                 self._waiting_write_space = True

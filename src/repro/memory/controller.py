@@ -20,6 +20,7 @@ Scheduling rules (Sections IV and V, Table II):
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from typing import Callable, Dict, List, Optional
 
 from repro import params
@@ -31,7 +32,6 @@ from repro.faults.injector import (WRITE_FATAL, WRITE_OK, WRITE_RETIRED,
                                    WRITE_RETRY, FaultInjector)
 from repro.sim.sanitize import check, close_enough, resolve
 from repro.memory.address import AddressMap
-from repro.memory.bank import InFlight
 from repro.memory.queues import EAGER, READ, WRITE, Request, RequestQueue
 from repro.memory.rank import RankFawLimiter
 from repro.memory.timing import MemoryTiming
@@ -65,7 +65,12 @@ class _ControllerTelemetry:
         self.pauses = metrics.counter("ctrl.pauses")
         self.drains = metrics.counter("ctrl.drains")
         self.drain_active = metrics.gauge("ctrl.drain_active")
-        self.read_latency = metrics.histogram("ctrl.read_latency_ns")
+        # Histogram.observe, inlined at the one site that feeds it: the
+        # bucket edges and the counts list (restored in place, never
+        # replaced).
+        latency = metrics.histogram("ctrl.read_latency_ns")
+        self.read_latency_bounds = latency.bounds
+        self.read_latency_counts = latency.counts
         # Per-bank slow/normal issue mix (the Bank-Aware observable).
         # bank_metric_name keeps the naming scheme in one cached place,
         # shared with the System wear/utilization probes.
@@ -133,11 +138,18 @@ class MemoryController:
     place).  Reads open rows.
 
     All per-bank state lives in flat lists indexed by bank id, and
-    nowhere else: busy-until time, open row and in-flight operation for
-    the issue path, plus busy time and operation counts for results and
-    telemetry.  Lines retired per bank are the fault injector's count
-    (``FaultInjector.retired_per_bank``).  docs/performance.md describes
-    the layout.
+    nowhere else: busy-until time, open row and the in-flight operation
+    (its request, issue token, pulse start, cancellable flag and resumed
+    pulse progress) for the issue path, plus busy time and operation
+    counts for results and telemetry.  Lines retired per bank are the
+    fault injector's count (``FaultInjector.retired_per_bank``).
+    docs/performance.md describes the layout.
+
+    Each issue gets the token ``bank_ops_begun[bank] * num_banks +
+    bank``, unique over the run, and its completion event carries it: a
+    completion whose token is no longer the bank's in-flight token
+    belongs to a cancelled attempt and is ignored, even when the same
+    request has been re-issued since.
     """
 
     def __init__(
@@ -235,6 +247,11 @@ class MemoryController:
         # (serial sweeps vs fresh parallel workers would emit different
         # traces for the same config).
         self._request_ids = itertools.count()
+        # The queues' per-bank FIFO lists, which are never replaced: the
+        # issue path tests a bank's FIFO before popping from it.
+        self._read_fifos = self.read_q._fifos
+        self._write_fifos = self.write_q._fifos
+        self._eager_fifos = self.eager_q._fifos
 
         # Geometry and timing constants hoisted onto the controller: the
         # issue path reads them on every request.
@@ -268,12 +285,20 @@ class MemoryController:
         # the handful of distinct factors a run can use.
         self._damage_by_factor: Dict[float, float] = {}
         # Flat bank state, indexed by bank id.  The issue path reads and
-        # writes the first three; results and telemetry probes read the
-        # busy time (this window) and the lifetime operation counts.
+        # writes the busy-until time, the open row and the in-flight
+        # columns; results and telemetry probes read the busy time (this
+        # window) and the lifetime operation counts.  A busy bank's
+        # busy-until time is its operation's finish.  An idle bank's
+        # request is None and its token -1; its other in-flight columns
+        # keep the last operation's values.
         self._bank_busy_until: List[float] = [0.0] * self._num_banks
         self._bank_open_row: List[Optional[int]] = [None] * self._num_banks
-        self._bank_in_flight: List[Optional[InFlight]] = (
+        self._bank_in_flight: List[Optional[Request]] = (
             [None] * self._num_banks)
+        self._bank_token: List[int] = [-1] * self._num_banks
+        self._bank_pulse_start: List[float] = [0.0] * self._num_banks
+        self._bank_cancellable: List[bool] = [False] * self._num_banks
+        self._bank_resumed: List[float] = [0.0] * self._num_banks
         self.bank_busy_ns: List[float] = [0.0] * self._num_banks
         self.bank_ops_begun: List[int] = [0] * self._num_banks
         self.bank_ops_cancelled: List[int] = [0] * self._num_banks
@@ -316,13 +341,12 @@ class MemoryController:
         if ts is not None:
             ts.record(now, EV_ENQUEUE, bank, block, request.req_id,
                       0.0, READ)
-        op = self._bank_in_flight[bank]
-        if op is None:
+        if self._bank_in_flight[bank] is None:
             if now >= self._bank_busy_until[bank]:
                 self._try_issue_bank(bank)
-        elif (op.cancellable and not self.drain_mode
+        elif (self._bank_cancellable[bank] and not self.drain_mode
               and now < self._bank_busy_until[bank]):
-            self._cancel_for_read(bank, op, now)
+            self._cancel_for_read(bank, now)
         return True
 
     def submit_write(self, block: int,
@@ -422,8 +446,7 @@ class MemoryController:
     # Write cancellation
     # ------------------------------------------------------------------
 
-    def _cancel_for_read(self, bank_index: int, op: InFlight,
-                         now: float) -> None:
+    def _cancel_for_read(self, bank_index: int, now: float) -> None:
         """Cancel (or pause) the in-flight write when a read arrives.
 
         The caller (:meth:`submit_read`) has already established the
@@ -431,8 +454,10 @@ class MemoryController:
         bank busy.  The victim write returns to the head of its queue and
         its partial cell stress is recorded as fractional wear.
         """
-        pulse_ns = self._t_wp * op.request.speed_factor
-        elapsed = now - op.pulse_start_ns
+        request = self._bank_in_flight[bank_index]
+        assert request is not None, "cancel on an idle bank"
+        pulse_ns = self._t_wp * request.speed_factor
+        elapsed = now - self._bank_pulse_start[bank_index]
         if elapsed < 0.0:
             elapsed = 0.0
         elif elapsed > pulse_ns:
@@ -441,23 +466,25 @@ class MemoryController:
         pausing = self._pausing
         if not pausing and fraction >= params.CANCEL_THRESHOLD:
             return  # too far along; cancelling would waste a near-full pulse
-        victim_queue = self.eager_q if op.request.kind == EAGER else self.write_q
+        victim_queue = self.eager_q if request.kind == EAGER else self.write_q
         if victim_queue._size >= victim_queue.capacity:
             return  # nowhere to put the victim; let the write finish
-        self.bank_busy_ns[bank_index] -= max(0.0, op.finish_ns - now)
+        self.bank_busy_ns[bank_index] -= max(
+            0.0, self._bank_busy_until[bank_index] - now)
         self._bank_in_flight[bank_index] = None
+        self._bank_token[bank_index] = -1
         self.bank_ops_cancelled[bank_index] += 1
         # Partial cell stress: fraction of the programming pulse completed.
         if fraction > 0.0:
-            self._record_wear(op.request, fraction)
+            self._record_wear(request, fraction)
         if pausing:
             # Write pausing keeps the completed pulse time; the eventual
             # resume only pays (and only wears) the remainder.
             self.stats.pauses += 1
-            op.request.progress_ns = op.resumed_progress_ns + elapsed
+            request.progress_ns = self._bank_resumed[bank_index] + elapsed
         else:
             self.stats.cancellations += 1
-            op.request.progress_ns = 0.0
+            request.progress_ns = 0.0
         ts = self._ts
         if ts is not None:
             if pausing:
@@ -466,10 +493,10 @@ class MemoryController:
                 ts.cancellations.value += 1.0
             ts.record(
                 now, EV_PAUSE if pausing else EV_CANCEL,
-                bank_index, op.request.block, op.request.req_id,
-                op.request.speed_factor,
-                f"{op.request.kind} progress={fraction:.3f}")
-        victim_queue.push_front(op.request)
+                bank_index, request.block, request.req_id,
+                request.speed_factor,
+                f"{request.kind} progress={fraction:.3f}")
+        victim_queue.push_front(request)
         # tiny turnaround penalty before the bank can accept the read
         busy = now + self._cancel_penalty
         self._bank_busy_until[bank_index] = busy
@@ -498,18 +525,21 @@ class MemoryController:
         now = self.events.now
         if now < self._bank_busy_until[bank_index]:
             return
+        # Each FIFO is tested before its pop: an idle bank mostly has
+        # nothing queued, and a list index is cheaper than a call.
         if self.drain_mode:
-            request = self.write_q.try_pop_bank(bank_index, now)
-            if request is None:
+            if not self._write_fifos[bank_index]:
                 return
-        else:
+            request = self.write_q.try_pop_bank(bank_index, now)
+        elif self._read_fifos[bank_index]:
             request = self.read_q.try_pop_bank(bank_index, now)
-            if request is None:
-                request = self.write_q.try_pop_bank(bank_index, now)
-                if request is None:
-                    request = self.eager_q.try_pop_bank(bank_index, now)
-                    if request is None:
-                        return
+        elif self._write_fifos[bank_index]:
+            request = self.write_q.try_pop_bank(bank_index, now)
+        elif self._eager_fifos[bank_index]:
+            request = self.eager_q.try_pop_bank(bank_index, now)
+        else:
+            return
+        assert request is not None, "a tested FIFO popped nothing"
         if request.kind != READ:
             self._issue_write(bank_index, request, now)
             return
@@ -520,10 +550,8 @@ class MemoryController:
             ready = now
             detail = "read"
         else:
-            limiter = self.faw[bank_index // self._banks_per_rank]
-            act_start = limiter.earliest_activate(now)
-            limiter.record_activate(act_start)
-            ready = act_start + self._t_rcd
+            ready = (self.faw[bank_index // self._banks_per_rank]
+                     .activate(now) + self._t_rcd)
             self._bank_open_row[bank_index] = row
             stats.read_row_misses += 1
             detail = "read miss"
@@ -541,17 +569,17 @@ class MemoryController:
             ts.reads_issued.value += 1.0
             ts.record(now, EV_ISSUE, bank_index, request.block,
                       request.req_id, 0.0, detail)
-        op = InFlight(
-            request=request, start_ns=now, finish_ns=finish,
-            pulse_start_ns=finish, cancellable=False,
-        )
-        self._bank_in_flight[bank_index] = op
+        begun = self.bank_ops_begun[bank_index] + 1
+        self.bank_ops_begun[bank_index] = begun
+        token = begun * self._num_banks + bank_index
+        self._bank_in_flight[bank_index] = request
+        self._bank_token[bank_index] = token
+        self._bank_cancellable[bank_index] = False
         self._bank_busy_until[bank_index] = finish
         self.bank_busy_ns[bank_index] += finish - now
-        self.bank_ops_begun[bank_index] += 1
         if self._read_space_waiters:
             self._notify_read_space()
-        self.events.schedule(finish, self._complete_read, op)
+        self.events.schedule(finish, self._complete_read, token)
 
     def _issue_write(self, bank_index: int, request: Request,
                      now: float) -> None:   # simlint: hotpath
@@ -623,36 +651,39 @@ class MemoryController:
                 ts.eager_issued.value += 1.0
             ts.record(now, EV_ISSUE, bank_index, request.block,
                       request.req_id, factor, request.kind)
-        op = InFlight(
-            request=request, start_ns=now, finish_ns=finish,
-            pulse_start_ns=pulse_start,
-            cancellable=self._cancel_slow if slow else self._cancel_normal,
-            resumed_progress_ns=progress,
-        )
-        self._bank_in_flight[bank_index] = op
+        begun = self.bank_ops_begun[bank_index] + 1
+        self.bank_ops_begun[bank_index] = begun
+        token = begun * self._num_banks + bank_index
+        self._bank_in_flight[bank_index] = request
+        self._bank_token[bank_index] = token
+        self._bank_pulse_start[bank_index] = pulse_start
+        self._bank_cancellable[bank_index] = (
+            self._cancel_slow if slow else self._cancel_normal)
+        self._bank_resumed[bank_index] = progress
         self._bank_busy_until[bank_index] = finish
         self.bank_busy_ns[bank_index] += finish - now
-        self.bank_ops_begun[bank_index] += 1
         if not eager:
             if self._write_space_waiters:
                 self._notify_write_space()
             if self.drain_mode and self.write_q._size <= self.drain_low:
                 self._maybe_exit_drain()
-        self.events.schedule(finish, self._complete_write, op)
+        self.events.schedule(finish, self._complete_write, token)
 
     # ------------------------------------------------------------------
     # Completion
     # ------------------------------------------------------------------
 
-    def _complete_read(self, op: InFlight) -> None:   # simlint: hotpath
-        request = op.request
-        bank_index = request.bank
-        if self._bank_in_flight[bank_index] is not op:
+    def _complete_read(self, token: int) -> None:   # simlint: hotpath
+        bank_index = token % self._num_banks
+        if self._bank_token[bank_index] != token:
             # Stale completion for a cancelled/replaced operation; the bank
             # may still be idle with queued work, so poke it.
             self._try_issue_bank(bank_index)
             return
+        request = self._bank_in_flight[bank_index]
+        assert request is not None, "in-flight token without a request"
         self._bank_in_flight[bank_index] = None
+        self._bank_token[bank_index] = -1
         now = self.events.now
         stats = self.stats
         stats.reads_completed += 1
@@ -660,7 +691,8 @@ class MemoryController:
         stats.read_latency_sum_ns += latency
         ts = self._ts
         if ts is not None:
-            ts.read_latency.observe(latency)
+            ts.read_latency_counts[
+                bisect_left(ts.read_latency_bounds, latency)] += 1
             ts.record(now, EV_COMPLETE, bank_index, request.block,
                       request.req_id, 0.0, READ)
         callback = request.callback
@@ -668,17 +700,19 @@ class MemoryController:
             callback(now)
         self._try_issue_bank(bank_index)
 
-    def _complete_write(self, op: InFlight) -> None:   # simlint: hotpath
-        request = op.request
-        bank_index = request.bank
-        if self._bank_in_flight[bank_index] is not op:
+    def _complete_write(self, token: int) -> None:   # simlint: hotpath
+        bank_index = token % self._num_banks
+        if self._bank_token[bank_index] != token:
             # The write was cancelled; a fresh issue will complete it.  The
             # bank may be idle with queued work, so poke it.
             self._try_issue_bank(bank_index)
             return
+        request = self._bank_in_flight[bank_index]
+        assert request is not None, "in-flight token without a request"
         self._bank_in_flight[bank_index] = None
+        self._bank_token[bank_index] = -1
         self.stats.writes_completed += 1
-        resumed = op.resumed_progress_ns
+        resumed = self._bank_resumed[bank_index]
         if resumed > 0.0:
             # A resumed write already deposited wear for its paused
             # portions; charge only the remainder executed this attempt.
@@ -805,8 +839,9 @@ class MemoryController:
         # Charge only the remaining busy time to the new window.
         now = self.events.now
         self.bank_busy_ns[:] = [
-            0.0 if op is None else max(0.0, op.finish_ns - now)
-            for op in self._bank_in_flight]
+            0.0 if request is None else max(0.0, finish - now)
+            for request, finish in zip(self._bank_in_flight,
+                                       self._bank_busy_until)]
         if self.drain_mode:
             self._drain_started_ns = self.events.now
         for queue in (self.read_q, self.write_q, self.eager_q):

@@ -1,8 +1,8 @@
 """Rank-level tFAW activation limiter.
 
 At most ``t_faw_activates`` row activations may start within any sliding
-``t_faw_ns`` window per rank.  ``earliest_activate`` answers when the next
-activation may begin; ``record_activate`` logs one.
+``t_faw_ns`` window per rank.  ``activate`` delays a row activation to the
+earliest time the window allows and logs it.
 """
 
 from __future__ import annotations
@@ -27,20 +27,28 @@ class RankFawLimiter:
         self.max_activates = max_activates
         self._recent: Deque[float] = deque()
 
-    def _prune(self, now: float) -> None:
-        while self._recent and self._recent[0] <= now - self.t_faw_ns:
-            self._recent.popleft()
+    def activate(self, now: float) -> float:   # simlint: hotpath
+        """Log an activation at the earliest time >= ``now`` it may
+        start, and return that time.
 
-    def earliest_activate(self, now: float) -> float:
-        """Earliest time >= now at which a new activation may start."""
-        self._prune(now)
-        if len(self._recent) < self.max_activates:
-            return now
-        # The oldest tracked activation leaves the window at +t_faw.
-        return self._recent[0] + self.t_faw_ns
-
-    def record_activate(self, time_ns: float) -> None:
-        self._prune(time_ns)
-        if len(self._recent) >= self.max_activates:
-            raise RuntimeError("tFAW violated: too many activates in window")
-        self._recent.append(time_ns)
+        The window is pruned at ``now``; when it is full, the start is
+        delayed to the oldest activation's exit (``+ t_faw_ns``) and the
+        window pruned again there.  If floating-point rounding leaves
+        that activation inside the window at its own exit time, the
+        limiter raises instead of exceeding tFAW.
+        """
+        recent = self._recent
+        t_faw = self.t_faw_ns
+        horizon = now - t_faw
+        while recent and recent[0] <= horizon:
+            recent.popleft()
+        if len(recent) >= self.max_activates:
+            now = recent[0] + t_faw
+            horizon = now - t_faw
+            while recent and recent[0] <= horizon:
+                recent.popleft()
+            if len(recent) >= self.max_activates:
+                raise RuntimeError(
+                    "tFAW violated: too many activates in window")
+        recent.append(now)
+        return now

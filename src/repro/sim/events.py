@@ -12,13 +12,13 @@ The core, which owns the clock between its accesses, crosses an
 instruction gap in one of two ways.  When no pending event is due at or
 before the gap target it moves :attr:`EventQueue.now` there itself, with
 the executed-event count a popped event would have had.  Otherwise it
-calls :meth:`EventQueue.pass_ticks`, the queue's one gap seam: it
-reserves the gap event's sequence number, runs the periodic ticks due
-strictly before the target in place, and then either jumps the clock to
-the target or, when any other event or a tie stands in the way, pushes
-the gap event into the heap under its reserved number.  Either way the
-outcome is observably identical to having scheduled the gap event up
-front; docs/performance.md explains why.
+calls :meth:`EventQueue.cross`, the queue's one gap seam: it reserves
+the gap event's sequence number, runs every event due strictly before
+the target in place, in heap order, and then either jumps the clock to
+the target or, on a tie at the target or a raised :attr:`~EventQueue.stop`,
+pushes the gap event into the heap under its reserved number.  Either
+way the outcome is observably identical to having scheduled the gap
+event up front; docs/performance.md explains why.
 """
 
 from __future__ import annotations
@@ -106,46 +106,42 @@ class EventQueue:
         fn(arg)
         return True
 
-    def pass_ticks(self, time_ns: float, fn: Callback,
-                   ticks: Tuple[Callback, ...]) -> bool:   # simlint: hotpath
-        """Cross a gap to ``time_ns``, running periodic ticks in place.
+    def cross(self, time_ns: float,
+              fn: Callback) -> bool:   # simlint: hotpath
+        """Cross a gap to ``time_ns``, running what is due before it in place.
 
         Called by the clock owner in place of scheduling ``fn(None)`` at
         ``time_ns`` when an event is due at or before it.  The gap's
-        sequence number is reserved first, exactly as
-        :meth:`schedule` would take it.  Then, while the earliest
-        pending event is one of ``ticks`` (compared with ``==``, so a
-        rebound method matches) and due *strictly* before ``time_ns``,
-        it is popped and run in place with a popped event's effects
-        (monotonicity check, clock update, executed count), so any
-        event it schedules takes its (time, seq) place.  If the window
-        is then clear, the clock moves to ``time_ns``, one executed
-        event is counted for the gap, and True is returned: the caller
-        runs the gap's body in-line.  Otherwise - another event due at
-        or before ``time_ns`` (a tie included) or :attr:`stop` raised by
-        a tick - the gap event enters the heap under its reserved number
-        and False is returned, so a failed attempt costs what
-        :meth:`schedule` costs.
+        sequence number is reserved first, exactly as :meth:`schedule`
+        would take it.  Then every event due *strictly* before
+        ``time_ns`` is popped and run in place, in (time, seq) order and
+        with a popped event's effects (monotonicity check, clock update,
+        executed count), so an event one of them schedules inside the
+        window runs in its turn too.  If the target is then reached, the
+        clock moves to ``time_ns``, one executed event is counted for
+        the gap, and True is returned: the caller runs the gap's body
+        in-line.  On a tie at ``time_ns`` or a raised :attr:`stop`, the
+        gap event enters the heap under its reserved number and False is
+        returned, so the heap orders the tie as scheduling would have.
         """
         heap = self._heap
         seq = self._seq
         self._seq = seq + 1
         sanitize = self._sanitize
         executed = self._executed
-        while (heap and heap[0][0] < time_ns and heap[0][2] in ticks
-               and not self.stop):
-            tick_ns, tick_seq, tick_fn, arg = heappop(heap)
+        while heap and heap[0][0] < time_ns and not self.stop:
+            event_ns, event_seq, event_fn, arg = heappop(heap)
             if sanitize:
                 check(
-                    tick_ns >= self.now, "event-time-monotonicity",
+                    event_ns >= self.now, "event-time-monotonicity",
                     "event queue popped an event from the past",
-                    event_time_ns=tick_ns, now_ns=self.now,
-                    sequence=tick_seq,
+                    event_time_ns=event_ns, now_ns=self.now,
+                    sequence=event_seq,
                 )
-            self.now = tick_ns
+            self.now = event_ns
             if executed is not None:
                 executed.value += 1.0
-            tick_fn(arg)
+            event_fn(arg)
         if self.stop or (heap and heap[0][0] <= time_ns):
             heappush(heap, (time_ns, seq, fn, None))
             return False

@@ -169,11 +169,6 @@ class System:
             ),
             sanitize=self.sanitize,
         )
-        # The core may run these in place inside an instruction gap
-        # (EventQueue.pass_ticks): they touch no state the core keeps in
-        # locals once it has flushed its counters.  The frequent eager
-        # scan is compared first.
-        self.core.ticks = (self._eager_tick, self._sample_tick)
         self._measure_start_ns: Optional[float] = None
         self._measure_end_ns: Optional[float] = None
         self._accesses_at_last_scan = 0
@@ -532,7 +527,6 @@ class System:
         for name in ("on_access", "writeback_sink", "_gap_callback", "_hot"):
             setattr(core, name, None)
         core.access_limit = sys.maxsize
-        core.ticks = ()
         ctrl = self.controller
         ctrl.on_fatal = None
         ctrl._write_space_waiters.clear()
@@ -541,9 +535,9 @@ class System:
             for fifo in queue._fifos:
                 for request in fifo:
                     request.callback = None
-        for op in ctrl._bank_in_flight:
-            if op is not None:
-                op.request.callback = None
+        for request in ctrl._bank_in_flight:
+            if request is not None:
+                request.callback = None
         if self.telemetry.enabled:
             # After the final epoch: nothing samples the probes again.
             self.telemetry.metrics.release()

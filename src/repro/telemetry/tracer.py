@@ -110,22 +110,18 @@ def _batches(items: Iterator[_T]) -> Iterator[List[_T]]:
         yield batch
 
 
-def _string_encoder() -> Callable[[str], str]:
-    """``json.dumps`` for strings, memoised.
+class _JsonStrings(Dict[str, str]):
+    """``json.dumps`` of each string, memoised: a dict whose missing keys
+    encode themselves, so a repeat costs one subscript and no call.
 
     Event kinds, details and slice names are low-cardinality strings, and
     running ``json.dumps`` per record was the bulk of export time at full
-    ring capacity.
+    ring capacity; a memoising function still cost a call per record.
     """
-    encoded: Dict[str, str] = {}
 
-    def enc(text: str) -> str:
-        cached = encoded.get(text)
-        if cached is None:
-            cached = encoded[text] = json.dumps(text)
-        return cached
-
-    return enc
+    def __missing__(self, text: str) -> str:
+        encoded = self[text] = json.dumps(text)
+        return encoded
 
 
 @dataclass
@@ -296,12 +292,12 @@ class EventTracer:
     def jsonl_chunks(self) -> Iterator[str]:
         """The JSONL export in chunks: one compact JSON object per event,
         each line newline-terminated, oldest first."""
-        enc = _string_encoder()
+        enc = _JsonStrings()
         for batch in _batches(self._records()):
             yield "".join([
-                f'{{"t_ns":{t_ns},"kind":{enc(kind)},"bank":{bank},'
+                f'{{"t_ns":{t_ns},"kind":{enc[kind]},"bank":{bank},'
                 f'"block":{block},"req_id":{req_id},"factor":{factor},'
-                f'"detail":{enc(detail)}}}\n'
+                f'"detail":{enc[detail]}}}\n'
                 for t_ns, kind, bank, block, req_id, factor, detail in batch
             ])
 
@@ -333,10 +329,10 @@ def _chrome_events(tracer: EventTracer,
     Numbers go through ``repr``, which matches ``json.dumps`` exactly
     for the ints and finite floats that reach this point.
     """
-    enc = _string_encoder()
+    enc = _JsonStrings()
 
     yield (f'{{"name":"process_name","ph":"M","pid":1,"tid":0,'
-           f'"args":{{"name":{enc(process_name)}}}}}')
+           f'"args":{{"name":{enc[process_name]}}}}}')
     for bank in sorted({bank for bank in tracer.column(2) if bank >= 0}):
         yield (f'{{"name":"thread_name","ph":"M","pid":1,"tid":{bank + 1},'
                f'"args":{{"name":"bank {bank}"}}}}')
@@ -345,6 +341,9 @@ def _chrome_events(tracer: EventTracer,
 
     # Pair issue -> complete/cancel per (bank, req_id) into "X" slices.
     open_issues: Dict[Tuple[int, int], _Record] = {}
+    # A slice's encoded name per (issue detail, factor, outcome): a few
+    # distinct names, each formatted once (equal factors format alike).
+    slice_names: Dict[Tuple[str, Any, str], str] = {}
     for record in tracer._records():
         t_ns, kind, bank, block, req_id, factor, detail = record
         tid = bank + 1 if bank >= 0 else 0
@@ -355,20 +354,24 @@ def _chrome_events(tracer: EventTracer,
             opener = open_issues.pop((bank, req_id), None)
             if opener is not None:
                 open_t, _, _, open_block, _, open_factor, open_detail = opener
-                name = open_detail or "op"
-                if open_factor > 1.0:
-                    name = f"{name} x{open_factor:g}"
-                if kind == EV_CANCEL:
-                    name = f"{name} (cancelled)"
-                yield (f'{{"name":{enc(name)},"ph":"X","pid":1,"tid":{tid},'
+                key = (open_detail, open_factor, kind)
+                name_json = slice_names.get(key)
+                if name_json is None:
+                    name = open_detail or "op"
+                    if open_factor > 1.0:
+                        name = f"{name} x{open_factor:g}"
+                    if kind == EV_CANCEL:
+                        name = f"{name} (cancelled)"
+                    name_json = slice_names[key] = enc[name]
+                yield (f'{{"name":{name_json},"ph":"X","pid":1,"tid":{tid},'
                        f'"ts":{open_t / 1e3!r},"dur":{(t_ns - open_t) / 1e3!r},'
                        f'"args":{{"block":{open_block},"req_id":{req_id},'
-                       f'"factor":{open_factor!r},"outcome":{enc(kind)}}}}}')
+                       f'"factor":{open_factor!r},"outcome":{enc[kind]}}}}}')
                 continue
             # Closer whose opener was evicted from the ring: keep it as
             # an instant so the record is not lost entirely.
         name = f"{kind} {detail}" if detail else kind
-        yield (f'{{"name":{enc(name)},"ph":"i","pid":1,"tid":{tid},'
+        yield (f'{{"name":{enc[name]},"ph":"i","pid":1,"tid":{tid},'
                f'"ts":{t_ns / 1e3!r},"s":"t",'
                f'"args":{{"block":{block},"req_id":{req_id},'
                f'"factor":{factor!r}}}}}')
@@ -377,7 +380,7 @@ def _chrome_events(tracer: EventTracer,
     for opener in open_issues.values():
         t_ns, _, bank, block, req_id, factor, detail = opener
         tid = bank + 1 if bank >= 0 else 0
-        yield (f'{{"name":{enc(f"issue {detail}".rstrip())},"ph":"i",'
+        yield (f'{{"name":{enc[f"issue {detail}".rstrip()]},"ph":"i",'
                f'"pid":1,"tid":{tid},"ts":{t_ns / 1e3!r},"s":"t",'
                f'"args":{{"block":{block},"req_id":{req_id},'
                f'"factor":{factor!r}}}}}')
@@ -386,7 +389,7 @@ def _chrome_events(tracer: EventTracer,
         for name, column in sorted(metrics.series.items()):
             if not _counter_track_name(name):
                 continue
-            name_json = enc(name)
+            name_json = enc[name]
             for t_ns, value in zip(metrics.sample_times_ns, column):
                 if value is None:
                     continue

@@ -79,28 +79,33 @@ class TestRankFawLimiter:
     def test_allows_up_to_four_activates(self):
         limiter = RankFawLimiter(t_faw_ns=50, max_activates=4)
         for t in (0, 1, 2, 3):
-            assert limiter.earliest_activate(t) == t
-            limiter.record_activate(t)
+            assert limiter.activate(t) == t
 
     def test_fifth_activate_delayed_to_window_edge(self):
         limiter = RankFawLimiter(t_faw_ns=50, max_activates=4)
         for t in (0, 10, 20, 30):
-            limiter.record_activate(t)
+            assert limiter.activate(t) == t
         # Oldest activate (t=0) leaves the window at t=50.
-        assert limiter.earliest_activate(35) == 50
+        assert limiter.activate(35) == 50
+        # The delayed one counts from its own start: the next waits for
+        # t=10 to leave the window.
+        assert limiter.activate(50) == 60
 
     def test_window_slides(self):
         limiter = RankFawLimiter(t_faw_ns=50, max_activates=4)
         for t in (0, 10, 20, 30):
-            limiter.record_activate(t)
-        assert limiter.earliest_activate(60) == 60
+            limiter.activate(t)
+        assert limiter.activate(60) == 60
 
     def test_violation_raises(self):
-        limiter = RankFawLimiter(t_faw_ns=50, max_activates=2)
-        limiter.record_activate(0)
-        limiter.record_activate(1)
-        with pytest.raises(RuntimeError):
-            limiter.record_activate(2)
+        """The delayed start is computed in floating point: 0.1 + 0.7
+        rounds to 0.7999999999999999, minus 0.7 to below 0.1, so the
+        oldest activation is still inside the window at its own exit
+        time.  The limiter refuses rather than exceed tFAW."""
+        limiter = RankFawLimiter(t_faw_ns=0.7, max_activates=1)
+        limiter.activate(0.1)
+        with pytest.raises(RuntimeError, match="tFAW violated"):
+            limiter.activate(0.2)
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):

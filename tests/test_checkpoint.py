@@ -40,8 +40,10 @@ from hypothesis import strategies as st
 
 from repro.analysis.export import run_result_to_dict
 from repro.cache.lru import EAGER_CLEANED
-from repro.checkpoint import (CheckpointCorruptionError, CheckpointError,
-                              CheckpointUnsupportedError, capture_state,
+from repro.checkpoint import (SNAPSHOT_SCHEMA_VERSION,
+                              CheckpointCorruptionError, CheckpointError,
+                              CheckpointUnsupportedError,
+                              CheckpointVersionError, capture_state,
                               config_from_dict, config_to_dict,
                               load_snapshot, restore_system, save_snapshot,
                               snapshot_bytes)
@@ -51,7 +53,7 @@ from repro.checkpoint.codec import (_from_id_deltas, _from_xor_planes,
 from repro.checkpoint.snapshot import SNAPSHOT_MAGIC, _encode_snapshot
 from repro.cli import main
 from repro.faults import FaultConfig
-from repro.sim.config import CACHE_KEY_EXCLUDED, SimConfig
+from repro.sim.config import CACHE_KEY_EXCLUDED, MODEL_VERSION, SimConfig
 from repro.sim.system import System
 from repro.telemetry.tracer import _CHUNK_RECORDS
 
@@ -223,17 +225,45 @@ def _listed_rngs(state: dict) -> None:
                                      rng["gauss_next"]]
 
 
-@pytest.mark.parametrize("schema", [1, 2, 3, 4, 5, 6])
+def _inflight_rows(state: dict) -> None:
+    """Rewrite the controller's in-flight columns and the completion
+    events' issue tokens as the in-flight table of state schemas 1-7,
+    whose rows the bank slots and completion events named."""
+    ctrl = state["controller"]
+    banks = len(ctrl["bank_token"])
+    rows, row_of = [], {}
+    for bank, ref in enumerate(ctrl["bank_in_flight"]):
+        if ref is not None:
+            row_of[bank] = ctrl["bank_in_flight"][bank] = len(rows)
+            rows.append([ref, 0.0, ctrl["bank_busy_until"][bank],
+                         ctrl["bank_pulse_start"][bank],
+                         ctrl["bank_cancellable"][bank],
+                         ctrl["bank_resumed"][bank]])
+    for _, _, desc in state["events"]["heap"]:
+        if desc[0] in ("ctrl.read", "ctrl.write"):
+            bank = desc[1] % banks
+            desc[1:] = [bank, row_of[bank]]
+    for name in ("bank_token", "bank_pulse_start", "bank_cancellable",
+                 "bank_resumed"):
+        del ctrl[name]
+    state["inflights"] = rows
+
+
+@pytest.mark.parametrize("schema", [1, 2, 3, 4, 5, 6, 7])
 def test_old_state_schema_refused(tmp_path: Path, schema: int) -> None:
     """Schema 1 carried a controller-mode flag and event kinds this build
     no longer has; schemas 1 and 2 stored the LLC as nested per-line
     rows; schema 3 held the LLC columns and the fault lines as JSON;
     schemas 1-4 held each RNG state and the trace ring as JSON lists;
     schema 5 held the ring's numeric fields raw; schemas 1-6 carried a
-    deferred-event row in the event queue.  There is no reader for any
-    of them: restoring one fails loudly instead of being misread."""
+    deferred-event row in the event queue; schemas 1-7 held the
+    in-flight operations as a table of rows.  There is no reader for
+    any of them: restoring one fails loudly instead of being misread."""
     def downgrade(state: dict) -> None:
         state["state_schema"] = schema
+        _inflight_rows(state)
+        if schema == 7:
+            return
         state["events"]["deferred"] = None
         if schema >= 5:
             return
@@ -328,6 +358,10 @@ _LENGTH_CASES = [
     (("controller", "bank_busy_until"), _short, None),
     (("controller", "bank_open_row"), _long, None),
     (("controller", "bank_in_flight"), _short, None),
+    (("controller", "bank_token"), _long, None),
+    (("controller", "bank_pulse_start"), _short, None),
+    (("controller", "bank_cancellable"), _long, None),
+    (("controller", "bank_resumed"), _short, None),
     (("faults", "spares_left"), _short, FAULTS),
     (("faults", "retired_per_bank"), _long, FAULTS),
     (("faults", "limits"), _short, FAULTS),
@@ -449,9 +483,10 @@ def _ctrl_completion_row(state: dict) -> list:
                 if row[2][0] in ("ctrl.read", "ctrl.write"))
 
 
-def _shift_completion_bank(state: dict) -> None:
+def _unissued_completion_token(state: dict) -> None:
+    """Point a completion event at an issue its bank has not begun."""
     desc = _ctrl_completion_row(state)
-    desc[1] = (desc[1] + 1) % 16
+    desc[1] += 16 * 10**6
 
 
 def _mark_dependent(state: dict, read_ids: list) -> None:
@@ -472,14 +507,15 @@ def _dependent_read_not_awaited(state: dict) -> None:
 
 
 @pytest.mark.parametrize("edit, message", [
-    (_shift_completion_bank, "names bank .* but its operation is on bank"),
+    (_unissued_completion_token,
+     r"names issue \d+ of bank \d+, which has begun \d+"),
     (_two_dependent_reads, r"dependent reads \[7, 7\]"),
     (_dependent_read_not_awaited,
      r"dependent reads \[8\] but the core waits on read 7"),
 ], ids=["completion-bank", "two-dependent-reads", "dependent-read-id"])
 def test_rebound_callbacks_checked(tmp_path: Path, edit, message: str
                                    ) -> None:
-    """A completion event finds its bank from its operation, and a
+    """A completion event finds its bank and issue from its token, and a
     dependent read's callback finds its read id from the core, so a
     snapshot that disagrees with either is refused, not rebound."""
     def checked_edit(state: dict) -> None:
@@ -584,9 +620,17 @@ def test_llc_round_trip_restores_lines_and_tag_mirrors(tmp_path: Path
 #: changed) when the RNG states became columns, then as schema 6 (the
 #: trace ring's encoding changed; this state has no ring, so nothing
 #: else changed), then as schema 7 (the event queue's empty deferred-event
-#: row dropped, nothing else changed).
+#: row dropped, nothing else changed), then as schema 8 in envelope
+#: schema 3 (the three in-flight rows became the controller's flat
+#: columns, each completion event's row index its bank's issue token,
+#: and the header gained the model version; nothing else changed).
 EARLIER_BUILD_SNAPSHOT = (Path(__file__).parent / "data"
-                          / "snapshot_state7_small_llc.ckpt")
+                          / "snapshot_state8_small_llc.ckpt")
+#: The same state as the build before that wrote it: state schema 7 in
+#: envelope schema 2, a header without a model version, and a config
+#: that still held the ten fields SimConfig has since dropped.
+OLDER_BUILD_SNAPSHOT = (Path(__file__).parent / "data"
+                        / "snapshot_state7_small_llc.ckpt")
 
 
 def test_snapshot_from_an_earlier_build_resumes_byte_equal(
@@ -598,7 +642,7 @@ def test_snapshot_from_an_earlier_build_resumes_byte_equal(
     differ between zlib versions.)"""
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
     config, state = load_snapshot(EARLIER_BUILD_SNAPSHOT)
-    assert state["state_schema"] == 7
+    assert state["state_schema"] == 8
     assert any(flag & EAGER_CLEANED for flag in state["llc"]["flags"])
     restored = restore_system(EARLIER_BUILD_SNAPSHOT)
     assert (_encode_snapshot(config, capture_state(restored))
@@ -607,6 +651,70 @@ def test_snapshot_from_an_earlier_build_resumes_byte_equal(
                          sort_keys=True)
     assert resumed == _straight_json(
         dataclasses.replace(config, checkpoint_every=None))
+
+
+def test_snapshot_from_an_older_build_is_refused_not_called_corrupt(
+        capsys: pytest.CaptureFixture) -> None:
+    """An intact snapshot in an envelope this build does not read is
+    refused by ``repro resume`` with one error line that names its
+    schema and says another build wrote it; it is not called corrupt."""
+    with pytest.raises(CheckpointVersionError,
+                       match="unsupported snapshot schema 2 "):
+        load_snapshot(OLDER_BUILD_SNAPSHOT)
+    assert main(["resume", str(OLDER_BUILD_SNAPSHOT)]) == 1
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert "another build" in err and "schema 2" in err
+    assert "corrupt" not in err
+
+
+def _rewrite(path: Path, edit_header=None, edit_body=None) -> Path:
+    """Re-encode the earlier-build fixture with its header or its
+    decoded body edited; the digest and lengths stay valid."""
+    raw = EARLIER_BUILD_SNAPSHOT.read_bytes()
+    start, end = _header_span(raw)
+    header = json.loads(raw[start:end])
+    payload = zlib.decompress(raw[end + 1:])
+    if edit_body is not None:
+        json_length = header["json_length"]
+        body = json.loads(payload[:json_length])
+        edit_body(body)
+        text = json.dumps(body, sort_keys=True,
+                          separators=(",", ":")).encode()
+        payload = text + payload[json_length:]
+        header["json_length"] = len(text)
+        header["sha256"] = hashlib.sha256(payload).hexdigest()
+    if edit_header is not None:
+        edit_header(header)
+    path.write_bytes(raw[:start] + json.dumps(header).encode() + b"\n"
+                     + zlib.compress(payload, 1))
+    return path
+
+
+@pytest.mark.parametrize("edit_header, edit_body, message", [
+    (lambda header: header.update(model_version=MODEL_VERSION + 1), None,
+     f"model version {MODEL_VERSION + 1} "
+     rf"\(this build simulates model version {MODEL_VERSION}\)"),
+    (None, lambda body: body["config"].update(cancel_threshold=0.5,
+                                              page_policy="open"),
+     "config has keys this build does not know: cancel_threshold, "
+     "page_policy"),
+], ids=["model-version", "config-keys"])
+def test_snapshot_from_another_model_is_refused(
+        tmp_path: Path, capsys: pytest.CaptureFixture, edit_header,
+        edit_body, message: str) -> None:
+    """A header that carries another MODEL_VERSION, or an embedded config
+    with keys this build does not know, is refused with a reason that
+    names them and says another build wrote the file."""
+    path = _rewrite(tmp_path / "other.ckpt", edit_header, edit_body)
+    with pytest.raises(CheckpointVersionError, match=message):
+        load_snapshot(path)
+    assert main(["resume", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: snapshot ")
+    assert "was written by another build" in err
+    assert "corrupt" not in err
 
 
 def test_run_with_checkpoint_dir_writes_snapshots(tmp_path: Path) -> None:
@@ -867,12 +975,14 @@ def test_corrupt_garbage_and_schema(tmp_path: Path) -> None:
         "schema": 999, "sha256": "0" * 64}).encode())
     with pytest.raises(CheckpointCorruptionError, match="schema 999"):
         load_snapshot(path)
-    _header_file(path, json.dumps({"schema": 2}).encode())
+    _header_file(path, json.dumps(
+        {"schema": SNAPSHOT_SCHEMA_VERSION}).encode())
     with pytest.raises(CheckpointCorruptionError, match="object with keys"):
         load_snapshot(path)
     _header_file(path, json.dumps({
         "byte_order": "big", "columns": [], "json_length": 0,
-        "schema": 2, "sha256": "0" * 64}).encode())
+        "model_version": MODEL_VERSION, "schema": SNAPSHOT_SCHEMA_VERSION,
+        "sha256": "0" * 64}).encode())
     with pytest.raises(CheckpointCorruptionError, match="byte order"):
         load_snapshot(path)
 

@@ -146,14 +146,18 @@ def _trace_state(trace):
 def test_record_loop_matches_lru_access_and_next_record(workload, seed,
                                                         sanitize):
     """The core's record loop draws each record in-line and applies LLC
-    hits in place.  Fed a profile trace, it must leave the cache and the
-    trace exactly where pulling ``ProfileTrace.next_record`` and calling
-    ``LastLevelCache.access`` (``LRUCache.access`` plus the profiler,
-    dead-block and LLCStats counters) once per record would: the three
-    LRU columns, per-set access counts, profiler hit and miss counters,
-    dead-block histogram, LLCStats, trace RNG state and pattern cursors.
-    Some dirty lines start eager-cleaned, so hits that waste an eager
-    writeback are covered too."""
+    hits and misses in place.  Fed a profile trace, it must leave the
+    cache and the trace exactly where pulling ``ProfileTrace.next_record``
+    and calling ``LastLevelCache.access`` (``LRUCache.access`` plus the
+    profiler, dead-block and LLCStats counters) once per record would:
+    the three LRU columns, per-set access counts, profiler hit and miss
+    counters, dead-block histogram, LLCStats (writebacks included),
+    trace RNG state and pattern cursors.  It must hand the writeback sink
+    exactly the dirty victims ``LRUCache.access`` evicts, in eviction
+    order, and no eager-cleaned or clean one.  The 256 KB LLC is full
+    after warm-up, so misses evict; some dirty lines start
+    eager-cleaned, so hits that waste an eager writeback and evictions
+    of eager-cleaned lines are covered too."""
     import random
 
     from repro.workloads.profiles import get_profile
@@ -161,7 +165,7 @@ def test_record_loop_matches_lru_access_and_next_record(workload, seed,
     profile = get_profile(workload)
 
     def fresh():
-        llc = LastLevelCache(size_bytes=1024 * 1024, assoc=16)
+        llc = LastLevelCache(size_bytes=256 * 1024, assoc=16)
         trace = profile.trace(seed)
         llc.warm_chunk(trace, 12000)
         picker = random.Random(seed)
@@ -183,8 +187,17 @@ def test_record_loop_matches_lru_access_and_next_record(workload, seed,
     def stop(count):
         events.stop = True
 
+    written = []
+
+    def sink(block):
+        accepted = controller.submit_write(block)
+        if accepted:
+            written.append(block)
+        return accepted
+
     core = SimpleCore(events, llc, controller, trace, base_cpi=0.5, mlp=4,
-                      on_access=stop, sanitize=sanitize)
+                      on_access=stop, writeback_sink=sink,
+                      sanitize=sanitize)
     core.access_limit = stop_at
     core.start()
     events.run_fast(10**7)
@@ -193,15 +206,33 @@ def test_record_loop_matches_lru_access_and_next_record(workload, seed,
     assert controller.read_q.capacity > core.mlp   # no fill is replayed
 
     ref_llc, ref_trace = fresh()
+    victims = {"dirty": [], "eager_cleaned": 0}
     for _ in range(consumed):
         record = ref_trace.next_record()
-        ref_llc.access(record.block, record.is_write)
+        result = ref_llc.access(record.block, record.is_write)
+        victim = result.victim
+        if victim is None:
+            continue
+        if victim.dirty:
+            victims["dirty"].append(ref_llc.cache.block_of(
+                ref_llc.cache.set_index(record.block), victim.tag))
+        elif victim.eager_cleaned:
+            victims["eager_cleaned"] += 1
     if core._gap_record is not None:
         # The record whose gap event is pending was drawn, not accessed.
         assert ref_trace.next_record() == core._gap_record
     assert 0 < llc.stats.hits < consumed
+    assert llc.stats.misses > 0
     assert _llc_state(llc) == _llc_state(ref_llc)
     assert _trace_state(trace) == _trace_state(ref_trace)
+    # A writeback the full write queue refused is retried before the
+    # next access, so the accepted ones come in eviction order; at most
+    # the last one can still be pending.
+    pending = core._pending_writeback
+    assert written + ([] if pending is None else [pending]) == \
+        victims["dirty"]
+    assert llc.stats.writebacks == len(victims["dirty"])
+    assert victims["dirty"] and victims["eager_cleaned"]
 
 
 def test_sanitized_runs_take_the_plain_gap_path(monkeypatch) -> None:
@@ -229,3 +260,28 @@ def test_sanitized_runs_take_the_plain_gap_path(monkeypatch) -> None:
         counts.append(len(calls))
     assert counts[0] > 0
     assert counts[0] == counts[1]
+
+
+def test_gap_events_fire_only_where_the_loop_cannot_cross(
+        monkeypatch) -> None:
+    """Pins how many instruction gaps still reach the event heap for
+    zeusmp under BE-Mellow+SC at scale 0.05, seed 1: the gaps that start
+    in a controller frame, tie with an event at their target or meet a
+    stop.  While ``EventQueue`` could run only the periodic ticks in
+    place, 5,134 did; crossing every event due before the target leaves
+    714.  A rise means the loop hands the heap a gap it could cross."""
+    from repro.sim.config import SimConfig
+    from repro.sim.system import System
+
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    fired = []
+    gap_fired = SimpleCore._gap_fired
+
+    def spy(self, arg):
+        fired.append(None)
+        return gap_fired(self, arg)
+
+    monkeypatch.setattr(SimpleCore, "_gap_fired", spy)
+    System(SimConfig(workload="zeusmp", policy="BE-Mellow+SC",
+                     seed=1).scaled(0.05)).run()
+    assert len(fired) == 714

@@ -111,13 +111,13 @@ def test_peek_time():
 
 
 # ---------------------------------------------------------------------------
-# pass_ticks: the core's seam for instruction gaps that span periodic ticks
+# cross: the core's seam for instruction gaps that span pending events
 # ---------------------------------------------------------------------------
 
 
 class _Owner:
-    """A periodic tick plus the gap callback, as bound methods (the queue
-    recognises ticks by ``==``, which a rebound method satisfies)."""
+    """A periodic tick, another event and the gap callback, as bound
+    methods, logging what ran when."""
 
     def __init__(self, q: EventQueue, period: float,
                  spawn_at: float = -1.0) -> None:
@@ -136,8 +136,22 @@ class _Owner:
     def other(self, _arg) -> None:
         self.log.append(("other", self.q.now))
 
+    def stop(self, _arg) -> None:
+        self.log.append(("stop", self.q.now))
+        self.q.stop = True
+
     def gap(self, _arg) -> None:
         self.log.append(("gap", self.q.now))
+
+
+def _heap_path(setup, target: float):
+    """The reference: the gap scheduled up front and drained by the heap.
+    Returns the log, the pending (time, seq) pairs and the next seq."""
+    q = EventQueue(sanitize=True)
+    owner = setup(q)
+    q.schedule(target, owner.gap)
+    q.run_until(target)
+    return owner.log, sorted(entry[:2] for entry in q._heap), q._seq
 
 
 def test_pass_ticks_runs_ticks_in_place_and_crosses_the_gap() -> None:
@@ -151,7 +165,7 @@ def test_pass_ticks_runs_ticks_in_place_and_crosses_the_gap() -> None:
     owner = _Owner(q, 4.0)
     q.schedule(3.0, owner.tick)
     seq = q._seq
-    assert q.pass_ticks(10.0, owner.gap, (owner.tick,)) is True
+    assert q.cross(10.0, owner.gap) is True
     assert owner.log == [("tick", 3.0), ("tick", 7.0)]
     assert q.now == 10.0   # simlint: ignore[SIM004] -- exact by construction: jump targets are set, not computed
     # The gap's number was reserved before the ticks rescheduled.
@@ -160,14 +174,15 @@ def test_pass_ticks_runs_ticks_in_place_and_crosses_the_gap() -> None:
 
 
 def test_pass_ticks_tie_at_the_target_takes_the_heap_path() -> None:
-    """A tick due exactly at the gap target is not run in place: the gap
-    event enters the heap with its reserved number, and the heap orders
-    the tie (the earlier-scheduled tick first), as scheduling would."""
+    """An event due exactly at the gap target is not run in place: the
+    gap event enters the heap with its reserved number, and the heap
+    orders the tie (the earlier-scheduled tick first), as scheduling
+    would."""
     q = EventQueue(sanitize=False)
     owner = _Owner(q, 4.0)
     q.schedule(10.0, owner.tick)
     seq = q._seq
-    assert q.pass_ticks(10.0, owner.gap, (owner.tick,)) is False
+    assert q.cross(10.0, owner.gap) is False
     assert owner.log == []
     assert q.now == 0.0   # simlint: ignore[SIM004] -- exact by construction: jump targets are set, not computed
     assert (10.0, seq, owner.gap, None) in q._heap
@@ -175,37 +190,94 @@ def test_pass_ticks_tie_at_the_target_takes_the_heap_path() -> None:
     assert owner.log == [("tick", 10.0), ("gap", 10.0)]
 
 
-def test_pass_ticks_stops_at_an_event_a_tick_scheduled() -> None:
-    """A tick that schedules another event before the target sends the
-    gap to the heap under the number it reserved before the tick ran,
-    so the drain runs the new event, then the gap: exactly the order
-    scheduling the gap up front gives."""
-    def run(passing: bool):
-        q = EventQueue(sanitize=False)
+def test_cross_runs_every_event_due_before_the_target_in_heap_order(
+) -> None:
+    """Every event due strictly before the target runs in place, ticks
+    or not, in (time, seq) order - an event that an in-place event
+    schedules inside the window included - and the outcome (log,
+    pending entries, next sequence number) is what scheduling the gap
+    up front and draining the heap gives."""
+    def setup(q: EventQueue) -> _Owner:
         owner = _Owner(q, 100.0, spawn_at=6.0)
+        q.schedule(5.0, owner.other)
         q.schedule(4.0, owner.tick)
-        if passing:
-            assert q.pass_ticks(10.0, owner.gap, (owner.tick,)) is False
+        q.schedule(5.0, owner.other)
+        return owner
+
+    q = EventQueue(sanitize=True)
+    owner = setup(q)
+    assert q.cross(10.0, owner.gap) is True
+    owner.gap(None)   # the caller runs the gap's body in-line
+    crossed = owner.log, sorted(entry[:2] for entry in q._heap), q._seq
+    assert crossed == _heap_path(setup, 10.0)
+    assert owner.log == [("tick", 4.0), ("other", 5.0), ("other", 5.0),
+                         ("other", 6.0), ("gap", 10.0)]
+
+
+@pytest.mark.parametrize("blocker", ["tie", "stop"])
+def test_cross_pushes_the_gap_on_a_tie_or_a_stop(blocker: str) -> None:
+    """A tie at the target, or a ``stop`` raised by an event run in
+    place, ends the crossing: the gap event enters the heap under the
+    number reserved before anything ran, and a later drain gives the
+    heap path's order."""
+    def setup(q: EventQueue) -> _Owner:
+        owner = _Owner(q, 100.0)
+        q.schedule(3.0, owner.other)
+        if blocker == "tie":
+            q.schedule(10.0, owner.other)
+        else:
+            q.schedule(5.0, owner.stop)
+            q.schedule(7.0, owner.other)
+        return owner
+
+    q = EventQueue(sanitize=True)
+    owner = setup(q)
+    seq = q._seq
+    assert q.cross(10.0, owner.gap) is False
+    assert (10.0, seq, owner.gap, None) in q._heap
+    if blocker == "tie":
+        assert owner.log == [("other", 3.0)]
+        assert q.now == 3.0   # simlint: ignore[SIM004] -- event times are set, not computed
+    else:
+        assert owner.log == [("other", 3.0), ("stop", 5.0)]
+        q.stop = False
+    q.run_until(10.0)
+    reference = EventQueue(sanitize=True)
+    ref_owner = setup(reference)
+    reference.schedule(10.0, ref_owner.gap)
+    reference.run_fast(10)
+    reference.stop = False
+    reference.run_until(10.0)
+    assert owner.log == ref_owner.log
+    assert owner.log[-1] == ("gap", 10.0)
+
+
+@pytest.mark.parametrize("outcome", ["crossed", "pushed"])
+def test_cross_counts_executed_events_as_the_heap_path(outcome: str) -> None:
+    """``events.executed`` counts each event run in place, and the gap
+    once, wherever it runs: the series does not depend on the path."""
+    from repro.telemetry import Telemetry
+
+    def run(crossing: bool) -> float:
+        telemetry = Telemetry(num_banks=1, clock=lambda: 0.0)
+        q = EventQueue(sanitize=True, telemetry=telemetry)
+        owner = _Owner(q, 4.0)
+        q.schedule(1.0, owner.tick)
+        q.schedule(2.0, owner.other)
+        if outcome == "pushed":
+            q.schedule(10.0, owner.other)
+        if crossing:
+            if q.cross(10.0, owner.gap):
+                assert outcome == "crossed"
+                owner.gap(None)
         else:
             q.schedule(10.0, owner.gap)
         q.run_until(10.0)
-        return owner.log, sorted(entry[:2] for entry in q._heap), q._seq
+        assert owner.log[-1] == ("gap", 10.0)
+        return telemetry.metrics.counter("events.executed").value
 
-    assert run(True) == run(False)
-    assert run(True)[0] == [("tick", 4.0), ("other", 6.0), ("gap", 10.0)]
-
-
-def test_pass_ticks_leaves_other_events_to_the_heap() -> None:
-    """Only the named ticks run in place: any other event due before the
-    target sends the gap to the heap with nothing run."""
-    q = EventQueue(sanitize=False)
-    owner = _Owner(q, 100.0)
-    q.schedule(3.0, owner.other)
-    q.schedule(5.0, owner.tick)
-    assert q.pass_ticks(10.0, owner.gap, (owner.tick,)) is False
-    assert owner.log == []
-    q.run_fast(3)
-    assert owner.log == [("other", 3.0), ("tick", 5.0), ("gap", 10.0)]
+    # Ticks at 1, 5 and 9, the other event at 2 (and at 10), the gap.
+    assert run(True) == run(False) == (5.0 if outcome == "crossed" else 6.0)
 
 
 def test_pass_ticks_behind_now_with_sanitizer_armed() -> None:
@@ -217,10 +289,10 @@ def test_pass_ticks_behind_now_with_sanitizer_armed() -> None:
     q.run_fast(budget=10)
     assert q.now == 20.0   # simlint: ignore[SIM004] -- exact by construction: jump targets are set, not computed
     with pytest.raises(InvariantViolation):
-        q.pass_ticks(5.0, owner.gap, ())
+        q.cross(5.0, owner.gap)
     assert q.now == 20.0   # simlint: ignore[SIM004] -- exact by construction: jump targets are set, not computed
     # A legal gap passes the same check.
-    assert q.pass_ticks(25.0, owner.gap, ()) is True
+    assert q.cross(25.0, owner.gap) is True
     assert q.now == 25.0   # simlint: ignore[SIM004] -- exact by construction: jump targets are set, not computed
 
 

@@ -109,3 +109,34 @@ def test_end_to_end_pausing_beats_cancellation_wear():
     pause = run_simulation(SimConfig(policy="Slow+SC+WP", **fast))
     # Same write workload, but pausing never re-pays pulse time.
     assert pause.lifetime_years >= cancel.lifetime_years
+
+
+@pytest.mark.parametrize("policy", ["Slow+SC", "Slow+SC+WP"])
+def test_stale_completion_of_a_reissued_write_is_ignored(policy):
+    """A cancelled (or paused) write is re-issued as the same request and
+    finishes after its first attempt would have.  The first attempt's
+    completion event still fires at the old finish time; it carries that
+    attempt's issue token, not the request, so it must find the bank
+    busy with a newer issue and change nothing: the write completes, is
+    called back and wears once, at the re-issue's finish."""
+    events, ctrl = make_controller(policy)
+    done = []
+    ctrl.submit_write(block_for_bank(0, 32), done.append)
+    first_finish = ctrl._bank_busy_until[0]        # 20 ns burst + 450 ns
+    events.run_until(100)                          # 80 ns of the pulse
+    ctrl.submit_read(block_for_bank(0, 0))         # cancels or pauses it
+    request = ctrl.write_q.peek_bank(0)
+    assert request is not None and ctrl._bank_in_flight[0] is None
+    events.run_until(first_finish - 1.0)
+    assert ctrl._bank_in_flight[0] is request      # re-issued by now
+    reissue_finish = ctrl._bank_busy_until[0]
+    assert reissue_finish > first_finish
+    events.run_until(first_finish)                 # the stale completion
+    assert ctrl._bank_in_flight[0] is request
+    assert ctrl.stats.writes_completed == 0 and done == []
+    events.run_all()
+    assert done == [reissue_finish]
+    assert ctrl.stats.writes_completed == 1
+    expected = 1.0 if policy.endswith("+WP") else 1.0 + 80.0 / 450.0
+    assert ctrl.wear.records[0].slow_writes_by_factor[3.0] == \
+        pytest.approx(expected)
