@@ -7,7 +7,8 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: check lint simlint typecheck test sanitize coverage \
-	bench-sanitizer trace-demo bench-telemetry bench-smoke bench-survival
+	bench-sanitizer trace-demo bench-telemetry bench-smoke bench-survival \
+	importtime
 
 check:
 	$(PYTHON) -m repro check
@@ -65,3 +66,8 @@ bench-smoke:
 # a single run's checkpoint.save_ms / restore_ms / snapshot_kb.
 bench-survival:
 	$(PYTHON) bench/run.py --workload survival --trace
+
+# The 15 costliest imports of a plain run, by own import time (CI's
+# tier-1 job writes the same list to its summary; it gates nothing).
+importtime:
+	$(PYTHON) benchmarks/importtime.py

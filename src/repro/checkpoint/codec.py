@@ -54,7 +54,6 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
 from repro.cache.lru import LRUCache
 from repro.cpu.trace import TraceRecord
 from repro.memory.queues import Request, RequestQueue
-from repro.telemetry.tracer import EventTracer, TraceEvent
 from repro.workloads.patterns import (Pattern, PhasedPattern,
                                       ReadModifyWrite, SequentialStream)
 
@@ -62,6 +61,7 @@ from .errors import CheckpointError, CheckpointUnsupportedError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.sim.system import System
+    from repro.telemetry.tracer import EventTracer
 
 #: Version of the *state* layout below (the file envelope has its own).
 STATE_SCHEMA_VERSION = 8
@@ -587,9 +587,8 @@ def _restore_faults(restore: _Restore, state: Any) -> None:
             raise ValueError(f"fault bank {bank} repeats a line")
 
 
-#: The trace ring's record fields.  The string fields are stored as
-#: codes into a table of their values.
-_RING_FIELDS = tuple(field.name for field in dataclasses.fields(TraceEvent))
+#: The trace ring's string fields, stored as codes into a table of their
+#: values.
 _RING_CODED_FIELDS = ("kind", "detail")
 #: Integer fields that hold -1 or a non-negative value, stored plus one.
 _RING_OFFSET_FIELDS = ("bank",)
@@ -681,6 +680,14 @@ def _from_block_codes(codes: Sequence[int], ids: Sequence[int]) -> List[int]:
     return blocks
 
 
+def _ring_fields() -> Tuple[str, ...]:
+    """The trace ring's record fields.  The tracer is imported here, not
+    with this module: only a traced run has a ring, and a sweep worker
+    that captures or restores warm states never needs it."""
+    from repro.telemetry.tracer import TraceEvent
+    return tuple(field.name for field in dataclasses.fields(TraceEvent))
+
+
 def _capture_ring(tracer: EventTracer) -> Dict[str, Any]:
     """The trace ring's records as one column per field, oldest first.
 
@@ -693,8 +700,9 @@ def _capture_ring(tracer: EventTracer) -> Dict[str, Any]:
     (:func:`_id_deltas`) and ``factor`` as doubles.  A string field
     is ``<field>`` codes into a ``<field>_table``."""
     ring: Dict[str, Any] = {"recorded": tracer.recorded}
-    ids = tracer.column(_RING_FIELDS.index("req_id"))
-    for field, name in enumerate(_RING_FIELDS):
+    fields = _ring_fields()
+    ids = tracer.column(fields.index("req_id"))
+    for field, name in enumerate(fields):
         values = tracer.column(field)
         if name in _RING_CODED_FIELDS:
             table = list(dict.fromkeys(values))
@@ -738,8 +746,9 @@ def _ring_column(ring: Dict[str, Any], name: str,
 def _restore_ring(tracer: EventTracer, ring: Dict[str, Any]) -> None:
     ids = (ring["req_id"] if "req_id" in ring
            else _from_id_deltas(ring["req_id_delta"]))
-    columns = [_ring_column(ring, name, ids) for name in _RING_FIELDS]
-    for name, column in zip(_RING_FIELDS, columns):
+    fields = _ring_fields()
+    columns = [_ring_column(ring, name, ids) for name in fields]
+    for name, column in zip(fields, columns):
         _sized(column, len(columns[0]), name)
     tracer.load(ring["recorded"], zip(*columns))
 

@@ -7,6 +7,10 @@ Examples::
     python -m repro figure fig11
     python -m repro ablation abl_flip_n_write
     python -m repro list
+
+Importing this module loads what parsing the command line needs; each
+verb imports the layers it runs (the runner and simulator, the exhibit
+registries, the linter's rule engine) when it runs.
 """
 
 from __future__ import annotations
@@ -22,9 +26,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro import params
 from repro.analysis.report import Table, render
 from repro.core.policies import PAPER_POLICY_NAMES, parse_policy
-from repro.experiments.ablations import ALL_ABLATIONS
-from repro.experiments.figures import ALL_FIGURES
-from repro.experiments.runner import Runner
 from repro.lint.cli import (add_check_arguments, add_lint_arguments,
                             cmd_check, cmd_lint)
 from repro.sim.config import SimConfig
@@ -132,6 +133,8 @@ def _result_table(results) -> Table:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from repro.experiments.runner import Runner
+
     config = _config_from_args(args, args.workload, args.policy)
     runner = Runner()
     bundle: Optional[Path] = None
@@ -179,6 +182,8 @@ def cmd_resume(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     """Run one config with telemetry and surface its event trace."""
+    from repro.experiments.runner import Runner
+
     config = _config_from_args(args, args.workload, args.policy)
     runner = Runner()   # a memory store's bundles live as long as it does
     result, bundle = runner.run_traced(config)
@@ -204,6 +209,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     """Run one config with telemetry and summarise its metric series."""
+    from repro.experiments.runner import Runner
+
     config = _config_from_args(args, args.workload, args.policy)
     runner = Runner()
     _result, bundle = runner.run_traced(config)
@@ -322,6 +329,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.experiments.runner import Runner
+
     workloads = (args.workloads.split(",") if args.workloads
                  else list(WORKLOAD_NAMES))
     policies = (args.policies.split(",") if args.policies
@@ -386,6 +395,8 @@ def _emit_table(table, output: Optional[str]) -> None:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
+    from repro.experiments.figures import ALL_FIGURES
+
     if args.name == "all":
         for name, regenerate in ALL_FIGURES.items():
             print(f"[{name}]")
@@ -404,6 +415,8 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 
 def cmd_ablation(args: argparse.Namespace) -> int:
+    from repro.experiments.ablations import ALL_ABLATIONS
+
     try:
         regenerate = ALL_ABLATIONS[args.name]
     except KeyError:
@@ -417,6 +430,7 @@ def cmd_ablation(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     from repro.experiments.compare import compare_configs
+    from repro.experiments.runner import Runner
     try:
         parse_policy(args.policy)
         parse_policy(args.against)
@@ -446,6 +460,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
         survival_records,
         survival_table,
     )
+    from repro.experiments.runner import Runner
     if args.seeds < 1:
         raise CLIError(f"--seeds must be >= 1, got {args.seeds}")
     policies = (args.policies.split(",") if args.policies
@@ -476,6 +491,9 @@ def cmd_faults(args: argparse.Namespace) -> int:
 
 
 def cmd_list(_args: argparse.Namespace) -> int:
+    from repro.experiments.ablations import ALL_ABLATIONS
+    from repro.experiments.figures import ALL_FIGURES
+
     workloads = Table(
         title="Workloads (Table IV)",
         columns=["name", "mpki_paper", "apki", "base_cpi"],

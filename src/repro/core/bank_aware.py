@@ -9,9 +9,10 @@ the remaining condition is therefore "no other write queued for this bank".
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.telemetry.metrics import Counter
+if TYPE_CHECKING:
+    from repro.telemetry.metrics import Counter
 
 
 def bank_aware_wants_slow(other_writes_for_bank: int, reads_for_bank: int,

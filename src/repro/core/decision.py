@@ -15,12 +15,14 @@ even eager writes at normal speed (its design point is maximum performance).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.core.bank_aware import bank_aware_wants_slow
 from repro.core.policies import WritePolicy
 from repro.memory.queues import EAGER, WRITE
-from repro.telemetry.metrics import Counter
+
+if TYPE_CHECKING:
+    from repro.telemetry.metrics import Counter
 
 
 def choose_write_factor(

@@ -14,11 +14,13 @@ comparable to the endurance limit regardless of the write-speed mix.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro import params
 from repro.telemetry import EV_QUOTA_TRIP, NULL_TELEMETRY, Telemetry
-from repro.telemetry.metrics import Counter, Gauge
+
+if TYPE_CHECKING:
+    from repro.telemetry.metrics import Counter, Gauge
 
 
 class WearQuota:

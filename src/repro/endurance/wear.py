@@ -35,12 +35,14 @@ side of that seam.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro import params
 from repro.endurance.model import EnduranceModel
-from repro.endurance.startgap import StartGap
 from repro.sim.sanitize import check, resolve
+
+if TYPE_CHECKING:
+    from repro.endurance.startgap import StartGap
 
 
 @dataclass
@@ -119,9 +121,10 @@ class WearTracker:
         self.remappers: List[StartGap]
         self.block_damage: List[List[float]]
         if detailed:
+            from repro.endurance import startgap
             self.remappers = [
-                StartGap(blocks_per_bank, psi=start_gap_psi,
-                         sanitize=self._sanitize)
+                startgap.StartGap(blocks_per_bank, psi=start_gap_psi,
+                                  sanitize=self._sanitize)
                 for _ in range(num_banks)
             ]
             self.block_damage = [

@@ -32,10 +32,6 @@ class CellParameters:
         if self.slow_energy_ratio <= 0:
             raise ValueError("slow_energy_ratio must be positive")
 
-    @property
-    def reset_energy_pj(self) -> float:
-        return self.set_energy_pj
-
     def cell_write_energy_pj(self, slow: bool) -> float:
         """Energy to program one cell at the chosen speed."""
         if slow:

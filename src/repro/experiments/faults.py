@@ -27,13 +27,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Sequence, Tuple)
 
-from repro.analysis.report import Table
 from repro.experiments.runner import Runner, default_runner
 from repro.faults import FaultConfig
 from repro.sim.config import SimConfig
 from repro.sim.stats import RunResult
+
+if TYPE_CHECKING:
+    from repro.analysis.report import Table
 
 #: Policies compared in the survival figure: the fast baseline, the
 #: paper's best adaptive mechanism, and the all-slow upper bound.
@@ -129,12 +132,14 @@ def survival_table(
     survival over Norm's, whatever order ``policies`` lists them in; it
     is ``nan`` only when Norm is not among ``policies``.
     """
+    from repro.analysis import report
+
     policies = tuple(policies)
     flat = iter(results)
     by_policy = {
         policy: [next(flat) for _ in range(seeds)] for policy in policies
     }
-    table = Table(
+    table = report.Table(
         title=f"Lifetime to failure under fault injection "
               f"({workload}, {seeds} seeds)",
         columns=["policy", "failed_runs", "mean_survival_ns",
@@ -301,11 +306,13 @@ def survival_curve_table(
     workload: str = DEFAULT_WORKLOAD,
 ) -> Table:
     """Per-policy Kaplan-Meier summary with 95% confidence bands."""
+    from repro.analysis import report
+
     by_policy: Dict[str, List[Dict[str, Any]]] = {p: [] for p in policies}
     for record in records:
         by_policy[record["policy"]].append(record)
     seeds = max((len(rows) for rows in by_policy.values()), default=0)
-    table = Table(
+    table = report.Table(
         title=f"Kaplan-Meier survival under fault injection "
               f"({workload}, {seeds} seeds, 95% bands)",
         columns=["policy", "n", "failed", "censored", "median_survival_ns",

@@ -38,11 +38,7 @@ Environment knobs:
 
 from __future__ import annotations
 
-import logging
 import os
-import pickle
-from concurrent.futures import (FIRST_COMPLETED, Future, ProcessPoolExecutor,
-                                wait)
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
@@ -73,7 +69,12 @@ __all__ = [
     "selected_workloads",
 ]
 
-logger = logging.getLogger(__name__)
+
+def _warn(message: str, *args: object) -> None:
+    """Log a warning under this module's logger.  ``logging`` loads
+    here: only an unreadable cache entry needs it."""
+    import logging
+    logging.getLogger(__name__).warning(message, *args)
 
 
 def scale_factor() -> float:
@@ -125,6 +126,8 @@ def _warm_state(config: SimConfig) -> bytes:
     into one ``bytes`` blob, that every run sharing
     ``config.warm_key()`` restores instead of warming up itself.
     """
+    import pickle
+
     from repro.checkpoint import capture_warm
     system = System(config)
     system._functional_warmup()
@@ -146,6 +149,8 @@ def _simulate(config: SimConfig, warm: Optional[bytes] = None) -> dict:
     bundle into ``telemetry_dir`` (atomically, manifest last), which is
     the store's bundle directory.
     """
+    import pickle
+
     system = System(replace(config, checkpoint_every=None,
                             checkpoint_dir=None))
     system.start_run(None if warm is None else pickle.loads(warm))
@@ -195,16 +200,16 @@ class Runner:
         try:
             data = self.store.get(digest)
         except OSError as error:
-            logger.warning("cache read failed for %s (%s); re-simulating",
-                           self.store.location(digest), error)
+            _warn("cache read failed for %s (%s); re-simulating",
+                  self.store.location(digest), error)
             return None
         if data is None:
             return None
         try:
             return entry_from_json(data.decode("utf-8"))
         except (CacheEntryError, UnicodeDecodeError) as error:
-            logger.warning("discarding cache entry %s (%s); re-simulating",
-                           self.store.location(digest), error)
+            _warn("discarding cache entry %s (%s); re-simulating",
+                  self.store.location(digest), error)
             self.store.delete(digest)
             return None
 
@@ -352,10 +357,13 @@ class Runner:
                         del blobs[number]
                 settle(run, _simulate(lead[run], warm))
         else:
-            with ProcessPoolExecutor(
+            # The pool (and with it multiprocessing) loads only here:
+            # a serial sweep or a plain run never imports it.
+            import concurrent.futures as cf
+            with cf.ProcessPoolExecutor(
                     max_workers=min(jobs, len(runs))) as pool:
                 # A future maps to ("warm", group) or ("run", run).
-                futures: Dict[Future, Tuple[str, int]] = {}
+                futures: Dict[cf.Future, Tuple[str, int]] = {}
                 # At most ``jobs`` warm-ups are outstanding: the next one
                 # goes out when a blob arrives, behind that blob's runs,
                 # so the pool cannot finish every warm-up first and leave
@@ -375,8 +383,8 @@ class Runner:
                     (pool.submit(_simulate, lead[run]), ("run", run))
                     for run in range(len(runs)) if run not in group_of)
                 while futures:
-                    done, _pending = wait(futures,
-                                          return_when=FIRST_COMPLETED)
+                    done, _pending = cf.wait(
+                        futures, return_when=cf.FIRST_COMPLETED)
                     for future in done:
                         kind, index = futures.pop(future)
                         if kind == "warm":

@@ -38,13 +38,8 @@ from repro.endurance.model import EnduranceModel
 from repro.endurance.variability import EnduranceVariability
 from repro.faults.config import FaultConfig
 from repro.faults.ecc import CORRECTABLE_BITS
-
-# Write-verify outcomes, in escalation order.
-WRITE_OK = "ok"
-WRITE_RETRY = "retry"
-WRITE_CORRECTED = "corrected"
-WRITE_RETIRED = "retired"
-WRITE_FATAL = "fatal"
+from repro.faults.outcomes import (WRITE_CORRECTED, WRITE_FATAL, WRITE_OK,
+                                   WRITE_RETIRED, WRITE_RETRY)
 
 Clock = Callable[[], float]
 

@@ -10,6 +10,9 @@ sanitized results are bit-identical to unsanitized ones.
 are skipped with a note by default (the local environment need not
 carry them); CI passes ``--require-tools`` to turn a missing tool into
 a failure instead of a silent gap.
+
+The rule engine is imported by the handlers, not with this module: the
+``repro`` command line declares these arguments for every verb.
 """
 
 from __future__ import annotations
@@ -22,11 +25,9 @@ import time
 from pathlib import Path
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from repro.lint.engine import LintOptions, lint_paths
-from repro.lint.findings import Finding, findings_to_json, summarize
-from repro.lint.rules import RULES
-
 if TYPE_CHECKING:   # pragma: no cover - typing only
+    from repro.lint.engine import LintOptions
+    from repro.lint.findings import Finding
     from repro.sim.config import SimConfig
 
 #: Default lint target when no paths are given.
@@ -81,6 +82,8 @@ def _split_rules(text: Optional[str]) -> Optional[List[str]]:
 
 
 def _print_rule_catalogue() -> None:
+    from repro.lint.rules import RULES
+
     for info in RULES.values():
         print(f"{info.rule_id} {info.name} [{info.severity}]")
         print(f"    {info.summary}")
@@ -97,6 +100,8 @@ def _emit(text: str, output: Optional[str]) -> None:
 def _run_lint(paths: Sequence[str], options: LintOptions
               ) -> Tuple[Optional[List[Finding]], int]:
     """Shared lint driver; returns (findings, exit_code)."""
+    from repro.lint.engine import lint_paths
+
     try:
         findings = lint_paths(paths, options)
     except FileNotFoundError as error:
@@ -106,13 +111,16 @@ def _run_lint(paths: Sequence[str], options: LintOptions
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
+    from repro.lint import engine
+    from repro.lint.findings import findings_to_json, summarize
+
     if args.list_rules:
         _print_rule_catalogue()
         return 0
     if args.bench:
         return run_bench()
     try:
-        options = LintOptions(
+        options = engine.LintOptions(
             select=_split_rules(args.select),
             ignore=_split_rules(args.ignore) or (),
             report_unused=args.report_unused,
@@ -161,10 +169,12 @@ def _run_tool(name: str, command: List[str],
 
 def cmd_check(args: argparse.Namespace) -> int:
     """Umbrella static checking: simlint, then ruff, then mypy."""
+    from repro.lint import engine
+
     failures = 0
     statuses: List[Tuple[str, str]] = []
 
-    findings, lint_code = _run_lint(args.paths, LintOptions())
+    findings, lint_code = _run_lint(args.paths, engine.LintOptions())
     if findings is None:
         return 2
     for finding in findings:

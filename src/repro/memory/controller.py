@@ -21,15 +21,15 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro import params
 from repro.core.decision import choose_write_factor
 from repro.core.policies import WritePolicy
 from repro.core.wear_quota import WearQuota
 from repro.endurance.wear import WearTracker
-from repro.faults.injector import (WRITE_FATAL, WRITE_OK, WRITE_RETIRED,
-                                   WRITE_RETRY, FaultInjector)
+from repro.faults.outcomes import (WRITE_FATAL, WRITE_OK, WRITE_RETIRED,
+                                   WRITE_RETRY)
 from repro.sim.sanitize import check, close_enough, resolve
 from repro.memory.address import AddressMap
 from repro.memory.queues import EAGER, READ, WRITE, Request, RequestQueue
@@ -41,7 +41,10 @@ from repro.telemetry import (EV_CANCEL, EV_CELL_FAIL, EV_COMPLETE,
                              EV_ISSUE, EV_LINE_RETIRE, EV_PAUSE,
                              EV_UNCORRECTABLE, EV_VERIFY_RETRY,
                              NULL_TELEMETRY, Telemetry)
-from repro.telemetry.metrics import Counter, bank_metric_name
+
+if TYPE_CHECKING:
+    from repro.faults.injector import FaultInjector
+    from repro.telemetry.metrics import Counter
 
 
 class _ControllerTelemetry:
@@ -54,6 +57,8 @@ class _ControllerTelemetry:
     """
 
     def __init__(self, telemetry: Telemetry, num_banks: int) -> None:
+        from repro.telemetry.metrics import bank_metric_name
+
         # Bound method, saving two attribute loads per trace record.
         self.record = telemetry.tracer.record
         metrics = telemetry.metrics

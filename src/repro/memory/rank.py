@@ -33,9 +33,11 @@ class RankFawLimiter:
 
         The window is pruned at ``now``; when it is full, the start is
         delayed to the oldest activation's exit (``+ t_faw_ns``) and the
-        window pruned again there.  If floating-point rounding leaves
-        that activation inside the window at its own exit time, the
-        limiter raises instead of exceeding tFAW.
+        window pruned again there.  The second prune reaches at least
+        that oldest activation: ``(oldest + t_faw_ns) - t_faw_ns`` can
+        round below ``oldest``, which would keep it in the window at its
+        own exit time.  The limiter still raises rather than exceed tFAW
+        if the window stays full.
         """
         recent = self._recent
         t_faw = self.t_faw_ns
@@ -43,8 +45,11 @@ class RankFawLimiter:
         while recent and recent[0] <= horizon:
             recent.popleft()
         if len(recent) >= self.max_activates:
-            now = recent[0] + t_faw
+            oldest = recent[0]
+            now = oldest + t_faw
             horizon = now - t_faw
+            if horizon < oldest:
+                horizon = oldest
             while recent and recent[0] <= horizon:
                 recent.popleft()
             if len(recent) >= self.max_activates:

@@ -89,10 +89,6 @@ class RunResult:
     def requests_issued_total(self) -> int:
         return self.reads_issued + self.writes_issued_total
 
-    @property
-    def llc_accesses(self) -> int:
-        return self.llc_hits + self.llc_misses
-
     def lifetime_for_expo(self, expo_factor: float,
                           base_endurance: float = params.BASE_ENDURANCE,
                           ) -> float:

@@ -17,28 +17,26 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
 from repro import params
-from repro.analysis.validation import validate_result
 from repro.cache.llc import LastLevelCache
 from repro.core.wear_quota import WearQuota
 from repro.cpu.core import SimpleCore
 from repro.endurance.model import EnduranceModel
-from repro.endurance.flipnwrite import FlipNWrite
 from repro.endurance.wear import WearTracker
 from repro.energy.nvsim import LineEnergyModel
-from repro.faults.injector import FaultInjector
 from repro.sim.sanitize import check, env_enabled
 from repro.memory.address import AddressMap
 from repro.memory.controller import MemoryController
-from repro.memory.drambuffer import DramWriteBuffer
 from repro.memory.timing import MemoryTiming
 from repro.sim.config import SimConfig
 from repro.sim.events import EventQueue
 from repro.sim.stats import RunResult
-from repro.telemetry import (EV_PHASE, NULL_TELEMETRY, Telemetry,
-                             bank_metric_name)
+from repro.telemetry import EV_PHASE, NULL_TELEMETRY, Telemetry
 from repro.workloads.profiles import WorkloadProfile, get_profile
 
 if TYPE_CHECKING:
+    from repro.endurance.flipnwrite import FlipNWrite
+    from repro.faults.injector import FaultInjector
+    from repro.memory.drambuffer import DramWriteBuffer
     from repro.workloads.mix import WorkloadMix
 
 
@@ -118,18 +116,20 @@ class System:
         )
         self.flip_n_write: Optional[FlipNWrite] = None
         if config.flip_n_write:
-            self.flip_n_write = FlipNWrite(
+            from repro.endurance import flipnwrite
+            self.flip_n_write = flipnwrite.FlipNWrite(
                 rng=random.Random(config.seed * 104729 + 7),
             )
         self.faults: Optional[FaultInjector] = None
         if config.faults is not None:
+            from repro.faults import injector
             # Derive the fault stream's seed from the run seed plus the
             # fault parameters, the same crc32-of-canonical-JSON idiom the
             # workload generators use: stable across processes (SIM001)
             # and decoupled from the LLC/Flip-N-Write streams.
             material = json.dumps(
                 ["faults", config.seed, list(config.faults.key())])
-            self.faults = FaultInjector(
+            self.faults = injector.FaultInjector(
                 config=config.faults,
                 num_banks=config.num_banks,
                 model=self.endurance,
@@ -154,7 +154,8 @@ class System:
         )
         self.dram_buffer: Optional[DramWriteBuffer] = None
         if config.dram_buffer_entries > 0:
-            self.dram_buffer = DramWriteBuffer(config.dram_buffer_entries)
+            from repro.memory import drambuffer
+            self.dram_buffer = drambuffer.DramWriteBuffer(config.dram_buffer_entries)
         self._trace = profile.trace(config.seed)
         self.core = SimpleCore(
             events=self.events,
@@ -189,6 +190,8 @@ class System:
         one (cached) :func:`bank_metric_name` lookup per bank, never
         per-event and never per-sample beyond the probe call itself.
         """
+        from repro.telemetry.metrics import bank_metric_name
+
         tel = self.telemetry
         metrics = tel.metrics
         ctrl = self.controller
@@ -658,6 +661,7 @@ class System:
         if self.sanitize:
             # Re-derive the result from independent counters (read-only,
             # so sanitized results stay bit-identical to plain ones).
+            from repro.analysis.validation import validate_result
             queued = len(self.controller.read_q)
             report = validate_result(result, reads_queued=queued)
             check(report.ok, "result-consistency",

@@ -25,6 +25,10 @@ manifest goes last, so a directory containing ``manifest.json`` is
 always a complete bundle - the result cache relies on this.  The two
 trace files are streamed a chunk at a time, so export memory does not
 grow with the ring.
+
+The instruments and the exporters are imported when a :class:`Telemetry`
+is built or written, not with this module: a run with telemetry off
+needs only :data:`NULL_TELEMETRY`.
 """
 
 from __future__ import annotations
@@ -33,11 +37,6 @@ import json
 from pathlib import Path
 from typing import (Any, Callable, ClassVar, Dict, Iterable, List, NoReturn,
                     Optional, Sequence)
-
-from repro.store.codec import atomic_write_chunks, atomic_write_text
-from repro.telemetry.heatmap import WearHeatmap
-from repro.telemetry.metrics import MetricRegistry
-from repro.telemetry.tracer import EventTracer, chrome_trace_chunks
 
 MANIFEST_NAME = "manifest.json"
 TELEMETRY_SCHEMA_VERSION = 1
@@ -58,6 +57,10 @@ class Telemetry:
 
     def __init__(self, num_banks: int, clock: Clock,
                  trace_capacity: int = 65536) -> None:
+        from repro.telemetry.heatmap import WearHeatmap
+        from repro.telemetry.metrics import MetricRegistry
+        from repro.telemetry.tracer import EventTracer
+
         self.num_banks = num_banks
         self.clock = clock
         self.metrics = MetricRegistry()
@@ -109,6 +112,9 @@ class Telemetry:
 
     def write(self, out_dir: Path) -> List[Path]:
         """Write the full bundle into ``out_dir``; manifest goes last."""
+        from repro.store.codec import atomic_write_text
+        from repro.telemetry.tracer import chrome_trace_chunks
+
         out_dir = Path(out_dir)
         written: List[Path] = []
 
@@ -146,6 +152,8 @@ class Telemetry:
 
 def _write_text_chunks(path: Path, chunks: Iterable[str]) -> None:
     """Atomically write UTF-8 text drawn chunk by chunk."""
+    from repro.store.codec import atomic_write_chunks
+
     atomic_write_chunks(path, (chunk.encode("utf-8") for chunk in chunks))
 
 

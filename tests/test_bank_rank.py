@@ -6,6 +6,7 @@ tests drive :class:`MemoryController` and read bank 0's entries.
 """
 
 import math
+import random
 
 import pytest
 
@@ -97,15 +98,32 @@ class TestRankFawLimiter:
             limiter.activate(t)
         assert limiter.activate(60) == 60
 
-    def test_violation_raises(self):
+    def test_rounded_exit_leaves_the_window(self):
         """The delayed start is computed in floating point: 0.1 + 0.7
-        rounds to 0.7999999999999999, minus 0.7 to below 0.1, so the
-        oldest activation is still inside the window at its own exit
-        time.  The limiter refuses rather than exceed tFAW."""
+        rounds to 0.7999999999999999, minus 0.7 to below 0.1.  The
+        oldest activation still leaves the window at its own exit time,
+        so the start is 0.1 + 0.7 and the window holds one activation."""
         limiter = RankFawLimiter(t_faw_ns=0.7, max_activates=1)
         limiter.activate(0.1)
-        with pytest.raises(RuntimeError, match="tFAW violated"):
-            limiter.activate(0.2)
+        assert limiter.activate(0.2) == 0.1 + 0.7
+        assert list(limiter._recent) == [0.1 + 0.7]
+
+    def test_random_activation_times_keep_the_window(self):
+        """100,000 random activation times through the default 50 ns
+        window: none is refused, none starts before it is asked to, and
+        no start comes before the one ``max_activates`` back plus tFAW
+        (the sum the limiter itself computes)."""
+        rng = random.Random(20160618)
+        times = sorted(rng.uniform(0.0, 1e6) for _ in range(100_000))
+        limiter = RankFawLimiter()
+        window = limiter.max_activates
+        starts = [limiter.activate(t) for t in times]
+        assert all(start >= t for start, t in zip(starts, times))
+        assert all(later >= earlier for earlier, later
+                   in zip(starts, starts[1:]))
+        assert all(starts[i] >= starts[i - window] + limiter.t_faw_ns
+                   for i in range(window, len(starts)))
+        assert len(limiter._recent) <= window
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):

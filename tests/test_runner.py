@@ -1,5 +1,6 @@
 """Tests for the sweep runner and its persistent cache."""
 
+import concurrent.futures
 import json
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
@@ -9,7 +10,6 @@ import pytest
 
 import repro.checkpoint
 import repro.checkpoint.snapshot
-import repro.experiments.runner
 from repro.experiments.faults import (sliced_survival_configs,
                                       survival_configs, survival_records)
 from repro.experiments.runner import Runner, selected_workloads
@@ -193,7 +193,9 @@ class TestWarmUpsBounded:
                 submissions.append((fn.__name__, args[0].warm_key(), warm))
                 return super().submit(fn, *args, **kwargs)
 
-        monkeypatch.setattr(repro.experiments.runner, "ProcessPoolExecutor",
+        # The runner looks the pool up in concurrent.futures when it
+        # builds one, so the pool is patched there.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             RecordingPool)
         results = Runner(store=MemoryStore()).sweep(grid, jobs=self.JOBS)
         assert ([result_to_dict(r) for r in results]

@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.analysis import validation as validation_module
 from repro.analysis.validation import validate_result
 from repro.endurance.startgap import StartGap
 from repro.endurance.wear import WearTracker
@@ -27,7 +28,6 @@ from repro.sim.sanitize import (
 from repro.memory.queues import Request, RequestQueue, WRITE
 from repro.sim.config import SimConfig
 from repro.sim.events import EventQueue
-from repro.sim import system as system_module
 from repro.sim.system import System
 from repro.store import result_to_dict
 
@@ -233,7 +233,9 @@ def test_sanitized_run_is_clean_and_bit_identical(monkeypatch):
         reports.append(report)
         return report
 
-    monkeypatch.setattr(system_module, "validate_result", spy)
+    # System imports the validator when a sanitized run collects its
+    # result, so the spy goes where the validator is defined.
+    monkeypatch.setattr(validation_module, "validate_result", spy)
     monkeypatch.delenv(ENV_VAR, raising=False)
     plain = System(SMOKE_CONFIG).run()
     # The result cross-checks run on sanitized runs only.
